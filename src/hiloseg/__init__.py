@@ -12,6 +12,7 @@ keep the peak footprint proportional to window size, not scan size.
 from .errors import DegenerateLabelsError, DivergenceError, FormatError
 from .rng import make_rng
 from .voxel import (
+    IntegralVolume,
     LabelVolume,
     Pyramid,
     VoxelVolume,
@@ -19,6 +20,7 @@ from .voxel import (
     average_pool,
     build_pyramid,
     extract_window,
+    integral_volume,
     max_pool,
 )
 
@@ -28,6 +30,7 @@ __all__ = [
     "DegenerateLabelsError",
     "DivergenceError",
     "FormatError",
+    "IntegralVolume",
     "LabelVolume",
     "Pyramid",
     "VoxelVolume",
@@ -35,6 +38,7 @@ __all__ = [
     "average_pool",
     "build_pyramid",
     "extract_window",
+    "integral_volume",
     "make_rng",
     "max_pool",
     "__version__",

@@ -4,7 +4,8 @@ A trained window model only ever sees w-sided level-0 windows, so a whole
 volume is segmented by tiling the target region with non-overlapping windows
 and running one forward pass per tile. Tiles never overlap, which makes the
 result independent of visiting order and lets tiles run on worker threads
-without synchronizing writes.
+without synchronizing writes. All tiles read their pyramid levels from one
+summed-area table of the scan, built once per call and shared read-only.
 
 ``mise_evaluate`` implements coarse-to-fine occupancy extraction: evaluate a
 coarse corner lattice, fill cells whose corners agree, subdivide the rest,
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import sample_uniform_coords
-from .voxel import LabelVolume, VoxelVolume, build_pyramid
+from .voxel import LabelVolume, VoxelVolume, build_pyramid, integral_volume
 
 THREADS_ENV = "HILO_THREADS"
 
@@ -168,7 +169,9 @@ def segment_volume(vol: VoxelVolume, params, cfg, region: BoundingBox | None = N
 
     ``params`` is either a parameter state dict (a model is built from ``cfg``
     and loaded) or an already-built model object. Voxels outside the region
-    are 0 in the output; output dims always equal input dims.
+    are 0 in the output; output dims always equal input dims. One
+    summed-area table covers the top pyramid level of every tile, clipped
+    to the scan; it is host memory outside the byte meter.
     """
     from .models.hilo import HiLoModel, hilo_forward
 
@@ -187,6 +190,12 @@ def segment_volume(vol: VoxelVolume, params, cfg, region: BoundingBox | None = N
         plan = plan_tiling(region, cfg.window_size)
     out = np.zeros(vol.dims, dtype=np.uint8)
     w = plan.window_size
+    d, L = cfg.downsampling_factor, cfg.levels
+    integral = None
+    if L > 1 and len(plan):
+        top = w * d ** (L - 1)
+        top_lo = np.asarray(plan.origins) + (w // 2 - top // 2)
+        integral = integral_volume(vol, top_lo.min(axis=0), top_lo.max(axis=0) + top)
     if cfg.decoder == "onet":
         # the coordinate decoder answers point queries; ask for the whole window
         r = np.arange(w, dtype=np.int64)
@@ -196,7 +205,7 @@ def segment_volume(vol: VoxelVolume, params, cfg, region: BoundingBox | None = N
 
     def run_tile(origin):
         center = tuple(o + w // 2 for o in origin)
-        pyr = build_pyramid(vol, center, w, cfg.downsampling_factor, cfg.levels)
+        pyr = build_pyramid(vol, center, w, d, L, integral=integral)
         if grid_coords is None:
             probs = hilo_forward(pyr, cfg, model)
         else:

@@ -15,12 +15,16 @@ Layout (all integers little-endian):
             "v/<name>" entries.
 
 Values are always stored as float32, so a float64 verification-mode model
-round-trips through float32 precision by design.
+round-trips through float32 precision by design. A file is written to a
+temporary name in its directory and swapped in whole, so a reader never
+sees a partial checkpoint; bytes after the last section are a format error.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +115,15 @@ def save_checkpoint(
         moments = {f"m/{k}": v for k, v in optimizer["m"].items()}
         moments.update({f"v/{k}": v for k, v in optimizer["v"].items()})
         _write_table(out, moments)
-    Path(path).write_bytes(bytes(out))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(out)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):
@@ -140,4 +152,6 @@ def load_checkpoint(path):
             "m": {k[2:]: v for k, v in moments.items() if k.startswith("m/")},
             "v": {k[2:]: v for k, v in moments.items() if k.startswith("v/")},
         }
+    if r.off != len(blob):
+        raise FormatError(f"{path}: {len(blob) - r.off} trailing bytes after the checkpoint")
     return kind, config_text, state, optimizer

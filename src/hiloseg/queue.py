@@ -147,7 +147,8 @@ class BatchLoader:
     batch under the queue lock, and releases the loader to start reading the
     next file. Disk I/O therefore overlaps gradient computation of the
     current batch. Failed loads are logged and skipped, retrying with the
-    next file in cycle order.
+    next file in cycle order. A full cycle of files without one successful
+    load stops the loader, and :meth:`next_batch` raises the last error.
     """
 
     def __init__(self, queue: TrainingQueue, files: Iterable,
@@ -172,14 +173,21 @@ class BatchLoader:
 
     def _run(self) -> None:
         files = itertools.cycle(enumerate(self.files))
+        failures = 0  # consecutive, since the last successful load
         while not self._stop.is_set():
             idx, path = next(files)
             try:
                 payload = self.load_fn(path)  # slow part happens outside the queue lock
                 self.load_count += 1
             except Exception as exc:  # noqa: BLE001 - I/O contract: warn and retry
+                failures += 1
+                if failures >= len(self.files):
+                    log.error("loader failed on every file; last error on %r: %s", path, exc)
+                    self._error = exc
+                    return
                 log.warning("loader failed on %r: %s; retrying with next file", path, exc)
                 continue
+            failures = 0
             instance_id = (self._seq, idx)
             self._seq += 1
             self.queue.push(QueueEntry(instance_id=instance_id, payload=payload))
@@ -187,8 +195,14 @@ class BatchLoader:
             self._batch_done.acquire()
 
     def next_batch(self, batch_size: int, rng) -> list[QueueEntry]:
-        """Block until this batch's file push landed, then sample the batch."""
+        """Block until this batch's file push landed, then sample the batch.
+
+        Raises the loader's last error once it stopped after a full cycle of
+        failed loads.
+        """
         while not self._push_done.acquire(timeout=0.5):
+            if self._error is not None:
+                raise self._error
             if self._stop.is_set():
                 raise RuntimeError("loader stopped while a batch was pending")
             if self._thread is not None and not self._thread.is_alive():

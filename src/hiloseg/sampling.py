@@ -151,11 +151,18 @@ def sample_pyramid_location(
     A uniform center is drawn over the volume; if the probe window around it
     contains no positive voxel the draw is rejected with probability
     ``redraw_prob`` and repeated. Termination holds for all-negative volumes
-    because every redraw is still accepted with probability 1 - redraw_prob.
+    when ``redraw_prob < 1``, because every redraw is then still accepted
+    with probability 1 - redraw_prob. At ``redraw_prob >= 1`` a hit must be
+    possible: every positive voxel is hit by the center on it, so labels
+    without one raise ``DegenerateLabelsError``.
     """
     if rng is None:
         rng = make_rng(cfg.seed, _STREAM_PYRAMID)
     data = labels.data
+    if cfg.redraw_prob >= 1.0 and not data.any():
+        raise DegenerateLabelsError(
+            "pyramid sampling with redraw_prob = 1 requires at least one positive voxel"
+        )
     dims = data.shape
     side = w if cfg.redraw_scope == "level0" else w * d ** (levels - 1)
     while True:

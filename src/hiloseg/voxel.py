@@ -5,6 +5,16 @@ All volumes use one canonical layout: a C-contiguous array indexed
 normalization; 0 is air. Out-of-range reads (window extraction, pyramid
 levels crossing the border) yield zeros, which is semantically "air".
 
+Pyramid levels above 0 come from a summed-area table (the integral image
+of Crow 1984 and Viola & Jones 2001, in three dimensions): a float64
+cumulative sum over a box of the volume with a leading zero face, so the
+sum over any voxel block is eight corner lookups. The box is clipped to
+the volume, and corner indices are clipped to the table, which makes every
+voxel outside the volume read as air, exactly as window extraction does.
+One table serves every pyramid whose levels lie inside its box, so
+segmentation builds one per scan; a pyramid's memory is then O(L·w³)
+whatever the downsampling factor and level count.
+
 Volumes and labels are treated as immutable after construction; every
 operation here is a pure function returning new arrays.
 """
@@ -173,12 +183,68 @@ def extract_window(vol: VoxelVolume | LabelVolume, origin, w: int) -> Window:
     return Window(origin=origin, size=w, data=out)
 
 
-def build_pyramid(vol: VoxelVolume, center, w: int, d: int, levels: int) -> Pyramid:
+@dataclass(frozen=True)
+class IntegralVolume:
+    """Summed-area table of a box inside a volume.
+
+    ``table[i, j, k]`` is the float64 sum of the volume over the half-open
+    box ``[origin, origin + (i, j, k))``, so the leading face (any index 0)
+    is zero and ``table.shape`` is the box's sides plus one.
+    """
+
+    origin: Triple
+    table: np.ndarray
+
+    def block_means(self, origin: Triple, factor: int, n: int) -> np.ndarray:
+        """Means of the n³ ``factor``-cubes tiling the cube of side n·factor at ``origin``.
+
+        Voxels outside the table's box read as 0, so the box must hold every
+        volume voxel of that cube.
+        """
+        idx = [
+            np.clip(np.arange(o - t, o - t + (n + 1) * factor, factor), 0, m - 1)
+            for o, t, m in zip(origin, self.origin, self.table.shape)
+        ]
+        sums = self.table[np.ix_(*idx)]
+        for axis in range(3):
+            sums = np.diff(sums, axis=axis)
+        return (sums / factor**3).astype(np.float32)
+
+
+def integral_volume(vol: VoxelVolume, lo, hi) -> IntegralVolume:
+    """Summed-area table of ``vol`` over the half-open box [lo, hi), clipped to the volume.
+
+    The sums accumulate in float64. Block sums are exact whenever every voxel
+    value is a multiple of 2^-k and the box's total stays below 2^(53-k):
+    float32 values that are 0 or in [2^-7, 1], over fewer than 2^22 voxels,
+    qualify, and so do scans built from them; other values carry rounding
+    of about one float64 ulp of the box's total.
+    """
+    lo = [min(max(int(a), 0), n) for a, n in zip(lo, vol.dims)]
+    hi = [min(max(int(b), a), n) for a, b, n in zip(lo, hi, vol.dims)]
+    table = np.zeros(tuple(b - a + 1 for a, b in zip(lo, hi)), dtype=np.float64)
+    table[1:, 1:, 1:] = vol.data[tuple(slice(a, b) for a, b in zip(lo, hi))]
+    # in place, so no second table; plane by plane along x, where numpy's
+    # strided cumsum is several times slower than whole-plane adds
+    for i in range(1, len(table)):
+        table[i] += table[i - 1]
+    np.cumsum(table, axis=1, out=table)
+    np.cumsum(table, axis=2, out=table)
+    return IntegralVolume(origin=tuple(lo), table=table)
+
+
+def build_pyramid(vol: VoxelVolume, center, w: int, d: int, levels: int,
+                  integral: IntegralVolume | None = None) -> Pyramid:
     """Build the moving pyramid around ``center``.
 
-    Level 0 is the raw window of side w at ``center - w//2``. Level l extracts
-    a window of side ``w * d**l`` (zero-padded at borders, so padding happens
-    before pooling) and average-pools it by ``d**l`` back to side w.
+    Level 0 is the raw window of side w at ``center - w//2``. Level l covers
+    the cube of side ``w * d**l`` at ``center - side//2`` and holds the means
+    of its ``d**l``-cubes, voxels outside the volume counting as 0. Those
+    means come from ``integral``, a summed-area table of ``vol`` whose box
+    must hold the top level's cube clipped to the volume (segmentation shares
+    one over all its tiles); without it the table is built over that clipped
+    cube alone. Sums accumulate in float64 and each mean is cast to float32
+    once, as block-averaging the extracted cube did.
     """
     if levels < 1:
         raise ValueError(f"level count must be >= 1, got {levels}")
@@ -187,14 +253,18 @@ def build_pyramid(vol: VoxelVolume, center, w: int, d: int, levels: int) -> Pyra
     if w < 1:
         raise ValueError(f"window size must be a positive integer, got {w}")
     center = _check_triple(center, "center")
-    out = []
-    for lvl in range(levels):
+    top = w * d ** (levels - 1)
+    top_lo = [c - top // 2 for c in center]
+    need = [(max(a, 0), min(a + top, n)) for a, n in zip(top_lo, vol.dims)]
+    if levels > 1 and integral is None:
+        integral = integral_volume(vol, *zip(*need))
+    elif levels > 1 and all(a < b for a, b in need):
+        box = zip(integral.origin, integral.table.shape)
+        if any(a < t or b > t + m - 1 for (a, b), (t, m) in zip(need, box)):
+            raise ValueError(f"integral volume does not cover the pyramid at {center}")
+    out = [extract_window(vol, tuple(c - w // 2 for c in center), w)]
+    for lvl in range(1, levels):
         side = w * d**lvl
         origin = tuple(c - side // 2 for c in center)
-        win = extract_window(vol, origin, side)
-        if lvl == 0:
-            out.append(win)
-        else:
-            pooled = _pooled_array(win.data, d**lvl, "mean")
-            out.append(Window(origin=win.origin, size=w, data=pooled))
+        out.append(Window(origin=origin, size=w, data=integral.block_means(origin, d**lvl, w)))
     return Pyramid(center=center, window_size=w, downsampling_factor=d, levels=tuple(out))

@@ -14,8 +14,8 @@ from hiloseg.inference import (
     segment_volume,
     voxel_iou,
 )
-from hiloseg.models.hilo import HiLoConfig, HiLoModel
-from hiloseg.voxel import LabelVolume, VoxelVolume
+from hiloseg.models.hilo import HiLoConfig, HiLoModel, hilo_forward
+from hiloseg.voxel import LabelVolume, VoxelVolume, build_pyramid
 
 
 class TestBoundingBox:
@@ -118,11 +118,21 @@ class TestPlanTiling:
             plan_tiling(BoundingBox((0, 0, 0), (3, 3, 3)), 0)
 
 
+def seeded_model(cfg, seed):
+    """A model whose zero-initialized entries are random too: the zero heads
+    of a fresh model give probability 0.5 everywhere, whatever the pyramid."""
+    model = HiLoModel(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    model.load_state_dict({k: v if v.any() else rng.normal(0, 0.1, v.shape).astype(v.dtype)
+                           for k, v in model.state_dict().items()})
+    return model
+
+
 def tiny_hilo(decoder="cnn"):
     cfg = HiLoConfig(window_size=8, levels=2, encoder_blocks=2, cnn_decoder_blocks=2,
                      onet_decoder_blocks=2, base_channels=2, decoder_hidden=8,
                      decoder=decoder, batch_size=2)
-    return cfg, HiLoModel(cfg, seed=0)
+    return cfg, seeded_model(cfg, 0)
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +187,27 @@ class TestSegmentVolume:
         cfg, model = tiny_hilo()
         a = segment_volume(blob_volume, model, cfg, threads=1)
         b = segment_volume(blob_volume, model, cfg, threads=3)
+        assert 0 < a.data.sum() < a.data.size
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_shared_table_equals_tile_by_tile_pyramids(self, blob_volume):
+        """One summed-area table per call gives the labels of per-tile
+        pyramids built without it, on a region touching the scan's edge."""
+        cfg = HiLoConfig(window_size=4, levels=3, encoder_blocks=1, cnn_decoder_blocks=1,
+                         base_channels=2)
+        model = seeded_model(cfg, 2)
+        region = BoundingBox((9, 0, 6), (19, 17, 15))
+        got = segment_volume(blob_volume, model, cfg, region).data
+        want = np.zeros_like(got)
+        for origin in plan_tiling(region, 4):
+            center = tuple(o + 2 for o in origin)
+            pyr = build_pyramid(blob_volume, center, 4, cfg.downsampling_factor, cfg.levels)
+            pred = hilo_forward(pyr, cfg, model) > cfg.threshold
+            x, y, z = origin
+            want[x : x + 4, y : y + 4, z : z + 4] = pred[: 20 - x, : 18 - y, : 16 - z]
+        inside = got[9:, :, 6:]
+        assert 0 < inside.sum() < inside.size
+        np.testing.assert_array_equal(got, want)
 
     def test_coordinate_decoder_path(self, blob_volume):
         cfg, model = tiny_hilo(decoder="onet")

@@ -1,5 +1,7 @@
 """Training queue policies, eviction, and the one-load-per-batch loader."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,27 @@ class TestBatchLoader:
         loader.stop()
         with pytest.raises(RuntimeError):
             loader.next_batch(1, 1)
+
+    def test_every_load_failing_raises_last_error(self):
+        """A full cycle of failed loads stops the loader; the batch gets the
+        last error instead of waiting forever."""
+        calls = []
+
+        def broken(path):
+            calls.append(path)
+            raise OSError(f"cannot read {path}")
+
+        loader = BatchLoader(TrainingQueue(capacity=4), files=["a", "b", "c"], load_fn=broken)
+        loader.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(OSError, match="cannot read c"):
+                loader.next_batch(1, 0)
+        finally:
+            loader.stop()
+        assert time.monotonic() - start < 5.0
+        assert calls == ["a", "b", "c"]
+        assert not loader._thread.is_alive()
 
     def test_ids_stay_unique_across_file_cycles(self):
         """Cycling a short file list re-pushes the same files; sequence

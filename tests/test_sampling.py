@@ -152,6 +152,22 @@ class TestPyramidLocation:
         c = sample_pyramid_location(empty, cfg, 4, 2, 2, rng=np.random.default_rng(0))
         assert all(0 <= v < 8 for v in c)
 
+    def test_redraw_one_on_gun_free_labels_raises(self):
+        """No center can hit an all-zero volume, so redraw_prob = 1 would loop forever."""
+        empty = LabelVolume(np.zeros((8, 8, 8), dtype=np.uint8))
+        cfg = SamplerConfig(seed=0, redraw_prob=1.0)
+        with pytest.raises(DegenerateLabelsError):
+            sample_pyramid_location(empty, cfg, 4, 2, 2, rng=np.random.default_rng(0))
+
+    def test_redraw_one_with_single_positive_voxel_hits(self):
+        data = np.zeros((8, 8, 8), dtype=np.uint8)
+        data[6, 1, 3] = 1
+        cfg = SamplerConfig(seed=0, redraw_prob=1.0)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            c = sample_pyramid_location(LabelVolume(data), cfg, 2, 2, 2, rng=rng)
+            assert all(a - 1 <= b < a + 1 for a, b in zip(c, (6, 1, 3)))
+
     def test_any_scope_accepts_level0_misses(self):
         # with redraw_prob 1.0 every returned center must satisfy the scope's
         # probe; under "any" that probe is the top-level footprint, so centers

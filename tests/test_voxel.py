@@ -1,4 +1,6 @@
-"""Volumes, pooling, window extraction, and moving pyramids."""
+"""Volumes, pooling, window extraction, summed-area tables, and moving pyramids."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 from hiloseg.voxel import (
     LabelVolume,
     VoxelVolume,
+    _pooled_array,
     average_pool,
     build_pyramid,
     extract_window,
+    integral_volume,
     max_pool,
 )
 
@@ -57,6 +61,21 @@ def naive_window(arr, origin, w):
                 if 0 <= x < arr.shape[0] and 0 <= y < arr.shape[1] and 0 <= z < arr.shape[2]:
                     out[i, j, k] = arr[x, y, z]
     return out
+
+
+def naive_pyramid_level(arr, center, w, factor):
+    """Plain-loop reference for a pyramid level of any depth: each volume voxel
+    adds its value to the factor-cube of the level that holds it, so the cube
+    outside the volume (zeros) is never materialized."""
+    origin = [c - w * factor // 2 for c in center]
+    out = np.zeros((w, w, w), dtype=np.float64)
+    for x in range(arr.shape[0]):
+        for y in range(arr.shape[1]):
+            for z in range(arr.shape[2]):
+                q = [(v - o) // factor for v, o in zip((x, y, z), origin)]
+                if all(0 <= i < w for i in q):
+                    out[q[0], q[1], q[2]] += float(arr[x, y, z])
+    return (out / factor**3).astype(np.float32)
 
 
 class TestVolumeTypes:
@@ -208,3 +227,63 @@ class TestBuildPyramid:
             build_pyramid(vol, (4, 4, 4), 4, 1, 2)
         with pytest.raises(ValueError):
             build_pyramid(vol, (4, 4, 4), 4, 2, 0)
+
+    def test_deep_pyramid_stays_small(self, rng):
+        """(w, d, L) = (8, 2, 9): the top level spans a 2048-cube (32 GiB as
+        float32) around a 24-cube volume; the table is clipped to the volume."""
+        arr = rng.random((24, 24, 24), dtype=np.float32)
+        vol = VoxelVolume(arr)
+        center = (11, 3, 20)
+        tracemalloc.start()
+        try:
+            pyr = build_pyramid(vol, center, 8, 2, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * arr.nbytes
+        np.testing.assert_array_equal(pyr.levels[0].data, naive_window(arr, (7, -1, 16), 8))
+        for lvl in range(1, 9):
+            # values are multiples of 2^-24, so every float64 sum is exact
+            want = naive_pyramid_level(arr, center, 8, 2**lvl)
+            np.testing.assert_array_equal(pyr.levels[lvl].data, want, err_msg=f"level {lvl}")
+
+
+class TestSummedAreaPyramid:
+    @pytest.mark.parametrize("w,d,levels", [(16, 2, 4), (16, 4, 3), (4, 3, 3)])
+    def test_equals_pool_of_extracted_window(self, rng, w, d, levels):
+        """Shared and per-call tables give exactly the block means of the
+        extracted, zero-padded cube, at random and border centers."""
+        dims = (37, 30, 41)
+        vol = VoxelVolume(rng.random(dims, dtype=np.float32))
+        shared = integral_volume(vol, (0, 0, 0), dims)
+        centers = [tuple(int(rng.integers(0, n)) for n in dims) for _ in range(3)]
+        centers += [(0, 0, 0), (36, 29, 40), (0, 29, 17), (-3, 12, 45)]
+        for center in centers:
+            built = [build_pyramid(vol, center, w, d, levels, integral=t) for t in (None, shared)]
+            for lvl in range(1, levels):
+                side = w * d**lvl
+                origin = tuple(c - side // 2 for c in center)
+                want = _pooled_array(extract_window(vol, origin, side).data, d**lvl, "mean")
+                for pyr in built:
+                    assert pyr.levels[lvl].origin == origin
+                    np.testing.assert_array_equal(pyr.levels[lvl].data, want,
+                                                  err_msg=f"center {center} level {lvl}")
+
+    def test_table_is_clipped_box_sum_with_zero_face(self, rng):
+        arr = rng.random((6, 7, 8), dtype=np.float32)
+        t = integral_volume(VoxelVolume(arr), (-2, 1, 3), (4, 9, 20))
+        assert t.origin == (0, 1, 3)
+        assert t.table.shape == (5, 7, 6) and t.table.dtype == np.float64
+        assert not t.table[0].any() and not t.table[:, 0].any() and not t.table[:, :, 0].any()
+        for i, j, k in [(4, 6, 5), (2, 3, 1), (1, 6, 4)]:
+            want = arr[0:i, 1 : 1 + j, 3 : 3 + k].sum(dtype=np.float64)
+            assert t.table[i, j, k] == pytest.approx(want, rel=1e-12)
+
+    def test_table_not_covering_the_pyramid_is_rejected(self, rng):
+        vol = VoxelVolume(rng.random((20, 20, 20), dtype=np.float32))
+        small = integral_volume(vol, (0, 0, 0), (12, 20, 20))
+        with pytest.raises(ValueError):
+            build_pyramid(vol, (10, 10, 10), 4, 2, 2, integral=small)
+        # a pyramid wholly outside the volume reads zeros from any table
+        pyr = build_pyramid(vol, (60, 10, 10), 4, 2, 2, integral=small)
+        assert not pyr.levels[1].data.any()
