@@ -24,7 +24,6 @@ from .config import (
     coerce_value,
     dataclass_to_kv,
     format_kv,
-    format_to_strings,
     kv_to_dataclass,
     parse_kv_text,
 )
@@ -183,7 +182,7 @@ def runconfig_text(rc: RunConfig) -> str:
         if dataclasses.is_dataclass(value):
             kv.update(dataclass_to_kv(value, f"{f.name}."))
         elif f.name != "subcommand":
-            kv.update(format_to_strings({f"run.{f.name}": value}))
+            kv[f"run.{f.name}"] = value
     return format_kv(kv)
 
 
@@ -307,7 +306,7 @@ def load_model(path):
         model.load_state_dict(state)
     except ValueError as exc:
         raise FormatError(f"{path}: checkpoint does not match its config ({exc})") from exc
-    return kind, cfg, model.eval()
+    return kind, cfg, model
 
 
 def _peek_dims(path) -> tuple[int, int, int]:

@@ -29,13 +29,7 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def format_kv(mapping: dict) -> str:
-    lines = []
-    for key, value in mapping.items():
-        if isinstance(value, (tuple, list)):
-            value = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key} = {value}")
+    lines = [f"{key} = {value}" for key, value in format_to_strings(mapping).items()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -60,10 +54,6 @@ def format_to_strings(mapping: dict) -> dict[str, str]:
 
 def coerce_value(text: str, default):
     """Parse ``text`` into the type of ``default`` (bool, int, float, tuple, str)."""
-    return _coerce(text, default)
-
-
-def _coerce(text: str, default):
     if isinstance(default, bool):
         low = text.lower()
         if low in ("1", "true", "yes", "on"):
@@ -90,7 +80,7 @@ def kv_to_dataclass(cls, kv: dict[str, str], prefix: str = ""):
         key = f"{prefix}{f.name}"
         if key in kv:
             try:
-                updates[f.name] = _coerce(kv[key], getattr(base, f.name))
+                updates[f.name] = coerce_value(kv[key], getattr(base, f.name))
             except ValueError as exc:
                 raise FormatError(f"bad value for {key}: {kv[key]!r} ({exc})") from exc
     return dataclasses.replace(base, **updates) if updates else base

@@ -185,7 +185,6 @@ def segment_volume(vol: VoxelVolume, params, cfg, region: BoundingBox | None = N
     else:
         model = HiLoModel(cfg)
         model.load_state_dict(params)
-    model.eval()
     if plan is None:
         plan = plan_tiling(region, cfg.window_size)
     out = np.zeros(vol.dims, dtype=np.uint8)

@@ -7,7 +7,6 @@ from .hilo import (
     HiLoModel,
     coordinate_pool_schedule,
     hilo_forward,
-    stack_pyramids,
 )
 from .onet import (
     CONDITIONINGS,
@@ -37,7 +36,6 @@ __all__ = [
     "normalize_coords",
     "onet_decode",
     "onet_encode",
-    "stack_pyramids",
     "train_hilo",
     "train_superres_onet",
 ]

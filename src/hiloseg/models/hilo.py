@@ -107,10 +107,10 @@ class HiLoEncoder(nn.Module):
         else:
             self.pools = coordinate_pool_schedule(cfg.window_size, cfg.encoder_blocks)
 
-    def __call__(self, x, training: bool = False):
+    def __call__(self, x):
         h = self.stem(x)
         for block, pool in zip(self.blocks, self.pools):
-            h = block(h, training)
+            h = block(h)
             if pool:
                 h = F.avg_pool3d(h, 2)
         if self.grid_output:
@@ -138,13 +138,13 @@ class HiLoGridDecoder(nn.Module):
         self.final_norm = nn.ElementNorm(c, dtype=dtype)
         self.head = nn.Conv3d(c, 1, 3, rng, dtype, zero_init=True)
 
-    def __call__(self, h, training: bool = False):
+    def __call__(self, h):
         last = len(self.blocks) - 1
         for i, block in enumerate(self.blocks):
             if i == last:
                 h = F.upsample_nearest3d(h, 2)
-            h = block(h, training)
-        h = F.selu(self.final_norm(h, training))
+            h = block(h)
+        h = F.selu(self.final_norm(h))
         out = F.sigmoid(self.head(h))
         b, d, hh, w, _ = out.data.shape
         return F.reshape(out, (b, d, hh, w))
@@ -159,20 +159,20 @@ class HiLoCoordDecoder(nn.Module):
         ref = len(self.reference)
         self.input = nn.Dense(3 + encoding_dim, H, rng, dtype)
         self.blocks = [
-            nn.ResidualBlockFC(H, H, rng, activation=F.selu, dtype=dtype, ref=ref)
+            nn.ResidualBlockFC(H, H, rng, ref, activation=F.selu, dtype=dtype)
             for _ in range(cfg.onet_decoder_blocks)
         ]
         self.final_norm = nn.PointNorm(H, ref, dtype=dtype)
         self.head = nn.Dense(H, 1, rng, dtype, zero_init=True)
 
-    def __call__(self, coords01, encoding, training: bool = False):
+    def __call__(self, coords01, encoding):
         b, n, _ = coords01.data.shape
         coords01 = self.reference.append(coords01)
         h = self.input(F.concat([coords01, F.repeat_middle(encoding, n + len(self.reference))],
                                 axis=-1))
         for block in self.blocks:
-            h = block(h, None, training)
-        out = F.sigmoid(F.slice_middle(self.head(F.selu(self.final_norm(h, training))), n))
+            h = block(h)
+        out = F.sigmoid(F.slice_middle(self.head(F.selu(self.final_norm(h))), n))
         return F.reshape(out, (b, n))
 
 
@@ -181,7 +181,6 @@ class HiLoModel(nn.Module):
         rng = make_rng(seed, _INIT_STREAM)
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
-        self.training = False
         self.encoders = [HiLoEncoder(cfg, rng, dtype) for _ in range(cfg.levels)]
         if cfg.decoder == "cnn":
             self.decoder = HiLoGridDecoder(cfg, rng, dtype)
@@ -194,48 +193,29 @@ class HiLoModel(nn.Module):
                 cfg, cfg.levels * side**3 * cfg.base_channels, rng, dtype
             )
 
-    def train(self) -> "HiLoModel":
-        self.training = True
-        return self
-
-    def eval(self) -> "HiLoModel":
-        self.training = False
-        return self
-
     def forward_batch(self, level_inputs, coords01=None) -> nn.Tensor:
         """Levels are (B, w, w, w, 1) tensors, one per pyramid level."""
         if len(level_inputs) != len(self.encoders):
             raise ValueError(
                 f"pyramid has {len(level_inputs)} levels, model expects {len(self.encoders)}"
             )
-        encs = [enc(x, self.training) for enc, x in zip(self.encoders, level_inputs)]
+        encs = [enc(x) for enc, x in zip(self.encoders, level_inputs)]
         merged = encs[0] if len(encs) == 1 else F.concat(encs, axis=-1)
         if self.cfg.decoder == "cnn":
             if coords01 is not None:
                 raise ValueError("the grid decoder takes no coordinate query")
-            return self.decoder(merged, self.training)
+            return self.decoder(merged)
         if coords01 is None:
             raise ValueError("the coordinate decoder needs a coordinate query")
-        return self.decoder(coords01, merged, self.training)
+        return self.decoder(coords01, merged)
 
 
 def pyramid_to_tensors(pyr: Pyramid, dtype=np.float32) -> list[nn.Tensor]:
     return [nn.Tensor(level.data[None, :, :, :, None].astype(dtype)) for level in pyr.levels]
 
 
-def stack_pyramids(pyrs) -> list[nn.Tensor]:
-    """Batch several pyramids into one (B, w, w, w, 1) tensor per level."""
-    counts = {p.level_count for p in pyrs}
-    if len(counts) != 1:
-        raise ValueError(f"pyramids disagree on level count: {sorted(counts)}")
-    levels = []
-    for i in range(counts.pop()):
-        levels.append(nn.Tensor(np.stack([p.levels[i].data for p in pyrs])[..., None]))
-    return levels
-
-
 def hilo_forward(pyr: Pyramid, cfg: HiLoConfig, params, coords=None) -> np.ndarray:
-    """Evaluate one pyramid in eval mode.
+    """Evaluate one pyramid without recording a tape.
 
     Returns a (w, w, w) probability grid for the grid decoder, or per-query
     probabilities at window-local integer coordinates for the coordinate
@@ -248,7 +228,6 @@ def hilo_forward(pyr: Pyramid, cfg: HiLoConfig, params, coords=None) -> np.ndarr
     else:
         model = HiLoModel(cfg)
         model.load_state_dict(params)
-    model.eval()
     levels = pyramid_to_tensors(pyr, model.dtype)
     coords01 = None
     if coords is not None:

@@ -118,13 +118,13 @@ class OnetEncoder(nn.Module):
         self.final_norm = nn.ElementNorm(outs[-1], dtype=dtype)
         self.head = nn.Dense(outs[-1] * 64, cfg.latent_dim, rng, dtype)
 
-    def __call__(self, x, training: bool = False):
+    def __call__(self, x):
         h = self.stem(x)
         for i, block in enumerate(self.blocks):
-            h = block(h, training)
+            h = block(h)
             if i < 2:
                 h = self._pool_if_possible(h)
-        h = F.leaky_relu(self.final_norm(h, training))
+        h = F.leaky_relu(self.final_norm(h))
         b, d, hh, w, c = h.data.shape
         if min(d, hh, w) < 4:
             h = F.pad_right3d(h, (max(d, 4), max(hh, 4), max(w, 4)))
@@ -151,8 +151,8 @@ class OnetDecoder(nn.Module):
         ref = len(self.reference)
         self.input = nn.Dense(3 if self.cbn else 3 + L, H, rng, dtype)
         self.blocks = [
-            nn.ResidualBlockFC(H, H, rng, activation=F.leaky_relu, cond_dim=cond_dim, dtype=dtype,
-                               ref=ref)
+            nn.ResidualBlockFC(H, H, rng, ref, activation=F.leaky_relu, cond_dim=cond_dim,
+                               dtype=dtype)
             for _ in range(cfg.decoder_blocks)
         ]
         if self.cbn:
@@ -162,7 +162,7 @@ class OnetDecoder(nn.Module):
         # zero logits at initialization: every coordinate starts at 0.5
         self.head = nn.Dense(H, 1, rng, dtype, zero_init=True)
 
-    def __call__(self, coords01, latent, training: bool = False):
+    def __call__(self, coords01, latent):
         b, n, _ = coords01.data.shape
         coords01 = self.reference.append(coords01)
         if self.cbn:
@@ -173,11 +173,8 @@ class OnetDecoder(nn.Module):
                                     axis=-1))
             cond = None
         for block in self.blocks:
-            h = block(h, cond, training)
-        if self.cbn:
-            h = self.final_norm(h, cond, training)
-        else:
-            h = self.final_norm(h, training)
+            h = block(h, cond)
+        h = self.final_norm(h, cond) if self.cbn else self.final_norm(h)
         out = F.sigmoid(F.slice_middle(self.head(F.leaky_relu(h)), n))
         return F.reshape(out, (b, n))
 
@@ -187,23 +184,14 @@ class OnetModel(nn.Module):
         rng = make_rng(seed, _INIT_STREAM)
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
-        self.training = False
         self.encoder = OnetEncoder(cfg, rng, dtype)
         self.decoder = OnetDecoder(cfg, rng, dtype)
 
-    def train(self) -> "OnetModel":
-        self.training = True
-        return self
-
-    def eval(self) -> "OnetModel":
-        self.training = False
-        return self
-
     def encode(self, vols) -> nn.Tensor:
-        return self.encoder(vols, self.training)
+        return self.encoder(vols)
 
     def decode(self, coords01, latent) -> nn.Tensor:
-        return self.decoder(coords01, latent, self.training)
+        return self.decoder(coords01, latent)
 
     def __call__(self, vols, coords01) -> nn.Tensor:
         return self.decode(coords01, self.encode(vols))
@@ -218,8 +206,8 @@ def _as_model(params, cfg: OnetConfig) -> OnetModel:
 
 
 def onet_encode(vol: VoxelVolume, cfg: OnetConfig, params) -> LatentCode:
-    """Pool a volume by the configured factor and encode it (eval mode)."""
-    model = _as_model(params, cfg).eval()
+    """Pool a volume by the configured factor and encode it, recording no tape."""
+    model = _as_model(params, cfg)
     pooled = average_pool(vol, cfg.input_downsample) if cfg.input_downsample > 1 else vol
     x = nn.Tensor(pooled.data[None, :, :, :, None].astype(model.dtype))
     with nn.no_grad():
@@ -234,7 +222,7 @@ def onet_decode(coords, latent: LatentCode, cfg: OnetConfig, params, dims=None) 
     (``dims`` required for unit-cube normalization) or a float array already
     normalized to [0, 1]^3.
     """
-    model = _as_model(params, cfg).eval()
+    model = _as_model(params, cfg)
     if isinstance(coords, CoordinateBatch) or np.issubdtype(np.asarray(coords).dtype, np.integer):
         if dims is None:
             raise ValueError("integer coordinates need dims for normalization")

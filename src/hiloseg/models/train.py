@@ -44,20 +44,58 @@ def _snapshot(model) -> dict[str, np.ndarray]:
     return {k: np.array(v, copy=True) for k, v in model.state_dict().items()}
 
 
-def _chunk_bounds(total: int, size: int) -> list[tuple[int, int]]:
-    """Contiguous micro-batch chunks of ``size`` but at least 2, a trailing
-    singleton merged into its predecessor.
+def _micro_batched_step(opt, total: int, micro_batch: int, chunk_loss) -> float:
+    """One optimizer step over a batch of ``total`` instances, its gradient
+    accumulated over contiguous chunks of at most ``micro_batch``.
 
-    The layout bounds memory only: both model families normalize each batch
-    element on its own, so the accumulated gradient is that of the whole
-    batch however it is chunked.
+    ``chunk_loss(a, b)`` returns the mean loss of instances [a, b); scaled by
+    the chunk's share of the batch, the chunks' gradients sum to the whole
+    batch's. Both model families normalize each instance on its own, so the
+    chunking bounds memory only. Returns the batch loss.
     """
-    size = max(2, size)
-    bounds = [(a, min(a + size, total)) for a in range(0, total, size)]
-    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] < 2:
-        bounds[-2] = (bounds[-2][0], bounds[-1][1])
-        bounds.pop()
-    return bounds
+    opt.zero_grad()
+    batch_loss = 0.0
+    for a in range(0, total, micro_batch):
+        b = min(a + micro_batch, total)
+        loss = F.scale(chunk_loss(a, b), (b - a) / total)
+        loss.backward()
+        batch_loss += loss.item()
+    opt.step()
+    return batch_loss
+
+
+def _require_positive(**sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+class _BestState:
+    """Appends each validation IoU and its smoothed value to ``metrics`` and
+    keeps the model state at the best smoothed value, recording where it
+    was reached under ``metrics[at_key]``."""
+
+    def __init__(self, model, metrics: dict, window: int, at_key: str):
+        self.model = model
+        self.metrics = metrics
+        self.window = window
+        self.at_key = at_key
+        self.smoothed = -math.inf
+        self.state = None
+
+    def record(self, iou: float, at: int) -> None:
+        ious = self.metrics["val_iou"]
+        ious.append(iou)
+        smoothed = float(np.mean(ious[-self.window :]))
+        self.metrics["val_iou_smoothed"].append(smoothed)
+        if smoothed > self.smoothed:
+            self.smoothed = smoothed
+            self.state = _snapshot(self.model)
+            self.metrics[self.at_key] = at
+
+    def result(self) -> dict[str, np.ndarray]:
+        """The best state, or the current one when none was recorded."""
+        return self.state if self.state is not None else _snapshot(self.model)
 
 
 class _DivergenceGuard:
@@ -104,7 +142,7 @@ def _prep_onet_instance(item, cfg: OnetConfig):
 
 def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
                         epochs: int = 200, batch: int = 8, val_dataset=None,
-                        lr: float = 0.001, micro_batch: int | None = None,
+                        lr: float = 0.001, micro_batch: int = 2,
                         seed: int = 0, dtype=np.float32, smoothing_window: int = 5):
     """BCE training on sampled coordinates against encoded pooled volumes.
 
@@ -117,12 +155,13 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset must be nonempty")
+    _require_positive(batch=batch, micro_batch=micro_batch)
     insts = [_prep_onet_instance(item, cfg) for item in dataset]
     shapes = {i["pooled"].shape for i in insts}
     if len(shapes) != 1:
         raise ValueError(f"instances must share dims to batch, got {sorted(shapes)}")
 
-    model = OnetModel(cfg, seed, dtype).train()
+    model = OnetModel(cfg, seed, dtype)
     metrics = {
         "train_loss": [], "val_loss": [], "val_iou": [], "val_iou_smoothed": [],
         "best_epoch": None, "epochs": epochs,
@@ -150,17 +189,13 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
     crng = make_rng(seed, _COORD_STREAM)
     guard = _DivergenceGuard()
     n = sampler.n_train_coords
-    best_smoothed = -math.inf
-    best_state = None
+    best = _BestState(model, metrics, smoothing_window, "best_epoch")
 
     for epoch in range(epochs):
-        model.train()
         order = rng.permutation(len(insts))
         epoch_losses = []
         for start in range(0, len(order), batch):
             idxs = order[start : start + batch]
-            if len(idxs) < 2:
-                continue  # batches of one are skipped, so an all-singleton epoch records NaN
             vols = np.stack([insts[i]["pooled"] for i in idxs])[..., None].astype(dtype)
             c01 = np.empty((len(idxs), n, 3), dtype=dtype)
             t = np.empty((len(idxs), n), dtype=dtype)
@@ -168,20 +203,16 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
                 cb = sample_biased_coords(insts[i]["grid"], sampler, n, rng=crng)
                 c01[row] = normalize_coords(cb.coords, insts[i]["dims"])
                 t[row] = cb.labels
-            opt.zero_grad()
-            batch_loss = 0.0
-            for a, b in _chunk_bounds(len(idxs), micro_batch or len(idxs)):
-                pred = model(nn.Tensor(vols[a:b]), nn.Tensor(c01[a:b]))
-                loss = F.scale(F.bce_loss(pred, t[a:b]), (b - a) / len(idxs))
-                loss.backward()
-                batch_loss += loss.item()
-            opt.step()
+
+            def chunk_loss(a, b):
+                return F.bce_loss(model(nn.Tensor(vols[a:b]), nn.Tensor(c01[a:b])), t[a:b])
+
+            batch_loss = _micro_batched_step(opt, len(idxs), micro_batch, chunk_loss)
             guard.check(batch_loss, "occupancy training")
             epoch_losses.append(batch_loss)
-        metrics["train_loss"].append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)
+        metrics["train_loss"].append(float(np.mean(epoch_losses)))
 
         if val_insts:
-            model.eval()
             with nn.no_grad():
                 v = 0.0
                 ious = []
@@ -193,16 +224,9 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
                     v += float(F.elementwise_bce(pred.data, inst["t"]).mean())
                     ious.append(_window_iou(pred.data[0] > cfg.threshold, inst["t"][0] != 0))
             metrics["val_loss"].append(v / len(val_insts))
-            metrics["val_iou"].append(float(np.mean(ious)))
-            smoothed = float(np.mean(metrics["val_iou"][-smoothing_window:]))
-            metrics["val_iou_smoothed"].append(smoothed)
-            if smoothed > best_smoothed:
-                best_smoothed = smoothed
-                best_state = _snapshot(model)
-                metrics["best_epoch"] = epoch
+            best.record(float(np.mean(ious)), epoch)
 
-    model.eval()
-    return (best_state if best_state is not None else _snapshot(model)), metrics
+    return best.result(), metrics
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +284,7 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
         raise ValueError("dataset must be nonempty")
     if pyramid_sampling not in ("bb", "volume"):
         raise ValueError(f"pyramid_sampling must be 'bb' or 'volume', got {pyramid_sampling!r}")
+    _require_positive(micro_batch=micro_batch)
     sampler = sampler or SamplerConfig()
     w, d, L = cfg.window_size, cfg.downsampling_factor, cfg.levels
     steps_per_epoch = max(1, math.ceil(len(dataset) / cfg.batch_size))
@@ -267,7 +292,7 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
     if max_steps is not None:
         total_steps = min(total_steps, max_steps)
 
-    model = HiLoModel(cfg, seed, dtype).train()
+    model = HiLoModel(cfg, seed, dtype)
     metrics = {
         "train_loss": [], "val_steps": [], "val_iou": [], "val_iou_smoothed": [],
         "best_step": None, "baseline_iou": None, "steps": total_steps,
@@ -305,7 +330,6 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
             )
 
     def validate() -> float:
-        model.eval()
         with nn.no_grad():
             ious = []
             for inst in val_insts:
@@ -316,15 +340,13 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
                 else:
                     pred = model.forward_batch(lv, nn.Tensor(inst["c01"][None])).data[0]
                     ious.append(_window_iou(pred > cfg.threshold, inst["truth_at"]))
-        model.train()
         return float(np.mean(ious))
 
     opt = nn.Adam(model.parameters(), lr=lr)
     qrng = make_rng(seed, _QUEUE_STREAM)
     prng = make_rng(seed, _PYRAMID_STREAM)
     guard = _DivergenceGuard()
-    best_smoothed = -math.inf
-    best_state = None
+    best = _BestState(model, metrics, smoothing_window, "best_step")
     n_coords = sampler.n_hilo_coords
     loader = BatchLoader(queue, dataset, lambda item: _crop_to_positive_bb(item)).start()
     try:
@@ -351,23 +373,19 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
             t = np.stack(targets).astype(dtype)
             c01 = (np.stack(coords) / w).astype(dtype) if coords else None
 
-            opt.zero_grad()
-            batch_loss = 0.0
             per_entry = np.zeros(B)
-            for a, b in _chunk_bounds(B, micro_batch):
+
+            def chunk_loss(a, b):
                 lv = [nn.Tensor(arr[a:b]) for arr in levels_np]
                 if cfg.decoder == "cnn":
                     pred = model.forward_batch(lv)
-                    loss = F.scale(F.focal_loss(pred, t[a:b]), (b - a) / B)
-                    per = F.elementwise_focal(pred.data, t[a:b]).mean(axis=(1, 2, 3))
-                else:
-                    pred = model.forward_batch(lv, nn.Tensor(c01[a:b]))
-                    loss = F.scale(F.bce_loss(pred, t[a:b]), (b - a) / B)
-                    per = F.elementwise_bce(pred.data, t[a:b]).mean(axis=1)
-                loss.backward()
-                batch_loss += loss.item()
-                per_entry[a:b] = per
-            opt.step()
+                    per_entry[a:b] = F.elementwise_focal(pred.data, t[a:b]).mean(axis=(1, 2, 3))
+                    return F.focal_loss(pred, t[a:b])
+                pred = model.forward_batch(lv, nn.Tensor(c01[a:b]))
+                per_entry[a:b] = F.elementwise_bce(pred.data, t[a:b]).mean(axis=1)
+                return F.bce_loss(pred, t[a:b])
+
+            batch_loss = _micro_batched_step(opt, B, micro_batch, chunk_loss)
             for e, h in zip(entries, per_entry):
                 try:
                     queue.update_hardness(e.instance_id, float(h))
@@ -377,17 +395,9 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
             metrics["train_loss"].append(batch_loss)
 
             if val_insts and ((step + 1) % validate_every == 0 or step + 1 == total_steps):
-                iou = validate()
                 metrics["val_steps"].append(step + 1)
-                metrics["val_iou"].append(iou)
-                smoothed = float(np.mean(metrics["val_iou"][-smoothing_window:]))
-                metrics["val_iou_smoothed"].append(smoothed)
-                if smoothed > best_smoothed:
-                    best_smoothed = smoothed
-                    best_state = _snapshot(model)
-                    metrics["best_step"] = step + 1
+                best.record(validate(), step + 1)
     finally:
         loader.stop()
 
-    model.eval()
-    return (best_state if best_state is not None else _snapshot(model)), metrics
+    return best.result(), metrics

@@ -19,8 +19,6 @@ from .functional import (
     upsample_nearest3d,
 )
 from .layers import (
-    BatchNorm,
-    ConditionalBatchNorm,
     ConditionalPointNorm,
     Conv3d,
     Dense,
@@ -43,8 +41,6 @@ __all__ = [
     "Module",
     "Dense",
     "Conv3d",
-    "BatchNorm",
-    "ConditionalBatchNorm",
     "ElementNorm",
     "PointNorm",
     "ConditionalPointNorm",

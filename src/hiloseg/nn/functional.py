@@ -383,24 +383,16 @@ def slice_middle(x: Tensor, stop: int) -> Tensor:
 # normalization
 
 
-def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...] | None = None,
-                      ref: int | None = None):
-    """Standardize over ``axes`` (non-negative), by default all but the last
-    (channel) axis.
+def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...], ref: int | None = None):
+    """Standardize over ``axes`` (non-negative): subtract the mean and divide
+    by the root of the biased variance plus ``eps``.
 
     With ``ref``, every entry is instead scaled by the root mean square of
     the last ``ref`` entries of axis 1 (``axes`` must include axis 1), and
     nothing is subtracted: the other entries neither move these statistics
     nor depend on each other, and a shift shared by all entries (such as a
     condition concatenated onto each point) survives.
-
-    Returns (xhat, mean, var) where mean/var are plain arrays of the
-    statistics (biased variance; with ``ref``, a zero mean and the mean
-    square) with the reduced axes dropped; under the default they are
-    per-channel, for running-average upkeep.
     """
-    if axes is None:
-        axes = tuple(range(x.data.ndim - 1))
     if ref is None:
         mean = x.data.mean(axis=axes, keepdims=True)
         var = x.data.var(axis=axes, keepdims=True)
@@ -409,7 +401,6 @@ def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...] | None = None
     else:
         src = x.data[:, -ref:]
         var = (src * src).mean(axis=axes, keepdims=True)
-        mean = np.zeros_like(var)
         inv = 1.0 / np.sqrt(var + eps)
         xhat = x.data * inv
 
@@ -425,8 +416,7 @@ def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...] | None = None
         grad[:, -ref:] -= inv * xhat[:, -ref:] * gx
         x.accumulate_grad(grad)
 
-    node = make_node(xhat, (x,), bw)
-    return node, mean.squeeze(axes), var.squeeze(axes)
+    return make_node(xhat, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +449,10 @@ def elementwise_focal(pred_data: np.ndarray, target: np.ndarray,
 def bce_loss(pred: Tensor, target) -> Tensor:
     """Mean binary cross-entropy; probabilities are clamped away from {0, 1}."""
     t = np.asarray(target, dtype=pred.dtype)
-    p, mask = _clamped(pred)
-    loss = np.asarray(-(t * np.log(p) + (1.0 - t) * np.log1p(-p)).mean(), dtype=pred.dtype)
+    loss = np.asarray(elementwise_bce(pred.data, t).mean(), dtype=pred.dtype)
 
     def bw(g):
+        p, mask = _clamped(pred)
         d = (p - t) / (p * (1.0 - p)) / p.size
         pred.accumulate_grad(np.where(mask, d, 0.0) * float(g))
 
@@ -472,15 +462,15 @@ def bce_loss(pred: Tensor, target) -> Tensor:
 def focal_loss(pred: Tensor, target, gamma: float = 2.0, alpha: float = 0.25) -> Tensor:
     """Focal loss, mean-reduced: -alpha_t * (1 - p_t)^gamma * log(p_t)."""
     t = np.asarray(target, dtype=pred.dtype)
-    p, mask = _clamped(pred)
-    p_t = t * p + (1.0 - t) * (1.0 - p)
-    a_t = t * alpha + (1.0 - t) * (1.0 - alpha)
-    one_m = 1.0 - p_t
-    loss = np.asarray((-a_t * one_m**gamma * np.log(p_t)).mean(), dtype=pred.dtype)
+    loss = np.asarray(elementwise_focal(pred.data, t, gamma, alpha).mean(), dtype=pred.dtype)
 
     def bw(g):
         # d/dp_t of -a_t (1-p_t)^g log p_t, then chain through p_t = t*p + (1-t)(1-p).
         # The clamp keeps 1-p_t >= PROB_CLAMP, so the (gamma-1) power stays finite.
+        p, mask = _clamped(pred)
+        p_t = t * p + (1.0 - t) * (1.0 - p)
+        a_t = t * alpha + (1.0 - t) * (1.0 - alpha)
+        one_m = 1.0 - p_t
         d_pt = a_t * (gamma * one_m ** (gamma - 1.0) * np.log(p_t) - one_m**gamma / p_t)
         d = d_pt * (2.0 * t - 1.0) / p.size
         pred.accumulate_grad(np.where(mask, d, 0.0) * float(g))

@@ -1,9 +1,10 @@
 """Layers and parameter containers built on the functional ops.
 
-A ``Module`` owns named parameters (trainable tensors) and buffers
-(non-trainable state such as running statistics); both are discovered by
+A ``Module`` owns named parameters (trainable tensors), discovered by
 walking attributes, including lists of submodules, so checkpointing gets
-stable hierarchical names like ``encoders.1.blocks.0.conv1.w``.
+stable hierarchical names like ``encoders.1.blocks.0.conv1.w``. Every norm
+takes its statistics from one batch element alone, so a module holds no
+other state and runs the same code in training and inference.
 """
 
 from __future__ import annotations
@@ -42,32 +43,13 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix: str = ""):
-        buffers = getattr(self, "_buffers", {})
-        for name in buffers:
-            yield f"{prefix}{name}", buffers[name]
-        for name, value in self._children():
-            if isinstance(value, Module):
-                yield from value.named_buffers(f"{prefix}{name}.")
-
-    def register_buffer(self, name: str, value: np.ndarray) -> None:
-        if not hasattr(self, "_buffers"):
-            self._buffers: dict[str, np.ndarray] = {}
-        self._buffers[name] = value
-
-    def get_buffer(self, name: str) -> np.ndarray:
-        return self._buffers[name]
-
     def state_dict(self) -> dict[str, np.ndarray]:
-        state = {name: p.data for name, p in self.named_parameters()}
-        state.update({name: b for name, b in self.named_buffers()})
-        return state
+        return {name: p.data for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         own_params = dict(self.named_parameters())
-        own_buffers = dict(self.named_buffers())
-        missing = (set(own_params) | set(own_buffers)) - set(state)
-        extra = set(state) - (set(own_params) | set(own_buffers))
+        missing = set(own_params) - set(state)
+        extra = set(state) - set(own_params)
         if missing or extra:
             raise ValueError(
                 f"state mismatch; missing {sorted(missing)[:4]}, unexpected {sorted(extra)[:4]}"
@@ -77,15 +59,6 @@ class Module:
             if arr.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
             p.data = memory_meter.track(np.ascontiguousarray(arr))
-        self._assign_buffers(state)
-
-    def _assign_buffers(self, state, prefix: str = "") -> None:
-        buffers = getattr(self, "_buffers", {})
-        for name in buffers:
-            buffers[name] = np.ascontiguousarray(state[f"{prefix}{name}"], dtype=buffers[name].dtype)
-        for name, value in self._children():
-            if isinstance(value, Module):
-                value._assign_buffers(state, f"{prefix}{name}.")
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
@@ -93,6 +66,11 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
+
+    def eval(self) -> "Module":
+        """Returns the module unchanged: training and inference run the same
+        code. Kept only because the benchmark's set-up still calls it."""
+        return self
 
 
 class Dense(Module):
@@ -136,51 +114,17 @@ class Conv3d(Module):
         return out
 
 
-class _RunningStats(Module):
-    """Batch statistics in training, their running averages in evaluation.
-
-    Channels are the last axis; statistics pool every other axis. Training
-    mode requires a leading (batch) extent of at least 2.
-    """
-
-    def __init__(self, channels: int, eps: float, momentum: float, dtype):
-        self.eps = eps
-        self.momentum = momentum
-        self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_var", np.ones(channels, dtype=dtype))
-
-    def _standardize(self, x: Tensor, training: bool) -> Tensor:
-        if training:
-            if x.data.shape[0] < 2:
-                raise ValueError("batch normalization needs batch size >= 2 in training mode")
-            xhat, mean, var = F.batch_standardize(x, self.eps)
-            m = self.momentum
-            buf = self._buffers
-            buf["running_mean"] = ((1 - m) * buf["running_mean"] + m * mean).astype(
-                buf["running_mean"].dtype
-            )
-            buf["running_var"] = ((1 - m) * buf["running_var"] + m * var).astype(
-                buf["running_var"].dtype
-            )
-            return xhat
-        mean = self.get_buffer("running_mean").astype(x.data.dtype)
-        var = self.get_buffer("running_var").astype(x.data.dtype)
-        inv = (1.0 / np.sqrt(var + self.eps)).astype(x.data.dtype)
-        return F.add(F.mul(x, Tensor(inv)), Tensor(-mean * inv))
-
-
 class _OwnStats(Module):
     """Statistics of each batch element alone, over its whole space and
     channels (group norm with one group), so no element's output or gradient
-    depends on the others in its batch. There are no running statistics:
-    training and evaluation run the same code.
+    depends on the others in its batch.
     """
 
     def __init__(self, eps: float):
         self.eps = eps
 
-    def _standardize(self, x: Tensor, training: bool) -> Tensor:
-        return F.batch_standardize(x, self.eps, tuple(range(1, x.data.ndim)))[0]
+    def _standardize(self, x: Tensor) -> Tensor:
+        return F.batch_standardize(x, self.eps, tuple(range(1, x.data.ndim)))
 
 
 class _ReferenceStats(Module):
@@ -191,16 +135,16 @@ class _ReferenceStats(Module):
     points only: never on the rest of the batch, nor on the other points
     queried with it. Nothing is subtracted, so a shift shared by all of an
     element's points (a concatenated latent, a stream bias) still reaches
-    the output. Like ``_OwnStats`` there are no running statistics; the
-    reference set follows virtual batch normalization (Salimans et al. 2016).
+    the output. The reference set follows virtual batch normalization
+    (Salimans et al. 2016).
     """
 
     def __init__(self, eps: float, ref: int):
         self.eps = eps
         self.ref = ref
 
-    def _standardize(self, x: Tensor, training: bool) -> Tensor:
-        return F.batch_standardize(x, self.eps, (1,), self.ref)[0]
+    def _standardize(self, x: Tensor) -> Tensor:
+        return F.batch_standardize(x, self.eps, (1,), self.ref)
 
 
 class _ChannelAffine(Module):
@@ -210,8 +154,8 @@ class _ChannelAffine(Module):
         self.gamma = parameter(np.ones(channels, dtype=dtype))
         self.beta = parameter(np.zeros(channels, dtype=dtype))
 
-    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
-        return F.add(F.mul(self._standardize(x, training), self.gamma), self.beta)
+    def __call__(self, x: Tensor) -> Tensor:
+        return F.add(F.mul(self._standardize(x), self.gamma), self.beta)
 
 
 class _ConditionalAffine(Module):
@@ -240,8 +184,8 @@ class _ConditionalAffine(Module):
         h = F.leaky_relu(stack[0](cond))
         return stack[1](h)
 
-    def __call__(self, x: Tensor, cond: Tensor, training: bool = False) -> Tensor:
-        xhat = self._standardize(x, training)
+    def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
+        xhat = self._standardize(x)
         gamma = self._affine_from(cond, self.gamma_stack)  # (B, C)
         beta = self._affine_from(cond, self.beta_stack)
         # broadcast one (gamma, beta) pair per batch element across middle axes
@@ -249,24 +193,6 @@ class _ConditionalAffine(Module):
         gamma = F.reshape(gamma, shape)
         beta = F.reshape(beta, shape)
         return F.add(F.mul(xhat, gamma), beta)
-
-
-class BatchNorm(_ChannelAffine, _RunningStats):
-    """Per-channel standardization with a learnable affine and running stats."""
-
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
-                 dtype=np.float32):
-        _RunningStats.__init__(self, channels, eps, momentum, dtype)
-        self._init_affine(channels, dtype)
-
-
-class ConditionalBatchNorm(_ConditionalAffine, _RunningStats):
-    """Batch normalization whose affine comes from a conditioning vector."""
-
-    def __init__(self, channels: int, cond_dim: int, rng, hidden: int | None = None,
-                 eps: float = 1e-5, momentum: float = 0.1, dtype=np.float32):
-        _RunningStats.__init__(self, channels, eps, momentum, dtype)
-        self._init_affine(channels, cond_dim, rng, hidden, dtype)
 
 
 class ElementNorm(_ChannelAffine, _OwnStats):
@@ -327,29 +253,28 @@ class ReferencePoints:
 class ResidualBlockFC(Module):
     """Pre-activation fully connected residual block: (norm, act, dense) x 2 + skip.
 
-    The norms are conditional when ``cond_dim`` is given. They are batch
-    norms, or with ``ref`` point norms on the last ``ref`` reference points.
+    The norms are point norms on the last ``ref`` reference points,
+    conditional when ``cond_dim`` is given.
     """
 
-    def __init__(self, cin: int, cout: int, rng, activation=F.leaky_relu,
-                 cond_dim: int | None = None, dtype=np.float32, ref: int | None = None):
+    def __init__(self, cin: int, cout: int, rng, ref: int, activation=F.leaky_relu,
+                 cond_dim: int | None = None, dtype=np.float32):
         rng = make_rng(rng)
         self.activation = activation
-        if ref is None:
-            norm, kw = (ConditionalBatchNorm if cond_dim else BatchNorm), {}
+        if cond_dim:
+            norm, cond_args = ConditionalPointNorm, (cond_dim, rng)
         else:
-            norm, kw = (ConditionalPointNorm if cond_dim else PointNorm), {"ref": ref}
-        cond_args = (cond_dim, rng) if cond_dim else ()
-        self.norm1 = norm(cin, *cond_args, dtype=dtype, **kw)
+            norm, cond_args = PointNorm, ()
+        self.norm1 = norm(cin, *cond_args, ref=ref, dtype=dtype)
         # no bias on dense1, as under batch norm, which cancels shifts
         self.dense1 = Dense(cin, cout, rng, dtype, bias=False)
-        self.norm2 = norm(cout, *cond_args, dtype=dtype, **kw)
+        self.norm2 = norm(cout, *cond_args, ref=ref, dtype=dtype)
         self.dense2 = Dense(cout, cout, rng, dtype)
         self.proj = Dense(cin, cout, rng, dtype, bias=False) if cin != cout else None
 
-    def __call__(self, x: Tensor, cond: Tensor | None = None, training: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, cond: Tensor | None = None) -> Tensor:
         def normed(norm, t):
-            return norm(t, cond, training) if isinstance(norm, _ConditionalAffine) else norm(t, training)
+            return norm(t, cond) if isinstance(norm, _ConditionalAffine) else norm(t)
 
         h = self.dense1(self.activation(normed(self.norm1, x)))
         h = self.dense2(self.activation(normed(self.norm2, h)))
@@ -371,8 +296,8 @@ class ResidualBlockConv3d(Module):
         self.conv2 = Conv3d(cout, cout, 3, rng, dtype)
         self.proj = Conv3d(cin, cout, 1, rng, dtype, bias=False) if cin != cout else None
 
-    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
-        h = self.conv1(self.activation(self.norm1(x, training)))
-        h = self.conv2(self.activation(self.norm2(h, training)))
+    def __call__(self, x: Tensor) -> Tensor:
+        h = self.conv1(self.activation(self.norm1(x)))
+        h = self.conv2(self.activation(self.norm2(h)))
         skip = self.proj(x) if self.proj is not None else x
         return F.add(skip, h)

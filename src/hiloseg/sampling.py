@@ -18,7 +18,6 @@ from .voxel import LabelVolume
 _STREAM_BIASED = 101
 _STREAM_UNIFORM = 102
 _STREAM_PYRAMID = 103
-_STREAM_BB = 104
 
 
 @dataclass(frozen=True)
@@ -171,11 +170,3 @@ def sample_pyramid_location(
             return center
         if rng.random() >= cfg.redraw_prob:
             return center
-
-
-def sample_location_in_bb(bb, seed) -> tuple[int, int, int]:
-    """Uniform integer coordinate inside a non-empty axis-aligned box."""
-    if bb.is_empty:
-        raise ValueError("cannot sample a location from an empty bounding box")
-    rng = make_rng(seed, _STREAM_BB)
-    return tuple(int(rng.integers(lo, hi + 1)) for lo, hi in zip(bb.min, bb.max))

@@ -1,0 +1,139 @@
+"""End-to-end runs of the command line on tiny synthetic data: every
+subcommand, the files it writes, and the documented exit codes (0 success,
+1 usage, 2 data or format, 3 divergence), never a raw traceback."""
+
+import contextlib
+import io
+
+import pytest
+
+from hiloseg import cli
+from hiloseg.data_io import load_manifest, load_volume
+
+DIMS = (24, 20, 22)
+
+TINY_CONFIG = """\
+hilo.window_size = 8
+hilo.encoder_blocks = 1
+hilo.cnn_decoder_blocks = 1
+hilo.onet_decoder_blocks = 1
+hilo.base_channels = 2
+hilo.decoder_hidden = 8
+hilo.batch_size = 4
+onet.latent_dim = 8
+onet.encoder_blocks = 1
+onet.decoder_blocks = 1
+onet.base_channels = 2
+onet.decoder_hidden = 8
+onet.input_downsample = 2
+sampler.n_train_coords = 64
+sampler.n_hilo_coords = 32
+sampler.n_test_coords = 64
+"""
+
+
+def call(*argv):
+    """Run the CLI in-process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """A generated dataset and one trained checkpoint per model family."""
+    root = tmp_path_factory.mktemp("cli")
+    config = root / "tiny.cfg"
+    config.write_text(TINY_CONFIG)
+    data = root / "data"
+    code, out, _ = call("generate", "--config", config, "--out", data,
+                        "--count", 8, "--dims", ",".join(map(str, DIMS)))
+    assert code == 0, out
+    trained = {}
+    for model, extra in (
+        ("hilo-cnn", ["--max-steps", 2, "--pyramid-sampling", "volume"]),
+        ("onet-sr", ["--epochs", 2, "--batch", 2]),
+    ):
+        code, out, err = call("train", "--config", config, "--data", data,
+                              "--out", root / model, "--model", model, *extra)
+        assert code == 0, err
+        trained[model] = (out, root / model)
+    return {"root": root, "config": config, "data": data, "trained": trained}
+
+
+def test_generate_writes_dataset(run):
+    data = run["data"]
+    manifest = load_manifest(data / "manifest.tsv")
+    records = manifest.paths()
+    assert len(records) == 8
+    assert manifest.paths("test")
+    assert load_volume(records[0].path).dims == DIMS
+    assert (data / "config_resolved.txt").is_file()
+
+
+@pytest.mark.parametrize("model", ["hilo-cnn", "onet-sr"])
+def test_train_writes_checkpoint(run, model):
+    out, out_dir = run["trained"][model]
+    assert f"trained {model}" in out
+    for name in ("checkpoint.hckpt", "metrics.tsv", "config_resolved.txt"):
+        assert (out_dir / name).is_file(), name
+    assert f"run.model = {model}" in (out_dir / "config_resolved.txt").read_text()
+
+
+@pytest.mark.parametrize("model", ["hilo-cnn", "onet-sr"])
+def test_eval_of_each_checkpoint(run, model):
+    out_dir = run["root"] / f"eval-{model}"
+    code, out, err = call("eval", "--config", run["config"], "--data", run["data"],
+                          "--checkpoint", run["trained"][model][1] / "checkpoint.hckpt",
+                          "--out", out_dir)
+    assert code == 0, err
+    assert "mean voxel IoU" in out
+    rows = (out_dir / "metrics_eval.tsv").read_text().splitlines()
+    assert rows[0].startswith("instance\t") and rows[-1].startswith("mean\t")
+
+
+def test_segment_writes_prediction_and_slices(run):
+    scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
+    out_dir = run["root"] / "segment"
+    code, out, err = call("segment", "--config", run["config"], "--input", scan,
+                          "--checkpoint", run["trained"]["hilo-cnn"][1] / "checkpoint.hckpt",
+                          "--out", out_dir, "--export-slices", "z:5")
+    assert code == 0, err
+    pred = load_volume(out_dir / "prediction.hv1")
+    assert pred.dims == DIMS
+    assert set(pred.data.ravel().tolist()) <= {0, 1}
+    assert (out_dir / "slice_z0005.pgm").is_file()
+
+
+def test_unknown_flag_is_a_usage_error(run):
+    code, _, err = call("train", "--data", run["data"], "--bogus")
+    assert code == 1
+    assert "usage error" in err
+
+
+def test_non_checkpoint_file_is_a_data_error(run):
+    not_a_checkpoint = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
+    code, _, err = call("eval", "--config", run["config"], "--data", run["data"],
+                        "--checkpoint", not_a_checkpoint, "--out", run["root"] / "bad-magic")
+    assert code == 2
+    assert "data error" in err
+
+
+def test_truncated_checkpoint_is_a_data_error(run):
+    whole = (run["trained"]["hilo-cnn"][1] / "checkpoint.hckpt").read_bytes()
+    truncated = run["root"] / "truncated.hckpt"
+    truncated.write_bytes(whole[: len(whole) // 2])
+    code, _, err = call("eval", "--config", run["config"], "--data", run["data"],
+                        "--checkpoint", truncated, "--out", run["root"] / "truncated")
+    assert code == 2
+    assert "truncated" in err
+
+
+def test_divergence_exits_three(run):
+    code, _, err = call("train", "--config", run["config"], "--data", run["data"],
+                        "--out", run["root"] / "diverged", "--model", "onet-sr",
+                        "--lr", 10000, "--epochs", 30, "--batch", 2)
+    assert code == 3
+    assert "diverged" in err

@@ -32,7 +32,7 @@ def meter_peak(fn) -> int:
 def peaks(side: int) -> dict[str, int]:
     scan = generate_synthetic_one(SynthConfig(dims=(side,) * 3, seed=1), 0)
     vol = scan[0]
-    model = HiLoModel(CFG, seed=0).eval()
+    model = HiLoModel(CFG, seed=0)
     c = side // 2
     region = BoundingBox((c - 8,) * 3, (c + 7,) * 3)
     sampler = SamplerConfig(redraw_prob=1.0)

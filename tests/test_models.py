@@ -22,7 +22,6 @@ from hiloseg.models import (
     normalize_coords,
     onet_decode,
     onet_encode,
-    stack_pyramids,
 )
 from hiloseg.sampling import CoordinateBatch
 from hiloseg.voxel import VoxelVolume, average_pool, build_pyramid
@@ -301,11 +300,15 @@ class TestHiLoForward:
             build_pyramid(vol, c, cfg.window_size, 2, cfg.levels)
             for c in [(8, 9, 10), (20, 18, 14), (15, 15, 15)]
         ]
-        model = nudged(HiLoModel(cfg, seed=0), np.random.default_rng(3)).eval()
+        model = nudged(HiLoModel(cfg, seed=0), np.random.default_rng(3))
         import hiloseg.nn as nn
 
+        levels = [
+            nn.Tensor(np.stack([p.levels[i].data for p in pyrs])[..., None])
+            for i in range(cfg.levels)
+        ]
         with nn.no_grad():
-            batched = model.forward_batch(stack_pyramids(pyrs)).data
+            batched = model.forward_batch(levels).data
         for i, pyr in enumerate(pyrs):
             np.testing.assert_allclose(batched[i], hilo_forward(pyr, cfg, model), atol=1e-6)
 
@@ -335,23 +338,6 @@ class TestHiLoForward:
                 ),
             )
             assert not np.array_equal(hilo_forward(blanked, cfg, model), base)
-
-
-class TestStackPyramids:
-    def test_shapes(self):
-        vol = random_volume((20, 18, 16))
-        pyrs = [build_pyramid(vol, (10, 9, 8), 8, 2, 2) for _ in range(3)]
-        levels = stack_pyramids(pyrs)
-        assert len(levels) == 2
-        for lvl in levels:
-            assert lvl.data.shape == (3, 8, 8, 8, 1)
-
-    def test_level_count_disagreement(self):
-        vol = random_volume((20, 18, 16))
-        a = build_pyramid(vol, (10, 9, 8), 8, 2, 2)
-        b = build_pyramid(vol, (10, 9, 8), 8, 2, 3)
-        with pytest.raises(ValueError, match="level count"):
-            stack_pyramids([a, b])
 
 
 class TestParameterCounts:

@@ -11,8 +11,6 @@ import pytest
 from hiloseg import nn
 from hiloseg.nn import functional as F
 from hiloseg.nn.layers import (
-    BatchNorm,
-    ConditionalBatchNorm,
     ConditionalPointNorm,
     Conv3d,
     Dense,
@@ -139,42 +137,6 @@ class TestConvGradients:
 
 
 class TestNormalizationGradients:
-    def test_batchnorm_training(self, rng):
-        bn = BatchNorm(3, dtype=np.float64)
-        bn.gamma.data = rng.normal(1.0, 0.2, size=3)
-        bn.beta.data = rng.normal(0.0, 0.2, size=3)
-        x = t64(rng, 6, 4, 3)
-
-        def loss():
-            return F.mean_all(F.sigmoid(bn(x, training=True)))
-
-        finite_difference_check(loss, [x, bn.gamma, bn.beta], rng=rng)
-
-    def test_batchnorm_eval(self, rng):
-        bn = BatchNorm(3, dtype=np.float64)
-        bn._buffers["running_mean"] = rng.normal(size=3)
-        bn._buffers["running_var"] = rng.uniform(0.5, 2.0, size=3)
-        x = t64(rng, 4, 3)
-
-        def loss():
-            return F.mean_all(F.sigmoid(bn(x, training=False)))
-
-        finite_difference_check(loss, [x, bn.gamma, bn.beta], rng=rng)
-
-    def test_conditional_batchnorm(self, rng):
-        cbn = ConditionalBatchNorm(4, 3, rng=5, dtype=np.float64)
-        # move the zero-initialized heads off their fixed point so the
-        # condition path carries real gradients
-        for stack in (cbn.gamma_stack, cbn.beta_stack):
-            stack[1].w.data = rng.normal(size=stack[1].w.data.shape) * 0.3
-        x = t64(rng, 5, 4)
-        cond = t64(rng, 5, 3)
-
-        def loss():
-            return F.mean_all(F.sigmoid(cbn(x, cond, training=True)))
-
-        finite_difference_check(loss, [x, cond] + cbn.parameters(), rng=rng, n_probes=80)
-
     def test_element_norm(self, rng):
         norm = ElementNorm(3, dtype=np.float64)
         norm.gamma.data = rng.normal(1.0, 0.2, size=3)
@@ -212,31 +174,31 @@ class TestNormalizationGradients:
 
 class TestBlockGradients:
     def test_residual_fc(self, rng):
-        block = ResidualBlockFC(4, 6, rng=2, dtype=np.float64)
-        x = t64(rng, 5, 4)
+        block = ResidualBlockFC(4, 6, rng=2, ref=3, dtype=np.float64)
+        x = t64(rng, 2, 5, 4)
 
         def loss():
-            return F.mean_all(F.sigmoid(block(x, training=True)))
+            return F.mean_all(F.sigmoid(block(x)))
 
         finite_difference_check(loss, [x] + block.parameters(), rng=rng, n_probes=80)
 
     def test_residual_fc_conditioned(self, rng):
-        block = ResidualBlockFC(4, 4, rng=3, cond_dim=3, dtype=np.float64)
-        x = t64(rng, 4, 4)
-        cond = t64(rng, 4, 3)
+        block = ResidualBlockFC(4, 6, rng=3, ref=2, cond_dim=3, dtype=np.float64)
+        x = t64(rng, 3, 4, 4)
+        cond = t64(rng, 3, 3)
 
         def loss():
-            return F.mean_all(F.sigmoid(block(x, cond=cond, training=True)))
+            return F.mean_all(F.sigmoid(block(x, cond=cond)))
 
         finite_difference_check(loss, [x, cond] + block.parameters(), rng=rng, n_probes=80)
 
     def test_residual_fc_on_reference_points(self, rng):
-        block = ResidualBlockFC(4, 4, rng=3, cond_dim=3, dtype=np.float64, ref=4)
+        block = ResidualBlockFC(4, 4, rng=3, ref=4, cond_dim=3, dtype=np.float64)
         x = t64(rng, 2, 6, 4)
         cond = t64(rng, 2, 3)
 
         def loss():
-            return F.mean_all(F.sigmoid(block(x, cond=cond, training=True)))
+            return F.mean_all(F.sigmoid(block(x, cond=cond)))
 
         finite_difference_check(loss, [x, cond] + block.parameters(), rng=rng, n_probes=80)
 
@@ -245,7 +207,7 @@ class TestBlockGradients:
         x = t64(rng, 2, 3, 3, 3, 2)
 
         def loss():
-            return F.mean_all(F.sigmoid(block(x, training=True)))
+            return F.mean_all(F.sigmoid(block(x)))
 
         finite_difference_check(loss, [x] + block.parameters(), rng=rng, n_probes=80)
 
@@ -293,16 +255,16 @@ class TestEndToEndGradient:
     def test_small_conv_net(self, rng):
         """Conv encoder into dense head, the full op mix in one graph."""
         conv1 = Conv3d(1, 3, 3, rng=8, dtype=np.float64)
-        bn = BatchNorm(3, dtype=np.float64)
+        norm = ElementNorm(3, dtype=np.float64)
         dense = Dense(3 * 8, 1, rng=9, dtype=np.float64)
         x = t64(rng, 2, 4, 4, 4, 1)
         target = np.array([[1.0], [0.0]])
 
         def loss():
-            h = F.selu(bn(conv1(x), training=True))
+            h = F.selu(norm(conv1(x)))
             h = F.avg_pool3d(h, 2)
             h = F.reshape(h, (2, 3 * 8))
             return F.bce_loss(F.sigmoid(dense(h)), target)
 
-        params = [x, conv1.w, conv1.b, bn.gamma, bn.beta, dense.w, dense.b]
+        params = [x, conv1.w, conv1.b, norm.gamma, norm.beta, dense.w, dense.b]
         finite_difference_check(loss, params, rng=rng, n_probes=100)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from hiloseg.errors import DegenerateLabelsError
-from hiloseg.inference import BoundingBox
 from hiloseg.sampling import (
     SamplerConfig,
     sample_biased_coords,
-    sample_location_in_bb,
     sample_pyramid_location,
     sample_uniform_coords,
 )
@@ -188,16 +186,3 @@ class TestPyramidLocation:
             sl0 = tuple(slice(max(a, 0), min(a + 4, 32)) for a in lo0)
             saw_level0_miss = saw_level0_miss or not data[sl0].any()
         assert saw_level0_miss
-
-
-class TestBBLocation:
-    def test_inside_box_and_deterministic(self):
-        bb = BoundingBox((2, 3, 4), (5, 6, 7))
-        a = sample_location_in_bb(bb, seed=8)
-        b = sample_location_in_bb(bb, seed=8)
-        assert a == b
-        assert all(lo <= v <= hi for v, lo, hi in zip(a, bb.min, bb.max))
-
-    def test_empty_box_rejected(self):
-        with pytest.raises(ValueError):
-            sample_location_in_bb(BoundingBox.empty(), seed=0)

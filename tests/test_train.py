@@ -6,14 +6,14 @@ of epochs); they check the machinery, not model quality.
 """
 
 import dataclasses
-import math
+import threading
 
 import numpy as np
 import pytest
 
 from hiloseg.errors import DivergenceError
 from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, OnetModel, train_hilo, train_superres_onet
-from hiloseg.models.train import _chunk_bounds, _DivergenceGuard
+from hiloseg.models.train import _DivergenceGuard
 from hiloseg.queue import MAX_HARDNESS, TrainingQueue
 from hiloseg.sampling import SamplerConfig
 from hiloseg.voxel import LabelVolume, VoxelVolume
@@ -68,24 +68,6 @@ def hilo_dataset(n, seed0=50):
             make_instance((24, 20, 22), (off, off, off), (off + 9, off + 8, off + 10), seed0 + k)
         )
     return out
-
-
-class TestChunkBounds:
-    @pytest.mark.parametrize("total,size", [(2, 2), (7, 3), (5, 2), (16, 4), (9, 8), (3, 100)])
-    def test_contiguous_cover_with_no_trailing_singleton(self, total, size):
-        bounds = _chunk_bounds(total, size)
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == total
-        for (a, b), (c, _) in zip(bounds, bounds[1:]):
-            assert b == c
-        for a, b in bounds:
-            assert b - a >= 2
-
-    def test_trailing_singleton_merges(self):
-        assert _chunk_bounds(7, 3) == [(0, 3), (3, 7)]
-
-    def test_size_floor_is_two(self):
-        assert _chunk_bounds(6, 1) == [(0, 2), (2, 4), (4, 6)]
 
 
 class TestDivergenceGuard:
@@ -168,16 +150,21 @@ class TestTrainOnet:
 
     def test_micro_batch_matches_full_batch(self):
         """Chunked accumulation is an implementation detail of the memory
-        budget; the resulting parameters must not depend on it."""
-        a, _ = train_superres_onet(
-            onet_dataset(4), ONET_CFG, SAMPLER, epochs=2, batch=4, lr=0.01, seed=4
-        )
-        b, _ = train_superres_onet(
-            onet_dataset(4), ONET_CFG, SAMPLER, epochs=2, batch=4, lr=0.01, seed=4,
-            micro_batch=2,
-        )
-        for k in a:
-            np.testing.assert_allclose(a[k], b[k], atol=1e-5, err_msg=k)
+        budget; the resulting parameters must not depend on it, down to
+        chunks of one and chunks that do not divide the batch."""
+
+        def run(micro_batch):
+            return train_superres_onet(
+                onet_dataset(4), ONET_CFG, SAMPLER, epochs=2, batch=4, lr=0.01, seed=4,
+                micro_batch=micro_batch,
+            )
+
+        a, ma = run(4)
+        for micro_batch in (1, 2, 3):
+            b, mb = run(micro_batch)
+            np.testing.assert_allclose(mb["train_loss"], ma["train_loss"], rtol=1e-5)
+            for k in a:
+                np.testing.assert_allclose(b[k], a[k], atol=1e-5, err_msg=f"{micro_batch}: {k}")
 
     def test_float64(self):
         state, _ = train_superres_onet(
@@ -194,11 +181,21 @@ class TestTrainOnet:
         with pytest.raises(ValueError, match="nonempty"):
             train_superres_onet([], ONET_CFG, SAMPLER, epochs=1)
 
-    def test_all_singleton_epoch_records_nan(self):
-        _, metrics = train_superres_onet(
+    def test_single_instance_trains(self):
+        """A batch of one is an ordinary batch: the loss is finite and the
+        parameters move."""
+        state, metrics = train_superres_onet(
             onet_dataset(1), ONET_CFG, SAMPLER, epochs=1, batch=8, seed=0
         )
-        assert math.isnan(metrics["train_loss"][0])
+        assert np.isfinite(metrics["train_loss"]).all() and len(metrics["train_loss"]) == 1
+        fresh = OnetModel(ONET_CFG, seed=0).state_dict()
+        assert any(not np.array_equal(state[k], fresh[k]) for k in state)
+
+    @pytest.mark.parametrize("name", ["micro_batch", "batch"])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_batch_sizes_below_one_rejected(self, name, size):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            train_superres_onet(onet_dataset(2), ONET_CFG, SAMPLER, epochs=1, **{name: size})
 
     def test_absurd_lr_raises(self):
         with pytest.raises(DivergenceError):
@@ -268,10 +265,19 @@ class TestTrainHilo:
             )
 
         a, ma = run(cfg.batch_size)
-        b, mb = run(2)
-        np.testing.assert_allclose(mb["train_loss"], ma["train_loss"], rtol=1e-5)
-        for k in a:
-            np.testing.assert_allclose(b[k], a[k], atol=1e-5, err_msg=k)
+        for micro_batch in (1, 2, 3):
+            b, mb = run(micro_batch)
+            np.testing.assert_allclose(mb["train_loss"], ma["train_loss"], rtol=1e-5)
+            for k in a:
+                np.testing.assert_allclose(b[k], a[k], atol=1e-5, err_msg=f"{micro_batch}: {k}")
+
+    @pytest.mark.parametrize("micro_batch", [0, -1])
+    def test_micro_batch_below_one_rejected(self, micro_batch):
+        """Refused before the loader thread starts, so none is left running."""
+        with pytest.raises(ValueError, match="micro_batch"):
+            train_hilo(hilo_dataset(2), HILO_CFG, TrainingQueue(capacity=8), epochs=1,
+                       micro_batch=micro_batch)
+        assert not any(t.name == "hiloseg-loader" and t.is_alive() for t in threading.enumerate())
 
     def test_coordinate_decoder_variant(self):
         cfg = HiLoConfig(
