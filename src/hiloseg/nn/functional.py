@@ -4,6 +4,20 @@ Each op computes its forward result with numpy and records a closure that
 pushes vector-Jacobian products into its parents. conv3d builds im2col
 buffers in bounded chunks and recomputes them during backward, so scratch
 memory stays capped regardless of batch or window size.
+
+conv3d fixes the bits of its results, not only their values: exact
+micro-batching of the trainers rests on them (a 1e-7 change in a gradient
+can grow to 1e-3 in a weight within a few Adam steps).
+
+- The im2col matrix stays C-contiguous (rows, k³·Cin), used as
+  ``col @ w2d`` and ``col.T @ gb``. OpenBLAS rounds some of these products
+  differently when only the operands' storage order changes.
+- The input gradient is summed into a channels-first padded buffer, so each
+  kernel offset adds a contiguous (Cin, planes, oh, ow) block in runs of
+  ``ow`` floats rather than ``Cin``. Every entry still receives its terms
+  item by item, chunk by chunk and offset by offset in (dz, dy, dx) order;
+  changing that order changes the rounding. Stride > 1 takes the same path
+  through strided slices.
 """
 
 from __future__ import annotations
@@ -135,11 +149,14 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    pos = x.data > 0
-    out = np.where(pos, x.data, x.data * slope)
+    # For 0 < slope <= 1 the maximum equals where(x > 0, x, x * slope) bit for
+    # bit, signed zeros, infinities and NaN included; at slope 0, inf * 0 is NaN.
+    if not 0 < slope <= 1:
+        raise ValueError(f"leaky_relu slope must be in (0, 1], got {slope}")
+    out = np.maximum(x.data, x.data * slope)
 
     def bw(g):
-        x.accumulate_grad(np.where(pos, g, g * slope))
+        x.accumulate_grad(np.where(x.data > 0, g, g * slope))
 
     return make_node(out, (x,), bw)
 
@@ -199,70 +216,74 @@ def conv3d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     rows_per_item = od * oh * ow
     cap = max(1, CONV_SCRATCH_BYTES // (k * k * k * cin * x.data.itemsize))
     d_step = max(1, min(od, cap // max(1, oh * ow)))
+    p = padding
+    padded = (d + 2 * p, h + 2 * p, wd + 2 * p)
+    inner = (slice(p, p + d), slice(p, p + h), slice(p, p + wd))
 
-    def _pad(arr):
-        if padding == 0:
-            return arr
-        p = padding
-        return memory_meter.track(np.pad(arr, ((0, 0), (p, p), (p, p), (p, p), (0, 0))))
+    def _windows():
+        # one strided view of every window: (B, od, oh, ow, Cin, k, k, k)
+        if p == 0:
+            xp = x.data
+        else:
+            xp = memory_meter.track(np.zeros((b, *padded, cin), dtype=x.data.dtype))
+            xp[(slice(None), *inner)] = x.data
+        v = sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
+        return v[:, ::stride, ::stride, ::stride]
 
-    def _col(xp, bi, d0, d1):
-        # windows for output rows [d0, d1) of batch item bi
-        v = sliding_window_view(xp[bi], (k, k, k), axis=(0, 1, 2))
-        v = v[d0 * stride : (d1 - 1) * stride + 1 : stride, ::stride, ::stride]
+    def _col(win, bi, d0, d1):
+        # im2col rows for output planes [d0, d1) of item bi, C-contiguous
+        # (rows, k³·Cin): see the module docstring for why this layout stays
         n = (d1 - d0) * oh * ow
-        col = v.transpose(0, 1, 2, 4, 5, 6, 3).reshape(n, k * k * k * cin)
+        col = win[bi, d0:d1].transpose(0, 1, 2, 4, 5, 6, 3).reshape(n, k * k * k * cin)
         return memory_meter.track(col)
 
-    xp = _pad(x.data)
+    win = _windows()
     out = memory_meter.track(np.empty((b, od, oh, ow, cout), dtype=x.data.dtype))
     for bi in range(b):
         for d0 in range(0, od, d_step):
             d1 = min(d0 + d_step, od)
-            block = _col(xp, bi, d0, d1) @ w2d
+            block = _col(win, bi, d0, d1) @ w2d
             out[bi, d0:d1] = block.reshape(d1 - d0, oh, ow, cout)
-    del xp
+    del win
 
     def bw(g):
         g2 = g.reshape(b, rows_per_item, cout)
         need_dx = x.requires_grad or x._parents
         need_dw = w.requires_grad or w._parents
-        xp = _pad(x.data) if need_dw else None
+        win = _windows() if need_dw else None
         dw2d = np.zeros_like(w2d) if need_dw else None
         dxp = None
         if need_dx:
-            pd = d + 2 * padding
-            ph = h + 2 * padding
-            pw = wd + 2 * padding
-            dxp = memory_meter.track(np.zeros((b, pd, ph, pw, cin), dtype=x.data.dtype))
+            # channels-first: offsets add runs of ow floats, not Cin
+            dxp = memory_meter.track(np.zeros((b, cin, *padded), dtype=x.data.dtype))
         for bi in range(b):
             for d0 in range(0, od, d_step):
                 d1 = min(d0 + d_step, od)
                 rows = slice(d0 * oh * ow, d1 * oh * ow)
                 gb = g2[bi, rows]
                 if need_dw:
-                    dw2d += _col(xp, bi, d0, d1).T @ gb
+                    dw2d += _col(win, bi, d0, d1).T @ gb
                 if need_dx:
-                    dcol = memory_meter.track(gb @ w2d.T).reshape(d1 - d0, oh, ow, k, k, k, cin)
+                    # (dz, dy, dx, Cin, planes, oh, ow): one contiguous block
+                    # per kernel offset, added in the fixed order the module
+                    # docstring gives
+                    dcol = memory_meter.track(w2d @ gb.T).reshape(k, k, k, cin, d1 - d0, oh, ow)
                     for dz in range(k):
                         z0 = dz + d0 * stride
                         for dy in range(k):
                             for dx in range(k):
                                 dxp[
                                     bi,
+                                    :,
                                     z0 : z0 + (d1 - d0) * stride : stride,
                                     dy : dy + oh * stride : stride,
                                     dx : dx + ow * stride : stride,
-                                ] += dcol[:, :, :, dz, dy, dx, :]
+                                ] += dcol[dz, dy, dx]
         if need_dw:
             w.accumulate_grad(dw2d.reshape(w.data.shape))
         if need_dx:
-            if padding:
-                p = padding
-                dx_full = np.ascontiguousarray(dxp[:, p:-p, p:-p, p:-p, :])
-            else:
-                dx_full = dxp
-            x.accumulate_grad(dx_full)
+            crop = dxp[(slice(None), slice(None), *inner)]
+            x.accumulate_grad(np.ascontiguousarray(crop.transpose(0, 2, 3, 4, 1)))
 
     return make_node(out, (x, w), bw)
 

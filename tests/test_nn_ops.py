@@ -1,7 +1,11 @@
 """Forward-value checks for the autodiff core: ops against naive oracles."""
 
+import gc
+import itertools
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hiloseg import nn
 from hiloseg.nn import functional as F
@@ -48,6 +52,53 @@ def naive_conv3d(x, w, stride=1, padding=0):
     return out
 
 
+def scatter_conv3d_grads(x, w, g, stride=1, padding=0):
+    """conv3d's input and weight gradients for output gradient ``g``, summed
+    in the reference order.
+
+    Columns are built per item and per chunk of output planes, chunked as
+    conv3d chunks them under ``F.CONV_SCRATCH_BYTES``. The input gradient is
+    ``dcol = gb @ w2d.T`` added back through 27 strided views of a
+    channels-last padded buffer, chunk by chunk and offset by offset.
+    """
+    b, d, h, wd, cin = x.shape
+    k, cout = w.shape[0], w.shape[4]
+    p = padding
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
+    od, oh, ow = g.shape[1:4]
+    w2d = w.reshape(-1, cout)
+    cap = max(1, F.CONV_SCRATCH_BYTES // (w2d.shape[0] * x.itemsize))
+    d_step = max(1, min(od, cap // (oh * ow)))
+    dxp = np.zeros_like(xp)
+    dw2d = np.zeros_like(w2d)
+    for bi in range(b):
+        v = sliding_window_view(xp[bi], (k, k, k), axis=(0, 1, 2))[::stride, ::stride, ::stride]
+        for d0 in range(0, od, d_step):
+            d1 = min(d0 + d_step, od)
+            gb = g[bi, d0:d1].reshape(-1, cout)
+            col = v[d0:d1].transpose(0, 1, 2, 4, 5, 6, 3).reshape(len(gb), -1)
+            dw2d += col.T @ gb
+            dcol = (gb @ w2d.T).reshape(d1 - d0, oh, ow, k, k, k, cin)
+            for dz, dy, dx in itertools.product(range(k), repeat=3):
+                z0 = dz + d0 * stride
+                dxp[
+                    bi,
+                    z0 : z0 + (d1 - d0) * stride : stride,
+                    dy : dy + oh * stride : stride,
+                    dx : dx + ow * stride : stride,
+                ] += dcol[:, :, :, dz, dy, dx]
+    return dxp[:, p : p + d, p : p + h, p : p + wd], dw2d.reshape(w.shape)
+
+
+def conv3d_grads(x, w, g, stride=1, padding=0):
+    """Input and weight gradients of conv3d for output gradient ``g``."""
+    xt = nn.Tensor(x.copy(), requires_grad=True)
+    wt = nn.Tensor(w.copy(), requires_grad=True)
+    y = F.conv3d(xt, wt, stride=stride, padding=padding)
+    F.sum_all(F.mul(y, g)).backward()  # hands conv3d exactly g
+    return xt.grad, wt.grad
+
+
 class TestElementwiseOps:
     def test_add_mul_scale_values(self, rng):
         a = nn.Tensor(rng.normal(size=(3, 4)).astype(np.float32))
@@ -91,6 +142,23 @@ class TestActivations:
         got = F.leaky_relu(nn.Tensor(x), slope=0.01).data
         want = np.where(x > 0, x, 0.01 * x)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [1e-30, 0.01, 0.5, 1.0])
+    def test_leaky_relu_bit_equal_to_where_formula(self, dtype, slope):
+        x = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-40, -1e-40, 3e38, -3e38, 1.5, -2.5],
+            dtype=dtype,
+        )
+        got = F.leaky_relu(nn.Tensor(x), slope=slope).data
+        want = np.where(x > 0, x, x * slope)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("slope", [0.0, -0.01, 1.5, np.nan])
+    def test_leaky_relu_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            F.leaky_relu(nn.Tensor(np.ones(3)), slope=slope)
 
     def test_selu_constants_and_formula(self, rng):
         # the fixed-point constants, to full double precision
@@ -163,6 +231,60 @@ class TestConv3d:
         monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", 1)  # one output plane per chunk
         small = F.conv3d(nn.Tensor(x), nn.Tensor(w), padding=1).data
         np.testing.assert_array_equal(big, small)
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("cout", [5, 1])
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_gradients_in_reference_order(self, rng, monkeypatch, stride, padding, cout, chunked):
+        """Both float32 gradients equal the reference scatter's bit for bit:
+        the same terms summed in the same order, which keeps training with
+        micro-batches where it is."""
+        if chunked:
+            monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", 1)
+        x = rng.normal(size=(3, 7, 6, 8, 4)).astype(np.float32)
+        w = rng.normal(size=(3, 3, 3, 4, cout)).astype(np.float32)
+        out_shape = F.conv3d(nn.Tensor(x), nn.Tensor(w), stride=stride, padding=padding).shape
+        g = rng.normal(size=out_shape).astype(np.float32)
+        got = conv3d_grads(x, w, g, stride, padding)
+        want = scatter_conv3d_grads(x, w, g, stride, padding)
+        for a, b in zip(got, want):
+            assert a.dtype == np.float32
+            np.testing.assert_array_equal(a, b)
+
+    def test_chunked_backward_independent_of_scratch_cap(self, rng, monkeypatch):
+        """Chunk edges only regroup float64 sums: both gradients agree."""
+        x = rng.normal(size=(2, 7, 5, 6, 3))
+        w = rng.normal(size=(3, 3, 3, 3, 4))
+        g = rng.normal(size=(2, 7, 5, 6, 4))
+        big = conv3d_grads(x, w, g, padding=1)
+        monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", 1)  # one output plane per chunk
+        small = conv3d_grads(x, w, g, padding=1)
+        for got, want in zip(small, big):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_backward_scratch_stays_capped(self, rng, monkeypatch):
+        """The meter's peak over forward and backward is the arrays conv3d
+        must hold plus at most two chunks of column gradients, never a whole
+        item's."""
+        cap = 64 << 10
+        monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", cap)
+        b, n, cin, cout = 2, 12, 8, 8
+        x = nn.Tensor(rng.normal(size=(b, n, n, n, cin)).astype(np.float32), requires_grad=True)
+        w = nn.Tensor(rng.normal(size=(3, 3, 3, cin, cout)).astype(np.float32), requires_grad=True)
+        gc.collect()
+        base = memory_meter.current
+        memory_meter.reset_peak()
+        F.sum_all(F.conv3d(x, w, padding=1)).backward()
+        peak = memory_meter.peak - base
+        f32 = 4
+        output = b * n**3 * cout * f32  # held twice: the value and its gradient
+        padded = b * (n + 2) ** 3 * cin * f32  # the padded input, and the dx buffer
+        grads = x.data.nbytes + w.data.nbytes
+        plane = n * n * 27 * cin * f32  # one output plane of columns
+        bound = 2 * output + 2 * padded + grads + 2 * max(cap, plane)
+        assert peak <= bound
+        item_columns = n**3 * 27 * cin * f32
+        assert peak + item_columns > bound  # so the bound would catch unchunked columns
 
 
 class TestResampling:
