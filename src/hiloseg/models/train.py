@@ -44,24 +44,26 @@ def _snapshot(model) -> dict[str, np.ndarray]:
     return {k: np.array(v, copy=True) for k, v in model.state_dict().items()}
 
 
-def _micro_batched_step(opt, total: int, micro_batch: int, chunk_loss) -> float:
+def _micro_batched_step(opt, total: int, micro_batch: int, entry_losses) -> np.ndarray:
     """One optimizer step over a batch of ``total`` instances, its gradient
     accumulated over contiguous chunks of at most ``micro_batch``.
 
-    ``chunk_loss(a, b)`` returns the mean loss of instances [a, b); scaled by
-    the chunk's share of the batch, the chunks' gradients sum to the whole
-    batch's. Both model families normalize each instance on its own, so the
-    chunking bounds memory only. Returns the batch loss.
+    ``entry_losses(a, b)`` returns the per-instance mean losses of instances
+    [a, b). Each chunk backpropagates their sum times 1/total, so every
+    instance's gradient is seeded alike whatever its chunk, and the ops add
+    per-instance parameter gradients in instance order (``nn.functional``):
+    the step is the whole batch's bit for bit, and the chunking bounds
+    memory only. Returns the per-instance losses in instance order.
     """
     opt.zero_grad()
-    batch_loss = 0.0
+    losses = np.empty(total)
     for a in range(0, total, micro_batch):
         b = min(a + micro_batch, total)
-        loss = F.scale(chunk_loss(a, b), (b - a) / total)
-        loss.backward()
-        batch_loss += loss.item()
+        per = entry_losses(a, b)
+        losses[a:b] = per.data
+        F.scale(F.sum_all(per), 1.0 / total).backward()
     opt.step()
-    return batch_loss
+    return losses
 
 
 def _require_positive(**sizes: int) -> None:
@@ -204,10 +206,10 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
                 c01[row] = normalize_coords(cb.coords, insts[i]["dims"])
                 t[row] = cb.labels
 
-            def chunk_loss(a, b):
+            def entry_losses(a, b):
                 return F.bce_loss(model(nn.Tensor(vols[a:b]), nn.Tensor(c01[a:b])), t[a:b])
 
-            batch_loss = _micro_batched_step(opt, len(idxs), micro_batch, chunk_loss)
+            batch_loss = float(np.mean(_micro_batched_step(opt, len(idxs), micro_batch, entry_losses)))
             guard.check(batch_loss, "occupancy training")
             epoch_losses.append(batch_loss)
         metrics["train_loss"].append(float(np.mean(epoch_losses)))
@@ -373,19 +375,14 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
             t = np.stack(targets).astype(dtype)
             c01 = (np.stack(coords) / w).astype(dtype) if coords else None
 
-            per_entry = np.zeros(B)
-
-            def chunk_loss(a, b):
+            def entry_losses(a, b):
                 lv = [nn.Tensor(arr[a:b]) for arr in levels_np]
                 if cfg.decoder == "cnn":
-                    pred = model.forward_batch(lv)
-                    per_entry[a:b] = F.elementwise_focal(pred.data, t[a:b]).mean(axis=(1, 2, 3))
-                    return F.focal_loss(pred, t[a:b])
-                pred = model.forward_batch(lv, nn.Tensor(c01[a:b]))
-                per_entry[a:b] = F.elementwise_bce(pred.data, t[a:b]).mean(axis=1)
-                return F.bce_loss(pred, t[a:b])
+                    return F.focal_loss(model.forward_batch(lv), t[a:b])
+                return F.bce_loss(model.forward_batch(lv, nn.Tensor(c01[a:b])), t[a:b])
 
-            batch_loss = _micro_batched_step(opt, B, micro_batch, chunk_loss)
+            per_entry = _micro_batched_step(opt, B, micro_batch, entry_losses)
+            batch_loss = float(np.mean(per_entry))
             for e, h in zip(entries, per_entry):
                 try:
                     queue.update_hardness(e.instance_id, float(h))

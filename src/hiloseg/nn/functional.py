@@ -2,28 +2,39 @@
 
 Each op computes its forward result with numpy and records a closure that
 pushes vector-Jacobian products into its parents. conv3d builds im2col
-buffers in bounded chunks and recomputes them during backward, so scratch
-memory stays capped regardless of batch or window size.
+buffers in bounded chunks, in the forward pass and both backward passes, so
+scratch memory stays capped regardless of batch or window size. Its input
+gradient is the correlation of the padded output gradient with the flipped,
+transposed kernel (Dumoulin & Visin 2016), run through the same chunked
+helper as the forward pass.
 
-conv3d fixes the bits of its results, not only their values: exact
-micro-batching of the trainers rests on them (a 1e-7 change in a gradient
-can grow to 1e-3 in a weight within a few Adam steps).
+The trainers split a batch into micro-batches to bound memory, and the
+result must not depend on the split: a 1e-7 change in a gradient can grow
+to 1e-3 in a weight within a few Adam steps. So every op keeps a
+per-instance reduction contract:
 
-- The im2col matrix stays C-contiguous (rows, k³·Cin), used as
-  ``col @ w2d`` and ``col.T @ gb``. OpenBLAS rounds some of these products
-  differently when only the operands' storage order changes.
-- The input gradient is summed into a channels-first padded buffer, so each
-  kernel offset adds a contiguous (Cin, planes, oh, ow) block in runs of
-  ``ow`` floats rather than ``Cin``. Every entry still receives its terms
-  item by item, chunk by chunk and offset by offset in (dz, dy, dx) order;
-  changing that order changes the rounding. Stride > 1 takes the same path
-  through strided slices.
+- What an op computes for one batch instance comes from that instance's
+  data alone, through array shapes that do not depend on the batch size.
+  conv3d loops over items, and its chunks of output planes depend on
+  ``CONV_SCRATCH_BYTES`` only.
+- An op whose parameter gradient sums over batch axis 0 (matmul's weight,
+  a bias or scale broadcast by ``add`` or ``mul``, conv3d's kernel) adds one
+  partial per instance straight into the parameter's gradient, in instance
+  order. The sum is (((g0 + g1) + g2) + ...) under every split, a fixed
+  association (Demmel & Nguyen 2013). It holds for leaves that one op uses
+  once per forward pass, which is how every model uses its parameters.
+- The im2col matrix stays C-contiguous (rows, k³·C), used as ``col @ w2d``
+  and ``col.T @ gb``. OpenBLAS rounds some of these products differently
+  when only the operands' storage order changes.
+
+The byte meter counts conv3d's padded copies, its outputs and the columns
+of its input-gradient pass. The columns of the forward and weight-gradient
+passes are not counted.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor, make_node, memory_meter
 
@@ -52,15 +63,26 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _accumulate_unbroadcast(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` summed down to t's shape into t's gradient; a sum over the
+    batch axis goes in one partial per instance (module docstring)."""
+    shape = t.data.shape
+    if g.ndim > len(shape) or (shape and shape[0] != g.shape[0]):
+        for i in range(g.shape[0]):
+            t.accumulate_grad(_unbroadcast(g[i : i + 1], shape))
+    else:
+        t.accumulate_grad(_unbroadcast(g, shape))
+
+
 def add(a: Tensor, b) -> Tensor:
     b = as_tensor(b, dtype=a.dtype)
     out = a.data + b.data
 
     def bw(g):
         if a.requires_grad or a._parents:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
+            _accumulate_unbroadcast(a, g)
         if b.requires_grad or b._parents:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
+            _accumulate_unbroadcast(b, g)
 
     return make_node(out, (a, b), bw)
 
@@ -71,9 +93,9 @@ def mul(a: Tensor, b) -> Tensor:
 
     def bw(g):
         if a.requires_grad or a._parents:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
+            _accumulate_unbroadcast(a, g * b.data)
         if b.requires_grad or b._parents:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
+            _accumulate_unbroadcast(b, g * a.data)
 
     return make_node(out, (a, b), bw)
 
@@ -88,16 +110,18 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b with a of shape (..., K) stacks and b a (K, M) matrix."""
-    out = a.data @ b.data
+    """a @ b with a of shape (B, ..., K) and b a (K, M) matrix, or a kernel
+    whose leading axes are all 1 (a 1x1x1 convolution's (1, 1, 1, K, M))."""
+    mat = b.data.reshape(b.data.shape[-2:])
+    out = a.data @ mat
 
     def bw(g):
         if a.requires_grad or a._parents:
-            a.accumulate_grad(g @ b.data.T)
+            a.accumulate_grad(g @ mat.T)
         if b.requires_grad or b._parents:
-            k = a.data.shape[-1]
-            m = g.shape[-1]
-            b.accumulate_grad(a.data.reshape(-1, k).T @ g.reshape(-1, m))
+            k, m = mat.shape
+            for ai, gi in zip(a.data, g):
+                b.accumulate_grad((ai.reshape(-1, k).T @ gi.reshape(-1, m)).reshape(b.data.shape))
 
     return make_node(out, (a, b), bw)
 
@@ -190,8 +214,62 @@ def sigmoid(x: Tensor) -> Tensor:
 # convolution and resampling
 
 
-def conv3d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """3D cross-correlation. x: (B, D, H, W, Cin); w: (k, k, k, Cin, Cout)."""
+def _padded(src: np.ndarray, pad: int) -> np.ndarray:
+    """Channels-last ``src`` zero-padded by ``pad`` on each spatial side, C-contiguous."""
+    if pad == 0:
+        return np.ascontiguousarray(src)
+    b, d, h, w, c = src.shape
+    out = memory_meter.track(np.zeros((b, d + 2 * pad, h + 2 * pad, w + 2 * pad, c), src.dtype))
+    out[:, pad:-pad, pad:-pad, pad:-pad] = src
+    return out
+
+
+def _windows(xp: np.ndarray, k: int) -> np.ndarray:
+    """Every k³ window of C-contiguous ``xp`` as one strided view,
+    (B, od, oh, ow, k, k, k, C): a row of im2col per output voxel."""
+    b, d, h, w, c = xp.shape
+    sb, sd, sh, sw, sc = xp.strides
+    shape = (b, d - k + 1, h - k + 1, w - k + 1, k, k, k, c)
+    return np.ndarray(shape, xp.dtype, xp, 0, (sb, sd, sh, sw, sd, sh, sw, sc))
+
+
+def _plane_chunks(win: np.ndarray):
+    """[d0, d1) ranges of output planes whose columns fit ``CONV_SCRATCH_BYTES``."""
+    od, oh, ow = win.shape[1:4]
+    row_bytes = win[0, 0, 0, 0].nbytes
+    d_step = max(1, min(od, CONV_SCRATCH_BYTES // row_bytes // (oh * ow)))
+    return [(d0, min(d0 + d_step, od)) for d0 in range(0, od, d_step)]
+
+
+def _col(win: np.ndarray, bi: int, d0: int, d1: int, metered: bool = False) -> np.ndarray:
+    """im2col rows of output planes [d0, d1) of item bi, C-contiguous
+    (rows, k³·C). ``metered`` allocates them where the byte meter sees them;
+    otherwise ``reshape`` copies into an array the meter never counts."""
+    block = win[bi, d0:d1]
+    shape = (block.shape[0] * block.shape[1] * block.shape[2], block[0, 0, 0].size)
+    if not metered:
+        return block.reshape(shape)
+    col = memory_meter.track(np.empty(shape, win.dtype))
+    col.reshape(block.shape)[...] = block
+    return col
+
+
+def _correlate(xp: np.ndarray, w2d: np.ndarray, k: int, metered: bool) -> np.ndarray:
+    """Valid cross-correlation of padded ``xp`` with the (k³·C, Cout) kernel
+    matrix ``w2d``, item by item and chunk by chunk."""
+    win = _windows(xp, k)
+    b, od, oh, ow = win.shape[:4]
+    out = memory_meter.track(np.empty((b, od, oh, ow, w2d.shape[1]), dtype=xp.dtype))
+    chunks = _plane_chunks(win)
+    for bi in range(b):
+        for d0, d1 in chunks:
+            out[bi, d0:d1] = (_col(win, bi, d0, d1, metered) @ w2d).reshape(d1 - d0, oh, ow, -1)
+    return out
+
+
+def conv3d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
+    """3D cross-correlation at stride 1. x: (B, D, H, W, Cin);
+    w: (k, k, k, Cin, Cout); ``padding`` in [0, k - 1] zeros on each side."""
     if x.data.ndim != 5 or w.data.ndim != 5:
         raise ValueError("conv3d expects a 5-d input and a 5-d kernel")
     k = w.data.shape[0]
@@ -199,91 +277,31 @@ def conv3d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         raise ValueError(
             f"kernel shape {w.data.shape} incompatible with input shape {x.data.shape}"
         )
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    b, d, h, wd, cin = x.data.shape
-    cout = w.data.shape[4]
-    od = (d + 2 * padding - k) // stride + 1
-    oh = (h + 2 * padding - k) // stride + 1
-    ow = (wd + 2 * padding - k) // stride + 1
-    if min(od, oh, ow) < 1:
+    if not 0 <= padding < k:
+        raise ValueError(f"padding must lie in [0, {k - 1}] for kernel side {k}, got {padding}")
+    if min(x.data.shape[1:4]) + 2 * padding < k:
         raise ValueError("kernel larger than padded input")
+    if k == 1:
+        return matmul(x, w)
 
-    if k == 1 and stride == 1 and padding == 0:
-        return matmul(x, reshape(w, (cin, cout)))
-
-    w2d = w.data.reshape(k * k * k * cin, cout)
-    rows_per_item = od * oh * ow
-    cap = max(1, CONV_SCRATCH_BYTES // (k * k * k * cin * x.data.itemsize))
-    d_step = max(1, min(od, cap // max(1, oh * ow)))
+    cin, cout = w.data.shape[3:]
     p = padding
-    padded = (d + 2 * p, h + 2 * p, wd + 2 * p)
-    inner = (slice(p, p + d), slice(p, p + h), slice(p, p + wd))
-
-    def _windows():
-        # one strided view of every window: (B, od, oh, ow, Cin, k, k, k)
-        if p == 0:
-            xp = x.data
-        else:
-            xp = memory_meter.track(np.zeros((b, *padded, cin), dtype=x.data.dtype))
-            xp[(slice(None), *inner)] = x.data
-        v = sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
-        return v[:, ::stride, ::stride, ::stride]
-
-    def _col(win, bi, d0, d1):
-        # im2col rows for output planes [d0, d1) of item bi, C-contiguous
-        # (rows, k³·Cin): see the module docstring for why this layout stays
-        n = (d1 - d0) * oh * ow
-        col = win[bi, d0:d1].transpose(0, 1, 2, 4, 5, 6, 3).reshape(n, k * k * k * cin)
-        return memory_meter.track(col)
-
-    win = _windows()
-    out = memory_meter.track(np.empty((b, od, oh, ow, cout), dtype=x.data.dtype))
-    for bi in range(b):
-        for d0 in range(0, od, d_step):
-            d1 = min(d0 + d_step, od)
-            block = _col(win, bi, d0, d1) @ w2d
-            out[bi, d0:d1] = block.reshape(d1 - d0, oh, ow, cout)
-    del win
+    out = _correlate(_padded(x.data, p), w.data.reshape(-1, cout), k, metered=False)
 
     def bw(g):
-        g2 = g.reshape(b, rows_per_item, cout)
-        need_dx = x.requires_grad or x._parents
-        need_dw = w.requires_grad or w._parents
-        win = _windows() if need_dw else None
-        dw2d = np.zeros_like(w2d) if need_dw else None
-        dxp = None
-        if need_dx:
-            # channels-first: offsets add runs of ow floats, not Cin
-            dxp = memory_meter.track(np.zeros((b, cin, *padded), dtype=x.data.dtype))
-        for bi in range(b):
-            for d0 in range(0, od, d_step):
-                d1 = min(d0 + d_step, od)
-                rows = slice(d0 * oh * ow, d1 * oh * ow)
-                gb = g2[bi, rows]
-                if need_dw:
-                    dw2d += _col(win, bi, d0, d1).T @ gb
-                if need_dx:
-                    # (dz, dy, dx, Cin, planes, oh, ow): one contiguous block
-                    # per kernel offset, added in the fixed order the module
-                    # docstring gives
-                    dcol = memory_meter.track(w2d @ gb.T).reshape(k, k, k, cin, d1 - d0, oh, ow)
-                    for dz in range(k):
-                        z0 = dz + d0 * stride
-                        for dy in range(k):
-                            for dx in range(k):
-                                dxp[
-                                    bi,
-                                    :,
-                                    z0 : z0 + (d1 - d0) * stride : stride,
-                                    dy : dy + oh * stride : stride,
-                                    dx : dx + ow * stride : stride,
-                                ] += dcol[dz, dy, dx]
-        if need_dw:
-            w.accumulate_grad(dw2d.reshape(w.data.shape))
-        if need_dx:
-            crop = dxp[(slice(None), slice(None), *inner)]
-            x.accumulate_grad(np.ascontiguousarray(crop.transpose(0, 2, 3, 4, 1)))
+        if w.requires_grad or w._parents:
+            win = _windows(_padded(x.data, p), k)
+            chunks = _plane_chunks(win)
+            for bi in range(g.shape[0]):
+                dw = np.zeros((k**3 * cin, cout), dtype=g.dtype)
+                for d0, d1 in chunks:
+                    dw += _col(win, bi, d0, d1).T @ g[bi, d0:d1].reshape(-1, cout)
+                w.accumulate_grad(dw.reshape(w.data.shape))
+            del win  # frees the padded input before the input-gradient pass
+        if x.requires_grad or x._parents:
+            # the transposed convolution: flipped offsets, Cout and Cin swapped
+            wt = np.ascontiguousarray(w.data[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3))
+            x.accumulate_grad(_correlate(_padded(g, k - 1 - p), wt.reshape(-1, cin), k, metered=True))
 
     return make_node(out, (x, w), bw)
 
@@ -467,23 +485,35 @@ def elementwise_focal(pred_data: np.ndarray, target: np.ndarray,
     return -a_t * (1.0 - p_t) ** gamma * np.log(p_t)
 
 
+def _entry_means(loss: np.ndarray, dtype) -> np.ndarray:
+    """Mean of each entry's (axis 0) elementwise losses."""
+    return np.asarray(loss.mean(axis=tuple(range(1, loss.ndim))), dtype=dtype)
+
+
+def _entry_grad(d: np.ndarray, mask: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Elementwise derivatives ``d`` of entry means seeded by ``g`` per entry."""
+    per_entry = g.reshape(g.shape + (1,) * (d.ndim - 1))
+    return np.where(mask, d / (d.size // len(d)), 0.0) * per_entry
+
+
 def bce_loss(pred: Tensor, target) -> Tensor:
-    """Mean binary cross-entropy; probabilities are clamped away from {0, 1}."""
+    """Binary cross-entropy, one mean per entry of axis 0; probabilities are
+    clamped away from {0, 1}."""
     t = np.asarray(target, dtype=pred.dtype)
-    loss = np.asarray(elementwise_bce(pred.data, t).mean(), dtype=pred.dtype)
+    loss = _entry_means(elementwise_bce(pred.data, t), pred.dtype)
 
     def bw(g):
         p, mask = _clamped(pred)
-        d = (p - t) / (p * (1.0 - p)) / p.size
-        pred.accumulate_grad(np.where(mask, d, 0.0) * float(g))
+        pred.accumulate_grad(_entry_grad((p - t) / (p * (1.0 - p)), mask, g))
 
     return make_node(loss, (pred,), bw)
 
 
 def focal_loss(pred: Tensor, target, gamma: float = 2.0, alpha: float = 0.25) -> Tensor:
-    """Focal loss, mean-reduced: -alpha_t * (1 - p_t)^gamma * log(p_t)."""
+    """Focal loss -alpha_t * (1 - p_t)^gamma * log(p_t), one mean per entry
+    of axis 0."""
     t = np.asarray(target, dtype=pred.dtype)
-    loss = np.asarray(elementwise_focal(pred.data, t, gamma, alpha).mean(), dtype=pred.dtype)
+    loss = _entry_means(elementwise_focal(pred.data, t, gamma, alpha), pred.dtype)
 
     def bw(g):
         # d/dp_t of -a_t (1-p_t)^g log p_t, then chain through p_t = t*p + (1-t)(1-p).
@@ -493,7 +523,6 @@ def focal_loss(pred: Tensor, target, gamma: float = 2.0, alpha: float = 0.25) ->
         a_t = t * alpha + (1.0 - t) * (1.0 - alpha)
         one_m = 1.0 - p_t
         d_pt = a_t * (gamma * one_m ** (gamma - 1.0) * np.log(p_t) - one_m**gamma / p_t)
-        d = d_pt * (2.0 * t - 1.0) / p.size
-        pred.accumulate_grad(np.where(mask, d, 0.0) * float(g))
+        pred.accumulate_grad(_entry_grad(d_pt * (2.0 * t - 1.0), mask, g))
 
     return make_node(loss, (pred,), bw)

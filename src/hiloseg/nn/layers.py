@@ -95,11 +95,9 @@ class Conv3d(Module):
     """Channels-last 3D convolution with cubic kernels."""
 
     def __init__(self, cin: int, cout: int, k: int = 3, rng=None, dtype=np.float32,
-                 stride: int = 1, padding: int | None = None, zero_init: bool = False,
-                 bias: bool = True):
+                 padding: int | None = None, zero_init: bool = False, bias: bool = True):
         rng = make_rng(rng)
-        self.stride = stride
-        self.padding = (k // 2) if padding is None else padding  # default keeps size at stride 1
+        self.padding = (k // 2) if padding is None else padding  # default keeps the size
         if zero_init:
             w = np.zeros((k, k, k, cin, cout), dtype=dtype)
         else:
@@ -108,7 +106,7 @@ class Conv3d(Module):
         self.b = parameter(np.zeros(cout, dtype=dtype)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = F.conv3d(x, self.w, stride=self.stride, padding=self.padding)
+        out = F.conv3d(x, self.w, padding=self.padding)
         if self.b is not None:
             out = F.add(out, self.b)
         return out

@@ -5,10 +5,14 @@ closure recorded when the op that produced it ran. ``backward()`` topologically
 sorts the tape and propagates vector-Jacobian products. Inference code wraps
 forward passes in ``no_grad()`` so no tape (and no activation cache) is built.
 
-Every array allocated by this core registers with a byte meter, which is how
-the training-memory bound is measured: the meter's peak is the analog of
-device memory (parameters, gradients, optimizer moments, activations, and
-convolution scratch), deliberately excluding host-side dataset storage.
+Arrays this core allocates register with a byte meter, which is how the
+training-memory bound is measured: the meter's peak is the analog of device
+memory (parameters, gradients, optimizer moments, activations, conv3d's
+padded copies and the columns of its input-gradient pass), deliberately
+excluding host-side dataset storage. Only arrays that own their memory are
+counted, so scratch that numpy returns as a view of a fresh copy (the
+columns ``reshape`` builds in conv3d's forward and weight-gradient passes)
+is not.
 """
 
 from __future__ import annotations
@@ -20,29 +24,36 @@ import numpy as np
 
 
 class _MemoryMeter:
-    """Tracks live bytes of arrays owned by the nn core via weakref finalizers."""
+    """Live bytes of the arrays registered with ``track``, each released by a
+    weak-reference callback when its array is collected, in whatever thread."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.current = 0
         self.peak = 0
-        self._tracked: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+        self._refs: dict[int, weakref.ref] = {}
 
     def track(self, arr: np.ndarray) -> np.ndarray:
         if isinstance(arr, np.ndarray) and arr.base is None:  # views ride on their base
+            key, nbytes = id(arr), arr.nbytes
+            # made outside the lock: allocating may run a collection, whose
+            # callbacks take the lock; a ref dropped unused never calls back
+            ref = weakref.ref(arr, lambda r: self._release(key, r, nbytes))
             with self._lock:
-                if self._tracked.get(id(arr)) is arr:
+                old = self._refs.get(key)
+                if old is not None and old() is arr:
                     return arr  # already accounted; do not double-count
-                self._tracked[id(arr)] = arr
-                self.current += arr.nbytes
+                self._refs[key] = ref
+                self.current += nbytes
                 if self.current > self.peak:
                     self.peak = self.current
-            weakref.finalize(arr, self._release, arr.nbytes)
         return arr
 
-    def _release(self, nbytes: int) -> None:
+    def _release(self, key: int, ref: weakref.ref, nbytes: int) -> None:
         with self._lock:
             self.current -= nbytes
+            if self._refs.get(key) is ref:  # the id may already name a newer array
+                del self._refs[key]
 
     def reset_peak(self) -> None:
         with self._lock:

@@ -5,7 +5,6 @@ import itertools
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from hiloseg import nn
 from hiloseg.nn import functional as F
@@ -24,7 +23,7 @@ from hiloseg.nn.layers import (
 from hiloseg.nn.tensor import grad_enabled, memory_meter
 
 
-def naive_conv3d(x, w, stride=1, padding=0):
+def naive_conv3d(x, w, padding=0):
     """Six-loop cross-correlation, the slow reference for conv3d."""
     b, d, h, wd, cin = x.shape
     k = w.shape[0]
@@ -32,69 +31,42 @@ def naive_conv3d(x, w, stride=1, padding=0):
     if padding:
         p = padding
         x = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
-    od = (x.shape[1] - k) // stride + 1
-    oh = (x.shape[2] - k) // stride + 1
-    ow = (x.shape[3] - k) // stride + 1
+    od, oh, ow = (n - k + 1 for n in x.shape[1:4])
     out = np.zeros((b, od, oh, ow, cout), dtype=x.dtype)
     for bi in range(b):
         for zo in range(od):
             for yo in range(oh):
                 for xo in range(ow):
-                    patch = x[
-                        bi,
-                        zo * stride : zo * stride + k,
-                        yo * stride : yo * stride + k,
-                        xo * stride : xo * stride + k,
-                        :,
-                    ]
+                    patch = x[bi, zo : zo + k, yo : yo + k, xo : xo + k, :]
                     for co in range(cout):
                         out[bi, zo, yo, xo, co] = np.sum(patch * w[..., :, co])
     return out
 
 
-def scatter_conv3d_grads(x, w, g, stride=1, padding=0):
-    """conv3d's input and weight gradients for output gradient ``g``, summed
-    in the reference order.
-
-    Columns are built per item and per chunk of output planes, chunked as
-    conv3d chunks them under ``F.CONV_SCRATCH_BYTES``. The input gradient is
-    ``dcol = gb @ w2d.T`` added back through 27 strided views of a
-    channels-last padded buffer, chunk by chunk and offset by offset.
-    """
-    b, d, h, wd, cin = x.shape
-    k, cout = w.shape[0], w.shape[4]
+def naive_conv3d_grads(x, w, g, padding=0):
+    """conv3d's input and weight gradients for output gradient ``g`` by plain
+    loops: each output voxel sends its gradient through the kernel back to
+    its patch, and its patch times its gradient to the kernel."""
     p = padding
     xp = np.pad(x, ((0, 0), (p, p), (p, p), (p, p), (0, 0)))
-    od, oh, ow = g.shape[1:4]
-    w2d = w.reshape(-1, cout)
-    cap = max(1, F.CONV_SCRATCH_BYTES // (w2d.shape[0] * x.itemsize))
-    d_step = max(1, min(od, cap // (oh * ow)))
+    k = w.shape[0]
     dxp = np.zeros_like(xp)
-    dw2d = np.zeros_like(w2d)
-    for bi in range(b):
-        v = sliding_window_view(xp[bi], (k, k, k), axis=(0, 1, 2))[::stride, ::stride, ::stride]
-        for d0 in range(0, od, d_step):
-            d1 = min(d0 + d_step, od)
-            gb = g[bi, d0:d1].reshape(-1, cout)
-            col = v[d0:d1].transpose(0, 1, 2, 4, 5, 6, 3).reshape(len(gb), -1)
-            dw2d += col.T @ gb
-            dcol = (gb @ w2d.T).reshape(d1 - d0, oh, ow, k, k, k, cin)
-            for dz, dy, dx in itertools.product(range(k), repeat=3):
-                z0 = dz + d0 * stride
-                dxp[
-                    bi,
-                    z0 : z0 + (d1 - d0) * stride : stride,
-                    dy : dy + oh * stride : stride,
-                    dx : dx + ow * stride : stride,
-                ] += dcol[:, :, :, dz, dy, dx]
-    return dxp[:, p : p + d, p : p + h, p : p + wd], dw2d.reshape(w.shape)
+    dw = np.zeros_like(w)
+    b, od, oh, ow, _ = g.shape
+    for bi, zo, yo, xo in itertools.product(range(b), range(od), range(oh), range(ow)):
+        patch = (bi, slice(zo, zo + k), slice(yo, yo + k), slice(xo, xo + k))
+        go = g[bi, zo, yo, xo]
+        dxp[patch] += w @ go
+        dw += xp[patch][..., None] * go
+    d, h, wd = x.shape[1:4]
+    return dxp[:, p : p + d, p : p + h, p : p + wd], dw
 
 
-def conv3d_grads(x, w, g, stride=1, padding=0):
+def conv3d_grads(x, w, g, padding=0):
     """Input and weight gradients of conv3d for output gradient ``g``."""
     xt = nn.Tensor(x.copy(), requires_grad=True)
     wt = nn.Tensor(w.copy(), requires_grad=True)
-    y = F.conv3d(xt, wt, stride=stride, padding=padding)
+    y = F.conv3d(xt, wt, padding=padding)
     F.sum_all(F.mul(y, g)).backward()  # hands conv3d exactly g
     return xt.grad, wt.grad
 
@@ -121,6 +93,23 @@ class TestElementwiseOps:
         np.testing.assert_allclose(
             F.reshape(a, (10, 3)).data, a.data.reshape(10, 3)
         )
+
+    @pytest.mark.parametrize("op", ["matmul", "add", "mul"])
+    def test_parameter_gradient_sums_instances_in_order(self, rng, op):
+        """A parameter's float32 gradient over a batch of 3 is the
+        single-instance gradients added in instance order, bit for bit."""
+        x = rng.normal(size=(3, 50, 8)).astype(np.float32)
+        shape = (8, 6) if op == "matmul" else (8,)
+        w0 = rng.normal(size=shape).astype(np.float32)
+        g = rng.normal(size=(3, 50, shape[-1])).astype(np.float32)
+
+        def grad(rows):
+            w = nn.parameter(w0.copy())
+            F.sum_all(F.mul(getattr(F, op)(nn.Tensor(x[rows]), w), g[rows])).backward()
+            return w.grad
+
+        g0, g1, g2 = (grad(slice(i, i + 1)) for i in range(3))
+        np.testing.assert_array_equal(grad(slice(None)), (g0 + g1) + g2)
 
     def test_concat_matches_numpy(self, rng):
         parts = [nn.Tensor(rng.normal(size=(2, n)).astype(np.float32)) for n in (1, 4, 2)]
@@ -188,11 +177,11 @@ class TestActivations:
 
 class TestConv3d:
     def test_matches_naive_loops(self, rng):
-        for stride, padding in [(1, 0), (1, 1), (2, 0), (2, 1), (3, 1)]:
+        for padding in (0, 1, 2):
             x = rng.normal(size=(2, 5, 4, 6, 3)).astype(np.float64)
             w = rng.normal(size=(3, 3, 3, 3, 2)).astype(np.float64)
-            got = F.conv3d(nn.Tensor(x), nn.Tensor(w), stride=stride, padding=padding).data
-            want = naive_conv3d(x, w, stride=stride, padding=padding)
+            got = F.conv3d(nn.Tensor(x), nn.Tensor(w), padding=padding).data
+            want = naive_conv3d(x, w, padding=padding)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_pointwise_kernel_is_channel_mix(self, rng):
@@ -222,6 +211,9 @@ class TestConv3d:
             F.conv3d(x, nn.Tensor(np.zeros((3, 3, 2, 2, 1))))  # non-cubic
         with pytest.raises(ValueError):
             F.conv3d(x, nn.Tensor(np.zeros((5, 5, 5, 2, 1))))  # kernel too large
+        for padding in (-1, 3):
+            with pytest.raises(ValueError, match="padding"):
+                F.conv3d(x, nn.Tensor(np.zeros((3, 3, 3, 2, 1))), padding=padding)
 
     def test_chunked_path_independent_of_scratch_cap(self, rng, monkeypatch):
         """The im2col chunking cap changes scratch size, never the result."""
@@ -232,24 +224,39 @@ class TestConv3d:
         small = F.conv3d(nn.Tensor(x), nn.Tensor(w), padding=1).data
         np.testing.assert_array_equal(big, small)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("cout", [5, 1])
     @pytest.mark.parametrize("chunked", [False, True])
-    def test_gradients_in_reference_order(self, rng, monkeypatch, stride, padding, cout, chunked):
-        """Both float32 gradients equal the reference scatter's bit for bit:
-        the same terms summed in the same order, which keeps training with
-        micro-batches where it is."""
+    def test_gradients_match_plain_loops(self, rng, monkeypatch, padding, cout, chunked):
+        if chunked:
+            monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", 1)  # one output plane per chunk
+        x = rng.normal(size=(2, 5, 4, 6, 3))
+        w = rng.normal(size=(3, 3, 3, 3, cout))
+        g = rng.normal(size=F.conv3d(nn.Tensor(x), nn.Tensor(w), padding=padding).shape)
+        got = conv3d_grads(x, w, g, padding)
+        want = naive_conv3d_grads(x, w, g, padding)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("cout", [5, 1])
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_item_gradients_independent_of_batch(self, rng, monkeypatch, padding, cout, chunked):
+        """In float32, an item's input gradient has the same bits alone and
+        in a batch of 3, and the kernel gradient adds the items' partials in
+        order: what makes micro-batched training exact."""
         if chunked:
             monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", 1)
         x = rng.normal(size=(3, 7, 6, 8, 4)).astype(np.float32)
         w = rng.normal(size=(3, 3, 3, 4, cout)).astype(np.float32)
-        out_shape = F.conv3d(nn.Tensor(x), nn.Tensor(w), stride=stride, padding=padding).shape
-        g = rng.normal(size=out_shape).astype(np.float32)
-        got = conv3d_grads(x, w, g, stride, padding)
-        want = scatter_conv3d_grads(x, w, g, stride, padding)
-        for a, b in zip(got, want):
-            assert a.dtype == np.float32
-            np.testing.assert_array_equal(a, b)
+        g = rng.normal(size=F.conv3d(nn.Tensor(x), nn.Tensor(w), padding=padding).shape)
+        g = g.astype(np.float32)
+        dx, dw = conv3d_grads(x, w, g, padding)
+        alone = [conv3d_grads(x[i : i + 1], w, g[i : i + 1], padding) for i in range(3)]
+        assert dx.dtype == dw.dtype == np.float32
+        for i, (dx_i, _) in enumerate(alone):
+            np.testing.assert_array_equal(dx[i : i + 1], dx_i)
+        np.testing.assert_array_equal(dw, (alone[0][1] + alone[1][1]) + alone[2][1])
 
     def test_chunked_backward_independent_of_scratch_cap(self, rng, monkeypatch):
         """Chunk edges only regroup float64 sums: both gradients agree."""
@@ -264,7 +271,7 @@ class TestConv3d:
 
     def test_backward_scratch_stays_capped(self, rng, monkeypatch):
         """The meter's peak over forward and backward is the arrays conv3d
-        must hold plus at most two chunks of column gradients, never a whole
+        must hold plus one chunk of input-gradient columns, never a whole
         item's."""
         cap = 64 << 10
         monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", cap)
@@ -278,12 +285,12 @@ class TestConv3d:
         peak = memory_meter.peak - base
         f32 = 4
         output = b * n**3 * cout * f32  # held twice: the value and its gradient
-        padded = b * (n + 2) ** 3 * cin * f32  # the padded input, and the dx buffer
-        grads = x.data.nbytes + w.data.nbytes
-        plane = n * n * 27 * cin * f32  # one output plane of columns
-        bound = 2 * output + 2 * padded + grads + 2 * max(cap, plane)
+        padded = b * (n + 2) ** 3 * max(cin, cout) * f32  # the padded input or output gradient
+        dx = 2 * x.data.nbytes  # the input gradient and its accumulated copy
+        plane = n * n * 27 * cout * f32  # one output plane of input-gradient columns
+        bound = 2 * output + padded + dx + w.data.nbytes + max(cap, plane)
         assert peak <= bound
-        item_columns = n**3 * 27 * cin * f32
+        item_columns = n**3 * 27 * cout * f32
         assert peak + item_columns > bound  # so the bound would catch unchunked columns
 
 
@@ -358,11 +365,11 @@ class TestLosses:
     def test_bce_matches_elementwise_mean(self, rng):
         p = rng.uniform(0.01, 0.99, size=50)
         t = (rng.random(50) > 0.5).astype(np.float64)
-        loss = F.bce_loss(nn.Tensor(p), t).item()
+        loss = F.bce_loss(nn.Tensor(p[None]), t[None]).item()
         assert loss == pytest.approx(F.elementwise_bce(p, t).mean(), rel=1e-12)
 
     def test_bce_closed_form(self):
-        loss = F.bce_loss(nn.Tensor(np.array([0.9, 0.2])), np.array([1.0, 0.0])).item()
+        loss = F.bce_loss(nn.Tensor(np.array([[0.9, 0.2]])), np.array([[1.0, 0.0]])).item()
         want = (-np.log(0.9) - np.log(0.8)) / 2
         assert loss == pytest.approx(want, rel=1e-6)
 
@@ -370,8 +377,8 @@ class TestLosses:
         """gamma 0 drops the modulating factor; alpha 0.5 halves both classes."""
         p = rng.uniform(0.05, 0.95, size=64)
         t = (rng.random(64) > 0.7).astype(np.float64)
-        focal = F.focal_loss(nn.Tensor(p), t, gamma=0.0, alpha=0.5).item()
-        bce = F.bce_loss(nn.Tensor(p), t).item()
+        focal = F.focal_loss(nn.Tensor(p[None]), t[None], gamma=0.0, alpha=0.5).item()
+        bce = F.bce_loss(nn.Tensor(p[None]), t[None]).item()
         assert focal == pytest.approx(0.5 * bce, rel=1e-10)
         np.testing.assert_allclose(
             F.elementwise_focal(p, t, gamma=0.0, alpha=0.5),
@@ -385,7 +392,16 @@ class TestLosses:
         pt = np.where(t == 1, p, 1 - p)
         at = np.where(t == 1, 0.25, 0.75)
         want = (-at * (1 - pt) ** 2 * np.log(pt)).mean()
-        assert F.focal_loss(nn.Tensor(p), t).item() == pytest.approx(want, rel=1e-10)
+        assert F.focal_loss(nn.Tensor(p[None]), t[None]).item() == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("loss, elementwise", [
+        (F.bce_loss, F.elementwise_bce), (F.focal_loss, F.elementwise_focal),
+    ])
+    def test_one_mean_per_entry(self, rng, loss, elementwise):
+        p = rng.uniform(0.05, 0.95, size=(3, 4, 5))
+        t = (rng.random((3, 4, 5)) > 0.5).astype(np.float64)
+        got = loss(nn.Tensor(p), t).data
+        np.testing.assert_allclose(got, elementwise(p, t).mean(axis=(1, 2)), rtol=1e-12)
 
     def test_focal_downweights_easy_examples(self):
         easy = F.elementwise_focal(np.array([0.99]), np.array([1.0]))
@@ -397,19 +413,19 @@ class TestLosses:
         assert ratio_focal > ratio_bce * 100
 
     def test_perfect_prediction_is_near_zero(self):
-        t = np.array([1.0, 0.0, 1.0])
-        p = np.array([1.0, 0.0, 1.0])
+        t = np.array([[1.0, 0.0, 1.0]])
+        p = np.array([[1.0, 0.0, 1.0]])
         assert F.bce_loss(nn.Tensor(p), t).item() < 1e-5
         assert F.focal_loss(nn.Tensor(p), t).item() < 1e-5
 
     def test_clamp_keeps_losses_finite_and_masks_gradients(self):
-        p = nn.parameter(np.array([0.0, 1.0, 0.5]))
-        t = np.array([1.0, 0.0, 1.0])
+        p = nn.parameter(np.array([[0.0, 1.0, 0.5]]))
+        t = np.array([[1.0, 0.0, 1.0]])
         loss = F.bce_loss(p, t)
         assert np.isfinite(loss.item())
         loss.backward()
-        assert p.grad[0] == 0.0 and p.grad[1] == 0.0
-        assert p.grad[2] != 0.0
+        assert p.grad[0, 0] == 0.0 and p.grad[0, 1] == 0.0
+        assert p.grad[0, 2] != 0.0
 
 
 class TestConditionalPointNorm:

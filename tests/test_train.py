@@ -13,7 +13,9 @@ import pytest
 
 from hiloseg.errors import DivergenceError
 from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, OnetModel, train_hilo, train_superres_onet
-from hiloseg.models.train import _DivergenceGuard
+from hiloseg import nn
+from hiloseg.models.train import _DivergenceGuard, _micro_batched_step
+from hiloseg.nn import functional as F
 from hiloseg.queue import MAX_HARDNESS, TrainingQueue
 from hiloseg.sampling import SamplerConfig
 from hiloseg.voxel import LabelVolume, VoxelVolume
@@ -68,6 +70,57 @@ def hilo_dataset(n, seed0=50):
             make_instance((24, 20, 22), (off, off, off), (off + 9, off + 8, off + 10), seed0 + k)
         )
     return out
+
+
+def assert_micro_batches_exact(run, batch=4, seeds=range(12)):
+    """``run(micro_batch, seed)`` gives the same state and losses at every
+    micro-batch from 1 to ``batch`` as the whole batch, bit for bit."""
+    for seed in seeds:
+        a, ma = run(batch, seed)
+        for micro_batch in range(1, batch):
+            b, mb = run(micro_batch, seed)
+            where = f"seed {seed}, micro-batch {micro_batch}"
+            np.testing.assert_array_equal(mb["train_loss"], ma["train_loss"], err_msg=where)
+            assert a.keys() == b.keys()
+            for k in a:
+                np.testing.assert_array_equal(b[k], a[k], err_msg=f"{where}: {k}")
+
+
+class _GradRecorder:
+    """An optimizer stand-in whose step records the accumulated gradients."""
+
+    def __init__(self, params):
+        self.params = params
+
+    def zero_grad(self):
+        for p in self.params:
+            p.zero_grad()
+
+    def step(self):
+        self.grads = [p.grad.copy() for p in self.params]
+
+
+@pytest.mark.parametrize("total", [3, 5, 7])
+def test_micro_batched_step_exact_for_any_batch(total):
+    """Every chunking of a batch gives the same per-instance losses and
+    gradients bit for bit, also where 1/total and the chunk shares are not
+    powers of two."""
+    rng = np.random.default_rng(total)
+    dense = nn.Dense(6, 1, rng=1)
+    x = rng.normal(size=(total, 10, 6)).astype(np.float32)
+    t = (rng.random((total, 10, 1)) > 0.5).astype(np.float32)
+    opt = _GradRecorder(dense.parameters())
+
+    def entry_losses(a, b):
+        return F.bce_loss(F.sigmoid(dense(nn.Tensor(x[a:b]))), t[a:b])
+
+    want = _micro_batched_step(opt, total, total, entry_losses)
+    want_grads = opt.grads
+    for micro_batch in range(1, total):
+        got = _micro_batched_step(opt, total, micro_batch, entry_losses)
+        np.testing.assert_array_equal(got, want)
+        for g, w in zip(opt.grads, want_grads):
+            np.testing.assert_array_equal(g, w, err_msg=f"micro-batch {micro_batch}")
 
 
 class TestDivergenceGuard:
@@ -150,21 +203,17 @@ class TestTrainOnet:
 
     def test_micro_batch_matches_full_batch(self):
         """Chunked accumulation is an implementation detail of the memory
-        budget; the resulting parameters must not depend on it, down to
-        chunks of one and chunks that do not divide the batch."""
+        budget; the resulting parameters and losses must not depend on it,
+        bit for bit, down to chunks of one and chunks that do not divide the
+        batch, on every trainer seed."""
 
-        def run(micro_batch):
+        def run(micro_batch, seed):
             return train_superres_onet(
-                onet_dataset(4), ONET_CFG, SAMPLER, epochs=2, batch=4, lr=0.01, seed=4,
+                onet_dataset(4), ONET_CFG, SAMPLER, epochs=2, batch=4, lr=0.01, seed=seed,
                 micro_batch=micro_batch,
             )
 
-        a, ma = run(4)
-        for micro_batch in (1, 2, 3):
-            b, mb = run(micro_batch)
-            np.testing.assert_allclose(mb["train_loss"], ma["train_loss"], rtol=1e-5)
-            for k in a:
-                np.testing.assert_allclose(b[k], a[k], atol=1e-5, err_msg=f"{micro_batch}: {k}")
+        assert_micro_batches_exact(run)
 
     def test_float64(self):
         state, _ = train_superres_onet(
@@ -255,21 +304,16 @@ class TestTrainHilo:
     @pytest.mark.parametrize("decoder", ["cnn", "onet"])
     def test_micro_batch_matches_full_batch(self, decoder):
         """Micro-batching bounds memory only: the state and the losses
-        must not depend on it, for either decoder."""
+        must not depend on it, bit for bit, for either decoder."""
         cfg = dataclasses.replace(HILO_CFG, decoder=decoder)
 
-        def run(micro_batch):
+        def run(micro_batch, seed):
             return train_hilo(
                 hilo_dataset(4), cfg, TrainingQueue(capacity=8), epochs=4, sampler=SAMPLER,
-                lr=0.01, micro_batch=micro_batch, seed=6,
+                lr=0.01, micro_batch=micro_batch, seed=seed,
             )
 
-        a, ma = run(cfg.batch_size)
-        for micro_batch in (1, 2, 3):
-            b, mb = run(micro_batch)
-            np.testing.assert_allclose(mb["train_loss"], ma["train_loss"], rtol=1e-5)
-            for k in a:
-                np.testing.assert_allclose(b[k], a[k], atol=1e-5, err_msg=f"{micro_batch}: {k}")
+        assert_micro_batches_exact(run)
 
     @pytest.mark.parametrize("micro_batch", [0, -1])
     def test_micro_batch_below_one_rejected(self, micro_batch):
