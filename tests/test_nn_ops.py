@@ -238,13 +238,15 @@ class TestConv3d:
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("padding", [0, 1])
+    # ids "1-p": stride 1, padding p, the names these cases had when conv3d also took stride 2
+    @pytest.mark.parametrize("padding", [0, 1], ids=["1-0", "1-1"])
     @pytest.mark.parametrize("cout", [5, 1])
     @pytest.mark.parametrize("chunked", [False, True])
-    def test_item_gradients_independent_of_batch(self, rng, monkeypatch, padding, cout, chunked):
-        """In float32, an item's input gradient has the same bits alone and
-        in a batch of 3, and the kernel gradient adds the items' partials in
-        order: what makes micro-batched training exact."""
+    def test_gradients_in_reference_order(self, rng, monkeypatch, padding, cout, chunked):
+        """Both float32 gradients keep the per-instance reference order: an
+        item's input gradient has the same bits alone and in a batch of 3, and
+        the kernel gradient adds the items' partials in order, which makes
+        micro-batched training exact."""
         if chunked:
             monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", 1)
         x = rng.normal(size=(3, 7, 6, 8, 4)).astype(np.float32)
