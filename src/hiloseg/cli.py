@@ -74,8 +74,8 @@ class RunConfig:
 
     ``epochs`` and ``batch`` of -1 mean the selected model family's default
     (20 epochs / batch 16 for the pyramid models, 200 / 8 for the occupancy
-    models); ``max_steps`` 0 means no cap and ``threads`` 0 defers to
-    HILO_THREADS.
+    models); ``max_steps`` 0 means no cap. ``threads`` is the number of
+    worker threads that segment tiles (at least 1).
     """
 
     subcommand: str = ""
@@ -96,7 +96,7 @@ class RunConfig:
     split: str = "test"
     region_margin: int = 50
     bb_margin: int = 10
-    threads: int = 0
+    threads: int = 1
     oracle_bypass: bool = False
     data_dir: str = ""
     out_dir: str = ""
@@ -127,7 +127,7 @@ class RunConfig:
         for name, minimum in (
             ("micro_batch", 1), ("validate_every", 1), ("smoothing_window", 1),
             ("queue_capacity", 1), ("count", 1), ("max_steps", 0),
-            ("region_margin", 0), ("bb_margin", 0), ("threads", 0), ("seed", 0),
+            ("region_margin", 0), ("bb_margin", 0), ("threads", 1), ("seed", 0),
         ):
             if getattr(self, name) < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
@@ -291,9 +291,13 @@ def _model_config_text(rc: RunConfig) -> str:
 
 
 def load_model(path):
-    """Rebuild (kind, config, model) from a checkpoint file."""
+    """Rebuild (kind, config, model) from a checkpoint file whose config
+    block holds only keys that ``_model_config_text`` writes."""
     kind, text, state, _ = load_checkpoint(path)
     kv = parse_kv_text(text, source=f"{path} config block")
+    unknown = sorted(set(kv) - set(parse_kv_text(_model_config_text(RunConfig()))))
+    if unknown:
+        raise FormatError(f"{path}: unknown keys in the config block: {', '.join(unknown)}")
     try:
         if kind in ("onet-sr", "onet-bb"):
             cfg = kv_to_dataclass(OnetConfig, kv, "onet.")
@@ -324,7 +328,7 @@ def _predict_mask(rc: RunConfig, kind, cfg, model, vol: VoxelVolume,
                   region: BoundingBox | None) -> LabelVolume:
     """Binary prediction over a full volume for any model kind."""
     if kind.startswith("hilo"):
-        return segment_volume(vol, model, cfg, region, threads=rc.threads or None)
+        return segment_volume(vol, model, cfg, region, threads=rc.threads)
     latent = onet_encode(vol, cfg, model)
 
     def decode(coords):

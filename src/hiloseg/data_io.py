@@ -324,8 +324,9 @@ def generate_synthetic(cfg: SynthConfig, count: int) -> list[tuple[VoxelVolume, 
 
 
 def write_dataset(out_dir, cfg: SynthConfig, count: int,
-                  ratios=DEFAULT_SPLIT_RATIOS, split_seed: int | None = None) -> DatasetManifest:
-    """Generate, save, and split a synthetic dataset; returns the manifest."""
+                  ratios=DEFAULT_SPLIT_RATIOS) -> DatasetManifest:
+    """Generate, save, and split (by ``cfg.seed``) a synthetic dataset;
+    returns the manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
@@ -336,7 +337,7 @@ def write_dataset(out_dir, cfg: SynthConfig, count: int,
         save_volume(out_dir / lname, labels)
         # names only, so the manifest is relocatable and independent of out_dir
         records.append(ManifestRecord(vname, lname, "train"))
-    manifest = split_dataset(records, ratios, cfg.seed if split_seed is None else split_seed)
+    manifest = split_dataset(records, ratios, cfg.seed)
     manifest.save(out_dir / "manifest.tsv")
     return manifest
 

@@ -14,7 +14,6 @@ and stop at single-voxel cells instead of meshing the surface.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,20 +21,6 @@ import numpy as np
 
 from .sampling import sample_uniform_coords
 from .voxel import LabelVolume, VoxelVolume, build_pyramid, integral_volume
-
-THREADS_ENV = "HILO_THREADS"
-
-
-def _thread_count(threads=None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -163,28 +148,26 @@ def plan_tiling(region: BoundingBox, w: int) -> TilingPlan:
     return TilingPlan(w, origins)
 
 
-def segment_volume(vol: VoxelVolume, params, cfg, region: BoundingBox | None = None,
-                   threads: int | None = None, plan: TilingPlan | None = None) -> LabelVolume:
-    """Segment a volume by running the window model over a tiling of ``region``.
+def segment_volume(vol: VoxelVolume, model, cfg, region: BoundingBox | None = None,
+                   threads: int = 1, plan: TilingPlan | None = None) -> LabelVolume:
+    """Segment a volume by running a built window model over a tiling of ``region``.
 
-    ``params`` is either a parameter state dict (a model is built from ``cfg``
-    and loaded) or an already-built model object. Voxels outside the region
-    are 0 in the output; output dims always equal input dims. One
-    summed-area table covers the top pyramid level of every tile, clipped
-    to the scan; it is host memory outside the byte meter.
+    ``model`` is a ``HiLoModel`` built for ``cfg``. Voxels outside the
+    region are 0 in the output; output dims always equal input dims. Tiles
+    run on ``threads`` worker threads (at least 1) in the order of ``plan``
+    (by default ``plan_tiling`` of the region); neither changes the result.
+    One summed-area table covers the top pyramid level of every tile,
+    clipped to the scan; it is host memory outside the byte meter.
     """
-    from .models.hilo import HiLoModel, hilo_forward
+    from .models.hilo import hilo_forward
 
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if region is None:
         region = full_region(vol.dims)
     region = region.clamp(vol.dims)
     if region.is_empty:
         return LabelVolume(np.zeros(vol.dims, dtype=np.uint8))
-    if isinstance(params, HiLoModel):
-        model = params
-    else:
-        model = HiLoModel(cfg)
-        model.load_state_dict(params)
     if plan is None:
         plan = plan_tiling(region, cfg.window_size)
     out = np.zeros(vol.dims, dtype=np.uint8)
@@ -219,12 +202,11 @@ def segment_volume(vol: VoxelVolume, params, cfg, region: BoundingBox | None = N
         dst = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
         out[dst] = pred[src]
 
-    n_threads = _thread_count(threads)
-    if n_threads <= 1 or len(plan) <= 1:
+    if threads == 1 or len(plan) <= 1:
         for origin in plan:
             run_tile(origin)
     else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_tile, plan.origins))
     return LabelVolume(out)
 

@@ -5,7 +5,9 @@ level covering a d-times larger region at d-times coarser resolution. Every
 level gets its own encoder (independent weights, identical architecture);
 the per-level encodings are concatenated and decoded either into a dense
 probability grid over the level-0 window (grid decoder) or into per-query
-occupancies at window-local coordinates (coordinate decoder).
+occupancies at window-local coordinates (coordinate decoder). The coordinate
+decoder is the occupancy network's decoder (``OnetDecoder``) with SELU,
+conditioned by concatenating the flattened level encodings onto each query.
 
 Convolutional blocks standardize each window over its own space and channels
 (``nn.ElementNorm``); the coordinate decoder scales each channel by its root
@@ -24,8 +26,8 @@ import numpy as np
 from .. import nn
 from ..nn import functional as F
 from ..rng import make_rng
-from ..sampling import CoordinateBatch
 from ..voxel import Pyramid
+from .onet import OnetDecoder
 
 _INIT_STREAM = 22
 
@@ -150,32 +152,6 @@ class HiLoGridDecoder(nn.Module):
         return F.reshape(out, (b, d, hh, w))
 
 
-class HiLoCoordDecoder(nn.Module):
-    """Per-coordinate classifier on concat(window coords, encodings)."""
-
-    def __init__(self, cfg: HiLoConfig, encoding_dim: int, rng, dtype=np.float32):
-        H = cfg.decoder_hidden
-        self.reference = nn.ReferencePoints(dtype=dtype)
-        ref = len(self.reference)
-        self.input = nn.Dense(3 + encoding_dim, H, rng, dtype)
-        self.blocks = [
-            nn.ResidualBlockFC(H, H, rng, ref, activation=F.selu, dtype=dtype)
-            for _ in range(cfg.onet_decoder_blocks)
-        ]
-        self.final_norm = nn.PointNorm(H, ref, dtype=dtype)
-        self.head = nn.Dense(H, 1, rng, dtype, zero_init=True)
-
-    def __call__(self, coords01, encoding):
-        b, n, _ = coords01.data.shape
-        coords01 = self.reference.append(coords01)
-        h = self.input(F.concat([coords01, F.repeat_middle(encoding, n + len(self.reference))],
-                                axis=-1))
-        for block in self.blocks:
-            h = block(h)
-        out = F.sigmoid(F.slice_middle(self.head(F.selu(self.final_norm(h))), n))
-        return F.reshape(out, (b, n))
-
-
 class HiLoModel(nn.Module):
     def __init__(self, cfg: HiLoConfig, seed: int = 0, dtype=np.float32):
         rng = make_rng(seed, _INIT_STREAM)
@@ -185,13 +161,10 @@ class HiLoModel(nn.Module):
         if cfg.decoder == "cnn":
             self.decoder = HiLoGridDecoder(cfg, rng, dtype)
         else:
-            side = cfg.window_size
-            for pool in coordinate_pool_schedule(cfg.window_size, cfg.encoder_blocks):
-                if pool:
-                    side //= 2
-            self.decoder = HiLoCoordDecoder(
-                cfg, cfg.levels * side**3 * cfg.base_channels, rng, dtype
-            )
+            side = cfg.window_size >> sum(self.encoders[0].pools)
+            self.decoder = OnetDecoder(cfg.levels * side**3 * cfg.base_channels,
+                                       cfg.decoder_hidden, cfg.onet_decoder_blocks, "concat",
+                                       F.selu, rng, dtype)
 
     def forward_batch(self, level_inputs, coords01=None) -> nn.Tensor:
         """Levels are (B, w, w, w, 1) tensors, one per pyramid level."""
@@ -210,29 +183,18 @@ class HiLoModel(nn.Module):
         return self.decoder(coords01, merged)
 
 
-def pyramid_to_tensors(pyr: Pyramid, dtype=np.float32) -> list[nn.Tensor]:
-    return [nn.Tensor(level.data[None, :, :, :, None].astype(dtype)) for level in pyr.levels]
-
-
-def hilo_forward(pyr: Pyramid, cfg: HiLoConfig, params, coords=None) -> np.ndarray:
-    """Evaluate one pyramid without recording a tape.
+def hilo_forward(pyr: Pyramid, cfg: HiLoConfig, model: HiLoModel, coords=None) -> np.ndarray:
+    """Evaluate one pyramid on a built model without recording a tape.
 
     Returns a (w, w, w) probability grid for the grid decoder, or per-query
-    probabilities at window-local integer coordinates for the coordinate
-    decoder. ``params`` is a state dict or an already-built model.
+    probabilities at an (n, 3) array of window-local integer coordinates
+    for the coordinate decoder.
     """
     if pyr.level_count != cfg.levels:
         raise ValueError(f"pyramid has {pyr.level_count} levels, config expects {cfg.levels}")
-    if isinstance(params, HiLoModel):
-        model = params
-    else:
-        model = HiLoModel(cfg)
-        model.load_state_dict(params)
-    levels = pyramid_to_tensors(pyr, model.dtype)
+    levels = [nn.Tensor(lv.data[None, :, :, :, None].astype(model.dtype)) for lv in pyr.levels]
     coords01 = None
     if coords is not None:
-        if isinstance(coords, CoordinateBatch):
-            coords = coords.coords
         coords01 = nn.Tensor(
             np.asarray(coords, dtype=model.dtype)[None] / float(cfg.window_size)
         )

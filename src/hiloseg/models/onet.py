@@ -10,7 +10,8 @@ The encoder is a small convolutional residual network ending in a fixed
 adaptive pooling, so one parameter set accepts any input dims. The decoder
 is a per-coordinate MLP conditioned on the encoder's latent either through
 conditional point normalization (``nn.ConditionalPointNorm``) or by
-concatenating the (repeated) latent onto each coordinate.
+concatenating the (repeated) latent onto each coordinate; the window-pyramid
+models reuse it as their coordinate decoder.
 
 Every normalization takes its statistics from one batch element alone: the
 encoder's from the whole element, the decoder's per channel from a fixed
@@ -30,7 +31,6 @@ from .. import nn
 from ..inference import BoundingBox
 from ..nn import functional as F
 from ..rng import make_rng
-from ..sampling import CoordinateBatch
 from ..voxel import VoxelVolume, average_pool
 
 _INIT_STREAM = 21
@@ -91,8 +91,6 @@ class LatentCode:
 
 def normalize_coords(coords, dims) -> np.ndarray:
     """Map integer voxel coordinates onto [0, 1]^3 by per-axis division."""
-    if isinstance(coords, CoordinateBatch):
-        coords = coords.coords
     coords = np.asarray(coords, dtype=np.float32)
     return coords / np.asarray(dims, dtype=np.float32)
 
@@ -141,26 +139,27 @@ class OnetEncoder(nn.Module):
 
 
 class OnetDecoder(nn.Module):
-    """Per-coordinate MLP classifier conditioned on a latent vector."""
+    """Per-coordinate MLP classifier conditioned on one ``cond_dim`` vector
+    per batch element, by ``"cbn"`` or ``"concat"`` conditioning."""
 
-    def __init__(self, cfg: OnetConfig, rng, dtype=np.float32):
-        H, L = cfg.decoder_hidden, cfg.latent_dim
-        self.cbn = cfg.conditioning == "cbn"
-        cond_dim = L if self.cbn else None
+    def __init__(self, cond_dim: int, hidden: int, blocks: int, conditioning: str, activation,
+                 rng, dtype=np.float32):
+        self.cbn = conditioning == "cbn"
+        self.activation = activation
         self.reference = nn.ReferencePoints(dtype=dtype)
         ref = len(self.reference)
-        self.input = nn.Dense(3 if self.cbn else 3 + L, H, rng, dtype)
+        self.input = nn.Dense(3 if self.cbn else 3 + cond_dim, hidden, rng, dtype)
         self.blocks = [
-            nn.ResidualBlockFC(H, H, rng, ref, activation=F.leaky_relu, cond_dim=cond_dim,
-                               dtype=dtype)
-            for _ in range(cfg.decoder_blocks)
+            nn.ResidualBlockFC(hidden, hidden, rng, ref, activation=activation,
+                               cond_dim=cond_dim if self.cbn else None, dtype=dtype)
+            for _ in range(blocks)
         ]
         if self.cbn:
-            self.final_norm = nn.ConditionalPointNorm(H, L, rng, ref, dtype=dtype)
+            self.final_norm = nn.ConditionalPointNorm(hidden, cond_dim, rng, ref, dtype=dtype)
         else:
-            self.final_norm = nn.PointNorm(H, ref, dtype=dtype)
+            self.final_norm = nn.PointNorm(hidden, ref, dtype=dtype)
         # zero logits at initialization: every coordinate starts at 0.5
-        self.head = nn.Dense(H, 1, rng, dtype, zero_init=True)
+        self.head = nn.Dense(hidden, 1, rng, dtype, zero_init=True)
 
     def __call__(self, coords01, latent):
         b, n, _ = coords01.data.shape
@@ -175,7 +174,7 @@ class OnetDecoder(nn.Module):
         for block in self.blocks:
             h = block(h, cond)
         h = self.final_norm(h, cond) if self.cbn else self.final_norm(h)
-        out = F.sigmoid(F.slice_middle(self.head(F.leaky_relu(h)), n))
+        out = F.sigmoid(F.slice_middle(self.head(self.activation(h)), n))
         return F.reshape(out, (b, n))
 
 
@@ -185,69 +184,46 @@ class OnetModel(nn.Module):
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         self.encoder = OnetEncoder(cfg, rng, dtype)
-        self.decoder = OnetDecoder(cfg, rng, dtype)
-
-    def encode(self, vols) -> nn.Tensor:
-        return self.encoder(vols)
-
-    def decode(self, coords01, latent) -> nn.Tensor:
-        return self.decoder(coords01, latent)
+        self.decoder = OnetDecoder(cfg.latent_dim, cfg.decoder_hidden, cfg.decoder_blocks,
+                                   cfg.conditioning, F.leaky_relu, rng, dtype)
 
     def __call__(self, vols, coords01) -> nn.Tensor:
-        return self.decode(coords01, self.encode(vols))
+        return self.decoder(coords01, self.encoder(vols))
 
 
-def _as_model(params, cfg: OnetConfig) -> OnetModel:
-    if isinstance(params, OnetModel):
-        return params
-    model = OnetModel(cfg)
-    model.load_state_dict(params)
-    return model
-
-
-def onet_encode(vol: VoxelVolume, cfg: OnetConfig, params) -> LatentCode:
+def onet_encode(vol: VoxelVolume, cfg: OnetConfig, model: OnetModel) -> LatentCode:
     """Pool a volume by the configured factor and encode it, recording no tape."""
-    model = _as_model(params, cfg)
     pooled = average_pool(vol, cfg.input_downsample) if cfg.input_downsample > 1 else vol
     x = nn.Tensor(pooled.data[None, :, :, :, None].astype(model.dtype))
     with nn.no_grad():
-        z = model.encode(x)
+        z = model.encoder(x)
     return LatentCode(z.data[0])
 
 
-def onet_decode(coords, latent: LatentCode, cfg: OnetConfig, params, dims=None) -> np.ndarray:
-    """Occupancy probabilities for a coordinate query against one latent.
-
-    ``coords`` is either a CoordinateBatch / integer array in the voxel frame
-    (``dims`` required for unit-cube normalization) or a float array already
-    normalized to [0, 1]^3.
-    """
-    model = _as_model(params, cfg)
-    if isinstance(coords, CoordinateBatch) or np.issubdtype(np.asarray(coords).dtype, np.integer):
-        if dims is None:
-            raise ValueError("integer coordinates need dims for normalization")
-        c01 = normalize_coords(coords, dims)
-    else:
-        c01 = np.asarray(coords, dtype=np.float32)
-    if c01.ndim != 2 or c01.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) coordinates, got shape {c01.shape}")
+def onet_decode(coords, latent: LatentCode, cfg: OnetConfig, model: OnetModel,
+                dims) -> np.ndarray:
+    """Occupancy probabilities at (n, 3) integer voxel coordinates of a volume
+    of ``dims`` against one latent, recording no tape."""
+    coords = np.asarray(coords)
+    if coords.ndim != 2 or coords.shape[1] != 3:
+        raise ValueError(f"expected (n, 3) coordinates, got shape {coords.shape}")
+    c01 = normalize_coords(coords, dims)
     z = nn.Tensor(latent.values[None].astype(model.dtype))
     with nn.no_grad():
         parts = [
-            model.decode(nn.Tensor(c01[None, a : a + _DECODE_CHUNK].astype(model.dtype)), z).data[0]
+            model.decoder(nn.Tensor(c01[None, a : a + _DECODE_CHUNK].astype(model.dtype)), z).data[0]
             for a in range(0, max(len(c01), 1), _DECODE_CHUNK)
         ]
     return np.concatenate(parts)
 
 
 def extract_bounding_box(occupied, margin: int = 10, dims=None) -> BoundingBox:
-    """Box around predicted-occupied coordinates, widened by ``margin``.
+    """Box around predicted-occupied voxels, widened by ``margin``.
 
-    Empty input yields the empty box. When ``dims`` is given the result is
-    clamped to the volume bounds.
+    ``occupied`` is a boolean mask or an (n, 3) array of integer
+    coordinates. Empty input yields the empty box. When ``dims`` is given
+    the result is clamped to the volume bounds.
     """
-    if isinstance(occupied, CoordinateBatch):
-        occupied = occupied.coords
     occupied = np.asarray(occupied)
     if occupied.dtype == bool:
         occupied = np.argwhere(occupied)

@@ -29,7 +29,7 @@ from .layers import (
     ResidualBlockConv3d,
     ResidualBlockFC,
 )
-from .optim import Adam, AdamState, adam_step
+from .optim import Adam
 from .tensor import Tensor, memory_meter, no_grad, parameter
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
     "ResidualBlockFC",
     "ResidualBlockConv3d",
     "Adam",
-    "AdamState",
-    "adam_step",
     "conv3d",
     "avg_pool3d",
     "adaptive_avg_pool3d",

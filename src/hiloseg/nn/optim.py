@@ -2,60 +2,46 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .tensor import Tensor, memory_meter
 
 
-@dataclass
-class AdamState:
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-
-
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -> AdamState:
-    """Apply one in-place Adam update to every parameter.
-
-    Moment accumulators are created lazily on the first step so the state can
-    be constructed without knowing parameter shapes.
-    """
-    if len(params) != len(grads):
-        raise ValueError("params and grads must be parallel lists")
-    if not state.m:
-        state.m = [memory_meter.track(np.zeros_like(p.data)) for p in params]
-        state.v = [memory_meter.track(np.zeros_like(p.data)) for p in params]
-    state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.step
-    bc2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            continue
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return state
-
-
 class Adam:
-    """Convenience wrapper binding an AdamState to a fixed parameter list."""
+    """Adam over a fixed parameter list, updating each parameter in place.
+
+    The moment accumulators ``m`` and ``v`` are created on the first step,
+    one per parameter; a parameter without a gradient is skipped.
+    """
 
     def __init__(self, params: list[Tensor], lr: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.steps = 0
+        self.m: list[np.ndarray] = []
+        self.v: list[np.ndarray] = []
 
     def step(self) -> None:
-        adam_step(self.params, [p.grad for p in self.params], self.state)
+        if not self.m:
+            self.m = [memory_meter.track(np.zeros_like(p.data)) for p in self.params]
+            self.v = [memory_meter.track(np.zeros_like(p.data)) for p in self.params]
+        self.steps += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**self.steps
+        bc2 = 1.0 - b2**self.steps
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            if g is None:
+                continue
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -157,10 +157,10 @@ class Tensor:
                 if node is not self:
                     node.data = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def item(self) -> float:
+        """The value of a one-entry tensor."""
+        if self.data.size != 1:
+            raise ValueError(f"item() needs a tensor of one entry, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:

@@ -40,20 +40,20 @@ class QueueEntry:
 class TrainingQueue:
     """Bounded pool of training instances with policy-weighted sampling.
 
-    Draws are sequential and by default with replacement; each draw increments
-    the drawn entry's occurrence count immediately, so later draws within one
-    batch already see the updated weights.
+    Holds at most ``capacity`` entries; ``policy`` (one of ``POLICIES``)
+    weights both the draws and the choice of the entry to evict. Draws are
+    sequential and with replacement; each draw increments the drawn entry's
+    occurrence count immediately, so later draws within one batch already
+    see the updated weights.
     """
 
-    def __init__(self, capacity: int = 512, policy: str = "fifo",
-                 with_replacement: bool = True):
+    def __init__(self, capacity: int = 512, policy: str = "fifo"):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
         self.capacity = capacity
         self.policy = policy
-        self.with_replacement = with_replacement
         self._entries: dict[Any, QueueEntry] = {}
         self._counter = itertools.count()
         self._lock = threading.Lock()
@@ -114,22 +114,12 @@ class TrainingQueue:
         with self._lock:
             if not self._entries:
                 raise ValueError("cannot sample from an empty queue")
-            if not self.with_replacement and batch_size > len(self._entries):
-                raise ValueError(
-                    f"batch of {batch_size} without replacement exceeds queue size {len(self._entries)}"
-                )
+            pool = list(self._entries.values())
             out: list[QueueEntry] = []
-            excluded: set = set()
             for _ in range(batch_size):
-                if self.with_replacement:
-                    pool = list(self._entries.values())
-                else:
-                    pool = [e for i, e in self._entries.items() if i not in excluded]
-                probs = self._weights(pool)
-                entry = pool[int(rng.choice(len(pool), p=probs))]
+                entry = pool[int(rng.choice(len(pool), p=self._weights(pool)))]
                 entry.occurrences += 1  # sequential update: next draw sees it
                 out.append(entry)
-                excluded.add(entry.instance_id)
             return out
 
     def update_hardness(self, instance_id, loss: float) -> None:

@@ -58,15 +58,12 @@ class CoordinateBatch:
 
     coords: np.ndarray  # (n, 3) int64
     labels: np.ndarray  # (n,) uint8
-    resolution_tag: str = "high"
 
     def __post_init__(self) -> None:
         if self.coords.ndim != 2 or self.coords.shape[1] != 3:
             raise ValueError(f"coords must have shape (n, 3), got {self.coords.shape}")
         if self.labels.shape != (self.coords.shape[0],):
             raise ValueError("labels must parallel coords")
-        if self.resolution_tag not in ("high", "low"):
-            raise ValueError(f"resolution_tag must be 'high' or 'low', got {self.resolution_tag!r}")
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -76,7 +73,7 @@ def _flat_to_coords(flat: np.ndarray, dims) -> np.ndarray:
     return np.stack(np.unravel_index(flat, dims), axis=1).astype(np.int64)
 
 
-def sample_uniform_coords(dims, n: int, seed, resolution_tag: str = "high") -> CoordinateBatch:
+def sample_uniform_coords(dims, n: int, seed) -> CoordinateBatch:
     """Draw n i.i.d. uniform coordinates over the grid (labels all zero)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -86,7 +83,6 @@ def sample_uniform_coords(dims, n: int, seed, resolution_tag: str = "high") -> C
     return CoordinateBatch(
         coords=_flat_to_coords(flat, dims),
         labels=np.zeros(n, dtype=np.uint8),
-        resolution_tag=resolution_tag,
     )
 
 
@@ -95,7 +91,6 @@ def sample_biased_coords(
     cfg: SamplerConfig,
     n: int,
     rng: np.random.Generator | None = None,
-    resolution_tag: str = "high",
 ) -> CoordinateBatch:
     """Draw coordinates biased toward the positive voxels.
 
@@ -125,7 +120,6 @@ def sample_biased_coords(
     return CoordinateBatch(
         coords=coords,
         labels=data.reshape(-1)[flat].astype(np.uint8),
-        resolution_tag=resolution_tag,
     )
 
 

@@ -8,7 +8,10 @@ import io
 import pytest
 
 from hiloseg import cli
+from hiloseg.config import config_text
 from hiloseg.data_io import load_manifest, load_volume
+from hiloseg.models import HiLoConfig, HiLoModel
+from hiloseg.nn.checkpoint import save_checkpoint
 
 DIMS = (24, 20, 22)
 
@@ -129,6 +132,19 @@ def test_truncated_checkpoint_is_a_data_error(run):
                         "--checkpoint", truncated, "--out", run["root"] / "truncated")
     assert code == 2
     assert "truncated" in err
+
+
+def test_unreadable_checkpoint_config_is_a_data_error(run):
+    """A config block without the ``hilo.`` prefixes the CLI reads (the form
+    ``config_text(cfg)`` writes) is refused, not loaded with defaults."""
+    cfg = HiLoConfig(window_size=8, threshold=0.3)
+    ckpt = run["root"] / "unprefixed.hckpt"
+    save_checkpoint(ckpt, "hilo-cnn", config_text(cfg), HiLoModel(cfg).state_dict())
+    scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
+    code, _, err = call("segment", "--input", scan, "--checkpoint", ckpt,
+                        "--out", run["root"] / "unprefixed")
+    assert code == 2
+    assert "data error" in err and "window_size" in err
 
 
 def test_divergence_exits_three(run):

@@ -164,13 +164,6 @@ class TestSegmentVolume:
         out = segment_volume(blob_volume, model, cfg, BoundingBox((30, 30, 30), (40, 40, 40)))
         assert not out.data.any()
 
-    def test_state_dict_and_model_agree(self, blob_volume):
-        cfg, model = tiny_hilo()
-        region = BoundingBox((2, 2, 2), (12, 12, 12))
-        a = segment_volume(blob_volume, model, cfg, region)
-        b = segment_volume(blob_volume, model.state_dict(), cfg, region)
-        np.testing.assert_array_equal(a.data, b.data)
-
     def test_tile_order_invariance(self, blob_volume):
         """Shuffled plans must produce bitwise-identical outputs."""
         cfg, model = tiny_hilo()
@@ -189,6 +182,12 @@ class TestSegmentVolume:
         b = segment_volume(blob_volume, model, cfg, threads=3)
         assert 0 < a.data.sum() < a.data.size
         np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_fewer_than_one_thread(self, blob_volume, threads):
+        cfg, model = tiny_hilo()
+        with pytest.raises(ValueError, match="threads"):
+            segment_volume(blob_volume, model, cfg, threads=threads)
 
     def test_shared_table_equals_tile_by_tile_pyramids(self, blob_volume):
         """One summed-area table per call gives the labels of per-tile

@@ -23,7 +23,6 @@ from hiloseg.models import (
     onet_decode,
     onet_encode,
 )
-from hiloseg.sampling import CoordinateBatch
 from hiloseg.voxel import VoxelVolume, average_pool, build_pyramid
 
 TINY_HILO = dict(
@@ -208,13 +207,6 @@ class TestNormalizeCoords:
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, [[0.5, 0.5, 0.0], [1.0, 1.0, 1.0]])
 
-    def test_accepts_coordinate_batch(self):
-        batch = CoordinateBatch(
-            coords=np.array([[2, 2, 2]], dtype=np.int64),
-            labels=np.zeros(1, dtype=np.uint8),
-        )
-        np.testing.assert_allclose(normalize_coords(batch, (4, 4, 4)), [[0.5, 0.5, 0.5]])
-
 
 class TestFreshModelsAnswerHalf:
     """Output heads start at zero weights, so sigmoid gives exactly 0.5."""
@@ -284,15 +276,6 @@ class TestHiLoForward:
         with pytest.raises(ValueError, match="coordinate"):
             hilo_forward(pyr, cfg, HiLoModel(cfg, seed=0))
 
-    def test_state_dict_equals_model(self):
-        cfg = HiLoConfig(**TINY_HILO)
-        vol = random_volume((20, 18, 16))
-        pyr = build_pyramid(vol, (10, 9, 8), cfg.window_size, 2, cfg.levels)
-        model = nudged(HiLoModel(cfg, seed=0), np.random.default_rng(2))
-        np.testing.assert_array_equal(
-            hilo_forward(pyr, cfg, model), hilo_forward(pyr, cfg, model.state_dict())
-        )
-
     def test_batch_matches_singletons(self):
         cfg = HiLoConfig(**TINY_HILO)
         vol = random_volume((30, 28, 26))
@@ -360,6 +343,21 @@ class TestParameterCounts:
         coord = HiLoModel(HiLoConfig(decoder="onet"), seed=0).parameter_count()
         assert 0 < cnn < coord
 
+    @pytest.mark.parametrize("decoder,count,entries", [("cnn", 39_061, 140), ("onet", 99_149, 113)])
+    def test_hilo_count_at_default_config(self, decoder, count, entries):
+        model = HiLoModel(HiLoConfig(decoder=decoder), seed=0)
+        assert model.parameter_count() == count
+        assert len(model.state_dict()) == entries
+
+    def test_hilo_coord_decoder_key_order(self):
+        block = ("norm1.gamma", "norm1.beta", "dense1.w", "norm2.gamma", "norm2.beta",
+                 "dense2.w", "dense2.b")
+        want = (["input.w", "input.b"]
+                + [f"blocks.{i}.{k}" for i in range(3) for k in block]
+                + ["final_norm.gamma", "final_norm.beta", "head.w", "head.b"])
+        decoder = HiLoModel(HiLoConfig(decoder="onet"), seed=0).decoder
+        assert list(decoder.state_dict()) == want
+
 
 class TestOnetEncodeDecode:
     def test_latent_length(self):
@@ -391,67 +389,35 @@ class TestOnetEncodeDecode:
     def test_decode_is_per_point(self, conditioning):
         cfg = OnetConfig(conditioning=conditioning, **TINY_ONET)
         model = nudged(OnetModel(cfg, seed=0), np.random.default_rng(7))
-        lat = onet_encode(random_volume((32, 24, 16)), cfg, model)
-        rng = np.random.default_rng(8)
-        coords = rng.random((16, 3), dtype=np.float32)
-        probs = onet_decode(coords, lat, cfg, model)
+        dims = (32, 24, 16)
+        lat = onet_encode(random_volume(dims), cfg, model)
+        coords = np.random.default_rng(8).integers(0, 16, size=(16, 3))
+        probs = onet_decode(coords, lat, cfg, model, dims)
         assert probs.std() > 0
-        np.testing.assert_allclose(onet_decode(coords[::-1], lat, cfg, model), probs[::-1], atol=1e-6)
-        np.testing.assert_allclose(onet_decode(coords[3:7], lat, cfg, model), probs[3:7], atol=1e-6)
+        np.testing.assert_allclose(onet_decode(coords[::-1], lat, cfg, model, dims), probs[::-1],
+                                   atol=1e-6)
+        np.testing.assert_allclose(onet_decode(coords[3:7], lat, cfg, model, dims), probs[3:7],
+                                   atol=1e-6)
 
     def test_decode_in_chunks_matches_one_pass(self, monkeypatch):
         from hiloseg.models import onet as onet_module
 
         cfg = OnetConfig(**TINY_ONET)
         model = nudged(OnetModel(cfg, seed=0), np.random.default_rng(7))
-        lat = onet_encode(random_volume((32, 24, 16)), cfg, model)
-        coords = np.random.default_rng(8).random((16, 3), dtype=np.float32)
-        whole = onet_decode(coords, lat, cfg, model)
-        monkeypatch.setattr(onet_module, "_DECODE_CHUNK", 5)
-        np.testing.assert_allclose(onet_decode(coords, lat, cfg, model), whole, atol=1e-6)
-        assert onet_decode(coords[:0], lat, cfg, model).shape == (0,)
-
-    def test_input_forms_agree(self):
-        cfg = OnetConfig(**TINY_ONET)
-        model = nudged(OnetModel(cfg, seed=0), np.random.default_rng(9))
         dims = (32, 24, 16)
         lat = onet_encode(random_volume(dims), cfg, model)
-        ints = np.array([[0, 0, 0], [16, 12, 8], [31, 23, 15]], dtype=np.int64)
-        batch = CoordinateBatch(coords=ints, labels=np.zeros(3, dtype=np.uint8))
-        floats = normalize_coords(ints, dims)
-        a = onet_decode(ints, lat, cfg, model, dims=dims)
-        b = onet_decode(batch, lat, cfg, model, dims=dims)
-        c = onet_decode(floats, lat, cfg, model)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a, c)
-
-    def test_integer_coords_need_dims(self):
-        cfg = OnetConfig(**TINY_ONET)
-        model = OnetModel(cfg, seed=0)
-        lat = onet_encode(random_volume((32, 24, 16)), cfg, model)
-        with pytest.raises(ValueError, match="dims"):
-            onet_decode(np.array([[1, 2, 3]]), lat, cfg, model)
+        coords = np.random.default_rng(8).integers(0, 16, size=(16, 3))
+        whole = onet_decode(coords, lat, cfg, model, dims)
+        monkeypatch.setattr(onet_module, "_DECODE_CHUNK", 5)
+        np.testing.assert_allclose(onet_decode(coords, lat, cfg, model, dims), whole, atol=1e-6)
+        assert onet_decode(coords[:0], lat, cfg, model, dims).shape == (0,)
 
     def test_rejects_bad_coordinate_shape(self):
         cfg = OnetConfig(**TINY_ONET)
         model = OnetModel(cfg, seed=0)
         lat = onet_encode(random_volume((32, 24, 16)), cfg, model)
         with pytest.raises(ValueError, match="shape"):
-            onet_decode(np.zeros((4, 2), dtype=np.float32), lat, cfg, model)
-
-    def test_state_dict_equals_model(self):
-        cfg = OnetConfig(**TINY_ONET)
-        model = nudged(OnetModel(cfg, seed=0), np.random.default_rng(10))
-        vol = random_volume((32, 24, 16))
-        lat = onet_encode(vol, cfg, model)
-        coords = np.random.default_rng(11).random((8, 3), dtype=np.float32)
-        np.testing.assert_array_equal(
-            onet_decode(coords, lat, cfg, model),
-            onet_decode(coords, lat, cfg, model.state_dict()),
-        )
-        np.testing.assert_array_equal(
-            lat.values, onet_encode(vol, cfg, model.state_dict()).values
-        )
+            onet_decode(np.zeros((4, 2), dtype=np.int64), lat, cfg, model, (32, 24, 16))
 
 
 class TestExtractBoundingBox:
@@ -478,15 +444,6 @@ class TestExtractBoundingBox:
         box = extract_bounding_box(mask, margin=2, dims=mask.shape)
         want = extract_bounding_box(np.argwhere(mask), margin=2, dims=mask.shape)
         assert box == want
-
-    def test_coordinate_batch_input(self):
-        batch = CoordinateBatch(
-            coords=np.array([[5, 6, 7], [9, 3, 2]], dtype=np.int64),
-            labels=np.ones(2, dtype=np.uint8),
-        )
-        box = extract_bounding_box(batch, margin=1)
-        assert box.min == (4, 2, 1)
-        assert box.max == (10, 7, 8)
 
     def test_empty_input_gives_empty_box(self):
         assert extract_bounding_box(np.zeros((0, 3), dtype=np.int64)).is_empty

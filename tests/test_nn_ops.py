@@ -639,15 +639,15 @@ class TestAdam:
     def test_moments_follow_defaults(self):
         p = nn.parameter(np.array([0.0], dtype=np.float64))
         opt = nn.Adam([p], lr=0.001)
-        assert opt.state.beta1 == 0.9 and opt.state.beta2 == 0.999 and opt.state.eps == 1e-8
+        assert opt.beta1 == 0.9 and opt.beta2 == 0.999 and opt.eps == 1e-8
         g1, g2 = np.array([1.0]), np.array([2.0])
         p.grad = g1
         opt.step()
         p.grad = g2
         opt.step()
-        np.testing.assert_allclose(opt.state.m[0], 0.9 * (0.1 * 1.0) + 0.1 * 2.0, rtol=1e-12)
+        np.testing.assert_allclose(opt.m[0], 0.9 * (0.1 * 1.0) + 0.1 * 2.0, rtol=1e-12)
         np.testing.assert_allclose(
-            opt.state.v[0], 0.999 * (0.001 * 1.0) + 0.001 * 4.0, rtol=1e-12
+            opt.v[0], 0.999 * (0.001 * 1.0) + 0.001 * 4.0, rtol=1e-12
         )
 
 
@@ -694,6 +694,14 @@ class TestModulePlumbing:
 
 
 class TestAutodiffMechanics:
+    def test_item_needs_exactly_one_entry(self):
+        assert nn.Tensor(np.array([[0.25]])).item() == 0.25
+        # the loss ops return one mean per entry: two entries are not one number
+        with pytest.raises(ValueError, match="one entry"):
+            F.bce_loss(nn.Tensor(np.array([0.9, 0.2])), np.array([1.0, 0.0])).item()
+        with pytest.raises(ValueError, match="one entry"):
+            nn.Tensor(np.zeros(0)).item()
+
     def test_no_grad_builds_no_tape(self, rng):
         a = nn.parameter(rng.normal(size=(3,)).astype(np.float32))
         with nn.no_grad():

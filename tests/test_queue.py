@@ -75,15 +75,6 @@ class TestQueueBasics:
         with pytest.raises(KeyError):
             q.update_hardness("b", 0.5)
 
-    def test_without_replacement_draws_distinct(self):
-        q = TrainingQueue(capacity=8, with_replacement=False)
-        for i in range(5):
-            q.push(entry(i))
-        batch = q.sample_batch(5, 0)
-        assert len({e.instance_id for e in batch}) == 5
-        with pytest.raises(ValueError):
-            q.sample_batch(6, 0)
-
 
 class TestEvictionOrder:
     def test_fifo_evicts_insertion_order(self):
