@@ -207,6 +207,8 @@ def onet_decode(coords, latent: LatentCode, cfg: OnetConfig, model: OnetModel,
     coords = np.asarray(coords)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ValueError(f"expected (n, 3) coordinates, got shape {coords.shape}")
+    if not np.issubdtype(coords.dtype, np.integer):
+        raise ValueError(f"expected integer voxel coordinates, got dtype {coords.dtype}")
     c01 = normalize_coords(coords, dims)
     z = nn.Tensor(latent.values[None].astype(model.dtype))
     with nn.no_grad():

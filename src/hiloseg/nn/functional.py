@@ -1,12 +1,18 @@
 """Differentiable ops. Conv tensors are channels-last: (B, D, H, W, C).
 
 Each op computes its forward result with numpy and records a closure that
-pushes vector-Jacobian products into its parents. conv3d builds im2col
-buffers in bounded chunks, in the forward pass and both backward passes, so
-scratch memory stays capped regardless of batch or window size. Its input
-gradient is the correlation of the padded output gradient with the flipped,
-transposed kernel (Dumoulin & Visin 2016), run through the same chunked
-helper as the forward pass.
+pushes vector-Jacobian products into its parents. conv3d lowers to GEMMs on
+slab columns, a partial im2col over the two fast spatial axes (Chellapilla
+et al. 2006; Anderson et al. 2017). A slab row holds one k×k window of all
+channels, k²·C entries. The slab rows of padded planes [d0, d1 + k - 1),
+copied once, hold the columns of output planes [d0, d1) for each slow-axis
+offset a as one contiguous row block, a planes down, so a chunk of output
+planes costs one copy and k GEMMs. Chunks are sized to
+``CONV_SCRATCH_BYTES`` in the forward pass and both backward passes, so
+scratch stays capped regardless of batch or window size, and small enough
+to stay in cache. The input gradient is the correlation of the padded
+output gradient with the flipped, transposed kernel (Dumoulin & Visin
+2016), run through the same chunked helper as the forward pass.
 
 The trainers split a batch into micro-batches to bound memory, and the
 result must not depend on the split: a 1e-7 change in a gradient can grow
@@ -15,21 +21,24 @@ per-instance reduction contract:
 
 - What an op computes for one batch instance comes from that instance's
   data alone, through array shapes that do not depend on the batch size.
-  conv3d loops over items, and its chunks of output planes depend on
-  ``CONV_SCRATCH_BYTES`` only.
+  conv3d loops over items, and its chunks of output planes depend on an
+  item's shape and ``CONV_SCRATCH_BYTES`` only.
 - An op whose parameter gradient sums over batch axis 0 (matmul's weight,
   a bias or scale broadcast by ``add`` or ``mul``, conv3d's kernel) adds one
   partial per instance straight into the parameter's gradient, in instance
   order. The sum is (((g0 + g1) + g2) + ...) under every split, a fixed
   association (Demmel & Nguyen 2013). It holds for leaves that one op uses
   once per forward pass, which is how every model uses its parameters.
-- The im2col matrix stays C-contiguous (rows, k³·C), used as ``col @ w2d``
-  and ``col.T @ gb``. OpenBLAS rounds some of these products differently
-  when only the operands' storage order changes.
+- The slab columns stay C-contiguous (rows, k²·C), used per offset a in a
+  fixed order as ``col[rows_a] @ wk[a]`` and ``col[rows_a].T @ gb``.
+  OpenBLAS rounds some of these products differently when only the
+  operands' storage order changes.
 
-The byte meter counts conv3d's padded copies, its outputs and the columns
-of its input-gradient pass. The columns of the forward and weight-gradient
-passes are not counted.
+The byte meter counts conv3d's padded copies, its outputs and the slab
+columns of its input-gradient pass, one chunk at a time; the input
+gradient becomes the input's gradient without a copy when it has none
+yet. The slab columns of the forward and weight-gradient passes are not
+counted.
 """
 
 from __future__ import annotations
@@ -38,8 +47,8 @@ import numpy as np
 
 from .tensor import Tensor, make_node, memory_meter
 
-# Upper bound on transient im2col scratch per chunk.
-CONV_SCRATCH_BYTES = 4 << 20
+# Upper bound on the slab columns of one chunk, small enough to stay in L2.
+CONV_SCRATCH_BYTES = 512 << 10
 
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
@@ -224,46 +233,59 @@ def _padded(src: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def _windows(xp: np.ndarray, k: int) -> np.ndarray:
-    """Every k³ window of C-contiguous ``xp`` as one strided view,
-    (B, od, oh, ow, k, k, k, C): a row of im2col per output voxel."""
+def _slabs(xp: np.ndarray, k: int) -> np.ndarray:
+    """The k×k windows over the two fast axes of C-contiguous ``xp``, for
+    every padded plane, as one strided view (B, D, oh, ow, k, k, C): a plane
+    of slab rows, k²·C entries each, per input plane."""
     b, d, h, w, c = xp.shape
     sb, sd, sh, sw, sc = xp.strides
-    shape = (b, d - k + 1, h - k + 1, w - k + 1, k, k, k, c)
-    return np.ndarray(shape, xp.dtype, xp, 0, (sb, sd, sh, sw, sd, sh, sw, sc))
+    shape = (b, d, h - k + 1, w - k + 1, k, k, c)
+    return np.ndarray(shape, xp.dtype, xp, 0, (sb, sd, sh, sw, sh, sw, sc))
 
 
-def _plane_chunks(win: np.ndarray):
-    """[d0, d1) ranges of output planes whose columns fit ``CONV_SCRATCH_BYTES``."""
-    od, oh, ow = win.shape[1:4]
-    row_bytes = win[0, 0, 0, 0].nbytes
-    d_step = max(1, min(od, CONV_SCRATCH_BYTES // row_bytes // (oh * ow)))
+def _plane_chunks(slab: np.ndarray, k: int):
+    """[d0, d1) ranges of output planes whose d1 - d0 + k - 1 slab planes fit
+    ``CONV_SCRATCH_BYTES``, at least one output plane each."""
+    od = slab.shape[1] - k + 1
+    plane_bytes = slab[0, 0].size * slab.itemsize
+    d_step = max(1, min(od, CONV_SCRATCH_BYTES // plane_bytes - (k - 1)))
     return [(d0, min(d0 + d_step, od)) for d0 in range(0, od, d_step)]
 
 
-def _col(win: np.ndarray, bi: int, d0: int, d1: int, metered: bool = False) -> np.ndarray:
-    """im2col rows of output planes [d0, d1) of item bi, C-contiguous
-    (rows, k³·C). ``metered`` allocates them where the byte meter sees them;
-    otherwise ``reshape`` copies into an array the meter never counts."""
-    block = win[bi, d0:d1]
+def _col(slab: np.ndarray, bi: int, d0: int, d1: int, k: int, metered: bool = False) -> np.ndarray:
+    """Slab rows of planes [d0, d1 + k - 1) of item bi, the columns of output
+    planes [d0, d1), C-contiguous (planes·oh·ow, k²·C). Rows
+    [a·oh·ow, a·oh·ow + (d1 - d0)·oh·ow) are the columns of slow-axis offset
+    a. ``metered`` allocates them where the byte meter sees them; otherwise
+    ``reshape`` copies into an array the meter never counts."""
+    block = slab[bi, d0 : d1 + k - 1]
     shape = (block.shape[0] * block.shape[1] * block.shape[2], block[0, 0, 0].size)
     if not metered:
         return block.reshape(shape)
-    col = memory_meter.track(np.empty(shape, win.dtype))
+    col = memory_meter.track(np.empty(shape, slab.dtype))
     col.reshape(block.shape)[...] = block
     return col
 
 
-def _correlate(xp: np.ndarray, w2d: np.ndarray, k: int, metered: bool) -> np.ndarray:
-    """Valid cross-correlation of padded ``xp`` with the (k³·C, Cout) kernel
-    matrix ``w2d``, item by item and chunk by chunk."""
-    win = _windows(xp, k)
-    b, od, oh, ow = win.shape[:4]
-    out = memory_meter.track(np.empty((b, od, oh, ow, w2d.shape[1]), dtype=xp.dtype))
-    chunks = _plane_chunks(win)
+def _correlate(xp: np.ndarray, wk: np.ndarray, metered: bool) -> np.ndarray:
+    """Valid cross-correlation of padded ``xp`` with the kernel ``wk``
+    reshaped to (k, k²·C, Cout), item by item and chunk by chunk: one GEMM
+    per slow-axis offset on a contiguous row block of the chunk's slab."""
+    k, cout = wk.shape[0], wk.shape[2]
+    slab = _slabs(xp, k)
+    b, dp, oh, ow = slab.shape[:4]
+    plane = oh * ow
+    out = memory_meter.track(np.empty((b, dp - k + 1, oh, ow, cout), dtype=xp.dtype))
+    chunks = _plane_chunks(slab, k)
     for bi in range(b):
         for d0, d1 in chunks:
-            out[bi, d0:d1] = (_col(win, bi, d0, d1, metered) @ w2d).reshape(d1 - d0, oh, ow, -1)
+            col = _col(slab, bi, d0, d1, k, metered)
+            n = (d1 - d0) * plane
+            acc = col[:n] @ wk[0]
+            for a in range(1, k):
+                acc += col[a * plane : a * plane + n] @ wk[a]
+            del col  # one chunk's columns alive at a time
+            out[bi, d0:d1] = acc.reshape(d1 - d0, oh, ow, cout)
     return out
 
 
@@ -286,22 +308,31 @@ def conv3d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
 
     cin, cout = w.data.shape[3:]
     p = padding
-    out = _correlate(_padded(x.data, p), w.data.reshape(-1, cout), k, metered=False)
+    out = _correlate(_padded(x.data, p), w.data.reshape(k, -1, cout), metered=False)
 
     def bw(g):
         if w.requires_grad or w._parents:
-            win = _windows(_padded(x.data, p), k)
-            chunks = _plane_chunks(win)
+            slab = _slabs(_padded(x.data, p), k)
+            plane = slab.shape[2] * slab.shape[3]
+            chunks = _plane_chunks(slab, k)
             for bi in range(g.shape[0]):
-                dw = np.zeros((k**3 * cin, cout), dtype=g.dtype)
+                dw = np.zeros((k, k * k * cin, cout), dtype=g.dtype)
                 for d0, d1 in chunks:
-                    dw += _col(win, bi, d0, d1).T @ g[bi, d0:d1].reshape(-1, cout)
+                    col = _col(slab, bi, d0, d1, k)
+                    gb = g[bi, d0:d1].reshape(-1, cout)
+                    for a in range(k):
+                        dw[a] += col[a * plane : a * plane + len(gb)].T @ gb
+                    del col
                 w.accumulate_grad(dw.reshape(w.data.shape))
-            del win  # frees the padded input before the input-gradient pass
+            del slab  # frees the padded input before the input-gradient pass
         if x.requires_grad or x._parents:
             # the transposed convolution: flipped offsets, Cout and Cin swapped
             wt = np.ascontiguousarray(w.data[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3))
-            x.accumulate_grad(_correlate(_padded(g, k - 1 - p), wt.reshape(-1, cin), k, metered=True))
+            dx = _correlate(_padded(g, k - 1 - p), wt.reshape(k, -1, cin), metered=True)
+            if x.grad is None and dx.dtype == x.dtype:
+                x.grad = dx  # fresh, metered, of x's shape: no copy to make
+            else:
+                x.accumulate_grad(dx)
 
     return make_node(out, (x, w), bw)
 
@@ -433,10 +464,10 @@ def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...], ref: int | N
     condition concatenated onto each point) survives.
     """
     if ref is None:
-        mean = x.data.mean(axis=axes, keepdims=True)
-        var = x.data.var(axis=axes, keepdims=True)
+        xc = x.data - x.data.mean(axis=axes, keepdims=True)
+        var = (xc * xc).mean(axis=axes, keepdims=True)  # np.var's own steps, bit for bit
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean) * inv
+        xhat = xc * inv
     else:
         src = x.data[:, -ref:]
         var = (src * src).mean(axis=axes, keepdims=True)

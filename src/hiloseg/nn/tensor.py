@@ -8,9 +8,9 @@ forward passes in ``no_grad()`` so no tape (and no activation cache) is built.
 Arrays this core allocates register with a byte meter, which is how the
 training-memory bound is measured: the meter's peak is the analog of device
 memory (parameters, gradients, optimizer moments, activations, conv3d's
-padded copies and the columns of its input-gradient pass), deliberately
+padded copies and the slab columns of its input-gradient pass), deliberately
 excluding host-side dataset storage. Only arrays that own their memory are
-counted, so scratch that numpy returns as a view of a fresh copy (the
+counted, so scratch that numpy returns as a view of a fresh copy (the slab
 columns ``reshape`` builds in conv3d's forward and weight-gradient passes)
 is not.
 """

@@ -419,6 +419,15 @@ class TestOnetEncodeDecode:
         with pytest.raises(ValueError, match="shape"):
             onet_decode(np.zeros((4, 2), dtype=np.int64), lat, cfg, model, (32, 24, 16))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, bool])
+    def test_rejects_non_integer_coordinates(self, dtype):
+        """Unit-cube floats would be divided by ``dims`` a second time."""
+        cfg = OnetConfig(**TINY_ONET)
+        model = OnetModel(cfg, seed=0)
+        lat = onet_encode(random_volume((32, 24, 16)), cfg, model)
+        with pytest.raises(ValueError, match="integer"):
+            onet_decode(np.zeros((4, 3), dtype=dtype), lat, cfg, model, (32, 24, 16))
+
 
 class TestExtractBoundingBox:
     def test_margin_example(self):

@@ -62,6 +62,19 @@ def naive_conv3d_grads(x, w, g, padding=0):
     return dxp[:, p : p + d, p : p + h, p : p + wd], dw
 
 
+def set_conv_chunks(monkeypatch, chunks, x, padding, k=3):
+    """Cap conv3d's scratch for input ``x``: "whole" leaves the cap, "plane"
+    gives one output plane per chunk, and "pair" gives the forward and
+    weight-gradient passes k + 1 slab planes, two output planes, per chunk,
+    so the last chunk is ragged when the output depth is odd."""
+    if chunks == "plane":
+        monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", 1)
+    elif chunks == "pair":
+        oh, ow = (n + 2 * padding - k + 1 for n in x.shape[2:4])
+        slab_plane = oh * ow * k * k * x.shape[4] * x.itemsize
+        monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", (k + 1) * slab_plane)
+
+
 def conv3d_grads(x, w, g, padding=0):
     """Input and weight gradients of conv3d for output gradient ``g``."""
     xt = nn.Tensor(x.copy(), requires_grad=True)
@@ -224,33 +237,34 @@ class TestConv3d:
         small = F.conv3d(nn.Tensor(x), nn.Tensor(w), padding=1).data
         np.testing.assert_array_equal(big, small)
 
+    # ids "5"/"1" (Cout) and "False"/"True" (whole items / one plane per
+    # chunk) are the names these cases had before Cin and the pair chunks varied
     @pytest.mark.parametrize("padding", [0, 1])
-    @pytest.mark.parametrize("cout", [5, 1])
-    @pytest.mark.parametrize("chunked", [False, True])
-    def test_gradients_match_plain_loops(self, rng, monkeypatch, padding, cout, chunked):
-        if chunked:
-            monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", 1)  # one output plane per chunk
-        x = rng.normal(size=(2, 5, 4, 6, 3))
-        w = rng.normal(size=(3, 3, 3, 3, cout))
+    @pytest.mark.parametrize("cin, cout", [(3, 5), (3, 1), (1, 5)], ids=["5", "1", "stem"])
+    @pytest.mark.parametrize("chunks", ["whole", "plane", "pair"], ids=["False", "True", "pair"])
+    def test_gradients_match_plain_loops(self, rng, monkeypatch, padding, cin, cout, chunks):
+        x = rng.normal(size=(2, 5, 4, 6, cin))
+        w = rng.normal(size=(3, 3, 3, cin, cout))
+        set_conv_chunks(monkeypatch, chunks, x, padding)
         g = rng.normal(size=F.conv3d(nn.Tensor(x), nn.Tensor(w), padding=padding).shape)
         got = conv3d_grads(x, w, g, padding)
         want = naive_conv3d_grads(x, w, g, padding)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
-    # ids "1-p": stride 1, padding p, the names these cases had when conv3d also took stride 2
+    # ids "1-p": stride 1, padding p, the names these cases had when conv3d
+    # also took stride 2; the other ids as in test_gradients_match_plain_loops
     @pytest.mark.parametrize("padding", [0, 1], ids=["1-0", "1-1"])
-    @pytest.mark.parametrize("cout", [5, 1])
-    @pytest.mark.parametrize("chunked", [False, True])
-    def test_gradients_in_reference_order(self, rng, monkeypatch, padding, cout, chunked):
+    @pytest.mark.parametrize("cin, cout", [(4, 5), (4, 1), (1, 5)], ids=["5", "1", "stem"])
+    @pytest.mark.parametrize("chunks", ["whole", "plane", "pair"], ids=["False", "True", "pair"])
+    def test_gradients_in_reference_order(self, rng, monkeypatch, padding, cin, cout, chunks):
         """Both float32 gradients keep the per-instance reference order: an
         item's input gradient has the same bits alone and in a batch of 3, and
         the kernel gradient adds the items' partials in order, which makes
         micro-batched training exact."""
-        if chunked:
-            monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", 1)
-        x = rng.normal(size=(3, 7, 6, 8, 4)).astype(np.float32)
-        w = rng.normal(size=(3, 3, 3, 4, cout)).astype(np.float32)
+        x = rng.normal(size=(3, 7, 6, 8, cin)).astype(np.float32)
+        w = rng.normal(size=(3, 3, 3, cin, cout)).astype(np.float32)
+        set_conv_chunks(monkeypatch, chunks, x, padding)
         g = rng.normal(size=F.conv3d(nn.Tensor(x), nn.Tensor(w), padding=padding).shape)
         g = g.astype(np.float32)
         dx, dw = conv3d_grads(x, w, g, padding)
@@ -270,6 +284,22 @@ class TestConv3d:
         small = conv3d_grads(x, w, g, padding=1)
         for got, want in zip(small, big):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_plane_chunks_cover_each_output_plane_once(self, monkeypatch, k):
+        """Chunks tile the output planes in order, and a chunk of more than one
+        output plane copies at most ``CONV_SCRATCH_BYTES`` of slab rows."""
+        h, w = 7, 6
+        for d, c, cap in itertools.product((k, k + 1, 9, 16), (1, 6), (1, 5000, 40000, 1 << 30)):
+            monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", cap)
+            slab = F._slabs(np.zeros((2, d, h, w, c), np.float32), k)
+            chunks = F._plane_chunks(slab, k)
+            assert [z for d0, d1 in chunks for z in range(d0, d1)] == list(range(d - k + 1))
+            for d0, d1 in chunks:
+                col = F._col(slab, 1, d0, d1, k)
+                rows = (d1 - d0 + k - 1) * (h - k + 1) * (w - k + 1)
+                assert col.shape == (rows, k * k * c)
+                assert d1 - d0 == 1 or col.nbytes <= cap
 
     def test_backward_scratch_stays_capped(self, rng, monkeypatch):
         """The meter's peak over forward and backward is the arrays conv3d
@@ -763,6 +793,17 @@ class TestAutodiffMechanics:
             x.var(axis=axes, keepdims=True) + 1e-5
         )
         np.testing.assert_allclose(node.data, want, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_standardize_has_the_bits_of_np_var(self, rng, dtype):
+        """The variance taken from the centred array equals ``np.var`` bit for
+        bit, all-zero elements included."""
+        for shape, axes in [((3, 50, 64), (1, 2)), ((4, 6, 5, 7, 3), (1, 2, 3, 4)), ((2, 9, 8), (2,))]:
+            x = rng.normal(loc=2.0, scale=3.0, size=shape).astype(dtype)
+            x[0] = 0
+            node = F.batch_standardize(nn.Tensor(x), 1e-5, axes)
+            inv = 1.0 / np.sqrt(x.var(axis=axes, keepdims=True) + 1e-5)
+            np.testing.assert_array_equal(node.data, (x - x.mean(axis=axes, keepdims=True)) * inv)
 
     def test_batch_standardize_by_reference_entries(self, rng):
         """With ``ref``, every entry is scaled by the root mean square of the
