@@ -1,7 +1,23 @@
 """Differentiable ops. Conv tensors are channels-last: (B, D, H, W, C).
 
 Each op computes its forward result with numpy and records a closure that
-pushes vector-Jacobian products into its parents. conv3d lowers to GEMMs on
+pushes vector-Jacobian products into its parents' graph nodes. A closure
+captures those nodes and only the arrays its backward reads, never a
+tensor, so the tape keeps:
+
+- conv3d: its input (for the kernel gradient) and kernel (for the input
+  gradient), each only when the other gradient is wanted; matmul and mul
+  likewise their operands;
+- batch_standardize: its output ``xhat`` and inverse scale ``inv``;
+- sigmoid, selu and leaky_relu: their output, not their input;
+- the losses: their prediction (a sigmoid output, which the sigmoid keeps
+  anyway) and target;
+- add, scale, reshape, concat, pooling, upsampling, padding, slicing and
+  the reductions: shapes only.
+
+A closure that allocates a gradient for one parent passes it with
+``fresh=True``, and it becomes that parent's first gradient without a copy
+(``Tensor.accumulate_grad``). conv3d lowers to GEMMs on
 slab columns, a partial im2col over the two fast spatial axes (Chellapilla
 et al. 2006; Anderson et al. 2017). A slab row holds one k×k window of all
 channels, k²·C entries. The slab rows of padded planes [d0, d1 + k - 1),
@@ -35,13 +51,13 @@ per-instance reduction contract:
   operands' storage order changes.
 
 The byte meter counts conv3d's padded copies, its outputs and the slab
-columns of its input-gradient pass, one chunk at a time; the input
-gradient becomes the input's gradient without a copy when it has none
-yet. The slab columns of the forward and weight-gradient passes are not
-counted.
+columns of its input-gradient pass, one chunk at a time. The slab columns
+of the forward and weight-gradient passes are not counted.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -72,50 +88,59 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _accumulate_unbroadcast(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` summed down to t's shape into t's gradient; a sum over the
-    batch axis goes in one partial per instance (module docstring)."""
-    shape = t.data.shape
+def _accumulate_unbroadcast(node: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` summed down to the node's shape into its gradient; a sum
+    over the batch axis goes in one partial per instance (module docstring).
+    ``fresh`` as in ``Tensor.accumulate_grad``; a sum is always fresh."""
+    shape = node.shape
     if g.ndim > len(shape) or (shape and shape[0] != g.shape[0]):
         for i in range(g.shape[0]):
-            t.accumulate_grad(_unbroadcast(g[i : i + 1], shape))
+            gi = g[i : i + 1]
+            part = _unbroadcast(gi, shape)
+            node.accumulate_grad(part, fresh=part is not gi)
     else:
-        t.accumulate_grad(_unbroadcast(g, shape))
+        part = _unbroadcast(g, shape)
+        node.accumulate_grad(part, fresh=fresh or part is not g)
 
 
 def add(a: Tensor, b) -> Tensor:
     b = as_tensor(b, dtype=a.dtype)
     out = a.data + b.data
+    na, nb = a.node, b.node
 
-    def bw(g):
-        if a.requires_grad or a._parents:
-            _accumulate_unbroadcast(a, g)
-        if b.requires_grad or b._parents:
-            _accumulate_unbroadcast(b, g)
+    def bw(g):  # g itself may reach both parents: never fresh
+        if na is not None:
+            _accumulate_unbroadcast(na, g)
+        if nb is not None:
+            _accumulate_unbroadcast(nb, g)
 
-    return make_node(out, (a, b), bw)
+    return make_node(out, (na, nb), bw)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = as_tensor(b, dtype=a.dtype)
     out = a.data * b.data
+    na, nb = a.node, b.node
+    ad = a.data if nb is not None else None
+    bd = b.data if na is not None else None
 
     def bw(g):
-        if a.requires_grad or a._parents:
-            _accumulate_unbroadcast(a, g * b.data)
-        if b.requires_grad or b._parents:
-            _accumulate_unbroadcast(b, g * a.data)
+        if na is not None:
+            _accumulate_unbroadcast(na, g * bd, fresh=True)
+        if nb is not None:
+            _accumulate_unbroadcast(nb, g * ad, fresh=True)
 
-    return make_node(out, (a, b), bw)
+    return make_node(out, (na, nb), bw)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     out = a.data * s
+    na = a.node
 
     def bw(g):
-        a.accumulate_grad(g * s)
+        na.accumulate_grad(g * s, fresh=True)
 
-    return make_node(out, (a,), bw)
+    return make_node(out, (na,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -123,58 +148,66 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     whose leading axes are all 1 (a 1x1x1 convolution's (1, 1, 1, K, M))."""
     mat = b.data.reshape(b.data.shape[-2:])
     out = a.data @ mat
+    na, nb = a.node, b.node
+    ad = a.data if nb is not None else None
+    k, m = mat.shape
 
     def bw(g):
-        if a.requires_grad or a._parents:
-            a.accumulate_grad(g @ mat.T)
-        if b.requires_grad or b._parents:
-            k, m = mat.shape
-            for ai, gi in zip(a.data, g):
-                b.accumulate_grad((ai.reshape(-1, k).T @ gi.reshape(-1, m)).reshape(b.data.shape))
+        if na is not None:
+            na.accumulate_grad(g @ mat.T, fresh=True)
+        if nb is not None:
+            for ai, gi in zip(ad, g):
+                part = ai.reshape(-1, k).T @ gi.reshape(-1, m)
+                nb.accumulate_grad(part if part.shape == nb.shape else part.reshape(nb.shape),
+                                   fresh=True)
 
-    return make_node(out, (a, b), bw)
+    return make_node(out, (na, nb), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
+    na = a.node
 
     def bw(g):
-        a.accumulate_grad(g.reshape(a.data.shape))
+        na.accumulate_grad(g.reshape(na.shape))
 
-    return make_node(out, (a,), bw)
+    return make_node(out, (na,), bw)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     bounds = np.cumsum([0] + sizes)
+    nodes = tuple(t.node for t in tensors)
 
     def bw(g):
-        for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
-            if t.requires_grad or t._parents:
+        for n, lo, hi in zip(nodes, bounds[:-1], bounds[1:]):
+            if n is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                t.accumulate_grad(np.ascontiguousarray(g[tuple(idx)]))
+                n.accumulate_grad(np.ascontiguousarray(g[tuple(idx)]), fresh=True)
 
-    return make_node(out, tuple(tensors), bw)
+    return make_node(out, nodes, bw)
 
 
 def mean_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.mean(), dtype=a.dtype)
+    na, size = a.node, a.data.size
 
     def bw(g):
-        a.accumulate_grad(np.full(a.data.shape, float(g) / a.data.size, dtype=a.dtype))
+        na.accumulate_grad(np.full(na.shape, float(g) / size, dtype=na.dtype), fresh=True)
 
-    return make_node(out, (a,), bw)
+    return make_node(out, (na,), bw)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum(), dtype=a.dtype)
+    na = a.node
 
     def bw(g):
-        a.accumulate_grad(np.full(a.data.shape, float(g), dtype=a.dtype))
+        na.accumulate_grad(np.full(na.shape, float(g), dtype=na.dtype), fresh=True)
 
-    return make_node(out, (a,), bw)
+    return make_node(out, (na,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +220,34 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     if not 0 < slope <= 1:
         raise ValueError(f"leaky_relu slope must be in (0, 1], got {slope}")
     out = np.maximum(x.data, x.data * slope)
+    nx = x.node
 
     def bw(g):
-        x.accumulate_grad(np.where(x.data > 0, g, g * slope))
+        # out > 0 exactly where x > 0
+        nx.accumulate_grad(np.where(out > 0, g, g * slope), fresh=True)
 
-    return make_node(out, (x,), bw)
+    return make_node(out, (nx,), bw)
 
 
 def selu(x: Tensor) -> Tensor:
-    pos = x.data > 0
-    neg = SELU_LAMBDA * SELU_ALPHA * np.expm1(np.minimum(x.data, 0.0))
-    out = np.where(pos, SELU_LAMBDA * x.data, neg)
+    # lambda*max(x, 0) + lambda*alpha*expm1(min(x, 0)) has the bits of
+    # where(x > 0, lambda*x, lambda*alpha*expm1(min(x, 0))): one branch adds
+    # an exact zero, and it builds no data-dependent mask
+    out = np.maximum(x.data, 0.0)
+    out *= SELU_LAMBDA
+    neg = np.expm1(np.minimum(x.data, 0.0))
+    neg *= SELU_LAMBDA * SELU_ALPHA
+    out += neg
+    nx = x.node
 
     def bw(g):
-        # on the negative branch d/dx = lambda*alpha*e^x = out + lambda*alpha
-        x.accumulate_grad(np.where(pos, g * SELU_LAMBDA, g * (neg + SELU_LAMBDA * SELU_ALPHA)))
+        # out > 0 exactly where x > 0; on the negative branch
+        # d/dx = lambda*alpha*e^x = out + lambda*alpha
+        nx.accumulate_grad(
+            np.where(out > 0, g * SELU_LAMBDA, g * (out + SELU_LAMBDA * SELU_ALPHA)), fresh=True
+        )
 
-    return make_node(out, (x,), bw)
+    return make_node(out, (nx,), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -212,11 +256,12 @@ def sigmoid(x: Tensor) -> Tensor:
     out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
     ex = np.exp(x.data[~pos])
     out[~pos] = ex / (1.0 + ex)
+    nx = x.node
 
     def bw(g):
-        x.accumulate_grad(g * out * (1.0 - out))
+        nx.accumulate_grad(g * out * (1.0 - out), fresh=True)
 
-    return make_node(out, (x,), bw)
+    return make_node(out, (nx,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +354,13 @@ def conv3d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     cin, cout = w.data.shape[3:]
     p = padding
     out = _correlate(_padded(x.data, p), w.data.reshape(k, -1, cout), metered=False)
+    nx, nw = x.node, w.node
+    xd = x.data if nw is not None else None  # the kernel gradient reads the input
+    wd = w.data if nx is not None else None  # the input gradient reads the kernel
 
     def bw(g):
-        if w.requires_grad or w._parents:
-            slab = _slabs(_padded(x.data, p), k)
+        if nw is not None:
+            slab = _slabs(_padded(xd, p), k)
             plane = slab.shape[2] * slab.shape[3]
             chunks = _plane_chunks(slab, k)
             for bi in range(g.shape[0]):
@@ -323,18 +371,15 @@ def conv3d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
                     for a in range(k):
                         dw[a] += col[a * plane : a * plane + len(gb)].T @ gb
                     del col
-                w.accumulate_grad(dw.reshape(w.data.shape))
+                nw.accumulate_grad(dw.reshape(nw.shape))
             del slab  # frees the padded input before the input-gradient pass
-        if x.requires_grad or x._parents:
+        if nx is not None:
             # the transposed convolution: flipped offsets, Cout and Cin swapped
-            wt = np.ascontiguousarray(w.data[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3))
+            wt = np.ascontiguousarray(wd[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3))
             dx = _correlate(_padded(g, k - 1 - p), wt.reshape(k, -1, cin), metered=True)
-            if x.grad is None and dx.dtype == x.dtype:
-                x.grad = dx  # fresh, metered, of x's shape: no copy to make
-            else:
-                x.accumulate_grad(dx)
+            nx.accumulate_grad(dx, fresh=True)
 
-    return make_node(out, (x, w), bw)
+    return make_node(out, (nx, nw), bw)
 
 
 def avg_pool3d(x: Tensor, factor: int) -> Tensor:
@@ -349,14 +394,15 @@ def avg_pool3d(x: Tensor, factor: int) -> Tensor:
     f = factor
     od, oh, ow = d // f, h // f, w // f
     out = x.data.reshape(b, od, f, oh, f, ow, f, c).mean(axis=(2, 4, 6))
+    nx = x.node
 
     def bw(g):
         gb = np.broadcast_to(
             g[:, :, None, :, None, :, None, :] / f**3, (b, od, f, oh, f, ow, f, c)
         )
-        x.accumulate_grad(gb.reshape(b, d, h, w, c))
+        nx.accumulate_grad(gb.reshape(b, d, h, w, c))
 
-    return make_node(out, (x,), bw)
+    return make_node(out, (nx,), bw)
 
 
 def upsample_nearest3d(x: Tensor, factor: int) -> Tensor:
@@ -370,11 +416,12 @@ def upsample_nearest3d(x: Tensor, factor: int) -> Tensor:
     out = np.broadcast_to(
         x.data[:, :, None, :, None, :, None, :], (b, d, f, h, f, w, f, c)
     ).reshape(b, d * f, h * f, w * f, c)
+    nx = x.node
 
     def bw(g):
-        x.accumulate_grad(g.reshape(b, d, f, h, f, w, f, c).sum(axis=(2, 4, 6)))
+        nx.accumulate_grad(g.reshape(b, d, f, h, f, w, f, c).sum(axis=(2, 4, 6)), fresh=True)
 
-    return make_node(out, (x,), bw)
+    return make_node(out, (nx,), bw)
 
 
 def _adaptive_bins(n: int, m: int):
@@ -397,15 +444,16 @@ def adaptive_avg_pool3d(x: Tensor, target: tuple[int, int, int]) -> Tensor:
         shape = [1] * out.ndim
         shape[axis] = len(widths)
         out = out / widths.reshape(shape)
+    nx = x.node
 
     def bw(g):
         for axis, (starts, widths) in reversed(list(enumerate(plan, start=1))):
             shape = [1] * g.ndim
             shape[axis] = len(widths)
             g = np.repeat(g / widths.reshape(shape), widths, axis=axis)
-        x.accumulate_grad(np.ascontiguousarray(g))
+        nx.accumulate_grad(np.ascontiguousarray(g), fresh=True)
 
-    return make_node(np.ascontiguousarray(out), (x,), bw)
+    return make_node(np.ascontiguousarray(out), (nx,), bw)
 
 
 def pad_right3d(x: Tensor, target: tuple[int, int, int]) -> Tensor:
@@ -418,11 +466,12 @@ def pad_right3d(x: Tensor, target: tuple[int, int, int]) -> Tensor:
         raise ValueError(f"target {target} smaller than input {(d, h, w)}")
     out = np.zeros((b, td, th, tw, c), dtype=x.data.dtype)
     out[:, :d, :h, :w, :] = x.data
+    nx = x.node
 
     def bw(g):
-        x.accumulate_grad(np.ascontiguousarray(g[:, :d, :h, :w, :]))
+        nx.accumulate_grad(np.ascontiguousarray(g[:, :d, :h, :w, :]), fresh=True)
 
-    return make_node(out, (x,), bw)
+    return make_node(out, (nx,), bw)
 
 
 def repeat_middle(x: Tensor, n: int) -> Tensor:
@@ -431,26 +480,34 @@ def repeat_middle(x: Tensor, n: int) -> Tensor:
         raise ValueError(f"repeat count must be >= 1, got {n}")
     b, c = x.data.shape
     out = np.ascontiguousarray(np.broadcast_to(x.data[:, None, :], (b, n, c)))
+    nx = x.node
 
     def bw(g):
-        x.accumulate_grad(g.sum(axis=1))
+        nx.accumulate_grad(g.sum(axis=1), fresh=True)
 
-    return make_node(out, (x,), bw)
+    return make_node(out, (nx,), bw)
 
 
 def slice_middle(x: Tensor, stop: int) -> Tensor:
     """The first ``stop`` entries of axis 1 of (B, N, C)."""
+    nx = x.node
 
     def bw(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(nx.shape, dtype=nx.dtype)
         full[:, :stop] = g
-        x.accumulate_grad(full)
+        nx.accumulate_grad(full, fresh=True)
 
-    return make_node(np.ascontiguousarray(x.data[:, :stop]), (x,), bw)
+    return make_node(np.ascontiguousarray(x.data[:, :stop]), (nx,), bw)
 
 
 # ---------------------------------------------------------------------------
 # normalization
+
+
+def _mean(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``a.mean(axis=axes, keepdims=True)`` bit for bit: the same pairwise
+    sum divided by the same count, without numpy's Python-level wrapper."""
+    return np.add.reduce(a, axis=axes, keepdims=True) / math.prod(a.shape[ax] for ax in axes)
 
 
 def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...], ref: int | None = None):
@@ -462,40 +519,45 @@ def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...], ref: int | N
     nothing is subtracted: the other entries neither move these statistics
     nor depend on each other, and a shift shared by all entries (such as a
     condition concatenated onto each point) survives.
+
+    The backward keeps the output ``xhat`` and the inverse scale ``inv``,
+    never the input.
     """
     if ref is None:
-        xc = x.data - x.data.mean(axis=axes, keepdims=True)
-        var = (xc * xc).mean(axis=axes, keepdims=True)  # np.var's own steps, bit for bit
+        xc = x.data - _mean(x.data, axes)
+        var = _mean(xc * xc, axes)  # np.var's own steps, bit for bit
         inv = 1.0 / np.sqrt(var + eps)
         xhat = xc * inv
     else:
         src = x.data[:, -ref:]
-        var = (src * src).mean(axis=axes, keepdims=True)
+        var = _mean(src * src, axes)
         inv = 1.0 / np.sqrt(var + eps)
         xhat = x.data * inv
+        count = src.size // var.size  # entries behind each statistic
+    nx = x.node
 
     def bw(g):
         if ref is None:
-            gm = g.mean(axis=axes, keepdims=True)
-            gx = (g * xhat).mean(axis=axes, keepdims=True)
-            x.accumulate_grad(inv * (g - gm - xhat * gx))
+            gm = _mean(g, axes)
+            gx = _mean(g * xhat, axes)
+            nx.accumulate_grad(inv * (g - gm - xhat * gx), fresh=True)
             return
         # each entry's own term; the statistics' term lands on the reference set
-        gx = (g * xhat).sum(axis=axes, keepdims=True) / (src.size // var.size)
+        gx = (g * xhat).sum(axis=axes, keepdims=True) / count
         grad = inv * g
         grad[:, -ref:] -= inv * xhat[:, -ref:] * gx
-        x.accumulate_grad(grad)
+        nx.accumulate_grad(grad, fresh=True)
 
-    return make_node(xhat, (x,), bw)
+    return make_node(xhat, (nx,), bw)
 
 
 # ---------------------------------------------------------------------------
 # losses
 
 
-def _clamped(pred: Tensor):
-    p = np.clip(pred.data, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    mask = (pred.data > PROB_CLAMP) & (pred.data < 1.0 - PROB_CLAMP)
+def _clamped(pred: np.ndarray):
+    p = np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    mask = (pred > PROB_CLAMP) & (pred < 1.0 - PROB_CLAMP)
     return p, mask
 
 
@@ -532,12 +594,13 @@ def bce_loss(pred: Tensor, target) -> Tensor:
     clamped away from {0, 1}."""
     t = np.asarray(target, dtype=pred.dtype)
     loss = _entry_means(elementwise_bce(pred.data, t), pred.dtype)
+    pd, npred = pred.data, pred.node
 
     def bw(g):
-        p, mask = _clamped(pred)
-        pred.accumulate_grad(_entry_grad((p - t) / (p * (1.0 - p)), mask, g))
+        p, mask = _clamped(pd)
+        npred.accumulate_grad(_entry_grad((p - t) / (p * (1.0 - p)), mask, g), fresh=True)
 
-    return make_node(loss, (pred,), bw)
+    return make_node(loss, (npred,), bw)
 
 
 def focal_loss(pred: Tensor, target, gamma: float = 2.0, alpha: float = 0.25) -> Tensor:
@@ -545,15 +608,16 @@ def focal_loss(pred: Tensor, target, gamma: float = 2.0, alpha: float = 0.25) ->
     of axis 0."""
     t = np.asarray(target, dtype=pred.dtype)
     loss = _entry_means(elementwise_focal(pred.data, t, gamma, alpha), pred.dtype)
+    pd, npred = pred.data, pred.node
 
     def bw(g):
         # d/dp_t of -a_t (1-p_t)^g log p_t, then chain through p_t = t*p + (1-t)(1-p).
         # The clamp keeps 1-p_t >= PROB_CLAMP, so the (gamma-1) power stays finite.
-        p, mask = _clamped(pred)
+        p, mask = _clamped(pd)
         p_t = t * p + (1.0 - t) * (1.0 - p)
         a_t = t * alpha + (1.0 - t) * (1.0 - alpha)
         one_m = 1.0 - p_t
         d_pt = a_t * (gamma * one_m ** (gamma - 1.0) * np.log(p_t) - one_m**gamma / p_t)
-        pred.accumulate_grad(_entry_grad(d_pt * (2.0 * t - 1.0), mask, g))
+        npred.accumulate_grad(_entry_grad(d_pt * (2.0 * t - 1.0), mask, g), fresh=True)
 
-    return make_node(loss, (pred,), bw)
+    return make_node(loss, (npred,), bw)

@@ -171,6 +171,30 @@ class TestActivations:
         want = np.where(x > 0, F.SELU_LAMBDA * x, F.SELU_LAMBDA * F.SELU_ALPHA * (np.exp(x) - 1))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_selu_bit_equal_to_where_formula(self, dtype, bits):
+        """The forward has the bits of where(x > 0, lambda*x, lambda*alpha*
+        expm1(min(x, 0))), and the gradient taken from the output those of
+        the gradient taken from the input, on random bit patterns: NaNs,
+        infinities, subnormals and signed zeros included."""
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, np.iinfo(bits).max, 200_000, dtype=bits, endpoint=True).view(dtype)
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 1.0, -1.0]
+        x = np.concatenate([x, np.array(special, dtype)])
+        g = rng.normal(size=x.shape).astype(dtype)
+        lam, lam_alpha = F.SELU_LAMBDA, F.SELU_LAMBDA * F.SELU_ALPHA
+        with np.errstate(all="ignore"):
+            neg = lam_alpha * np.expm1(np.minimum(x, 0.0))
+            want = np.where(x > 0, lam * x, neg)
+            want_grad = np.where(x > 0, g * lam, g * (neg + lam_alpha))
+            xt = nn.Tensor(x.copy(), requires_grad=True)
+            y = F.selu(xt)
+            got = y.data.tobytes()
+            F.sum_all(F.mul(y, g)).backward()  # hands selu exactly g
+        assert got == want.tobytes()
+        assert xt.grad.tobytes() == want_grad.tobytes()
+
     def test_selu_self_normalizing_fixed_point(self, rng):
         # unit-gaussian input keeps roughly zero mean and unit variance
         x = rng.standard_normal(200_000)
@@ -804,6 +828,30 @@ class TestAutodiffMechanics:
             node = F.batch_standardize(nn.Tensor(x), 1e-5, axes)
             inv = 1.0 / np.sqrt(x.var(axis=axes, keepdims=True) + 1e-5)
             np.testing.assert_array_equal(node.data, (x - x.mean(axis=axes, keepdims=True)) * inv)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_standardize_means_have_the_bits_of_np_mean(self, rng, dtype):
+        """Its four means (``np.add.reduce`` over a count) equal ``np.mean``
+        bit for bit: the forward, and the backward against its formula with
+        ``np.mean``."""
+        cases = [((3, 50, 64), (1, 2)), ((4, 6, 5, 7, 3), (1, 2, 3, 4)), ((2, 9, 8), (2,)),
+                 ((2, 30, 5), (1,))]
+        for shape, axes in cases:
+            x = rng.normal(loc=2.0, scale=3.0, size=shape).astype(dtype)
+            assert F._mean(x, axes).tobytes() == x.mean(axis=axes, keepdims=True).tobytes()
+            g = rng.normal(size=shape).astype(dtype)
+            xt = nn.Tensor(x, requires_grad=True)
+            out = F.batch_standardize(xt, 1e-5, axes)
+            xhat = out.data.copy()
+            F.sum_all(F.mul(out, g)).backward()
+            inv = 1.0 / np.sqrt(x.var(axis=axes, keepdims=True) + 1e-5)
+            gm = g.mean(axis=axes, keepdims=True)
+            want = inv * (g - gm - xhat * (g * xhat).mean(axis=axes, keepdims=True))
+            assert xt.grad.tobytes() == want.tobytes()
+            src = x[:, -3:]
+            ref = F.batch_standardize(nn.Tensor(x), 1e-5, (1,), ref=3)
+            inv = 1.0 / np.sqrt((src * src).mean(axis=(1,), keepdims=True) + 1e-5)
+            assert ref.data.tobytes() == (x * inv).tobytes()
 
     def test_batch_standardize_by_reference_entries(self, rng):
         """With ``ref``, every entry is scaled by the root mean square of the
