@@ -238,7 +238,7 @@ def mise_evaluate(decode, dims, initial_factor: int, threshold: float = 0.5) -> 
         raise ValueError(f"initial_factor must be a power of 2, got {initial_factor}")
     padded = tuple(-(-d // f) * f for d in dims)
     memo = np.full(tuple(p + 1 for p in padded), -1, dtype=np.int8)
-    out = np.zeros(dims, dtype=np.uint8)
+    out = np.zeros(padded, dtype=np.uint8)  # cropped to dims at the end
     clamp_hi = np.asarray(dims, dtype=np.int64) - 1
 
     grids = np.meshgrid(*[np.arange(0, p, f, dtype=np.int64) for p in padded], indexing="ij")
@@ -261,18 +261,16 @@ def mise_evaluate(decode, dims, initial_factor: int, threshold: float = 0.5) -> 
         uniform = (dec == dec[:, :1]).all(axis=1)
         if s == 1:
             # single-voxel cells take their own corner's decision either way
-            keep = (active < np.asarray(dims)).all(axis=1)
-            pts = active[keep]
-            out[pts[:, 0], pts[:, 1], pts[:, 2]] = dec[keep, 0].astype(np.uint8)
+            out[active[:, 0], active[:, 1], active[:, 2]] = dec[:, 0]
             break
-        for origin, d in zip(active[uniform], dec[uniform, 0]):
-            if d:
-                sl = tuple(slice(o, min(o + s, n)) for o, n in zip(origin, dims))
-                out[sl] = 1
+        # cells at spacing s are aligned s-blocks of the padded grid
+        blocks = out.reshape(padded[0] // s, s, padded[1] // s, s, padded[2] // s, s)
+        filled = active[uniform & (dec[:, 0] == 1)] // s
+        blocks[filled[:, 0], :, filled[:, 1], :, filled[:, 2], :] = 1
         half = s // 2
         active = (active[~uniform][:, None, :] + half * _CORNER_OFFSETS[None, :, :]).reshape(-1, 3)
         s = half
-    return LabelVolume(out)
+    return LabelVolume(out[: dims[0], : dims[1], : dims[2]])
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,12 @@ from ..rng import make_rng
 from ..voxel import VoxelVolume, average_pool
 
 _INIT_STREAM = 21
-# query points per decoder pass: bounds inference activations at any query size
-_DECODE_CHUNK = 1 << 16
+# query points per decoder pass: bounds inference activations at any query size.
+# 8,192 points (8,219 with the reference lattice) make a (1, 8219, 64) float32
+# activation 2.1 MB, about one core's L2, and hold MISE's meter peak on the
+# benchmark's onet-sr scans to 11.3 MB, below the trainer's; 65,536 gave 85.8 MB.
+# Decoded probabilities do not depend on the size.
+_DECODE_CHUNK = 1 << 13
 
 CONDITIONINGS = ("cbn", "concat")
 WIDTHS = ("wide", "shallow")

@@ -30,6 +30,12 @@ to stay in cache. The input gradient is the correlation of the padded
 output gradient with the flipped, transposed kernel (Dumoulin & Visin
 2016), run through the same chunked helper as the forward pass.
 
+An op returns the dtype of its floating inputs, and every gradient it passes
+back has it too, so a model built in float32 trains in float32 end to end.
+Integer helper arrays (adaptive pooling's bin widths, loss targets) are cast
+to that dtype before they meet a floating array; numpy would otherwise
+promote the result to float64.
+
 The trainers split a batch into micro-batches to bound memory, and the
 result must not depend on the split: a 1e-7 change in a gradient can grow
 to 1e-3 in a weight within a few Adam steps. So every op keeps a
@@ -38,7 +44,10 @@ per-instance reduction contract:
 - What an op computes for one batch instance comes from that instance's
   data alone, through array shapes that do not depend on the batch size.
   conv3d loops over items, and its chunks of output planes depend on an
-  item's shape and ``CONV_SCRATCH_BYTES`` only.
+  item's shape and ``CONV_SCRATCH_BYTES`` only. matmul multiplies a 2-D
+  (B, K) operand one row at a time, forward and input gradient: OpenBLAS
+  rounds a row of a (B, K) @ (K, M) product differently from the same row
+  alone.
 - An op whose parameter gradient sums over batch axis 0 (matmul's weight,
   a bias or scale broadcast by ``add`` or ``mul``, conv3d's kernel) adds one
   partial per instance straight into the parameter's gradient, in instance
@@ -147,14 +156,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a @ b with a of shape (B, ..., K) and b a (K, M) matrix, or a kernel
     whose leading axes are all 1 (a 1x1x1 convolution's (1, 1, 1, K, M))."""
     mat = b.data.reshape(b.data.shape[-2:])
-    out = a.data @ mat
+
+    def product(x, y):
+        # a 2-D operand row by row (module docstring), into an owned array
+        if x.ndim != 2:
+            return x @ y
+        res = np.empty((x.shape[0], y.shape[1]), np.result_type(x, y))
+        np.matmul(x[:, None, :], y, out=res[:, None, :])
+        return res
+
+    out = product(a.data, mat)
     na, nb = a.node, b.node
     ad = a.data if nb is not None else None
     k, m = mat.shape
 
     def bw(g):
         if na is not None:
-            na.accumulate_grad(g @ mat.T, fresh=True)
+            na.accumulate_grad(product(g, mat.T), fresh=True)
         if nb is not None:
             for ai, gi in zip(ad, g):
                 part = ai.reshape(-1, k).T @ gi.reshape(-1, m)
@@ -397,10 +415,9 @@ def avg_pool3d(x: Tensor, factor: int) -> Tensor:
     nx = x.node
 
     def bw(g):
-        gb = np.broadcast_to(
-            g[:, :, None, :, None, :, None, :] / f**3, (b, od, f, oh, f, ow, f, c)
-        )
-        nx.accumulate_grad(gb.reshape(b, d, h, w, c))
+        gx = np.empty((b, d, h, w, c), g.dtype)
+        gx.reshape(b, od, f, oh, f, ow, f, c)[...] = g[:, :, None, :, None, :, None, :] / f**3
+        nx.accumulate_grad(gx, fresh=True)
 
     return make_node(out, (nx,), bw)
 
@@ -443,14 +460,14 @@ def adaptive_avg_pool3d(x: Tensor, target: tuple[int, int, int]) -> Tensor:
         out = np.add.reduceat(out, starts, axis=axis)
         shape = [1] * out.ndim
         shape[axis] = len(widths)
-        out = out / widths.reshape(shape)
+        out = out / widths.reshape(shape).astype(out.dtype)
     nx = x.node
 
     def bw(g):
         for axis, (starts, widths) in reversed(list(enumerate(plan, start=1))):
             shape = [1] * g.ndim
             shape[axis] = len(widths)
-            g = np.repeat(g / widths.reshape(shape), widths, axis=axis)
+            g = np.repeat(g / widths.reshape(shape).astype(g.dtype), widths, axis=axis)
         nx.accumulate_grad(np.ascontiguousarray(g), fresh=True)
 
     return make_node(np.ascontiguousarray(out), (nx,), bw)

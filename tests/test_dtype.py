@@ -1,0 +1,133 @@
+"""The dtype rule: an op returns the dtype of its floating inputs, and every
+gradient it passes back keeps it, so a model built in float32 trains in
+float32 end to end. Integer helper arrays (pooling widths, targets) are cast,
+never allowed to promote.
+"""
+
+import numpy as np
+import pytest
+
+from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, OnetModel
+from hiloseg.nn import functional as F
+from hiloseg.nn.tensor import Tensor
+
+DTYPES = [np.float32, np.float64]
+
+
+def leaf(rng, shape, dtype):
+    return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+
+def probs(rng, shape, dtype):
+    return Tensor(rng.uniform(0.05, 0.95, size=shape).astype(dtype), requires_grad=True)
+
+
+# op name -> builder(rng, dtype) returning the op's result; the leaves it makes
+# carry the dtype, every other argument is a Python number or an integer array
+OPS = {
+    "add": lambda r, t: F.add(leaf(r, (2, 3, 4), t), leaf(r, (4,), t)),
+    "mul": lambda r, t: F.mul(leaf(r, (2, 3, 4), t), leaf(r, (4,), t)),
+    "scale": lambda r, t: F.scale(leaf(r, (2, 3), t), 0.3),
+    "matmul": lambda r, t: F.matmul(leaf(r, (2, 5), t), leaf(r, (5, 3), t)),
+    "reshape": lambda r, t: F.reshape(leaf(r, (2, 6), t), (2, 3, 2)),
+    "concat": lambda r, t: F.concat([leaf(r, (2, 3), t), leaf(r, (2, 2), t)], axis=-1),
+    "mean_all": lambda r, t: F.mean_all(leaf(r, (2, 3), t)),
+    "sum_all": lambda r, t: F.sum_all(leaf(r, (2, 3), t)),
+    "leaky_relu": lambda r, t: F.leaky_relu(leaf(r, (2, 7), t)),
+    "selu": lambda r, t: F.selu(leaf(r, (2, 7), t)),
+    "sigmoid": lambda r, t: F.sigmoid(leaf(r, (2, 7), t)),
+    "conv3d": lambda r, t: F.conv3d(leaf(r, (2, 4, 5, 3, 2), t), leaf(r, (3, 3, 3, 2, 3), t), 1),
+    "avg_pool3d": lambda r, t: F.avg_pool3d(leaf(r, (2, 4, 4, 2, 3), t), 2),
+    "upsample_nearest3d": lambda r, t: F.upsample_nearest3d(leaf(r, (2, 2, 1, 2, 3), t), 2),
+    "adaptive_avg_pool3d": lambda r, t: F.adaptive_avg_pool3d(leaf(r, (2, 5, 7, 6, 2), t),
+                                                              (2, 3, 4)),
+    "pad_right3d": lambda r, t: F.pad_right3d(leaf(r, (2, 3, 2, 2, 2), t), (4, 4, 3)),
+    "repeat_middle": lambda r, t: F.repeat_middle(leaf(r, (2, 3), t), 4),
+    "slice_middle": lambda r, t: F.slice_middle(leaf(r, (2, 5, 3), t), 2),
+    "batch_standardize": lambda r, t: F.batch_standardize(leaf(r, (2, 4, 3), t), 1e-5, (1, 2)),
+    "bce_loss": lambda r, t: F.bce_loss(probs(r, (2, 6), t), r.random((2, 6)) > 0.5),
+    "focal_loss": lambda r, t: F.focal_loss(probs(r, (2, 6), t),
+                                            r.integers(0, 2, (2, 6), dtype=np.uint8)),
+}
+# the reference-point form of batch_standardize is its own branch
+OPS_EXTRA = {
+    "batch_standardize_ref": lambda r, t: F.batch_standardize(leaf(r, (2, 6, 3), t), 1e-5,
+                                                              (1,), 3),
+}
+
+
+@pytest.fixture
+def dtypes_seen(monkeypatch):
+    """Dtype of every op result and of every gradient handed to a node."""
+    seen = []
+    make_node, accumulate_grad = F.make_node, Tensor.accumulate_grad
+
+    def recorded_node(out_data, parents, backward_fn):
+        seen.append(("result", out_data.dtype))
+        return make_node(out_data, parents, backward_fn)
+
+    def recorded_grad(self, g, fresh=False):
+        seen.append(("gradient", g.dtype))
+        return accumulate_grad(self, g, fresh)
+
+    monkeypatch.setattr(F, "make_node", recorded_node)
+    monkeypatch.setattr(Tensor, "accumulate_grad", recorded_grad)
+    return seen
+
+
+def test_every_op_is_covered():
+    """A new op in nn.functional gets a row in OPS."""
+    not_ops = {"as_tensor", "elementwise_bce", "elementwise_focal"}
+    public = {
+        name for name, fn in vars(F).items()
+        if callable(fn) and getattr(fn, "__module__", None) == F.__name__
+        and not name.startswith("_") and name not in not_ops
+    }
+    assert public == set(OPS)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("op", sorted(OPS) + sorted(OPS_EXTRA))
+def test_op_keeps_dtype(op, dtype, dtypes_seen):
+    out = {**OPS, **OPS_EXTRA}[op](np.random.default_rng(0), dtype)
+    F.sum_all(out).backward()
+    kinds = {kind for kind, _ in dtypes_seen}
+    assert kinds == {"result", "gradient"}
+    wrong = [(kind, str(d)) for kind, d in dtypes_seen if d != dtype]
+    assert not wrong, f"{op} leaves {np.dtype(dtype)}: {wrong}"
+
+
+ONET_TINY = dict(encoder_blocks=2, decoder_blocks=2, base_channels=4, latent_dim=16,
+                 decoder_hidden=8)
+HILO_TINY = dict(window_size=8, levels=2, encoder_blocks=2, cnn_decoder_blocks=2,
+                 onet_decoder_blocks=2, base_channels=2, decoder_hidden=8, batch_size=2)
+
+
+def onet_loss(conditioning, dtype, rng):
+    model = OnetModel(OnetConfig(conditioning=conditioning, **ONET_TINY), seed=0, dtype=dtype)
+    # odd pooled extents make adaptive pooling's bins ragged
+    vols = Tensor(rng.random((2, 12, 10, 6, 1)).astype(dtype))
+    pred = model(vols, Tensor(rng.random((2, 5, 3)).astype(dtype)))
+    return F.bce_loss(pred, rng.random((2, 5)) > 0.5)
+
+
+def hilo_loss(decoder, dtype, rng):
+    model = HiLoModel(HiLoConfig(decoder=decoder, **HILO_TINY), seed=0, dtype=dtype)
+    levels = [Tensor(rng.random((2, 8, 8, 8, 1)).astype(dtype)) for _ in range(2)]
+    if decoder == "cnn":
+        return F.focal_loss(model.forward_batch(levels), rng.random((2, 8, 8, 8)) > 0.5)
+    pred = model.forward_batch(levels, Tensor(rng.random((2, 5, 3)).astype(dtype)))
+    return F.bce_loss(pred, rng.random((2, 5)) > 0.5)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("build, variant", [
+    (onet_loss, "cbn"), (onet_loss, "concat"), (hilo_loss, "cnn"), (hilo_loss, "onet"),
+])
+def test_model_trains_in_its_dtype(build, variant, dtype, dtypes_seen):
+    """Forward and backward of each model variant: every op result and every
+    gradient is in the model's dtype."""
+    F.sum_all(build(variant, dtype, np.random.default_rng(1))).backward()
+    wrong = sorted({(kind, str(d)) for kind, d in dtypes_seen if d != dtype})
+    assert len(dtypes_seen) > 100
+    assert not wrong, f"{variant} model in {np.dtype(dtype)}: {wrong}"

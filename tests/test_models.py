@@ -400,6 +400,7 @@ class TestOnetEncodeDecode:
                                    atol=1e-6)
 
     def test_decode_in_chunks_matches_one_pass(self, monkeypatch):
+        """Bit for bit, down to one-point chunks and a one-point tail."""
         from hiloseg.models import onet as onet_module
 
         cfg = OnetConfig(**TINY_ONET)
@@ -408,8 +409,10 @@ class TestOnetEncodeDecode:
         lat = onet_encode(random_volume(dims), cfg, model)
         coords = np.random.default_rng(8).integers(0, 16, size=(16, 3))
         whole = onet_decode(coords, lat, cfg, model, dims)
-        monkeypatch.setattr(onet_module, "_DECODE_CHUNK", 5)
-        np.testing.assert_allclose(onet_decode(coords, lat, cfg, model, dims), whole, atol=1e-6)
+        for chunk in (1, 5, 15):
+            monkeypatch.setattr(onet_module, "_DECODE_CHUNK", chunk)
+            got = onet_decode(coords, lat, cfg, model, dims)
+            np.testing.assert_array_equal(got, whole, err_msg=f"chunk {chunk}")
         assert onet_decode(coords[:0], lat, cfg, model, dims).shape == (0,)
 
     def test_rejects_bad_coordinate_shape(self):

@@ -124,6 +124,28 @@ class TestElementwiseOps:
         g0, g1, g2 = (grad(slice(i, i + 1)) for i in range(3))
         np.testing.assert_array_equal(grad(slice(None)), (g0 + g1) + g2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matmul_rows_independent_of_batch(self, rng, dtype):
+        """Each row of a (B, K) matmul, and of its input gradient, has the
+        bits of that row multiplied alone (OpenBLAS rounds a (1, K) @ (K, M)
+        product differently from the same row inside (B, K) @ (K, M))."""
+        x = rng.normal(size=(4, 128)).astype(dtype)
+        w = nn.Tensor(rng.normal(size=(128, 64)).astype(dtype))
+        g = rng.normal(size=(4, 64)).astype(dtype)
+
+        def run(rows):
+            a = nn.Tensor(x[rows].copy(), requires_grad=True)
+            out = F.matmul(a, w)
+            values = out.data  # backward drops an op result's data
+            F.sum_all(F.mul(out, g[rows])).backward()
+            return values, a.grad
+
+        out, grad = run(slice(None))
+        for i in range(4):
+            out_i, grad_i = run(slice(i, i + 1))
+            np.testing.assert_array_equal(out[i : i + 1], out_i, err_msg=f"row {i}")
+            np.testing.assert_array_equal(grad[i : i + 1], grad_i, err_msg=f"row {i}")
+
     def test_concat_matches_numpy(self, rng):
         parts = [nn.Tensor(rng.normal(size=(2, n)).astype(np.float32)) for n in (1, 4, 2)]
         got = F.concat(parts, axis=-1)

@@ -201,19 +201,25 @@ class TestTrainOnet:
         assert np.mean(metrics["train_loss"][-2:]) < metrics["train_loss"][0]
         assert len(metrics["val_iou"]) == 4
 
+    @staticmethod
+    def _micro_batch_run(dtype):
+        def run(micro_batch, seed):
+            return train_superres_onet(
+                onet_dataset(4), ONET_CFG, SAMPLER, epochs=2, batch=4, lr=0.01, seed=seed,
+                micro_batch=micro_batch, dtype=dtype,
+            )
+
+        return run
+
     def test_micro_batch_matches_full_batch(self):
         """Chunked accumulation is an implementation detail of the memory
         budget; the resulting parameters and losses must not depend on it,
         bit for bit, down to chunks of one and chunks that do not divide the
         batch, on every trainer seed."""
+        assert_micro_batches_exact(self._micro_batch_run(np.float32))
 
-        def run(micro_batch, seed):
-            return train_superres_onet(
-                onet_dataset(4), ONET_CFG, SAMPLER, epochs=2, batch=4, lr=0.01, seed=seed,
-                micro_batch=micro_batch,
-            )
-
-        assert_micro_batches_exact(run)
+    def test_micro_batch_matches_full_batch_in_float64(self):
+        assert_micro_batches_exact(self._micro_batch_run(np.float64))
 
     def test_float64(self):
         state, _ = train_superres_onet(
