@@ -1,10 +1,13 @@
 """Command line entry points: generate, train, eval, segment.
 
 One process per run. Configuration is resolved as defaults < config file <
-flags, and every command echoes the fully resolved configuration into its
-output directory as ``config_resolved.txt`` so a run is reproducible from
-that file and the seed alone. ``run.seed`` is the only seed: the generator
-and sampler seeds are overwritten with it during resolution.
+flags. A flag is a config key: its argparse ``dest`` is the key it sets
+(``--w`` sets ``hilo.window_size``, ``--seed`` sets ``run.seed``), and
+``--help`` shows that key as its metavar. Every command echoes the fully
+resolved configuration into its output directory as ``config_resolved.txt``
+so a run is reproducible from that file and the seed alone. ``run.seed`` is
+the only seed: the generator and sampler seeds are overwritten with it
+during resolution.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 divergence.
 """
@@ -20,21 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    coerce_value,
-    dataclass_to_kv,
-    format_kv,
-    kv_to_dataclass,
-    parse_kv_text,
-)
+from .config import coerce_value, config_text, format_kv, kv_to_dataclass, parse_kv_text
 from .data_io import (
     SPLITS,
     SynthConfig,
-    HEADER,
-    MAGIC,
     load_manifest,
     load_volume,
     save_volume,
+    volume_dims,
     write_dataset,
     write_pgm,
 )
@@ -58,7 +54,14 @@ from .voxel import LabelVolume, VoxelVolume
 
 log = logging.getLogger(__name__)
 
-MODEL_KINDS = ("onet-sr", "onet-bb", "hilo-cnn", "hilo-onet")
+# model kind -> (config class, model class); a checkpoint's header holds the
+# kind and its config block ``config_text`` of the model's config
+MODEL_KINDS = {
+    "onet-sr": (OnetConfig, OnetModel),
+    "onet-bb": (OnetConfig, OnetModel),
+    "hilo-cnn": (HiLoConfig, HiLoModel),
+    "hilo-onet": (HiLoConfig, HiLoModel),
+}
 
 # refuse occupancy training that would page whole volumes past this
 _ONET_RAM_BUDGET = 1 << 30
@@ -111,7 +114,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.model not in MODEL_KINDS:
-            raise ValueError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
+            raise ValueError(f"model must be one of {tuple(MODEL_KINDS)}, got {self.model!r}")
         if self.precision not in ("float32", "float64"):
             raise ValueError(f"precision must be float32 or float64, got {self.precision!r}")
         if self.split not in SPLITS:
@@ -143,117 +146,69 @@ class RunConfig:
 # config resolution: defaults < config file < flags
 
 
-def _known_keys() -> set[str]:
-    rc = RunConfig()
-    keys = set()
-    for f in dataclasses.fields(RunConfig):
+def runconfig_values(rc: RunConfig) -> dict[str, object]:
+    """Every setting of ``rc`` by its config key: ``run.<field>`` for the
+    top-level fields, ``<part>.<field>`` for the nested configs."""
+    out: dict[str, object] = {}
+    for f in dataclasses.fields(rc):
         value = getattr(rc, f.name)
         if dataclasses.is_dataclass(value):
-            keys |= {f"{f.name}.{g.name}" for g in dataclasses.fields(type(value))}
+            out.update({f"{f.name}.{g.name}": getattr(value, g.name) for g in dataclasses.fields(value)})
         elif f.name != "subcommand":
-            keys.add(f"run.{f.name}")
-    return keys
+            out[f"run.{f.name}"] = value
+    return out
 
 
-def runconfig_from_kv(kv: dict[str, str]) -> RunConfig:
-    unknown = sorted(set(kv) - _known_keys())
-    if unknown:
-        raise FormatError(f"unknown config keys: {', '.join(unknown)}")
-    rc = RunConfig()
-    updates = {}
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(rc, f.name)
-        if dataclasses.is_dataclass(value):
-            updates[f.name] = kv_to_dataclass(type(value), kv, f"{f.name}.")
-        elif f.name != "subcommand":
-            key = f"run.{f.name}"
-            if key in kv:
-                try:
-                    updates[f.name] = coerce_value(kv[key], value)
-                except ValueError as exc:
-                    raise FormatError(f"bad value for {key}: {kv[key]!r} ({exc})") from exc
+def runconfig_replace(rc: RunConfig, values: dict[str, object]) -> RunConfig:
+    """``rc`` with typed ``values`` set by config key."""
+    parts: dict[str, dict] = {}
+    for key, value in values.items():
+        part, name = key.split(".", 1)
+        parts.setdefault(part, {})[name] = value
+    updates = parts.pop("run", {})
+    updates.update({part: dataclasses.replace(getattr(rc, part), **kw) for part, kw in parts.items()})
     return dataclasses.replace(rc, **updates)
 
 
+def runconfig_from_kv(kv: dict[str, str]) -> RunConfig:
+    defaults = runconfig_values(RunConfig())
+    unknown = sorted(set(kv) - set(defaults))
+    if unknown:
+        raise FormatError(f"unknown config keys: {', '.join(unknown)}")
+    values = {}
+    for key, text in kv.items():
+        try:
+            values[key] = coerce_value(text, defaults[key])
+        except ValueError as exc:
+            raise FormatError(f"bad value for {key}: {text!r} ({exc})") from exc
+    return runconfig_replace(RunConfig(), values)
+
+
 def runconfig_text(rc: RunConfig) -> str:
-    kv: dict[str, str] = {}
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(rc, f.name)
-        if dataclasses.is_dataclass(value):
-            kv.update(dataclass_to_kv(value, f"{f.name}."))
-        elif f.name != "subcommand":
-            kv[f"run.{f.name}"] = value
-    return format_kv(kv)
-
-
-# flag destination -> top-level RunConfig field
-_RUN_FLAGS = {
-    "model": "model", "seed": "seed", "precision": "precision", "epochs": "epochs",
-    "batch": "batch", "lr": "lr", "micro_batch": "micro_batch", "max_steps": "max_steps",
-    "validate_every": "validate_every", "smoothing_window": "smoothing_window",
-    "queue": "queue_policy", "queue_size": "queue_capacity",
-    "pyramid_sampling": "pyramid_sampling", "count": "count", "split": "split",
-    "region_margin": "region_margin", "bb_margin": "bb_margin", "threads": "threads",
-    "data": "data_dir", "out": "out_dir", "checkpoint": "checkpoint",
-    "input": "input_path", "region": "region", "export_slices": "export_slices",
-}
-
-# flag destination -> (nested config field, its field name)
-_PART_FLAGS = {
-    "w": ("hilo", "window_size"),
-    "d": ("hilo", "downsampling_factor"),
-    "levels": ("hilo", "levels"),
-    "conditioning": ("onet", "conditioning"),
-    "width": ("onet", "width"),
-    "resolution": ("onet", "coord_resolution"),
-    "dims": ("synth", "dims"),
-}
+    return format_kv(runconfig_values(rc))
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_kv: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_kv = parse_kv_text(Path(args.config).read_text(), source=str(args.config))
-    rc = runconfig_from_kv(file_kv)
-
-    updates = {}
-    for dest, fname in _RUN_FLAGS.items():
-        v = getattr(args, dest, None)
-        if v is not None:
-            updates[fname] = v
-    if getattr(args, "oracle_bypass", False):
-        updates["oracle_bypass"] = True
-    part_updates: dict[str, dict] = {}
-    for dest, (part, fname) in _PART_FLAGS.items():
-        v = getattr(args, dest, None)
-        if v is not None:
-            if fname == "dims":
-                v = coerce_value(v, (0, 0, 0))
-            part_updates.setdefault(part, {})[fname] = v
-    for part, pu in part_updates.items():
-        updates[part] = dataclasses.replace(getattr(rc, part), **pu)
-    rc = dataclasses.replace(rc, **updates)
+    # a flag's dest is its config key; only the dotted dests are settings
+    flags = {k: v for k, v in vars(args).items() if "." in k and v is not None}
+    rc = runconfig_replace(runconfig_from_kv(file_kv), flags)
     rc.subcommand = args.subcommand
+    given = set(file_kv) | set(flags)
 
     # the model kind decides the pyramid decoder
     if rc.model.startswith("hilo"):
         decoder = "cnn" if rc.model == "hilo-cnn" else "onet"
         if rc.hilo.decoder != decoder:
             rc.hilo = dataclasses.replace(rc.hilo, decoder=decoder)
-    elif rc.model == "onet-bb":
+    elif rc.model == "onet-bb" and "onet.coord_resolution" not in given:
         # box extraction defaults to coarse labels unless explicitly chosen
-        explicit = "onet.coord_resolution" in file_kv or getattr(args, "resolution", None)
-        if not explicit:
-            rc.onet = dataclasses.replace(rc.onet, coord_resolution="low")
+        rc.onet = dataclasses.replace(rc.onet, coord_resolution="low")
 
     if rc.subcommand == "train" and rc.model.startswith("onet"):
-        queue_given = (
-            getattr(args, "queue", None) is not None
-            or getattr(args, "queue_size", None) is not None
-            or "run.queue_policy" in file_kv
-            or "run.queue_capacity" in file_kv
-        )
-        if queue_given:
+        if given & {"run.queue_policy", "run.queue_capacity"}:
             raise UsageError(
                 "training queues drive the window-pyramid trainers; occupancy "
                 "training loads whole pooled volumes per batch. Drop the queue "
@@ -282,46 +237,20 @@ def _require(rc: RunConfig, **fields_needed) -> None:
 # model plumbing
 
 
-def _model_config_text(rc: RunConfig) -> str:
-    """The config block stored in checkpoints: enough to rebuild the model."""
-    kv = {"run.model": rc.model}
-    kv.update(dataclass_to_kv(rc.onet, "onet."))
-    kv.update(dataclass_to_kv(rc.hilo, "hilo."))
-    return format_kv(kv)
-
-
 def load_model(path):
-    """Rebuild (kind, config, model) from a checkpoint file whose config
-    block holds only keys that ``_model_config_text`` writes."""
+    """Rebuild (kind, config, model) from a checkpoint file."""
     kind, text, state, _ = load_checkpoint(path)
+    if kind not in MODEL_KINDS:
+        raise FormatError(f"{path}: unknown model kind {kind!r}")
+    cfg_cls, model_cls = MODEL_KINDS[kind]
     kv = parse_kv_text(text, source=f"{path} config block")
-    unknown = sorted(set(kv) - set(parse_kv_text(_model_config_text(RunConfig()))))
-    if unknown:
-        raise FormatError(f"{path}: unknown keys in the config block: {', '.join(unknown)}")
     try:
-        if kind in ("onet-sr", "onet-bb"):
-            cfg = kv_to_dataclass(OnetConfig, kv, "onet.")
-            model = OnetModel(cfg)
-        elif kind in ("hilo-cnn", "hilo-onet"):
-            cfg = kv_to_dataclass(HiLoConfig, kv, "hilo.")
-            model = HiLoModel(cfg)
-        else:
-            raise FormatError(f"{path}: unknown model kind {kind!r}")
+        cfg = kv_to_dataclass(cfg_cls, kv)
+        model = model_cls(cfg)
         model.load_state_dict(state)
     except ValueError as exc:
         raise FormatError(f"{path}: checkpoint does not match its config ({exc})") from exc
     return kind, cfg, model
-
-
-def _peek_dims(path) -> tuple[int, int, int]:
-    with open(path, "rb") as fh:
-        raw = fh.read(HEADER.size)
-    if len(raw) < HEADER.size:
-        raise FormatError(f"{path}: truncated header, {HEADER.size - len(raw)} bytes missing")
-    magic, _, _, nx, ny, nz = HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic, not a volume file")
-    return nx, ny, nz
 
 
 def _predict_mask(rc: RunConfig, kind, cfg, model, vol: VoxelVolume,
@@ -361,7 +290,7 @@ def cmd_generate(rc: RunConfig) -> int:
 
 
 def _train_onet(rc: RunConfig, train_recs, val_recs):
-    dims = _peek_dims(train_recs[0].path)
+    dims = volume_dims(train_recs[0].path)
     vol_bytes = 4 * int(np.prod(dims))
     pooled = vol_bytes // max(1, rc.onet.input_downsample) ** 3
     label_bytes = int(np.prod(dims)) if rc.onet.coord_resolution == "high" else pooled // 4
@@ -416,14 +345,12 @@ def cmd_train(rc: RunConfig) -> int:
     if not train_recs:
         raise UsageError(f"no training instances in {rc.data_dir}")
     _write_resolved(rc, rc.out_dir)
-    if rc.model.startswith("onet"):
-        state, rows, extent, best = _train_onet(rc, train_recs, val_recs)
-    else:
-        state, rows, extent, best = _train_hilo(rc, train_recs, val_recs)
+    train, cfg = (_train_onet, rc.onet) if rc.model.startswith("onet") else (_train_hilo, rc.hilo)
+    state, rows, extent, best = train(rc, train_recs, val_recs)
 
     out_dir = Path(rc.out_dir)
     ckpt = out_dir / "checkpoint.hckpt"
-    save_checkpoint(ckpt, rc.model, _model_config_text(rc), state)
+    save_checkpoint(ckpt, rc.model, config_text(cfg), state)
     lines = ["step\tloss\tsmoothed_iou"]
     lines += [f"{step}\t{loss:.6f}\t{iou:.6f}" for step, loss, iou in rows]
     (out_dir / "metrics.tsv").write_text("\n".join(lines) + "\n")
@@ -563,8 +490,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int, help="seed for every random stream")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--seed", dest="run.seed", type=int, help="seed for every random stream")
+    p.add_argument("--out", dest="run.out_dir", help="output directory")
+
+
+def _dims(text: str) -> tuple[int, ...]:
+    return coerce_value(text, (0, 0, 0))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -574,53 +505,56 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a synthetic dataset with a split manifest")
     _add_common(g)
-    g.add_argument("--count", type=int, help="number of instances")
-    g.add_argument("--dims", help="volume dims, e.g. 160,104,154")
+    g.add_argument("--count", dest="run.count", type=int, help="number of instances")
+    g.add_argument("--dims", dest="synth.dims", type=_dims, help="volume dims, e.g. 160,104,154")
 
     t = sub.add_parser("train", help="train a model on a generated dataset")
     _add_common(t)
-    t.add_argument("--data", help="dataset directory (holds manifest.tsv)")
-    t.add_argument("--model", choices=MODEL_KINDS)
-    t.add_argument("--w", type=int, help="window size")
-    t.add_argument("--d", type=int, help="downsampling factor between pyramid levels")
-    t.add_argument("--levels", type=int, help="pyramid level count")
-    t.add_argument("--queue", choices=POLICIES, help="training queue policy")
-    t.add_argument("--queue-size", type=int, dest="queue_size")
-    t.add_argument("--conditioning", choices=("cbn", "concat"))
-    t.add_argument("--width", choices=("wide", "shallow"))
-    t.add_argument("--resolution", choices=("high", "low"), help="label grid resolution")
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--batch", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--micro-batch", type=int, dest="micro_batch")
-    t.add_argument("--max-steps", type=int, dest="max_steps")
-    t.add_argument("--validate-every", type=int, dest="validate_every")
-    t.add_argument("--smoothing-window", type=int, dest="smoothing_window")
-    t.add_argument("--pyramid-sampling", choices=("bb", "volume"), dest="pyramid_sampling")
-    t.add_argument("--precision", choices=("float32", "float64"))
+    t.add_argument("--data", dest="run.data_dir", help="dataset directory (holds manifest.tsv)")
+    t.add_argument("--model", dest="run.model", choices=MODEL_KINDS)
+    t.add_argument("--w", dest="hilo.window_size", type=int, help="window size")
+    t.add_argument("--d", dest="hilo.downsampling_factor", type=int,
+                   help="downsampling factor between pyramid levels")
+    t.add_argument("--levels", dest="hilo.levels", type=int, help="pyramid level count")
+    t.add_argument("--queue", dest="run.queue_policy", choices=POLICIES, help="training queue policy")
+    t.add_argument("--queue-size", dest="run.queue_capacity", type=int)
+    t.add_argument("--conditioning", dest="onet.conditioning", choices=("cbn", "concat"))
+    t.add_argument("--width", dest="onet.width", choices=("wide", "shallow"))
+    t.add_argument("--resolution", dest="onet.coord_resolution", choices=("high", "low"),
+                   help="label grid resolution")
+    t.add_argument("--epochs", dest="run.epochs", type=int)
+    t.add_argument("--batch", dest="run.batch", type=int)
+    t.add_argument("--lr", dest="run.lr", type=float)
+    t.add_argument("--micro-batch", dest="run.micro_batch", type=int)
+    t.add_argument("--max-steps", dest="run.max_steps", type=int)
+    t.add_argument("--validate-every", dest="run.validate_every", type=int)
+    t.add_argument("--smoothing-window", dest="run.smoothing_window", type=int)
+    t.add_argument("--pyramid-sampling", dest="run.pyramid_sampling", choices=("bb", "volume"))
+    t.add_argument("--precision", dest="run.precision", choices=("float32", "float64"))
 
     e = sub.add_parser("eval", help="report IoU metrics for a checkpoint on a split")
     _add_common(e)
-    e.add_argument("--data", help="dataset directory (holds manifest.tsv)")
-    e.add_argument("--checkpoint")
-    e.add_argument("--split", choices=SPLITS)
-    e.add_argument("--model", choices=MODEL_KINDS, help="kind label for oracle-bypass runs")
-    e.add_argument("--region-margin", type=int, dest="region_margin")
-    e.add_argument("--bb-margin", type=int, dest="bb_margin")
-    e.add_argument("--threads", type=int)
+    e.add_argument("--data", dest="run.data_dir", help="dataset directory (holds manifest.tsv)")
+    e.add_argument("--checkpoint", dest="run.checkpoint")
+    e.add_argument("--split", dest="run.split", choices=SPLITS)
+    e.add_argument("--model", dest="run.model", choices=MODEL_KINDS,
+                   help="kind label for oracle-bypass runs")
+    e.add_argument("--region-margin", dest="run.region_margin", type=int)
+    e.add_argument("--bb-margin", dest="run.bb_margin", type=int)
+    e.add_argument("--threads", dest="run.threads", type=int)
     e.add_argument(
-        "--oracle-bypass", action="store_true", dest="oracle_bypass",
+        "--oracle-bypass", dest="run.oracle_bypass", action="store_const", const=True,
         help="score ground truth against itself instead of running the model",
     )
 
     s = sub.add_parser("segment", help="segment one volume file")
     _add_common(s)
-    s.add_argument("--input", help="volume file to segment")
-    s.add_argument("--checkpoint")
-    s.add_argument("--region", help="restrict to x0,y0,z0:x1,y1,z1 (inclusive)")
-    s.add_argument("--export-slices", dest="export_slices",
+    s.add_argument("--input", dest="run.input_path", help="volume file to segment")
+    s.add_argument("--checkpoint", dest="run.checkpoint")
+    s.add_argument("--region", dest="run.region", help="restrict to x0,y0,z0:x1,y1,z1 (inclusive)")
+    s.add_argument("--export-slices", dest="run.export_slices",
                    help="comma-separated axis:index entries, e.g. z:40,y:12")
-    s.add_argument("--threads", type=int)
+    s.add_argument("--threads", dest="run.threads", type=int)
     return p
 
 

@@ -1,8 +1,10 @@
 """Line-oriented ``key = value`` configuration texts.
 
 Used for run config files and for the config block embedded in checkpoints.
-Keys may be namespaced with dots (``hilo.window_size``). Values are plain
-strings here; typed coercion happens against a dataclass's field defaults.
+Run config keys are namespaced with dots (``hilo.window_size``); a checkpoint
+block is ``config_text`` of its model's config, keyed by bare field names.
+Values are plain strings here; typed coercion happens against a dataclass's
+field defaults.
 """
 
 from __future__ import annotations
@@ -33,11 +35,8 @@ def format_kv(mapping: dict) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def dataclass_to_kv(obj, prefix: str = "") -> dict[str, str]:
-    out = {}
-    for f in dataclasses.fields(obj):
-        out[f"{prefix}{f.name}"] = getattr(obj, f.name)
-    return format_to_strings(out)
+def dataclass_to_kv(obj) -> dict[str, str]:
+    return format_to_strings({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
 
 
 def format_to_strings(mapping: dict) -> dict[str, str]:
@@ -72,19 +71,23 @@ def coerce_value(text: str, default):
     return text
 
 
-def kv_to_dataclass(cls, kv: dict[str, str], prefix: str = ""):
-    """Build a dataclass from string values, defaults filling absent keys."""
+def kv_to_dataclass(cls, kv: dict[str, str]):
+    """Build a dataclass from string values, defaults filling absent keys.
+
+    A key that names no field of ``cls`` is a FormatError.
+    """
     base = cls()
+    unknown = sorted(set(kv) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise FormatError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
     updates = {}
-    for f in dataclasses.fields(cls):
-        key = f"{prefix}{f.name}"
-        if key in kv:
-            try:
-                updates[f.name] = coerce_value(kv[key], getattr(base, f.name))
-            except ValueError as exc:
-                raise FormatError(f"bad value for {key}: {kv[key]!r} ({exc})") from exc
+    for key, text in kv.items():
+        try:
+            updates[key] = coerce_value(text, getattr(base, key))
+        except ValueError as exc:
+            raise FormatError(f"bad value for {key}: {text!r} ({exc})") from exc
     return dataclasses.replace(base, **updates) if updates else base
 
 
-def config_text(obj, prefix: str = "") -> str:
-    return format_kv(dataclass_to_kv(obj, prefix))
+def config_text(obj) -> str:
+    return format_kv(dataclass_to_kv(obj))

@@ -16,6 +16,7 @@ zero-padding used everywhere reads as air.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,13 +58,12 @@ def save_volume(path, vol: VoxelVolume | LabelVolume) -> None:
         fh.write(np.ascontiguousarray(payload).tobytes())
 
 
-def load_volume(path) -> VoxelVolume | LabelVolume:
-    blob = Path(path).read_bytes()
-    if len(blob) < HEADER.size:
-        raise FormatError(
-            f"{path}: truncated header, {HEADER.size - len(blob)} bytes missing"
-        )
-    magic, version, code, nx, ny, nz = HEADER.unpack_from(blob)
+def _check_header(path, head: bytes, size: int) -> tuple[int, tuple[int, int, int]]:
+    """Validate the header at the start of ``head`` against the file's byte
+    ``size``; returns (dtype code, dims)."""
+    if size < HEADER.size:
+        raise FormatError(f"{path}: truncated header, {HEADER.size - size} bytes missing")
+    magic, version, code, nx, ny, nz = HEADER.unpack_from(head)
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
@@ -71,17 +71,30 @@ def load_volume(path) -> VoxelVolume | LabelVolume:
     if code not in (_DTYPE_VOLUME, _DTYPE_LABEL):
         raise FormatError(f"{path}: unknown dtype code {code}")
     itemsize = 4 if code == _DTYPE_VOLUME else 1
-    expected = HEADER.size + nx * ny * nz * itemsize
-    if len(blob) != expected:
-        missing = expected - len(blob)
-        if missing > 0:
-            raise FormatError(f"{path}: truncated payload, {missing} bytes missing")
+    missing = HEADER.size + nx * ny * nz * itemsize - size
+    if missing > 0:
+        raise FormatError(f"{path}: truncated payload, {missing} bytes missing")
+    if missing < 0:
         raise FormatError(f"{path}: {-missing} trailing bytes beyond declared payload")
+    return code, (nx, ny, nz)
+
+
+def volume_dims(path) -> tuple[int, int, int]:
+    """The (x, y, z) extent of a volume file, reading its header only."""
+    with open(path, "rb") as fh:
+        head = fh.read(HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
+    return _check_header(path, head, size)[1]
+
+
+def load_volume(path) -> VoxelVolume | LabelVolume:
+    blob = Path(path).read_bytes()
+    code, dims = _check_header(path, blob, len(blob))
     raw = blob[HEADER.size :]
     if code == _DTYPE_VOLUME:
-        data = np.frombuffer(raw, dtype="<f4").reshape(nx, ny, nz)
+        data = np.frombuffer(raw, dtype="<f4").reshape(dims)
         return VoxelVolume(data.copy())
-    data = np.frombuffer(raw, dtype=np.uint8).reshape(nx, ny, nz)
+    data = np.frombuffer(raw, dtype=np.uint8).reshape(dims)
     return LabelVolume(data.copy())
 
 
@@ -314,13 +327,6 @@ def generate_synthetic_one(cfg: SynthConfig, index: int) -> tuple[VoxelVolume, L
     _paint_gun(vol, labels, cfg, rng)
     np.clip(vol, 0.0, 1.0, out=vol)
     return VoxelVolume(vol), LabelVolume(labels)
-
-
-def generate_synthetic(cfg: SynthConfig, count: int) -> list[tuple[VoxelVolume, LabelVolume]]:
-    """Generate ``count`` deterministic synthetic instances."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return [generate_synthetic_one(cfg, i) for i in range(count)]
 
 
 def write_dataset(out_dir, cfg: SynthConfig, count: int,

@@ -277,16 +277,20 @@ def mise_evaluate(decode, dims, initial_factor: int, threshold: float = 0.5) -> 
 # metrics
 
 
-def voxel_iou(pred: LabelVolume, truth: LabelVolume) -> float:
-    """|pred AND truth| / |pred OR truth|; two empty volumes agree perfectly."""
-    if pred.dims != truth.dims:
-        raise ValueError(f"dims mismatch: {pred.dims} vs {truth.dims}")
-    p = pred.data != 0
-    t = truth.data != 0
-    union = np.count_nonzero(p | t)
+def mask_iou(pred: np.ndarray, truth: np.ndarray) -> float:
+    """|pred AND truth| / |pred OR truth| of two boolean masks; two empty
+    masks agree perfectly."""
+    union = np.count_nonzero(pred | truth)
     if union == 0:
         return 1.0
-    return np.count_nonzero(p & t) / union
+    return np.count_nonzero(pred & truth) / union
+
+
+def voxel_iou(pred: LabelVolume, truth: LabelVolume) -> float:
+    """Mask IoU of the nonzero voxels of two volumes."""
+    if pred.dims != truth.dims:
+        raise ValueError(f"dims mismatch: {pred.dims} vs {truth.dims}")
+    return mask_iou(pred.data != 0, truth.data != 0)
 
 
 def sampled_iou(decode, truth: LabelVolume, n: int = 2**18, seed: int = 0) -> float:
@@ -295,8 +299,4 @@ def sampled_iou(decode, truth: LabelVolume, n: int = 2**18, seed: int = 0) -> fl
         raise ValueError(f"n must be >= 1, got {n}")
     coords = sample_uniform_coords(truth.dims, n, seed).coords
     p = np.asarray(decode(coords)) > 0.5
-    t = truth.data[coords[:, 0], coords[:, 1], coords[:, 2]] != 0
-    union = np.count_nonzero(p | t)
-    if union == 0:
-        return 1.0
-    return np.count_nonzero(p & t) / union
+    return mask_iou(p, truth.data[coords[:, 0], coords[:, 1], coords[:, 2]] != 0)

@@ -84,7 +84,7 @@ class LatentCode:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float32).reshape(-1)
+        values = np.asarray(self.values).reshape(-1)
         if not np.isfinite(values).all():
             raise ValueError("latent code contains non-finite values")
         object.__setattr__(self, "values", values)
@@ -94,9 +94,12 @@ class LatentCode:
 
 
 def normalize_coords(coords, dims) -> np.ndarray:
-    """Map integer voxel coordinates onto [0, 1]^3 by per-axis division."""
-    coords = np.asarray(coords, dtype=np.float32)
-    return coords / np.asarray(dims, dtype=np.float32)
+    """Map integer voxel coordinates onto [0, 1]^3 by per-axis division.
+
+    The quotient is float64; callers cast it to their model's dtype. Rounded
+    to float32 it equals the correctly rounded float32 quotient.
+    """
+    return np.asarray(coords, dtype=np.float64) / np.asarray(dims, dtype=np.float64)
 
 
 class OnetEncoder(nn.Module):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .. import nn
 from ..errors import DivergenceError
+from ..inference import mask_iou
 from ..nn import functional as F
 from ..queue import BatchLoader, TrainingQueue
 from ..rng import make_rng
@@ -224,7 +225,7 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
                         nn.Tensor(inst["c01"].astype(dtype)),
                     )
                     v += float(F.elementwise_bce(pred.data, inst["t"]).mean())
-                    ious.append(_window_iou(pred.data[0] > cfg.threshold, inst["t"][0] != 0))
+                    ious.append(mask_iou(pred.data[0] > cfg.threshold, inst["t"][0] != 0))
             metrics["val_loss"].append(v / len(val_insts))
             best.record(float(np.mean(ious)), epoch)
 
@@ -254,13 +255,6 @@ def _sample_center(crop_labels: np.ndarray, cfg: HiLoConfig, sampler: SamplerCon
         LabelVolume(crop_labels), sampler, cfg.window_size,
         cfg.downsampling_factor, cfg.levels, rng=rng,
     )
-
-
-def _window_iou(pred: np.ndarray, truth: np.ndarray) -> float:
-    union = np.count_nonzero(pred | truth)
-    if union == 0:
-        return 1.0
-    return np.count_nonzero(pred & truth) / union
 
 
 def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
@@ -324,11 +318,11 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
     if val_insts:
         if cfg.decoder == "cnn":
             metrics["baseline_iou"] = float(
-                np.mean([_window_iou(np.zeros_like(i["truth"]), i["truth"]) for i in val_insts])
+                np.mean([mask_iou(np.zeros_like(i["truth"]), i["truth"]) for i in val_insts])
             )
         else:
             metrics["baseline_iou"] = float(
-                np.mean([_window_iou(np.zeros_like(i["truth_at"]), i["truth_at"]) for i in val_insts])
+                np.mean([mask_iou(np.zeros_like(i["truth_at"]), i["truth_at"]) for i in val_insts])
             )
 
     def validate() -> float:
@@ -338,10 +332,10 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
                 lv = [nn.Tensor(arr[None]) for arr in inst["levels"]]
                 if cfg.decoder == "cnn":
                     pred = model.forward_batch(lv).data[0] > cfg.threshold
-                    ious.append(_window_iou(pred, inst["truth"]))
+                    ious.append(mask_iou(pred, inst["truth"]))
                 else:
                     pred = model.forward_batch(lv, nn.Tensor(inst["c01"][None])).data[0]
-                    ious.append(_window_iou(pred > cfg.threshold, inst["truth_at"]))
+                    ious.append(mask_iou(pred > cfg.threshold, inst["truth_at"]))
         return float(np.mean(ious))
 
     opt = nn.Adam(model.parameters(), lr=lr)

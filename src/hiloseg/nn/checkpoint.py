@@ -5,7 +5,8 @@ Layout (all integers little-endian):
     magic   8 bytes  b"HILOCKPT"
     version u16
     kind    u16 length + utf-8 model-kind string
-    config  u32 length + utf-8 "key = value" lines (the full model config)
+    config  u32 length + utf-8 ``config_text`` of the model's config
+            (HiLoConfig or OnetConfig, bare field names as keys)
     params  u32 count, then per entry:
               u16 name length + utf-8 name
               u8  rank, rank x u32 extents

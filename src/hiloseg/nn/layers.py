@@ -195,9 +195,13 @@ class _ConditionalAffine(Module):
 
 class ElementNorm(_ChannelAffine, _OwnStats):
     """Each batch element standardized over its own space and channels, with
-    a per-channel affine: the conv blocks' normalization."""
+    a per-channel affine: the conv blocks' normalization.
 
-    def __init__(self, channels: int, eps: float = 1e-5, dtype=np.float32):
+    An all-air window has variance 0, so each norm scales its backward
+    gradient by 1/sqrt(eps); eps is 1e-3 so a chain of them stays finite.
+    """
+
+    def __init__(self, channels: int, eps: float = 1e-3, dtype=np.float32):
         _OwnStats.__init__(self, eps)
         self._init_affine(channels, dtype)
 

@@ -2,13 +2,15 @@
 subcommand, the files it writes, and the documented exit codes (0 success,
 1 usage, 2 data or format, 3 divergence), never a raw traceback."""
 
+import argparse
 import contextlib
+import dataclasses
 import io
 
 import pytest
 
 from hiloseg import cli
-from hiloseg.config import config_text
+from hiloseg.config import config_text, parse_kv_text
 from hiloseg.data_io import load_manifest, load_volume
 from hiloseg.models import HiLoConfig, HiLoModel
 from hiloseg.nn.checkpoint import save_checkpoint
@@ -34,6 +36,9 @@ sampler.n_hilo_coords = 32
 sampler.n_test_coords = 64
 """
 
+TINY_HILO = HiLoConfig(window_size=8, threshold=0.3, encoder_blocks=1, cnn_decoder_blocks=1,
+                       onet_decoder_blocks=1, base_channels=2, decoder_hidden=8)
+
 
 def call(*argv):
     """Run the CLI in-process; returns (exit code, stdout, stderr)."""
@@ -54,16 +59,22 @@ def run(tmp_path_factory):
     code, out, _ = call("generate", "--config", config, "--out", data,
                         "--count", 8, "--dims", ",".join(map(str, DIMS)))
     assert code == 0, out
-    trained = {}
+    trained, argvs = {}, {}
     for model, extra in (
         ("hilo-cnn", ["--max-steps", 2, "--pyramid-sampling", "volume"]),
         ("onet-sr", ["--epochs", 2, "--batch", 2]),
     ):
-        code, out, err = call("train", "--config", config, "--data", data,
-                              "--out", root / model, "--model", model, *extra)
+        argv = ["train", "--config", config, "--data", data,
+                "--out", root / model, "--model", model, *extra]
+        code, out, err = call(*argv)
         assert code == 0, err
         trained[model] = (out, root / model)
-    return {"root": root, "config": config, "data": data, "trained": trained}
+        argvs[model] = [str(a) for a in argv]
+    return {"root": root, "config": config, "data": data, "trained": trained, "argv": argvs}
+
+
+def resolve(*argv):
+    return cli.resolve_config(cli.build_parser().parse_args([str(a) for a in argv]))
 
 
 def test_generate_writes_dataset(run):
@@ -134,17 +145,92 @@ def test_truncated_checkpoint_is_a_data_error(run):
     assert "truncated" in err
 
 
-def test_unreadable_checkpoint_config_is_a_data_error(run):
-    """A config block without the ``hilo.`` prefixes the CLI reads (the form
-    ``config_text(cfg)`` writes) is refused, not loaded with defaults."""
-    cfg = HiLoConfig(window_size=8, threshold=0.3)
-    ckpt = run["root"] / "unprefixed.hckpt"
-    save_checkpoint(ckpt, "hilo-cnn", config_text(cfg), HiLoModel(cfg).state_dict())
+def test_checkpoint_block_is_config_text_of_the_model_config(run):
+    """A checkpoint saved with ``config_text(cfg)`` under ``cfg.kind`` segments
+    with the config it stores, not with the run config's defaults."""
+    ckpt = run["root"] / "config-text.hckpt"
+    save_checkpoint(ckpt, TINY_HILO.kind, config_text(TINY_HILO), HiLoModel(TINY_HILO).state_dict())
+    assert cli.load_model(ckpt)[1] == TINY_HILO
     scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
     code, _, err = call("segment", "--input", scan, "--checkpoint", ckpt,
-                        "--out", run["root"] / "unprefixed")
+                        "--out", run["root"] / "config-text")
+    assert code == 0, err
+    assert load_volume(run["root"] / "config-text" / "prediction.hv1").dims == DIMS
+
+
+def test_trained_checkpoint_stores_its_model_config(run):
+    ckpt = run["trained"]["hilo-cnn"][1] / "checkpoint.hckpt"
+    kind, cfg, _ = cli.load_model(ckpt)
+    assert kind == "hilo-cnn"
+    assert cfg == resolve(*run["argv"]["hilo-cnn"]).hilo
+
+
+def test_unreadable_checkpoint_config_is_a_data_error(run):
+    """A config block with keys its model config does not have (here the
+    run-config form ``hilo.window_size``) is refused, not loaded with
+    defaults."""
+    ckpt = run["root"] / "prefixed.hckpt"
+    save_checkpoint(ckpt, TINY_HILO.kind, "hilo.window_size = 8\n",
+                    HiLoModel(TINY_HILO).state_dict())
+    scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
+    code, _, err = call("segment", "--input", scan, "--checkpoint", ckpt,
+                        "--out", run["root"] / "prefixed")
     assert code == 2
-    assert "data error" in err and "window_size" in err
+    assert "data error" in err and "hilo.window_size" in err
+
+
+def test_every_flag_sets_a_config_key():
+    """A flag's dest is the config key it sets; a mistyped key fails here
+    instead of silently dropping the flag."""
+    keys = set(cli.runconfig_values(cli.RunConfig()))
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    seen = 0
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.dest in ("help", "config"):
+                continue
+            assert action.dest in keys, (name, action.option_strings, action.dest)
+            seen += 1
+    assert seen > 30
+
+
+def test_flag_overrides_config_file(run):
+    cfg = run["root"] / "override.cfg"
+    cfg.write_text("run.seed = 5\nhilo.window_size = 12\nrun.queue_policy = hardness\n")
+    rc = resolve("train", "--config", cfg, "--seed", 7, "--w", 8)
+    assert (rc.seed, rc.hilo.window_size, rc.queue_policy) == (7, 8, "hardness")
+    assert rc.sampler.seed == rc.synth.seed == 7
+    rc = resolve("train", "--config", cfg)
+    assert (rc.seed, rc.hilo.window_size) == (5, 12)
+
+
+@pytest.mark.parametrize("model", ["hilo-cnn", "onet-sr"])
+def test_resolved_config_reads_back(run, model):
+    text = (run["trained"][model][1] / "config_resolved.txt").read_text()
+    back = cli.runconfig_from_kv(parse_kv_text(text))
+    rc = resolve(*run["argv"][model])
+    assert back == dataclasses.replace(rc, subcommand="")
+    assert cli.runconfig_text(back) == text
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--seed", "abc"),
+    ("generate", "--dims", "4,x,6"),
+    ("train", "--model", "onet-sr", "--queue", "hardness"),
+])
+def test_bad_flag_value_is_a_usage_error(run, argv):
+    code, _, err = call(*argv, "--out", run["root"] / "bad-flag")
+    assert code == 1
+    assert "usage error" in err
+
+
+def test_unknown_config_key_is_a_data_error(run):
+    cfg = run["root"] / "unknown-key.cfg"
+    cfg.write_text("hilo.window = 8\n")
+    code, _, err = call("generate", "--config", cfg, "--out", run["root"] / "unknown-key")
+    assert code == 2
+    assert "hilo.window" in err
 
 
 def test_divergence_exits_three(run):

@@ -7,9 +7,18 @@ never allowed to promote.
 import numpy as np
 import pytest
 
-from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, OnetModel
+from hiloseg.models import (
+    HiLoConfig,
+    HiLoModel,
+    OnetConfig,
+    OnetModel,
+    normalize_coords,
+    onet_decode,
+    onet_encode,
+)
 from hiloseg.nn import functional as F
-from hiloseg.nn.tensor import Tensor
+from hiloseg.nn.tensor import Tensor, no_grad
+from hiloseg.voxel import VoxelVolume
 
 DTYPES = [np.float32, np.float64]
 
@@ -131,3 +140,33 @@ def test_model_trains_in_its_dtype(build, variant, dtype, dtypes_seen):
     wrong = sorted({(kind, str(d)) for kind, d in dtypes_seen if d != dtype})
     assert len(dtypes_seen) > 100
     assert not wrong, f"{variant} model in {np.dtype(dtype)}: {wrong}"
+
+
+def test_onet_encode_decode_keeps_float64():
+    """A float64 occupancy model encodes to a float64 latent and decodes at
+    float64 coordinates: nothing on the way is rounded to float32."""
+    cfg = OnetConfig(input_downsample=2, **ONET_TINY)
+    model = OnetModel(cfg, seed=0, dtype=np.float64)
+    rng = np.random.default_rng(2)
+    vol = VoxelVolume(rng.random((12, 10, 14)).astype(np.float32))
+    latent = onet_encode(vol, cfg, model)
+    assert latent.values.dtype == np.float64
+    coords = np.stack([rng.integers(0, d, size=40) for d in vol.dims], axis=1)
+    got = onet_decode(coords, latent, cfg, model, vol.dims)
+    assert got.dtype == np.float64
+    with no_grad():
+        want = model.decoder(Tensor((coords / np.array(vol.dims, dtype=np.float64))[None]),
+                             Tensor(latent.values[None])).data[0]
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dims", [(160, 104, 154), (320, 208, 308)])
+def test_normalized_coords_round_to_the_float32_quotient(dims):
+    """The float64 quotient cast to float32 is bit-equal to the float32
+    division, so float32 models see the coordinates they always did."""
+    for axis, d in enumerate(dims):
+        coords = np.zeros((d, 3), dtype=np.int64)
+        coords[:, axis] = np.arange(d)
+        got = normalize_coords(coords, dims).astype(np.float32)
+        want = coords.astype(np.float32) / np.asarray(dims, dtype=np.float32)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))

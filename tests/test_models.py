@@ -189,11 +189,12 @@ class TestCoordinatePoolSchedule:
 
 
 class TestLatentCode:
-    def test_flattens_and_casts(self):
-        z = LatentCode(np.arange(12, dtype=np.float64).reshape(3, 4))
-        assert z.values.shape == (12,)
-        assert z.values.dtype == np.float32
-        assert len(z) == 12
+    def test_flattens_and_keeps_dtype(self):
+        for dtype in (np.float32, np.float64):
+            z = LatentCode(np.arange(12, dtype=dtype).reshape(3, 4))
+            assert z.values.shape == (12,)
+            assert z.values.dtype == dtype
+            assert len(z) == 12
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -204,7 +205,7 @@ class TestNormalizeCoords:
     def test_divides_per_axis(self):
         coords = np.array([[4, 10, 0], [8, 20, 30]], dtype=np.int64)
         got = normalize_coords(coords, (8, 20, 30))
-        assert got.dtype == np.float32
+        assert got.dtype == np.float64
         np.testing.assert_allclose(got, [[0.5, 0.5, 0.0], [1.0, 1.0, 1.0]])
 
 

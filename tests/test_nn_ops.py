@@ -575,11 +575,11 @@ class TestPerInstanceNorms:
                 got = out.var(axis=axes)
             else:
                 v = np.square(x[:, pooled]).mean(axis=axes)
-                np.testing.assert_allclose(out * np.sqrt(v + 1e-5)[:, None], x[:, pooled],
+                np.testing.assert_allclose(out * np.sqrt(v + norm.eps)[:, None], x[:, pooled],
                                            rtol=1e-12)
                 got = np.square(out).mean(axis=axes)
             # unit but for the eps under the square root
-            np.testing.assert_allclose(got, v / (v + 1e-5), rtol=1e-10)
+            np.testing.assert_allclose(got, v / (v + norm.eps), rtol=1e-10)
 
     def test_all_zero_element_stays_finite(self, rng):
         """An all-air window standardizes to zeros with finite gradients."""
@@ -595,6 +595,20 @@ class TestPerInstanceNorms:
             F.sum_all(F.mul(out, nn.Tensor(rng.normal(size=shape)))).backward()
             assert np.isfinite(xt.grad).all()
             assert all(np.isfinite(p.grad).all() for p in norm.parameters())
+
+    def test_stack_on_an_all_zero_element_keeps_gradients_finite(self, rng):
+        """A chain of norms on an all-air window multiplies its gradient by
+        1/sqrt(eps) per norm; 16 of them must not overflow float32."""
+        x = rng.normal(size=(2, 4, 4, 4, 3)).astype(np.float32)
+        x[1] = 0.0
+        xt = nn.parameter(x)
+        norms = [ElementNorm(3) for _ in range(16)]
+        h = xt
+        for norm in norms:
+            h = F.selu(norm(h))
+        F.sum_all(F.mul(h, nn.Tensor(rng.normal(size=x.shape).astype(np.float32)))).backward()
+        assert np.isfinite(xt.grad).all()
+        assert all(np.isfinite(p.grad).all() for norm in norms for p in norm.parameters())
 
     def test_element_ignores_its_batch_mates(self, rng):
         for norm, shape, _, cond_shape, _ in self.norms():

@@ -307,6 +307,21 @@ class TestTrainHilo:
         for k in a:
             np.testing.assert_array_equal(a[k], b[k], err_msg=k)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounding_box_draw_on_mostly_air_trains(self, seed):
+        """The bounding box of two corner cubes is mostly air, so many
+        windows are all zero; the default draw must not diverge on them."""
+        lab = np.zeros((48, 48, 48), dtype=np.uint8)
+        lab[1:3, 1:3, 1:3] = 1
+        lab[-3:-1, -3:-1, -3:-1] = 1
+        scan = (VoxelVolume(lab.astype(np.float32) * 0.8), LabelVolume(lab))
+        _, metrics = train_hilo(
+            [scan, scan], HiLoConfig(batch_size=4), TrainingQueue(capacity=8), epochs=10,
+            micro_batch=2, seed=seed, pyramid_sampling="bb", max_steps=6,
+        )
+        assert metrics["steps"] == 6
+        assert np.isfinite(metrics["train_loss"]).all()
+
     @pytest.mark.parametrize("decoder", ["cnn", "onet"])
     def test_micro_batch_matches_full_batch(self, decoder):
         """Micro-batching bounds memory only: the state and the losses
