@@ -88,14 +88,15 @@ def volume_dims(path) -> tuple[int, int, int]:
 
 
 def load_volume(path) -> VoxelVolume | LabelVolume:
-    blob = Path(path).read_bytes()
-    code, dims = _check_header(path, blob, len(blob))
-    raw = blob[HEADER.size :]
-    if code == _DTYPE_VOLUME:
-        data = np.frombuffer(raw, dtype="<f4").reshape(dims)
-        return VoxelVolume(data.copy())
-    data = np.frombuffer(raw, dtype=np.uint8).reshape(dims)
-    return LabelVolume(data.copy())
+    """Read a volume file, copying its payload once: straight into the array."""
+    with open(path, "rb") as fh:
+        head = fh.read(HEADER.size)
+        code, dims = _check_header(path, head, os.fstat(fh.fileno()).st_size)
+        data = np.empty(dims, "<f4" if code == _DTYPE_VOLUME else np.uint8)
+        got = fh.readinto(memoryview(data).cast("B"))
+    if got != data.nbytes:
+        raise FormatError(f"{path}: truncated payload, {data.nbytes - got} bytes missing")
+    return VoxelVolume(data) if code == _DTYPE_VOLUME else LabelVolume(data)
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,19 @@ A closure that allocates a gradient for one parent passes it with
 ``fresh=True``, and it becomes that parent's first gradient without a copy
 (``Tensor.accumulate_grad``). conv3d lowers to GEMMs on
 slab columns, a partial im2col over the two fast spatial axes (Chellapilla
-et al. 2006; Anderson et al. 2017). A slab row holds one k×k window of all
-channels, k²·C entries. The slab rows of padded planes [d0, d1 + k - 1),
-copied once, hold the columns of output planes [d0, d1) for each slow-axis
-offset a as one contiguous row block, a planes down, so a chunk of output
-planes costs one copy and k GEMMs. Chunks are sized to
-``CONV_SCRATCH_BYTES`` in the forward pass and both backward passes, so
-scratch stays capped regardless of batch or window size, and small enough
-to stay in cache. The input gradient is the correlation of the padded
-output gradient with the flipped, transposed kernel (Dumoulin & Visin
-2016), run through the same chunked helper as the forward pass.
+et al. 2006; Anderson et al. 2017). It takes the unpadded input; for a
+chunk of output planes [d0, d1) of one item it zero-pads only that item's
+padded planes [d0, d1 + k - 1) into a block. A slab row holds one k×k
+window of all channels of the block, k²·C entries. The block's slab rows,
+copied once, hold the columns of output planes [d0, d1) for each
+slow-axis offset a as one contiguous row block, a planes down, so a chunk
+of output planes costs one padded block, one copy and k GEMMs. Chunks are
+sized to ``CONV_SCRATCH_BYTES`` in the forward pass and both backward
+passes, so scratch stays capped regardless of batch or window size, and
+small enough to stay in cache. The input gradient is the correlation of
+the output gradient, padded by k - 1 - p, with the flipped, transposed
+kernel (Dumoulin & Visin 2016), run through the same chunked helper as the
+forward pass.
 
 An op returns the dtype of its floating inputs, and every gradient it passes
 back has it too, so a model built in float32 trains in float32 end to end.
@@ -59,9 +62,10 @@ per-instance reduction contract:
   OpenBLAS rounds some of these products differently when only the
   operands' storage order changes.
 
-The byte meter counts conv3d's padded copies, its outputs and the slab
-columns of its input-gradient pass, one chunk at a time. The slab columns
-of the forward and weight-gradient passes are not counted.
+The byte meter counts conv3d's outputs and, one chunk at a time, one
+item's padded planes in every pass and the slab columns of its
+input-gradient pass. The slab columns of the forward and weight-gradient
+passes are not counted.
 """
 
 from __future__ import annotations
@@ -241,8 +245,9 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     nx = x.node
 
     def bw(g):
-        # out > 0 exactly where x > 0
-        nx.accumulate_grad(np.where(out > 0, g, g * slope), fresh=True)
+        # out > 0 exactly where x > 0; 1 or slope times g has the bits of
+        # where(out > 0, g, g * slope), and numpy's float where is slow
+        nx.accumulate_grad(np.maximum(out > 0, np.asarray(slope, out.dtype)) * g, fresh=True)
 
     return make_node(out, (nx,), bw)
 
@@ -286,63 +291,62 @@ def sigmoid(x: Tensor) -> Tensor:
 # convolution and resampling
 
 
-def _padded(src: np.ndarray, pad: int) -> np.ndarray:
-    """Channels-last ``src`` zero-padded by ``pad`` on each spatial side, C-contiguous."""
-    if pad == 0:
-        return np.ascontiguousarray(src)
-    b, d, h, w, c = src.shape
-    out = memory_meter.track(np.zeros((b, d + 2 * pad, h + 2 * pad, w + 2 * pad, c), src.dtype))
-    out[:, pad:-pad, pad:-pad, pad:-pad] = src
-    return out
-
-
-def _slabs(xp: np.ndarray, k: int) -> np.ndarray:
-    """The k×k windows over the two fast axes of C-contiguous ``xp``, for
-    every padded plane, as one strided view (B, D, oh, ow, k, k, C): a plane
-    of slab rows, k²·C entries each, per input plane."""
-    b, d, h, w, c = xp.shape
-    sb, sd, sh, sw, sc = xp.strides
-    shape = (b, d, h - k + 1, w - k + 1, k, k, c)
-    return np.ndarray(shape, xp.dtype, xp, 0, (sb, sd, sh, sw, sh, sw, sc))
-
-
-def _plane_chunks(slab: np.ndarray, k: int):
-    """[d0, d1) ranges of output planes whose d1 - d0 + k - 1 slab planes fit
+def _plane_chunks(od: int, oh: int, ow: int, k: int, c: int, itemsize: int):
+    """[d0, d1) ranges of ``od`` output planes whose d1 - d0 + k - 1 planes
+    of slab rows (oh·ow rows of k²·``c`` entries each) fit
     ``CONV_SCRATCH_BYTES``, at least one output plane each."""
-    od = slab.shape[1] - k + 1
-    plane_bytes = slab[0, 0].size * slab.itemsize
+    plane_bytes = oh * ow * k * k * c * itemsize
     d_step = max(1, min(od, CONV_SCRATCH_BYTES // plane_bytes - (k - 1)))
     return [(d0, min(d0 + d_step, od)) for d0 in range(0, od, d_step)]
 
 
-def _col(slab: np.ndarray, bi: int, d0: int, d1: int, k: int, metered: bool = False) -> np.ndarray:
-    """Slab rows of planes [d0, d1 + k - 1) of item bi, the columns of output
-    planes [d0, d1), C-contiguous (planes·oh·ow, k²·C). Rows
-    [a·oh·ow, a·oh·ow + (d1 - d0)·oh·ow) are the columns of slow-axis offset
-    a. ``metered`` allocates them where the byte meter sees them; otherwise
-    ``reshape`` copies into an array the meter never counts."""
-    block = slab[bi, d0 : d1 + k - 1]
-    shape = (block.shape[0] * block.shape[1] * block.shape[2], block[0, 0, 0].size)
+def _padded_planes(xi: np.ndarray, pad: int, lo: int, hi: int) -> np.ndarray:
+    """Planes [lo, hi) of the channels-last item ``xi`` (D, H, W, C) once it
+    is zero-padded by ``pad`` on each spatial side, as a C-contiguous block
+    the byte meter counts. The run must hold an input plane, as a chunk's
+    k or more planes do for ``pad`` < k."""
+    d, h, w, c = xi.shape
+    block = memory_meter.track(np.zeros((hi - lo, h + 2 * pad, w + 2 * pad, c), xi.dtype))
+    z0, z1 = max(lo, pad), min(hi, d + pad)  # the padded planes that hold input planes
+    block[z0 - lo : z1 - lo, pad : pad + h, pad : pad + w] = xi[z0 - pad : z1 - pad]
+    return block
+
+
+def _col(block: np.ndarray, k: int, metered: bool = False) -> np.ndarray:
+    """The slab rows of the C-contiguous padded planes ``block`` (P, H, W, C):
+    every k×k window over the two fast axes, k²·C entries, as C-contiguous
+    (P·oh·ow, k²·C). For the block of padded planes [d0, d1 + k - 1), rows
+    [a·oh·ow, a·oh·ow + (d1 - d0)·oh·ow) are the columns of output planes
+    [d0, d1) at slow-axis offset a. ``metered`` allocates them where the byte
+    meter sees them; otherwise ``reshape`` copies into an array the meter
+    never counts."""
+    p, h, w, c = block.shape
+    sd, sh, sw, sc = block.strides
+    slab = np.ndarray((p, h - k + 1, w - k + 1, k, k, c), block.dtype, block, 0,
+                      (sd, sh, sw, sh, sw, sc))
+    shape = (slab.shape[0] * slab.shape[1] * slab.shape[2], k * k * c)
     if not metered:
-        return block.reshape(shape)
-    col = memory_meter.track(np.empty(shape, slab.dtype))
-    col.reshape(block.shape)[...] = block
+        return slab.reshape(shape)
+    col = memory_meter.track(np.empty(shape, block.dtype))
+    col.reshape(slab.shape)[...] = slab
     return col
 
 
-def _correlate(xp: np.ndarray, wk: np.ndarray, metered: bool) -> np.ndarray:
-    """Valid cross-correlation of padded ``xp`` with the kernel ``wk``
-    reshaped to (k, k²·C, Cout), item by item and chunk by chunk: one GEMM
-    per slow-axis offset on a contiguous row block of the chunk's slab."""
+def _correlate(x: np.ndarray, wk: np.ndarray, pad: int, metered: bool) -> np.ndarray:
+    """Valid cross-correlation of channels-last ``x`` zero-padded by ``pad``
+    with the kernel ``wk`` reshaped to (k, k²·C, Cout), item by item and
+    chunk by chunk: one chunk's padded planes, then one GEMM per slow-axis
+    offset on a contiguous row block of their slab columns."""
     k, cout = wk.shape[0], wk.shape[2]
-    slab = _slabs(xp, k)
-    b, dp, oh, ow = slab.shape[:4]
+    b, d, h, w, c = x.shape
+    od, oh, ow = (n + 2 * pad - k + 1 for n in (d, h, w))
     plane = oh * ow
-    out = memory_meter.track(np.empty((b, dp - k + 1, oh, ow, cout), dtype=xp.dtype))
-    chunks = _plane_chunks(slab, k)
+    out = memory_meter.track(np.empty((b, od, oh, ow, cout), dtype=x.dtype))
+    chunks = _plane_chunks(od, oh, ow, k, c, x.itemsize)
     for bi in range(b):
         for d0, d1 in chunks:
-            col = _col(slab, bi, d0, d1, k, metered)
+            # the padded block dies once its columns are copied out
+            col = _col(_padded_planes(x[bi], pad, d0, d1 + k - 1), k, metered)
             n = (d1 - d0) * plane
             acc = col[:n] @ wk[0]
             for a in range(1, k):
@@ -371,30 +375,29 @@ def conv3d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
 
     cin, cout = w.data.shape[3:]
     p = padding
-    out = _correlate(_padded(x.data, p), w.data.reshape(k, -1, cout), metered=False)
+    out = _correlate(x.data, w.data.reshape(k, -1, cout), p, metered=False)
     nx, nw = x.node, w.node
     xd = x.data if nw is not None else None  # the kernel gradient reads the input
     wd = w.data if nx is not None else None  # the input gradient reads the kernel
 
     def bw(g):
         if nw is not None:
-            slab = _slabs(_padded(xd, p), k)
-            plane = slab.shape[2] * slab.shape[3]
-            chunks = _plane_chunks(slab, k)
-            for bi in range(g.shape[0]):
+            b, od, oh, ow = g.shape[:4]
+            plane = oh * ow
+            chunks = _plane_chunks(od, oh, ow, k, cin, xd.itemsize)
+            for bi in range(b):
                 dw = np.zeros((k, k * k * cin, cout), dtype=g.dtype)
                 for d0, d1 in chunks:
-                    col = _col(slab, bi, d0, d1, k)
+                    col = _col(_padded_planes(xd[bi], p, d0, d1 + k - 1), k)
                     gb = g[bi, d0:d1].reshape(-1, cout)
                     for a in range(k):
                         dw[a] += col[a * plane : a * plane + len(gb)].T @ gb
                     del col
                 nw.accumulate_grad(dw.reshape(nw.shape))
-            del slab  # frees the padded input before the input-gradient pass
         if nx is not None:
             # the transposed convolution: flipped offsets, Cout and Cin swapped
             wt = np.ascontiguousarray(wd[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3))
-            dx = _correlate(_padded(g, k - 1 - p), wt.reshape(k, -1, cin), metered=True)
+            dx = _correlate(g, wt.reshape(k, -1, cin), k - 1 - p, metered=True)
             nx.accumulate_grad(dx, fresh=True)
 
     return make_node(out, (nx, nw), bw)

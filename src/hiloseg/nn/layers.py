@@ -300,6 +300,7 @@ class ResidualBlockConv3d(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         h = self.conv1(self.activation(self.norm1(x)))
-        h = self.conv2(self.activation(self.norm2(h)))
+        h = self.activation(self.norm2(h))  # conv1's output dies before conv2 runs
+        h = self.conv2(h)
         skip = self.proj(x) if self.proj is not None else x
         return F.add(skip, h)

@@ -1,7 +1,21 @@
-"""Shared fixtures and the finite-difference gradient checker."""
+"""Shared fixtures, the finite-difference gradient checker and the byte
+meter's peak probe."""
+
+import gc
 
 import numpy as np
 import pytest
+
+from hiloseg.nn.tensor import memory_meter
+
+
+def meter_peak(fn) -> int:
+    """Byte-meter peak while ``fn`` runs, above the level at its start."""
+    gc.collect()
+    memory_meter.reset_peak()
+    base = memory_meter.current
+    fn()
+    return memory_meter.peak - base
 
 
 def finite_difference_check(build_loss, tensors, n_probes=50, eps=1e-5,

@@ -1,8 +1,12 @@
 """Volume file format, manifests, splits, synthetic generator, slice images."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from hiloseg import data_io
 from hiloseg.data_io import (
     DEFAULT_SPLIT_RATIOS,
     HEADER,
@@ -82,6 +86,31 @@ class TestVolumeFormat:
         p.write_bytes(p.read_bytes() + b"junk")
         with pytest.raises(FormatError, match="trailing"):
             load_volume(p)
+
+    def test_file_shorter_than_its_stat_size(self, tmp_path, monkeypatch):
+        """A payload that ends before the size the file reported is a
+        FormatError, not a partly filled array."""
+        p = tmp_path / "x.hv1"
+        save_volume(p, VoxelVolume(np.zeros((4, 4, 4), dtype=np.float32)))
+        size = p.stat().st_size
+        p.write_bytes(p.read_bytes()[:-10])
+        monkeypatch.setattr(data_io.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(FormatError, match="truncated payload, 10 bytes missing"):
+            load_volume(p)
+
+    def test_load_holds_the_payload_once(self, tmp_path):
+        """Loading allocates the volume's array and little else: no copy of
+        the file's bytes next to it."""
+        vol = VoxelVolume(np.zeros((64, 64, 64), dtype=np.float32))
+        p = tmp_path / "v.hv1"
+        save_volume(p, vol)
+        tracemalloc.start()
+        try:
+            back = load_volume(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.data.nbytes <= peak < 1.1 * back.data.nbytes
 
     def test_save_rejects_plain_arrays(self, tmp_path):
         with pytest.raises(TypeError):

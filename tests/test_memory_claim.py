@@ -4,29 +4,21 @@ configuration, not on the scan's size. The occupancy encoder, which sees
 the whole pooled scan, is measured next to it to show that the meter does
 see scan size where a model depends on it."""
 
-import gc
+from conftest import meter_peak
 
 from hiloseg.data_io import SynthConfig, generate_synthetic_one
 from hiloseg.inference import BoundingBox, segment_volume
 from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, OnetModel, train_hilo
 from hiloseg.models.onet import onet_encode
-from hiloseg.nn.tensor import memory_meter
 from hiloseg.queue import TrainingQueue
 from hiloseg.sampling import SamplerConfig
 
 CFG = HiLoConfig(window_size=8, downsampling_factor=2, levels=3, encoder_blocks=1,
                  cnn_decoder_blocks=1, base_channels=2, batch_size=2)
+# the benchmark's segmentation model: windows of 16, pyramid factor 4, 3 levels
+DEEP = HiLoConfig(window_size=16, downsampling_factor=4, levels=3, base_channels=6)
 ONET = OnetConfig(input_downsample=4, encoder_blocks=1, decoder_blocks=1, base_channels=2,
                   latent_dim=8, decoder_hidden=8)
-
-
-def meter_peak(fn) -> int:
-    """Byte-meter peak while ``fn`` runs, above the level at its start."""
-    gc.collect()
-    memory_meter.reset_peak()
-    base = memory_meter.current
-    fn()
-    return memory_meter.peak - base
 
 
 def peaks(side: int) -> dict[str, int]:
@@ -52,3 +44,20 @@ def test_window_pyramid_peak_does_not_depend_on_scan_size():
     assert large["segment"] == small["segment"]
     # 27x the voxels; the pooled scan and the encoder activations grow with it
     assert large["onet_encode"] > 10 * small["onet_encode"]
+
+
+def test_deep_pyramid_segment_peak_is_pinned():
+    """Segmenting one window with the deep-pyramid model peaks at the same
+    bytes at two scan sizes: at norm2 of the level-2 encoder's first block,
+    its skip input, conv1's output, the standardized output and its scaled
+    copy (16³ × 6 float32 each), plus the level inputs and two finished
+    encodings. A whole padded copy of a conv input, or conv1's output still
+    alive while conv2 runs, would raise it."""
+    model = HiLoModel(DEEP, seed=0)
+    got = []
+    for side in (32, 96):
+        vol = generate_synthetic_one(SynthConfig(dims=(side,) * 3, seed=1), 0)[0]
+        c = side // 2
+        region = BoundingBox((c - 8,) * 3, (c + 7,) * 3)
+        got.append(meter_peak(lambda: segment_volume(vol, model, DEEP, region, threads=1)))
+    assert got == [466_944, 466_944]

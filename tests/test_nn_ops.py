@@ -1,10 +1,10 @@
 """Forward-value checks for the autodiff core: ops against naive oracles."""
 
-import gc
 import itertools
 
 import numpy as np
 import pytest
+from conftest import meter_peak
 
 from hiloseg import nn
 from hiloseg.nn import functional as F
@@ -20,7 +20,7 @@ from hiloseg.nn.layers import (
     ResidualBlockFC,
     fan_in_uniform,
 )
-from hiloseg.nn.tensor import grad_enabled, memory_meter
+from hiloseg.nn.tensor import grad_enabled, memory_meter, no_grad
 
 
 def naive_conv3d(x, w, padding=0):
@@ -178,6 +178,21 @@ class TestActivations:
         want = np.where(x > 0, x, x * slope)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [1e-30, 0.01, 0.5, 1.0])
+    def test_leaky_relu_gradient_bit_equal_to_where_formula(self, dtype, slope):
+        """The input gradient has the bits of where(out > 0, g, g * slope) for
+        every pair of special values in the output and in the gradient."""
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-40, -1e-40, 1.5, -2.5]
+        x, g = (a.ravel() for a in np.meshgrid(np.array(special, dtype), np.array(special, dtype)))
+        with np.errstate(all="ignore"):
+            xt = nn.Tensor(x.copy(), requires_grad=True)
+            y = F.leaky_relu(xt, slope=slope)
+            want = np.where(y.data > 0, g, g * slope)
+            F.sum_all(F.mul(y, g)).backward()  # hands leaky_relu exactly g
+        assert xt.grad.dtype == want.dtype
+        assert xt.grad.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("slope", [0.0, -0.01, 1.5, np.nan])
     def test_leaky_relu_slope_outside_unit_interval(self, slope):
@@ -338,32 +353,57 @@ class TestConv3d:
         h, w = 7, 6
         for d, c, cap in itertools.product((k, k + 1, 9, 16), (1, 6), (1, 5000, 40000, 1 << 30)):
             monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", cap)
-            slab = F._slabs(np.zeros((2, d, h, w, c), np.float32), k)
-            chunks = F._plane_chunks(slab, k)
-            assert [z for d0, d1 in chunks for z in range(d0, d1)] == list(range(d - k + 1))
+            xi = np.zeros((d, h, w, c), np.float32)
+            od, oh, ow = d - k + 1, h - k + 1, w - k + 1
+            chunks = F._plane_chunks(od, oh, ow, k, c, xi.itemsize)
+            assert [z for d0, d1 in chunks for z in range(d0, d1)] == list(range(od))
             for d0, d1 in chunks:
-                col = F._col(slab, 1, d0, d1, k)
-                rows = (d1 - d0 + k - 1) * (h - k + 1) * (w - k + 1)
+                col = F._col(F._padded_planes(xi, 0, d0, d1 + k - 1), k)
+                rows = (d1 - d0 + k - 1) * oh * ow
                 assert col.shape == (rows, k * k * c)
                 assert d1 - d0 == 1 or col.nbytes <= cap
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_padded_planes_are_planes_of_the_padded_item(self, rng, k):
+        """Every run of at least k padded planes, as a chunk needs, equals
+        those planes of the whole item zero-padded at once, and is
+        C-contiguous."""
+        xi = rng.normal(size=(4, 3, 5, 2)).astype(np.float32)
+        for pad in range(k):
+            whole = np.pad(xi, [(pad, pad)] * 3 + [(0, 0)])
+            for lo, hi in itertools.combinations(range(len(whole) + 1), 2):
+                if hi - lo < k:
+                    continue
+                block = F._padded_planes(xi, pad, lo, hi)
+                assert block.flags.c_contiguous
+                np.testing.assert_array_equal(block, whole[lo:hi])
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_forward_pads_one_chunk_of_one_item(self, rng, b):
+        """Under no_grad the meter holds conv3d's output and one chunk of one
+        item's padded planes. For a 16³ × 6 float32 item and k = 3 a chunk is
+        7 output planes, so 9 padded planes of 18² × 6 entries, 69,984 B;
+        the whole padded item would be 139,968 B."""
+        x = nn.Tensor(rng.normal(size=(b, 16, 16, 16, 6)).astype(np.float32))
+        w = nn.Tensor(rng.normal(size=(3, 3, 3, 6, 6)).astype(np.float32))
+        with no_grad():
+            peak = meter_peak(lambda: F.conv3d(x, w, padding=1))
+        assert peak == x.data.nbytes + 9 * 18**2 * 6 * 4
+
     def test_backward_scratch_stays_capped(self, rng, monkeypatch):
         """The meter's peak over forward and backward is the arrays conv3d
-        must hold plus one chunk of input-gradient columns, never a whole
-        item's."""
+        must hold plus one chunk of one item's padded planes and one chunk
+        of input-gradient columns, never a whole item's."""
         cap = 64 << 10
         monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", cap)
         b, n, cin, cout = 2, 12, 8, 8
         x = nn.Tensor(rng.normal(size=(b, n, n, n, cin)).astype(np.float32), requires_grad=True)
         w = nn.Tensor(rng.normal(size=(3, 3, 3, cin, cout)).astype(np.float32), requires_grad=True)
-        gc.collect()
-        base = memory_meter.current
-        memory_meter.reset_peak()
-        F.sum_all(F.conv3d(x, w, padding=1)).backward()
-        peak = memory_meter.peak - base
-        f32 = 4
+        peak = meter_peak(lambda: F.sum_all(F.conv3d(x, w, padding=1)).backward())
+        f32, c = 4, max(cin, cout)
         output = b * n**3 * cout * f32  # held twice: the value and its gradient
-        padded = b * (n + 2) ** 3 * max(cin, cout) * f32  # the padded input or output gradient
+        chunk = max(d1 - d0 for d0, d1 in F._plane_chunks(n, n, n, 3, c, f32))
+        padded = (chunk + 2) * (n + 2) ** 2 * c * f32  # padded planes of the input or its gradient
         dx = 2 * x.data.nbytes  # the input gradient and its accumulated copy
         plane = n * n * 27 * cout * f32  # one output plane of input-gradient columns
         bound = 2 * output + padded + dx + w.data.nbytes + max(cap, plane)
@@ -659,6 +699,27 @@ class TestResidualBlocks:
         x = rng.normal(size=(2, 4, 4, 4, 3)).astype(np.float64)
         out = block(nn.Tensor(x)).data
         np.testing.assert_array_equal(out, x)
+
+    def test_conv_block_frees_conv1_output_before_conv2(self, rng, monkeypatch):
+        """Under no_grad conv2 starts with as many metered bytes alive as
+        conv1 did, its input alone. The block's peak is then three 16³ × 6
+        float32 activations: at norm2, conv1's output, the standardized
+        output and its scaled copy; at conv2's bias, its input, the
+        convolution and the sum."""
+        block = ResidualBlockConv3d(6, 6, rng=0)
+        x = nn.Tensor(rng.normal(size=(1, 16, 16, 16, 6)).astype(np.float32))
+        live = []
+        conv3d = F.conv3d
+
+        def counted(inp, w, padding=0):
+            live.append(memory_meter.current)
+            return conv3d(inp, w, padding=padding)
+
+        monkeypatch.setattr(F, "conv3d", counted)
+        with no_grad():
+            peak = meter_peak(lambda: block(x))
+        assert len(live) == 2 and live[1] == live[0]
+        assert peak == 3 * x.data.nbytes
 
     def test_channel_change_uses_projection(self, rng):
         block = ResidualBlockFC(4, 7, rng=0, ref=2)
