@@ -202,6 +202,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if rc.model.startswith("hilo"):
         decoder = "cnn" if rc.model == "hilo-cnn" else "onet"
         if rc.hilo.decoder != decoder:
+            if "hilo.decoder" in given:
+                raise UsageError(
+                    f"hilo.decoder = {rc.hilo.decoder} disagrees with run.model = {rc.model} "
+                    f"(decoder {decoder}); drop hilo.decoder or pick the matching model"
+                )
             rc.hilo = dataclasses.replace(rc.hilo, decoder=decoder)
     elif rc.model == "onet-bb" and "onet.coord_resolution" not in given:
         # box extraction defaults to coarse labels unless explicitly chosen

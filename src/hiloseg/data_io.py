@@ -1,4 +1,4 @@
-"""Volume file format, dataset manifests, preprocessing, synthetic data.
+"""Volume file format, dataset manifests, synthetic data.
 
 File format ("HILOVOL1"): 8-byte magic, u16 version, u8 dtype code
 (0 = float32 material volume, 1 = uint8 label volume), three u32 dims
@@ -15,7 +15,6 @@ zero-padding used everywhere reads as air.
 
 from __future__ import annotations
 
-import logging
 import os
 import struct
 from dataclasses import dataclass, field
@@ -26,8 +25,6 @@ import numpy as np
 from .errors import FormatError
 from .rng import make_rng
 from .voxel import LabelVolume, VoxelVolume
-
-log = logging.getLogger(__name__)
 
 MAGIC = b"HILOVOL1"
 VERSION = 1
@@ -162,28 +159,6 @@ def split_dataset(records, ratios=DEFAULT_SPLIT_RATIOS, seed=0) -> DatasetManife
         r = records[idx]
         out.append(ManifestRecord(r.path, r.label_path, split))
     return DatasetManifest(out)
-
-
-# ---------------------------------------------------------------------------
-# preprocessing
-
-
-def preprocess(raw: np.ndarray, target_first_dim: int, raw_range=None) -> VoxelVolume:
-    """Cap/pad the first axis to a fixed extent and map values onto [0, 1]."""
-    arr = np.asarray(raw, dtype=np.float32)
-    if arr.ndim != 3:
-        raise ValueError(f"expected a 3-d array, got shape {arr.shape}")
-    n = arr.shape[0]
-    if n > target_first_dim:
-        arr = arr[:target_first_dim]
-    elif n < target_first_dim:
-        pad = np.zeros((target_first_dim - n,) + arr.shape[1:], dtype=arr.dtype)
-        arr = np.concatenate([arr, pad], axis=0)
-    lo, hi = raw_range if raw_range is not None else (float(arr.min()), float(arr.max()))
-    if hi <= lo:
-        log.warning("degenerate raw value range [%s, %s]; emitting an all-zero volume", lo, hi)
-        return VoxelVolume(np.zeros_like(arr))
-    return VoxelVolume(np.clip((arr - lo) / (hi - lo), 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

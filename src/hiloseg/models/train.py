@@ -1,5 +1,12 @@
 """Training loops: pooled-volume occupancy models and window-pyramid models.
 
+Both trainers run one loop, ``_fit``: Adam steps on micro-batched batches,
+the divergence check, and validation that keeps the state with the best
+smoothed IoU. Each trainer keeps only its data path. The occupancy trainer
+walks epoch permutations of pooled volumes held in memory; the pyramid
+trainer draws pyramids from instances that a loader thread feeds into a
+training queue.
+
 Both trainers return (best parameter state, metrics dict) and never write
 files themselves; checkpointing is the caller's job. Instances can be given
 as in-memory (volume, labels) pairs or as manifest records with ``path`` and
@@ -8,7 +15,6 @@ as in-memory (volume, labels) pairs or as manifest records with ``path`` and
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
@@ -23,8 +29,6 @@ from ..sampling import SamplerConfig, sample_biased_coords, sample_pyramid_locat
 from ..voxel import LabelVolume, VoxelVolume, average_pool, build_pyramid, extract_window, max_pool
 from .hilo import HiLoConfig, HiLoModel
 from .onet import OnetConfig, OnetModel, normalize_coords
-
-log = logging.getLogger(__name__)
 
 _SHUFFLE_STREAM = 31
 _COORD_STREAM = 32
@@ -73,34 +77,6 @@ def _require_positive(**sizes: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-class _BestState:
-    """Appends each validation IoU and its smoothed value to ``metrics`` and
-    keeps the model state at the best smoothed value, recording where it
-    was reached under ``metrics[at_key]``."""
-
-    def __init__(self, model, metrics: dict, window: int, at_key: str):
-        self.model = model
-        self.metrics = metrics
-        self.window = window
-        self.at_key = at_key
-        self.smoothed = -math.inf
-        self.state = None
-
-    def record(self, iou: float, at: int) -> None:
-        ious = self.metrics["val_iou"]
-        ious.append(iou)
-        smoothed = float(np.mean(ious[-self.window :]))
-        self.metrics["val_iou_smoothed"].append(smoothed)
-        if smoothed > self.smoothed:
-            self.smoothed = smoothed
-            self.state = _snapshot(self.model)
-            self.metrics[self.at_key] = at
-
-    def result(self) -> dict[str, np.ndarray]:
-        """The best state, or the current one when none was recorded."""
-        return self.state if self.state is not None else _snapshot(self.model)
-
-
 class _DivergenceGuard:
     """Raises once the smoothed loss blows past a multiple of the first loss.
 
@@ -132,6 +108,56 @@ class _DivergenceGuard:
             )
 
 
+def _fit(model, forward, loss, steps: int, batches, val, validate_every: int, lr: float,
+         micro_batch: int, smoothing_window: int, context: str):
+    """The training loop of both trainers: ``steps`` Adam steps on ``model``.
+
+    ``batches`` yields (input arrays, target, done) per step, batch axis
+    first. ``forward`` maps the list of input tensors to predictions and
+    ``loss(pred, target)`` gives per-instance losses; ``done``, unless None,
+    receives the step's per-instance losses. ``val`` holds fixed
+    (input arrays, target) batches of one, evaluated every ``validate_every``
+    steps and after the last: the mean loss, the mean IoU of the masks at
+    ``model.cfg.threshold``, and that IoU averaged over the last
+    ``smoothing_window`` validations. Returns the state at the best smoothed
+    IoU (the final state without validation) and the per-step losses and
+    validation records, with ``best_step`` counted from 1.
+    """
+    opt = nn.Adam(model.parameters(), lr=lr)
+    guard = _DivergenceGuard()
+    fit = {"train_loss": [], "val_steps": [], "val_loss": [], "val_iou": [],
+           "val_iou_smoothed": [], "best_step": None}
+    best, best_state = -math.inf, None
+    for step, (inputs, target, done) in zip(range(1, steps + 1), batches):
+
+        def entry_losses(a, b):
+            return loss(forward([nn.Tensor(x[a:b]) for x in inputs]), target[a:b])
+
+        per_entry = _micro_batched_step(opt, len(target), micro_batch, entry_losses)
+        if done is not None:
+            done(per_entry)
+        step_loss = float(np.mean(per_entry))
+        guard.check(step_loss, context)
+        fit["train_loss"].append(step_loss)
+
+        if val and (step % validate_every == 0 or step == steps):
+            with nn.no_grad():
+                v, ious = 0.0, []
+                for xs, t in val:
+                    pred = forward([nn.Tensor(x) for x in xs])
+                    v += float(loss(pred, t).data[0])
+                    ious.append(mask_iou(pred.data[0] > model.cfg.threshold, t[0] != 0))
+            fit["val_steps"].append(step)
+            fit["val_loss"].append(v / len(val))
+            fit["val_iou"].append(float(np.mean(ious)))
+            smoothed = float(np.mean(fit["val_iou"][-smoothing_window:]))
+            fit["val_iou_smoothed"].append(smoothed)
+            if smoothed > best:
+                best, best_state = smoothed, _snapshot(model)
+                fit["best_step"] = step
+    return (best_state if best_state is not None else _snapshot(model)), fit
+
+
 # ---------------------------------------------------------------------------
 # pooled-volume occupancy training
 
@@ -158,7 +184,7 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset must be nonempty")
-    _require_positive(batch=batch, micro_batch=micro_batch)
+    _require_positive(batch=batch, micro_batch=micro_batch, smoothing_window=smoothing_window)
     insts = [_prep_onet_instance(item, cfg) for item in dataset]
     shapes = {i["pooled"].shape for i in insts}
     if len(shapes) != 1:
@@ -172,7 +198,7 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
     if epochs == 0:
         return _snapshot(model), metrics
 
-    val_insts = []
+    val = []
     for j, item in enumerate(val_dataset or []):
         inst = _prep_onet_instance(item, cfg)
         vrng = make_rng(seed, _VAL_STREAM, j)
@@ -182,54 +208,40 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
         coords = np.stack(
             [vrng.integers(0, d, size=sampler.n_train_coords) for d in inst["dims"]], axis=1
         )
-        inst["c01"] = normalize_coords(coords, inst["dims"])[None]
+        inputs = [inst["pooled"][None, ..., None].astype(dtype),
+                  normalize_coords(coords, inst["dims"])[None].astype(dtype)]
         lbl = inst["grid"].data[coords[:, 0], coords[:, 1], coords[:, 2]]
-        inst["t"] = lbl.astype(np.float32)[None]
-        val_insts.append(inst)
+        val.append((inputs, lbl.astype(np.float32)[None]))
 
-    opt = nn.Adam(model.parameters(), lr=lr)
-    rng = make_rng(seed, _SHUFFLE_STREAM)
-    crng = make_rng(seed, _COORD_STREAM)
-    guard = _DivergenceGuard()
-    n = sampler.n_train_coords
-    best = _BestState(model, metrics, smoothing_window, "best_epoch")
+    def batches():
+        rng = make_rng(seed, _SHUFFLE_STREAM)
+        crng = make_rng(seed, _COORD_STREAM)
+        n = sampler.n_train_coords
+        for _ in range(epochs):
+            order = rng.permutation(len(insts))
+            for start in range(0, len(order), batch):
+                idxs = order[start : start + batch]
+                vols = np.stack([insts[i]["pooled"] for i in idxs])[..., None].astype(dtype)
+                c01 = np.empty((len(idxs), n, 3), dtype=dtype)
+                t = np.empty((len(idxs), n), dtype=dtype)
+                for row, i in enumerate(idxs):
+                    cb = sample_biased_coords(insts[i]["grid"], sampler, n, rng=crng)
+                    c01[row] = normalize_coords(cb.coords, insts[i]["dims"])
+                    t[row] = cb.labels
+                yield [vols, c01], t, None
 
-    for epoch in range(epochs):
-        order = rng.permutation(len(insts))
-        epoch_losses = []
-        for start in range(0, len(order), batch):
-            idxs = order[start : start + batch]
-            vols = np.stack([insts[i]["pooled"] for i in idxs])[..., None].astype(dtype)
-            c01 = np.empty((len(idxs), n, 3), dtype=dtype)
-            t = np.empty((len(idxs), n), dtype=dtype)
-            for row, i in enumerate(idxs):
-                cb = sample_biased_coords(insts[i]["grid"], sampler, n, rng=crng)
-                c01[row] = normalize_coords(cb.coords, insts[i]["dims"])
-                t[row] = cb.labels
-
-            def entry_losses(a, b):
-                return F.bce_loss(model(nn.Tensor(vols[a:b]), nn.Tensor(c01[a:b])), t[a:b])
-
-            batch_loss = float(np.mean(_micro_batched_step(opt, len(idxs), micro_batch, entry_losses)))
-            guard.check(batch_loss, "occupancy training")
-            epoch_losses.append(batch_loss)
-        metrics["train_loss"].append(float(np.mean(epoch_losses)))
-
-        if val_insts:
-            with nn.no_grad():
-                v = 0.0
-                ious = []
-                for inst in val_insts:
-                    pred = model(
-                        nn.Tensor(inst["pooled"][None, ..., None].astype(dtype)),
-                        nn.Tensor(inst["c01"].astype(dtype)),
-                    )
-                    v += float(F.elementwise_bce(pred.data, inst["t"]).mean())
-                    ious.append(mask_iou(pred.data[0] > cfg.threshold, inst["t"][0] != 0))
-            metrics["val_loss"].append(v / len(val_insts))
-            best.record(float(np.mean(ious)), epoch)
-
-    return best.result(), metrics
+    per_epoch = math.ceil(len(insts) / batch)
+    state, fit = _fit(model, lambda xs: model(*xs), F.bce_loss, epochs * per_epoch, batches(),
+                      val, per_epoch, lr, micro_batch, smoothing_window, "occupancy training")
+    losses = fit["train_loss"]
+    metrics["train_loss"] = [
+        float(np.mean(losses[e * per_epoch : (e + 1) * per_epoch])) for e in range(epochs)
+    ]
+    for key in ("val_loss", "val_iou", "val_iou_smoothed"):
+        metrics[key] = fit[key]
+    if fit["best_step"] is not None:
+        metrics["best_epoch"] = fit["best_step"] // per_epoch - 1
+    return state, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +259,38 @@ def _crop_to_positive_bb(item):
     return np.ascontiguousarray(vol.data[sl]), np.ascontiguousarray(labels.data[sl])
 
 
-def _sample_center(crop_labels: np.ndarray, cfg: HiLoConfig, sampler: SamplerConfig,
-                   mode: str, rng) -> tuple[int, int, int]:
+def _draw_window(crop, cfg: HiLoConfig, sampler: SamplerConfig, mode: str, rng):
+    """One pyramid draw from a cropped (volume, labels) instance.
+
+    Draws from ``rng`` in this order: the center (uniform inside the crop in
+    "bb" mode, the miss-redraw rule over it in "volume" mode), then, for the
+    coordinate decoder, ``sampler.n_hilo_coords`` uniform window
+    coordinates. Returns (level arrays, target, coordinates / w or None);
+    the target is the label window, or its labels at the coordinates.
+    """
+    crop_v, crop_l = crop
+    w, d, L = cfg.window_size, cfg.downsampling_factor, cfg.levels
     if mode == "bb":
-        return tuple(int(rng.integers(0, s)) for s in crop_labels.shape)
-    return sample_pyramid_location(
-        LabelVolume(crop_labels), sampler, cfg.window_size,
-        cfg.downsampling_factor, cfg.levels, rng=rng,
-    )
+        center = tuple(int(rng.integers(0, s)) for s in crop_l.shape)
+    else:
+        center = sample_pyramid_location(LabelVolume(crop_l), sampler, w, d, L, rng=rng)
+    levels = [lv.data for lv in build_pyramid(VoxelVolume(crop_v), center, w, d, L).levels]
+    win = extract_window(LabelVolume(crop_l), tuple(c - w // 2 for c in center), w).data
+    if cfg.decoder == "cnn":
+        return levels, win, None
+    co = rng.integers(0, w, size=(sampler.n_hilo_coords, 3))
+    return levels, win[co[:, 0], co[:, 1], co[:, 2]], co / w
+
+
+def _stack_windows(draws, dtype):
+    """Batch ``_draw_window`` results into (input arrays, target): one
+    (B, w, w, w, 1) array per level, then the (B, n, 3) coordinates when
+    the draws have them."""
+    levels, targets, coords = zip(*draws)
+    inputs = [np.stack(lv)[..., None].astype(dtype) for lv in zip(*levels)]
+    if coords[0] is not None:
+        inputs.append(np.stack(coords).astype(dtype))
+    return inputs, np.stack(targets).astype(dtype)
 
 
 def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
@@ -280,9 +316,9 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
         raise ValueError("dataset must be nonempty")
     if pyramid_sampling not in ("bb", "volume"):
         raise ValueError(f"pyramid_sampling must be 'bb' or 'volume', got {pyramid_sampling!r}")
-    _require_positive(micro_batch=micro_batch)
+    _require_positive(micro_batch=micro_batch, validate_every=validate_every,
+                      smoothing_window=smoothing_window)
     sampler = sampler or SamplerConfig()
-    w, d, L = cfg.window_size, cfg.downsampling_factor, cfg.levels
     steps_per_epoch = max(1, math.ceil(len(dataset) / cfg.batch_size))
     total_steps = epochs * steps_per_epoch
     if max_steps is not None:
@@ -290,105 +326,46 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
 
     model = HiLoModel(cfg, seed, dtype)
     metrics = {
-        "train_loss": [], "val_steps": [], "val_iou": [], "val_iou_smoothed": [],
+        "train_loss": [], "val_steps": [], "val_loss": [], "val_iou": [], "val_iou_smoothed": [],
         "best_step": None, "baseline_iou": None, "steps": total_steps,
     }
     if total_steps == 0:
         return _snapshot(model), metrics
 
     # one fixed pyramid per validation instance, reused at every validation
-    val_insts = []
-    for j, item in enumerate(val_dataset or []):
-        crop_v, crop_l = _crop_to_positive_bb(item)
-        vrng = make_rng(seed, _VAL_STREAM, j)
-        center = _sample_center(crop_l, cfg, sampler, pyramid_sampling, vrng)
-        pyr = build_pyramid(VoxelVolume(crop_v), center, w, d, L)
-        origin = tuple(c - w // 2 for c in center)
-        truth = extract_window(LabelVolume(crop_l), origin, w).data
-        inst = {
-            "levels": [lv.data[..., None].astype(dtype) for lv in pyr.levels],
-            "truth": truth != 0,
-        }
-        if cfg.decoder == "onet":
-            co = vrng.integers(0, w, size=(sampler.n_hilo_coords, 3))
-            inst["coords"] = co
-            inst["c01"] = (co / w).astype(dtype)
-            inst["truth_at"] = truth[co[:, 0], co[:, 1], co[:, 2]] != 0
-        val_insts.append(inst)
-    if val_insts:
-        if cfg.decoder == "cnn":
-            metrics["baseline_iou"] = float(
-                np.mean([mask_iou(np.zeros_like(i["truth"]), i["truth"]) for i in val_insts])
-            )
-        else:
-            metrics["baseline_iou"] = float(
-                np.mean([mask_iou(np.zeros_like(i["truth_at"]), i["truth_at"]) for i in val_insts])
-            )
+    val = [
+        _stack_windows([_draw_window(_crop_to_positive_bb(item), cfg, sampler, pyramid_sampling,
+                                     make_rng(seed, _VAL_STREAM, j))], dtype)
+        for j, item in enumerate(val_dataset or [])
+    ]
+    if val:
+        truths = [t[0] != 0 for _, t in val]
+        metrics["baseline_iou"] = float(np.mean([mask_iou(np.zeros_like(m), m) for m in truths]))
 
-    def validate() -> float:
-        with nn.no_grad():
-            ious = []
-            for inst in val_insts:
-                lv = [nn.Tensor(arr[None]) for arr in inst["levels"]]
-                if cfg.decoder == "cnn":
-                    pred = model.forward_batch(lv).data[0] > cfg.threshold
-                    ious.append(mask_iou(pred, inst["truth"]))
-                else:
-                    pred = model.forward_batch(lv, nn.Tensor(inst["c01"][None])).data[0]
-                    ious.append(mask_iou(pred > cfg.threshold, inst["truth_at"]))
-        return float(np.mean(ious))
-
-    opt = nn.Adam(model.parameters(), lr=lr)
-    qrng = make_rng(seed, _QUEUE_STREAM)
-    prng = make_rng(seed, _PYRAMID_STREAM)
-    guard = _DivergenceGuard()
-    best = _BestState(model, metrics, smoothing_window, "best_step")
-    n_coords = sampler.n_hilo_coords
-    loader = BatchLoader(queue, dataset, lambda item: _crop_to_positive_bb(item)).start()
-    try:
-        for step in range(total_steps):
+    def batches():
+        qrng = make_rng(seed, _QUEUE_STREAM)
+        prng = make_rng(seed, _PYRAMID_STREAM)
+        while True:
             entries = loader.next_batch(cfg.batch_size, qrng)
-            B = len(entries)
-            pyrs, targets, coords = [], [], []
-            for e in entries:
-                crop_v, crop_l = e.payload
-                center = _sample_center(crop_l, cfg, sampler, pyramid_sampling, prng)
-                pyrs.append(build_pyramid(VoxelVolume(crop_v), center, w, d, L))
-                origin = tuple(c - w // 2 for c in center)
-                win = extract_window(LabelVolume(crop_l), origin, w).data
-                if cfg.decoder == "cnn":
-                    targets.append(win)
-                else:
-                    co = prng.integers(0, w, size=(n_coords, 3))
-                    coords.append(co)
-                    targets.append(win[co[:, 0], co[:, 1], co[:, 2]])
-            levels_np = [
-                np.stack([p.levels[i].data for p in pyrs])[..., None].astype(dtype)
-                for i in range(L)
-            ]
-            t = np.stack(targets).astype(dtype)
-            c01 = (np.stack(coords) / w).astype(dtype) if coords else None
+            draws = [_draw_window(e.payload, cfg, sampler, pyramid_sampling, prng) for e in entries]
 
-            def entry_losses(a, b):
-                lv = [nn.Tensor(arr[a:b]) for arr in levels_np]
-                if cfg.decoder == "cnn":
-                    return F.focal_loss(model.forward_batch(lv), t[a:b])
-                return F.bce_loss(model.forward_batch(lv, nn.Tensor(c01[a:b])), t[a:b])
+            def done(losses):
+                for e, h in zip(entries, losses):
+                    try:
+                        queue.update_hardness(e.instance_id, float(h))
+                    except KeyError:
+                        pass  # evicted by the loader while this step was computing
 
-            per_entry = _micro_batched_step(opt, B, micro_batch, entry_losses)
-            batch_loss = float(np.mean(per_entry))
-            for e, h in zip(entries, per_entry):
-                try:
-                    queue.update_hardness(e.instance_id, float(h))
-                except KeyError:
-                    pass  # evicted by the loader while this step was computing
-            guard.check(batch_loss, "pyramid training")
-            metrics["train_loss"].append(batch_loss)
+            yield (*_stack_windows(draws, dtype), done)
 
-            if val_insts and ((step + 1) % validate_every == 0 or step + 1 == total_steps):
-                metrics["val_steps"].append(step + 1)
-                best.record(validate(), step + 1)
+    L = cfg.levels
+    loader = BatchLoader(queue, dataset, _crop_to_positive_bb).start()
+    try:
+        state, fit = _fit(model, lambda xs: model.forward_batch(xs[:L], *xs[L:]),
+                          F.focal_loss if cfg.decoder == "cnn" else F.bce_loss, total_steps,
+                          batches(), val, validate_every, lr, micro_batch, smoothing_window,
+                          "pyramid training")
     finally:
         loader.stop()
-
-    return best.result(), metrics
+    metrics.update(fit)
+    return state, metrics

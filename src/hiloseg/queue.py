@@ -61,9 +61,6 @@ class TrainingQueue:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, instance_id) -> bool:
-        return instance_id in self._entries
-
     def instance_ids(self) -> list:
         return list(self._entries)
 

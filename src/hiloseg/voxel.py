@@ -81,10 +81,6 @@ class LabelVolume:
     def dims(self) -> Triple:
         return self.data.shape  # type: ignore[return-value]
 
-    @property
-    def positive_count(self) -> int:
-        return int(self.data.sum())
-
 
 @dataclass(frozen=True)
 class Window:

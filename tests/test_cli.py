@@ -225,6 +225,18 @@ def test_bad_flag_value_is_a_usage_error(run, argv):
     assert "usage error" in err
 
 
+def test_decoder_disagreeing_with_model_kind_is_a_usage_error(run):
+    """The model kind picks the pyramid decoder; a config file that asks for
+    the other one is refused, not silently overridden."""
+    cfg = run["root"] / "decoder.cfg"
+    cfg.write_text("hilo.decoder = onet\n")
+    code, _, err = call("train", "--config", cfg, "--data", run["data"],
+                        "--out", run["root"] / "decoder")
+    assert code == 1
+    assert "hilo.decoder" in err and "run.model" in err
+    assert resolve("train", "--config", cfg, "--model", "hilo-onet").hilo.decoder == "onet"
+
+
 def test_unknown_config_key_is_a_data_error(run):
     cfg = run["root"] / "unknown-key.cfg"
     cfg.write_text("hilo.window = 8\n")

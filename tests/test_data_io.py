@@ -17,7 +17,6 @@ from hiloseg.data_io import (
     generate_synthetic_one,
     load_manifest,
     load_volume,
-    preprocess,
     save_volume,
     split_dataset,
     write_dataset,
@@ -184,33 +183,6 @@ class TestManifest:
         rec = m.records[0]
         assert load_volume(rec.path).dims == (16, 16, 16)
         assert isinstance(load_volume(rec.label_path), LabelVolume)
-
-
-class TestPreprocess:
-    def test_caps_and_pads_first_axis(self, rng):
-        raw = rng.random((10, 4, 4))
-        assert preprocess(raw, 6).dims == (6, 4, 4)
-        padded = preprocess(raw, 14)
-        assert padded.dims == (14, 4, 4)
-        assert not padded.data[10:].any()
-
-    def test_rescales_to_unit_range(self):
-        raw = np.linspace(-100, 300, 64).reshape(4, 4, 4)
-        vol = preprocess(raw, 4)
-        assert vol.data.min() == 0.0 and vol.data.max() == 1.0
-
-    def test_explicit_range_clips(self):
-        raw = np.array([[[0.0, 50.0, 100.0, 200.0]]])
-        vol = preprocess(raw, 1, raw_range=(0.0, 100.0))
-        np.testing.assert_allclose(vol.data[0, 0], [0.0, 0.5, 1.0, 1.0])
-
-    def test_degenerate_range_yields_zeros(self):
-        vol = preprocess(np.full((2, 2, 2), 7.0), 2)
-        assert not vol.data.any()
-
-    def test_rank_check(self):
-        with pytest.raises(ValueError):
-            preprocess(np.zeros((4, 4)), 4)
 
 
 class TestSyntheticGenerator:

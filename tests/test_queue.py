@@ -55,7 +55,7 @@ class TestQueueBasics:
         q = TrainingQueue(capacity=4)
         q.push(entry("a"))
         q.push(entry("b"))
-        assert len(q) == 2 and "a" in q and "c" not in q
+        assert len(q) == 2
         assert set(q.instance_ids()) == {"a", "b"}
 
     def test_capacity_never_exceeded(self):

@@ -14,6 +14,7 @@ import pytest
 from hiloseg.errors import DivergenceError
 from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, OnetModel, train_hilo, train_superres_onet
 from hiloseg import nn
+from hiloseg.models import train as train_mod
 from hiloseg.models.train import _DivergenceGuard, _micro_batched_step
 from hiloseg.nn import functional as F
 from hiloseg.queue import MAX_HARDNESS, TrainingQueue
@@ -181,6 +182,28 @@ class TestTrainOnet:
             assert sm[i] == pytest.approx(np.mean(metrics["val_iou"][max(0, i - 4) : i + 1]))
         assert metrics["best_epoch"] == int(np.argmax(sm))
 
+    def test_epoch_metrics_with_several_batches_per_epoch(self, monkeypatch):
+        """Five instances in batches of two: each train_loss entry is the
+        mean of its epoch's three batch losses, validation runs once per
+        epoch, and best_epoch counts epochs, not batches."""
+        batch_losses = []
+
+        def recording_step(*args):
+            losses = _micro_batched_step(*args)
+            batch_losses.append(float(np.mean(losses)))
+            return losses
+
+        monkeypatch.setattr(train_mod, "_micro_batched_step", recording_step)
+        _, metrics = train_superres_onet(
+            onet_dataset(5), ONET_CFG, SAMPLER, epochs=4, batch=2, lr=0.01,
+            val_dataset=onet_dataset(2, seed0=20), seed=1,
+        )
+        assert len(batch_losses) == 12
+        assert metrics["train_loss"] == [float(np.mean(batch_losses[3 * e : 3 * e + 3]))
+                                         for e in range(4)]
+        assert len(metrics["val_loss"]) == len(metrics["val_iou"]) == 4
+        assert metrics["best_epoch"] == int(np.argmax(metrics["val_iou_smoothed"]))
+
     def test_deterministic_across_runs(self):
         kwargs = dict(epochs=2, batch=4, lr=0.01, seed=7)
         a, _ = train_superres_onet(onet_dataset(4), ONET_CFG, SAMPLER, **kwargs)
@@ -246,7 +269,7 @@ class TestTrainOnet:
         fresh = OnetModel(ONET_CFG, seed=0).state_dict()
         assert any(not np.array_equal(state[k], fresh[k]) for k in state)
 
-    @pytest.mark.parametrize("name", ["micro_batch", "batch"])
+    @pytest.mark.parametrize("name", ["micro_batch", "batch", "smoothing_window"])
     @pytest.mark.parametrize("size", [0, -1])
     def test_batch_sizes_below_one_rejected(self, name, size):
         with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
@@ -284,6 +307,22 @@ class TestTrainHilo:
         # validation windows sit on the labeled object, so the all-empty
         # baseline scores zero overlap
         assert metrics["baseline_iou"] == 0.0
+
+    def test_validation_every_interval_and_after_the_last_step(self):
+        _, metrics = train_hilo(
+            hilo_dataset(4), HILO_CFG, TrainingQueue(capacity=8), epochs=100, sampler=SAMPLER,
+            val_dataset=hilo_dataset(1, seed0=80), validate_every=3, max_steps=7, seed=0,
+        )
+        assert metrics["val_steps"] == [3, 6, 7]
+        assert len(metrics["val_iou"]) == len(metrics["val_iou_smoothed"]) == 3
+
+    def test_validation_records_loss(self):
+        _, metrics = train_hilo(
+            hilo_dataset(4), HILO_CFG, TrainingQueue(capacity=8), epochs=4, sampler=SAMPLER,
+            val_dataset=hilo_dataset(2, seed0=80), validate_every=2, seed=0,
+        )
+        assert len(metrics["val_loss"]) == len(metrics["val_steps"]) == 2
+        assert np.isfinite(metrics["val_loss"]).all()
 
     def test_max_steps_caps_run(self):
         queue = TrainingQueue(capacity=8)
@@ -336,13 +375,17 @@ class TestTrainHilo:
 
         assert_micro_batches_exact(run)
 
-    @pytest.mark.parametrize("micro_batch", [0, -1])
-    def test_micro_batch_below_one_rejected(self, micro_batch):
-        """Refused before the loader thread starts, so none is left running."""
-        with pytest.raises(ValueError, match="micro_batch"):
-            train_hilo(hilo_dataset(2), HILO_CFG, TrainingQueue(capacity=8), epochs=1,
-                       micro_batch=micro_batch)
-        assert not any(t.name == "hiloseg-loader" and t.is_alive() for t in threading.enumerate())
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_micro_batch_below_one_rejected(self, size):
+        """Each loop setting below one (micro_batch, validate_every,
+        smoothing_window) is refused before the loader thread starts, so
+        none is left running."""
+        for name in ("micro_batch", "validate_every", "smoothing_window"):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+                train_hilo(hilo_dataset(2), HILO_CFG, TrainingQueue(capacity=8), epochs=1,
+                           **{name: size})
+            assert not any(t.name == "hiloseg-loader" and t.is_alive()
+                           for t in threading.enumerate())
 
     def test_coordinate_decoder_variant(self):
         cfg = HiLoConfig(

@@ -99,12 +99,6 @@ class TestVolumeTypes:
         with pytest.raises(ValueError):
             LabelVolume(np.full((2, 2, 2), 2, dtype=np.uint8))
 
-    def test_positive_count(self):
-        data = np.zeros((3, 3, 3), dtype=np.uint8)
-        data[1, 1, 1] = 1
-        data[0, 2, 2] = 1
-        assert LabelVolume(data).positive_count == 2
-
 
 class TestAveragePool:
     def test_matches_naive_oracle(self, rng):

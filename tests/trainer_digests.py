@@ -1,0 +1,133 @@
+"""SHA-256 digests of what both trainers return, over a fixed run matrix.
+
+Not a tier-1 test (no ``test_`` prefix): it prints one line per trained
+state and one per metric of each run, so two trees can be compared by
+diffing their output. A refactor of the training loops that keeps results
+byte-identical prints the same lines. Run it from a tree's root:
+
+    PYTHONPATH=src python3 tests/trainer_digests.py > digests.txt
+
+The matrix covers the occupancy trainer with both conditionings, high- and
+low-resolution labels, float32 and float64 and micro-batches 1, 2 and 4,
+and the pyramid trainer with both decoders, both pyramid draws and both
+queue policies, every run with a validation set; one run of each trainer
+reads its instances from manifest records instead of in-memory pairs.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from hiloseg.data_io import SynthConfig, load_manifest, write_dataset
+from hiloseg.models import HiLoConfig, OnetConfig, train_hilo, train_superres_onet
+from hiloseg.queue import TrainingQueue
+from hiloseg.sampling import SamplerConfig
+from hiloseg.voxel import LabelVolume, VoxelVolume
+
+SAMPLER = SamplerConfig(n_train_coords=128, n_hilo_coords=64)
+
+ONET = OnetConfig(input_downsample=2, encoder_blocks=2, decoder_blocks=2, base_channels=4,
+                  latent_dim=16, decoder_hidden=8)
+
+HILO = HiLoConfig(window_size=8, levels=2, encoder_blocks=2, cnn_decoder_blocks=2,
+                  onet_decoder_blocks=2, base_channels=2, decoder_hidden=8, batch_size=4)
+
+
+def _instance(dims, boxes, seed):
+    """Noise volume with bright labeled boxes, each given as (lo, hi)."""
+    rng = np.random.default_rng(seed)
+    data = rng.random(dims, dtype=np.float32) * 0.2
+    lab = np.zeros(dims, dtype=np.uint8)
+    for lo, hi in boxes:
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        lab[box] = 1
+        data[box] += 0.7
+    return VoxelVolume(np.clip(data, 0.0, 1.0)), LabelVolume(lab)
+
+
+def _onet_pairs(n, seed0):
+    return [_instance((16, 16, 16), [((2 + k % 3,) * 3, (9 + k % 3, 8 + k % 3, 10 + k % 3))],
+                      seed0 + k) for k in range(n)]
+
+
+def _hilo_pairs(n, seed0):
+    """Two small boxes in opposite corners: the labeled object's bounding box
+    is mostly air, so the "volume" draw redraws where "bb" does not."""
+    return [_instance((24, 20, 22), [((2 + k % 3,) * 3, (5 + k % 3,) * 3),
+                                     ((16, 12, 14), (20, 17, 19))], seed0 + k)
+            for k in range(n)]
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p if isinstance(p, bytes) else repr(p).encode())
+    return h.hexdigest()[:16]
+
+
+def _lines(name, state, metrics):
+    yield name, "state", _digest(*(
+        part for k in sorted(state)
+        for part in (k, str(state[k].dtype), state[k].shape, np.ascontiguousarray(state[k]).tobytes())
+    ))
+    for key, value in metrics.items():
+        yield name, f"metrics.{key}", _digest(value)
+
+
+def _onet_runs(records):
+    train, val = _onet_pairs(5, 0), _onet_pairs(2, 20)
+    runs = [
+        ("onet-cbn-high-f32-mb2", ONET, np.float32, 2),
+        ("onet-concat-high-f32-mb2", dataclasses.replace(ONET, conditioning="concat"), np.float32, 2),
+        ("onet-cbn-low-f32-mb2", dataclasses.replace(ONET, coord_resolution="low"), np.float32, 2),
+        ("onet-cbn-high-f64-mb2", ONET, np.float64, 2),
+        ("onet-cbn-high-f32-mb1", ONET, np.float32, 1),
+        ("onet-cbn-high-f32-mb4", ONET, np.float32, 4),
+        ("onet-concat-low-f64-mb1",
+         dataclasses.replace(ONET, conditioning="concat", coord_resolution="low"), np.float64, 1),
+    ]
+    for name, cfg, dtype, micro_batch in runs:
+        yield name, train_superres_onet(train, cfg, SAMPLER, epochs=3, batch=4, val_dataset=val,
+                                        lr=0.01, micro_batch=micro_batch, seed=3, dtype=dtype)
+    yield "onet-records", train_superres_onet(records[:4], ONET, SAMPLER, epochs=2, batch=2,
+                                              val_dataset=records[4:], lr=0.01, seed=4)
+
+
+def _hilo_runs(records):
+    train, val = _hilo_pairs(4, 50), _hilo_pairs(2, 80)
+    for decoder in ("cnn", "onet"):
+        cfg = dataclasses.replace(HILO, decoder=decoder)
+        for sampling in ("bb", "volume"):
+            for policy in ("fifo", "hardness"):
+                queue = TrainingQueue(capacity=8, policy=policy)
+                yield f"hilo-{decoder}-{sampling}-{policy}", train_hilo(
+                    train, cfg, queue, epochs=20, sampler=SAMPLER, val_dataset=val, lr=0.01,
+                    validate_every=3, seed=5, pyramid_sampling=sampling, max_steps=9,
+                )
+    yield "hilo-records", train_hilo(
+        records[:4], HILO, TrainingQueue(capacity=8, policy="hardness"), epochs=20,
+        sampler=SAMPLER, val_dataset=records[4:], lr=0.01, validate_every=3, seed=6,
+        pyramid_sampling="volume", max_steps=6,
+    )
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(tmp, SynthConfig(dims=(16, 16, 16), seed=2), 6)
+        records = load_manifest(Path(tmp) / "manifest.tsv").paths()
+        for runs in (_onet_runs(records), _hilo_runs(records)):
+            for name, (state, metrics) in runs:
+                for line in _lines(name, state, metrics):
+                    print(" ".join(line))
+                sys.stdout.flush()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
