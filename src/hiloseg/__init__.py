@@ -14,9 +14,7 @@ from .rng import make_rng
 from .voxel import (
     IntegralVolume,
     LabelVolume,
-    Pyramid,
     VoxelVolume,
-    Window,
     average_pool,
     build_pyramid,
     extract_window,
@@ -32,9 +30,7 @@ __all__ = [
     "FormatError",
     "IntegralVolume",
     "LabelVolume",
-    "Pyramid",
     "VoxelVolume",
-    "Window",
     "average_pool",
     "build_pyramid",
     "extract_window",

@@ -297,6 +297,6 @@ def sampled_iou(decode, truth: LabelVolume, n: int = 2**18, seed: int = 0) -> fl
     """IoU estimated on n uniformly drawn coordinates instead of every voxel."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    coords = sample_uniform_coords(truth.dims, n, seed).coords
+    coords = sample_uniform_coords(truth.dims, n, seed)
     p = np.asarray(decode(coords)) > 0.5
     return mask_iou(p, truth.data[coords[:, 0], coords[:, 1], coords[:, 2]] != 0)

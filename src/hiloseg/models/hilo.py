@@ -1,13 +1,14 @@
 """Window-pyramid segmentation models.
 
-A pyramid is a stack of equally shaped windows around one location, each
-level covering a d-times larger region at d-times coarser resolution. Every
-level gets its own encoder (independent weights, identical architecture);
-the per-level encodings are concatenated and decoded either into a dense
-probability grid over the level-0 window (grid decoder) or into per-query
-occupancies at window-local coordinates (coordinate decoder). The coordinate
-decoder is the occupancy network's decoder (``OnetDecoder``) with SELU,
-conditioned by concatenating the flattened level encodings onto each query.
+A pyramid is a (levels, w, w, w) array: a stack of equally shaped windows
+around one location, each level covering a d-times larger region at d-times
+coarser resolution. Every level gets its own encoder (independent weights,
+identical architecture); the per-level encodings are concatenated and
+decoded either into a dense probability grid over the level-0 window (grid
+decoder) or into per-query occupancies at window-local coordinates
+(coordinate decoder). The coordinate decoder is the occupancy network's
+decoder (``OnetDecoder``) with SELU, conditioned by concatenating the
+flattened level encodings onto each query.
 
 Convolutional blocks standardize each window over its own space and channels
 (``nn.ElementNorm``); the coordinate decoder scales each channel by its root
@@ -26,7 +27,6 @@ import numpy as np
 from .. import nn
 from ..nn import functional as F
 from ..rng import make_rng
-from ..voxel import Pyramid
 from .onet import OnetDecoder
 
 _INIT_STREAM = 22
@@ -183,21 +183,22 @@ class HiLoModel(nn.Module):
         return self.decoder(coords01, merged)
 
 
-def hilo_forward(pyr: Pyramid, cfg: HiLoConfig, model: HiLoModel, coords=None) -> np.ndarray:
+def hilo_forward(pyr: np.ndarray, cfg: HiLoConfig, model: HiLoModel, coords=None) -> np.ndarray:
     """Evaluate one pyramid on a built model without recording a tape.
 
-    Returns a (w, w, w) probability grid for the grid decoder, or per-query
-    probabilities at an (n, 3) array of window-local integer coordinates
-    for the coordinate decoder.
+    ``pyr`` is the (levels, w, w, w) array ``build_pyramid`` returns. The
+    result, in the model's dtype, is a (w, w, w) probability grid for the
+    grid decoder, or (n,) per-query probabilities at an (n, 3) array of
+    window-local integer coordinates for the coordinate decoder.
     """
-    if pyr.level_count != cfg.levels:
-        raise ValueError(f"pyramid has {pyr.level_count} levels, config expects {cfg.levels}")
-    levels = [nn.Tensor(lv.data[None, :, :, :, None].astype(model.dtype)) for lv in pyr.levels]
+    w = cfg.window_size
+    if pyr.shape != (cfg.levels, w, w, w):
+        raise ValueError(f"pyramid has shape {pyr.shape}, config expects "
+                         f"(levels, w, w, w) = {(cfg.levels, w, w, w)}")
+    levels = [nn.Tensor(lv[None, :, :, :, None].astype(model.dtype)) for lv in pyr]
     coords01 = None
     if coords is not None:
-        coords01 = nn.Tensor(
-            np.asarray(coords, dtype=model.dtype)[None] / float(cfg.window_size)
-        )
+        coords01 = nn.Tensor(np.asarray(coords, dtype=model.dtype)[None] / float(w))
     with nn.no_grad():
         out = model.forward_batch(levels, coords01)
     return out.data[0].copy()

@@ -71,10 +71,10 @@ def _micro_batched_step(opt, total: int, micro_batch: int, entry_losses) -> np.n
     return losses
 
 
-def _require_positive(**sizes: int) -> None:
+def _require_at_least(low: int, **sizes: int | None) -> None:
     for name, value in sizes.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        if value is not None and value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 class _DivergenceGuard:
@@ -184,7 +184,8 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset must be nonempty")
-    _require_positive(batch=batch, micro_batch=micro_batch, smoothing_window=smoothing_window)
+    _require_at_least(0, epochs=epochs)
+    _require_at_least(1, batch=batch, micro_batch=micro_batch, smoothing_window=smoothing_window)
     insts = [_prep_onet_instance(item, cfg) for item in dataset]
     shapes = {i["pooled"].shape for i in insts}
     if len(shapes) != 1:
@@ -225,9 +226,8 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
                 c01 = np.empty((len(idxs), n, 3), dtype=dtype)
                 t = np.empty((len(idxs), n), dtype=dtype)
                 for row, i in enumerate(idxs):
-                    cb = sample_biased_coords(insts[i]["grid"], sampler, n, rng=crng)
-                    c01[row] = normalize_coords(cb.coords, insts[i]["dims"])
-                    t[row] = cb.labels
+                    coords, t[row] = sample_biased_coords(insts[i]["grid"], sampler, n, rng=crng)
+                    c01[row] = normalize_coords(coords, insts[i]["dims"])
                 yield [vols, c01], t, None
 
     per_epoch = math.ceil(len(insts) / batch)
@@ -248,15 +248,18 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
 # window-pyramid training
 
 
-def _crop_to_positive_bb(item):
-    """Load one instance and keep only the labeled object's bounding box."""
+def _crop_to_positive_bb(item) -> tuple[VoxelVolume, LabelVolume]:
+    """Load one instance and keep only the labeled object's bounding box.
+
+    The crop is checked once here, in the loader thread, so every pyramid
+    draw from it reads the arrays as they are."""
     vol, labels = _as_pair(item)
     pos = np.argwhere(labels.data)
     if pos.size == 0:
         raise ValueError("instance has no positive voxels, nothing to crop to")
     lo, hi = pos.min(axis=0), pos.max(axis=0)
     sl = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
-    return np.ascontiguousarray(vol.data[sl]), np.ascontiguousarray(labels.data[sl])
+    return VoxelVolume(vol.data[sl]), LabelVolume(labels.data[sl])
 
 
 def _draw_window(crop, cfg: HiLoConfig, sampler: SamplerConfig, mode: str, rng):
@@ -265,29 +268,29 @@ def _draw_window(crop, cfg: HiLoConfig, sampler: SamplerConfig, mode: str, rng):
     Draws from ``rng`` in this order: the center (uniform inside the crop in
     "bb" mode, the miss-redraw rule over it in "volume" mode), then, for the
     coordinate decoder, ``sampler.n_hilo_coords`` uniform window
-    coordinates. Returns (level arrays, target, coordinates / w or None);
-    the target is the label window, or its labels at the coordinates.
+    coordinates. Returns (pyramid, target, coordinates / w or None); the
+    target is the label window, or its labels at the coordinates.
     """
-    crop_v, crop_l = crop
+    vol, labels = crop
     w, d, L = cfg.window_size, cfg.downsampling_factor, cfg.levels
     if mode == "bb":
-        center = tuple(int(rng.integers(0, s)) for s in crop_l.shape)
+        center = tuple(int(rng.integers(0, s)) for s in labels.dims)
     else:
-        center = sample_pyramid_location(LabelVolume(crop_l), sampler, w, d, L, rng=rng)
-    levels = [lv.data for lv in build_pyramid(VoxelVolume(crop_v), center, w, d, L).levels]
-    win = extract_window(LabelVolume(crop_l), tuple(c - w // 2 for c in center), w).data
+        center = sample_pyramid_location(labels, sampler, w, d, L, rng=rng)
+    pyr = build_pyramid(vol, center, w, d, L)
+    win = extract_window(labels, tuple(c - w // 2 for c in center), w)
     if cfg.decoder == "cnn":
-        return levels, win, None
+        return pyr, win, None
     co = rng.integers(0, w, size=(sampler.n_hilo_coords, 3))
-    return levels, win[co[:, 0], co[:, 1], co[:, 2]], co / w
+    return pyr, win[co[:, 0], co[:, 1], co[:, 2]], co / w
 
 
 def _stack_windows(draws, dtype):
     """Batch ``_draw_window`` results into (input arrays, target): one
     (B, w, w, w, 1) array per level, then the (B, n, 3) coordinates when
     the draws have them."""
-    levels, targets, coords = zip(*draws)
-    inputs = [np.stack(lv)[..., None].astype(dtype) for lv in zip(*levels)]
+    pyrs, targets, coords = zip(*draws)
+    inputs = [np.stack(lv)[..., None].astype(dtype) for lv in zip(*pyrs)]
     if coords[0] is not None:
         inputs.append(np.stack(coords).astype(dtype))
     return inputs, np.stack(targets).astype(dtype)
@@ -316,7 +319,8 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
         raise ValueError("dataset must be nonempty")
     if pyramid_sampling not in ("bb", "volume"):
         raise ValueError(f"pyramid_sampling must be 'bb' or 'volume', got {pyramid_sampling!r}")
-    _require_positive(micro_batch=micro_batch, validate_every=validate_every,
+    _require_at_least(0, epochs=epochs, max_steps=max_steps)
+    _require_at_least(1, micro_batch=micro_batch, validate_every=validate_every,
                       smoothing_window=smoothing_window)
     sampler = sampler or SamplerConfig()
     steps_per_epoch = max(1, math.ceil(len(dataset) / cfg.batch_size))

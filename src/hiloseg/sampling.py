@@ -2,6 +2,8 @@
 
 Every sampler is a pure function of its inputs and a seed (or an explicit
 generator stream), so runs are reproducible across thread schedules.
+Coordinates are (n, 3) int64 arrays of voxel indices; labels drawn with
+them are parallel (n,) uint8 arrays.
 """
 
 from __future__ import annotations
@@ -52,38 +54,18 @@ class SamplerConfig:
             raise ValueError(f"redraw_scope must be 'level0' or 'any', got {self.redraw_scope!r}")
 
 
-@dataclass(frozen=True)
-class CoordinateBatch:
-    """Parallel integer coordinates and binary labels on one grid resolution."""
-
-    coords: np.ndarray  # (n, 3) int64
-    labels: np.ndarray  # (n,) uint8
-
-    def __post_init__(self) -> None:
-        if self.coords.ndim != 2 or self.coords.shape[1] != 3:
-            raise ValueError(f"coords must have shape (n, 3), got {self.coords.shape}")
-        if self.labels.shape != (self.coords.shape[0],):
-            raise ValueError("labels must parallel coords")
-
-    def __len__(self) -> int:
-        return self.coords.shape[0]
-
-
 def _flat_to_coords(flat: np.ndarray, dims) -> np.ndarray:
     return np.stack(np.unravel_index(flat, dims), axis=1).astype(np.int64)
 
 
-def sample_uniform_coords(dims, n: int, seed) -> CoordinateBatch:
-    """Draw n i.i.d. uniform coordinates over the grid (labels all zero)."""
+def sample_uniform_coords(dims, n: int, seed) -> np.ndarray:
+    """Draw n i.i.d. uniform coordinates over the grid, as an (n, 3) int64 array."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = make_rng(seed, _STREAM_UNIFORM)
     dims = tuple(int(v) for v in dims)
     flat = rng.integers(0, int(np.prod(dims)), size=n)
-    return CoordinateBatch(
-        coords=_flat_to_coords(flat, dims),
-        labels=np.zeros(n, dtype=np.uint8),
-    )
+    return _flat_to_coords(flat, dims)
 
 
 def sample_biased_coords(
@@ -91,12 +73,13 @@ def sample_biased_coords(
     cfg: SamplerConfig,
     n: int,
     rng: np.random.Generator | None = None,
-) -> CoordinateBatch:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw coordinates biased toward the positive voxels.
 
     round(n * shape_fraction) coordinates come uniformly (with replacement)
     from the positive voxels, the remainder uniformly from the whole grid;
-    the result is shuffled and labeled by direct lookup.
+    the result is shuffled and labeled by direct lookup. Returns the (n, 3)
+    int64 coordinates and their (n,) uint8 labels.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -116,11 +99,7 @@ def sample_biased_coords(
         parts.append(rng.integers(0, data.size, size=n - n_pos))
     flat = np.concatenate(parts)
     rng.shuffle(flat)
-    coords = _flat_to_coords(flat, data.shape)
-    return CoordinateBatch(
-        coords=coords,
-        labels=data.reshape(-1)[flat].astype(np.uint8),
-    )
+    return _flat_to_coords(flat, data.shape), data.reshape(-1)[flat]
 
 
 def _window_has_positive(data: np.ndarray, center, side: int) -> bool:

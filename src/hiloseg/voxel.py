@@ -5,6 +5,10 @@ All volumes use one canonical layout: a C-contiguous array indexed
 normalization; 0 is air. Out-of-range reads (window extraction, pyramid
 levels crossing the border) yield zeros, which is semantically "air".
 
+Windows and pyramids are plain arrays: ``extract_window`` returns a
+(w, w, w) array in the source dtype, and ``build_pyramid`` one C-contiguous
+(levels, w, w, w) float32 array, level 0 first.
+
 Pyramid levels above 0 come from a summed-area table (the integral image
 of Crow 1984 and Viola & Jones 2001, in three dimensions): a float64
 cumulative sum over a box of the volume with a leading zero face, so the
@@ -82,54 +86,6 @@ class LabelVolume:
         return self.data.shape  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class Window:
-    """A cubic chunk read from a volume, zero-padded where it left the bounds.
-
-    ``origin`` is the window's start corner in source-volume coordinates and
-    may be negative; ``data`` has shape (size, size, size).
-    """
-
-    origin: Triple
-    size: int
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.data.shape != (self.size, self.size, self.size):
-            raise ValueError(
-                f"window data shape {self.data.shape} does not match size {self.size}"
-            )
-
-
-@dataclass(frozen=True)
-class Pyramid:
-    """A moving pyramid: a stack of equally sized windows around one center.
-
-    Level l covers a region of side ``window_size * downsampling_factor**l``
-    centered at ``center`` and is average-pooled back down to
-    ``window_size`` per axis, so memory is linear in the level count.
-    """
-
-    center: Triple
-    window_size: int
-    downsampling_factor: int
-    levels: tuple[Window, ...]
-
-    def __post_init__(self) -> None:
-        w = self.window_size
-        for lvl in self.levels:
-            if lvl.data.shape != (w, w, w):
-                raise ValueError("all pyramid levels must share the window size")
-
-    @property
-    def level_count(self) -> int:
-        return len(self.levels)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(lvl.data.nbytes for lvl in self.levels)
-
-
 def _pooled_array(arr: np.ndarray, factor: int, reducer: str) -> np.ndarray:
     if factor < 1:
         raise ValueError(f"pooling factor must be a positive integer, got {factor}")
@@ -161,10 +117,11 @@ def max_pool(labels: LabelVolume, factor: int) -> LabelVolume:
     return LabelVolume(_pooled_array(labels.data, factor, "max"))
 
 
-def extract_window(vol: VoxelVolume | LabelVolume, origin, w: int) -> Window:
+def extract_window(vol: VoxelVolume | LabelVolume, origin, w: int) -> np.ndarray:
     """Read the w-cube starting at ``origin``; voxels outside the volume read as 0.
 
-    Works for volumes and labels alike; the window keeps the source dtype.
+    Works for volumes and labels alike: returns a (w, w, w) array in the
+    source dtype.
     """
     if w < 1:
         raise ValueError(f"window size must be a positive integer, got {w}")
@@ -176,7 +133,7 @@ def extract_window(vol: VoxelVolume | LabelVolume, origin, w: int) -> Window:
     if all(lo < hi for lo, hi in zip(src_lo, src_hi)):
         dst = tuple(slice(lo - o, hi - o) for o, lo, hi in zip(origin, src_lo, src_hi))
         out[dst] = src[tuple(slice(lo, hi) for lo, hi in zip(src_lo, src_hi))]
-    return Window(origin=origin, size=w, data=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -230,8 +187,9 @@ def integral_volume(vol: VoxelVolume, lo, hi) -> IntegralVolume:
 
 
 def build_pyramid(vol: VoxelVolume, center, w: int, d: int, levels: int,
-                  integral: IntegralVolume | None = None) -> Pyramid:
-    """Build the moving pyramid around ``center``.
+                  integral: IntegralVolume | None = None) -> np.ndarray:
+    """Build the moving pyramid around ``center`` as a C-contiguous
+    (levels, w, w, w) float32 array.
 
     Level 0 is the raw window of side w at ``center - w//2``. Level l covers
     the cube of side ``w * d**l`` at ``center - side//2`` and holds the means
@@ -258,9 +216,9 @@ def build_pyramid(vol: VoxelVolume, center, w: int, d: int, levels: int,
         box = zip(integral.origin, integral.table.shape)
         if any(a < t or b > t + m - 1 for (a, b), (t, m) in zip(need, box)):
             raise ValueError(f"integral volume does not cover the pyramid at {center}")
-    out = [extract_window(vol, tuple(c - w // 2 for c in center), w)]
+    out = np.empty((levels, w, w, w), dtype=np.float32)
+    out[0] = extract_window(vol, tuple(c - w // 2 for c in center), w)
     for lvl in range(1, levels):
         side = w * d**lvl
-        origin = tuple(c - side // 2 for c in center)
-        out.append(Window(origin=origin, size=w, data=integral.block_means(origin, d**lvl, w)))
-    return Pyramid(center=center, window_size=w, downsampling_factor=d, levels=tuple(out))
+        out[lvl] = integral.block_means(tuple(c - side // 2 for c in center), d**lvl, w)
+    return out

@@ -263,6 +263,15 @@ class TestHiLoForward:
         with pytest.raises(ValueError, match="levels"):
             hilo_forward(pyr, cfg, HiLoModel(cfg, seed=0))
 
+    @pytest.mark.parametrize("decoder", ["cnn", "onet"])
+    def test_window_size_mismatch(self, decoder):
+        """A pyramid of 8-windows for a 16-window model is refused, naming both shapes."""
+        cfg = HiLoConfig(**{**TINY_HILO, "window_size": 16, "decoder": decoder})
+        pyr = build_pyramid(random_volume((20, 18, 16)), (10, 9, 8), 8, 2, cfg.levels)
+        coords = np.zeros((2, 3), dtype=np.int64) if decoder == "onet" else None
+        with pytest.raises(ValueError, match=r"\(2, 8, 8, 8\).*\(2, 16, 16, 16\)"):
+            hilo_forward(pyr, cfg, HiLoModel(cfg, seed=0), coords=coords)
+
     def test_grid_decoder_rejects_coords(self):
         cfg = HiLoConfig(**TINY_HILO)
         vol = random_volume((20, 18, 16))
@@ -288,7 +297,7 @@ class TestHiLoForward:
         import hiloseg.nn as nn
 
         levels = [
-            nn.Tensor(np.stack([p.levels[i].data for p in pyrs])[..., None])
+            nn.Tensor(np.stack([p[i] for p in pyrs])[..., None])
             for i in range(cfg.levels)
         ]
         with nn.no_grad():
@@ -308,19 +317,8 @@ class TestHiLoForward:
         pyr = build_pyramid(vol, (15, 14, 13), cfg.window_size, 2, cfg.levels)
         base = hilo_forward(pyr, cfg, model)
         for lvl in range(2):
-            levels = [w.data.copy() for w in pyr.levels]
-            levels[lvl][:] = 0.0
-            from hiloseg.voxel import Pyramid, Window
-
-            blanked = Pyramid(
-                center=pyr.center,
-                window_size=pyr.window_size,
-                downsampling_factor=pyr.downsampling_factor,
-                levels=tuple(
-                    Window(origin=w.origin, size=w.size, data=d)
-                    for w, d in zip(pyr.levels, levels)
-                ),
-            )
+            blanked = pyr.copy()
+            blanked[lvl] = 0.0
             assert not np.array_equal(hilo_forward(blanked, cfg, model), base)
 
 

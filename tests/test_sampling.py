@@ -43,16 +43,16 @@ class TestUniformCoords:
         dims = (10, 20, 30)
         a = sample_uniform_coords(dims, 500, seed=3)
         b = sample_uniform_coords(dims, 500, seed=3)
-        np.testing.assert_array_equal(a.coords, b.coords)
-        assert (a.coords >= 0).all()
-        assert (a.coords < np.array(dims)).all()
-        assert not a.labels.any()
+        np.testing.assert_array_equal(a, b)
+        assert a.shape == (500, 3) and a.dtype == np.int64
+        assert (a >= 0).all()
+        assert (a < np.array(dims)).all()
 
     def test_roughly_uniform_over_axes(self):
         dims = (8, 8, 8)
-        batch = sample_uniform_coords(dims, 40000, seed=0)
+        coords = sample_uniform_coords(dims, 40000, seed=0)
         for axis in range(3):
-            counts = np.bincount(batch.coords[:, axis], minlength=8)
+            counts = np.bincount(coords[:, axis], minlength=8)
             assert counts.min() > 40000 / 8 * 0.85
 
 
@@ -60,24 +60,25 @@ class TestBiasedCoords:
     def test_labels_agree_with_lookup(self):
         labels = make_labels()
         cfg = SamplerConfig(seed=5)
-        batch = sample_biased_coords(labels, cfg, 2000)
-        want = labels.data[batch.coords[:, 0], batch.coords[:, 1], batch.coords[:, 2]]
-        np.testing.assert_array_equal(batch.labels, want)
+        coords, got = sample_biased_coords(labels, cfg, 2000)
+        assert coords.shape == (2000, 3) and coords.dtype == np.int64
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, labels.data[coords[:, 0], coords[:, 1], coords[:, 2]])
 
     def test_positive_share_matches_round(self):
         labels = make_labels()
         for n in (10, 11, 100, 333):
             cfg = SamplerConfig(seed=2)
-            batch = sample_biased_coords(labels, cfg, n)
+            _, got = sample_biased_coords(labels, cfg, n)
             # every shape draw lands on a positive voxel; uniform draws can
             # only add positives on top of round(n * fraction)
-            assert int(batch.labels.sum()) >= round(n * cfg.shape_fraction)
+            assert int(got.sum()) >= round(n * cfg.shape_fraction)
 
     def test_fraction_zero_never_needs_positives(self):
         empty = LabelVolume(np.zeros((6, 6, 6), dtype=np.uint8))
         cfg = SamplerConfig(shape_fraction=0.0)
-        batch = sample_biased_coords(empty, cfg, 50)
-        assert len(batch) == 50
+        coords, got = sample_biased_coords(empty, cfg, 50)
+        assert len(coords) == len(got) == 50
 
     def test_degenerate_labels_raise(self):
         empty = LabelVolume(np.zeros((6, 6, 6), dtype=np.uint8))
@@ -88,7 +89,7 @@ class TestBiasedCoords:
         labels = make_labels()
         a = sample_biased_coords(labels, SamplerConfig(seed=9), 64)
         b = sample_biased_coords(labels, SamplerConfig(seed=9), 64)
-        np.testing.assert_array_equal(a.coords, b.coords)
+        np.testing.assert_array_equal(a[0], b[0])
 
 
 class TestPyramidLocation:

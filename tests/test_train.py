@@ -269,11 +269,15 @@ class TestTrainOnet:
         fresh = OnetModel(ONET_CFG, seed=0).state_dict()
         assert any(not np.array_equal(state[k], fresh[k]) for k in state)
 
-    @pytest.mark.parametrize("name", ["micro_batch", "batch", "smoothing_window"])
-    @pytest.mark.parametrize("size", [0, -1])
+    @pytest.mark.parametrize("size,name", [
+        *((size, name) for name in ("micro_batch", "batch", "smoothing_window") for size in (0, -1)),
+        (-1, "epochs"),
+    ])
     def test_batch_sizes_below_one_rejected(self, name, size):
-        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
-            train_superres_onet(onet_dataset(2), ONET_CFG, SAMPLER, epochs=1, **{name: size})
+        """Batch sizes start at one and epochs at zero."""
+        low = 0 if name == "epochs" else 1
+        with pytest.raises(ValueError, match=f"^{name} must be >= {low}"):
+            train_superres_onet(onet_dataset(2), ONET_CFG, SAMPLER, **{"epochs": 1, name: size})
 
     def test_absurd_lr_raises(self):
         with pytest.raises(DivergenceError):
@@ -377,13 +381,16 @@ class TestTrainHilo:
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_micro_batch_below_one_rejected(self, size):
-        """Each loop setting below one (micro_batch, validate_every,
-        smoothing_window) is refused before the loader thread starts, so
-        none is left running."""
-        for name in ("micro_batch", "validate_every", "smoothing_window"):
-            with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
-                train_hilo(hilo_dataset(2), HILO_CFG, TrainingQueue(capacity=8), epochs=1,
-                           **{name: size})
+        """Each loop setting below its minimum (one for micro_batch,
+        validate_every and smoothing_window, zero for epochs and max_steps)
+        is refused before the loader thread starts, so none is left running."""
+        for name, low in (("micro_batch", 1), ("validate_every", 1), ("smoothing_window", 1),
+                          ("epochs", 0), ("max_steps", 0)):
+            if size >= low:
+                continue
+            with pytest.raises(ValueError, match=f"^{name} must be >= {low}"):
+                train_hilo(hilo_dataset(2), HILO_CFG, TrainingQueue(capacity=8),
+                           **{"epochs": 1, name: size})
             assert not any(t.name == "hiloseg-loader" and t.is_alive()
                            for t in threading.enumerate())
 

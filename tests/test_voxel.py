@@ -150,16 +150,16 @@ class TestExtractWindow:
             w = int(rng.integers(1, 9))
             origin = tuple(int(rng.integers(-6, d + 6)) for d in dims)
             win = extract_window(VoxelVolume(arr), origin, w)
-            np.testing.assert_array_equal(win.data, naive_window(arr, origin, w))
+            np.testing.assert_array_equal(win, naive_window(arr, origin, w))
 
     def test_keeps_label_dtype(self):
         labels = LabelVolume(np.ones((4, 4, 4), dtype=np.uint8))
-        assert extract_window(labels, (0, 0, 0), 2).data.dtype == np.uint8
+        assert extract_window(labels, (0, 0, 0), 2).dtype == np.uint8
 
     def test_fully_outside_is_all_zero(self):
         vol = VoxelVolume(np.ones((4, 4, 4), dtype=np.float32))
         win = extract_window(vol, (10, 10, 10), 3)
-        assert not win.data.any()
+        assert not win.any()
 
     @given(shift=st.integers(min_value=-2, max_value=2))
     @settings(max_examples=20, deadline=None)
@@ -168,8 +168,8 @@ class TestExtractWindow:
         arr = rng.random((16, 16, 16), dtype=np.float32)
         vol = VoxelVolume(arr)
         w = 4
-        base = extract_window(vol, (6, 6, 6), w).data
-        moved = extract_window(vol, (6 + shift, 6, 6), w).data
+        base = extract_window(vol, (6, 6, 6), w)
+        moved = extract_window(vol, (6 + shift, 6, 6), w)
         # interior windows: the shared content lines up exactly
         if shift >= 0:
             np.testing.assert_array_equal(moved[: w - shift], base[shift:])
@@ -183,8 +183,8 @@ class TestBuildPyramid:
         vol = VoxelVolume(arr)
         for levels in (1, 2, 3):
             pyr = build_pyramid(vol, (20, 20, 20), 8, 2, levels)
-            assert pyr.level_count == levels
-            assert all(lv.data.shape == (8, 8, 8) for lv in pyr.levels)
+            assert pyr.shape == (levels, 8, 8, 8) and pyr.dtype == np.float32
+            assert pyr.flags.c_contiguous
             assert pyr.nbytes == levels * 8**3 * 4
 
     def test_level0_is_raw_window(self, rng):
@@ -192,7 +192,7 @@ class TestBuildPyramid:
         vol = VoxelVolume(arr)
         pyr = build_pyramid(vol, (16, 16, 16), 8, 2, 2)
         win = extract_window(vol, (12, 12, 12), 8)
-        np.testing.assert_array_equal(pyr.levels[0].data, win.data)
+        np.testing.assert_array_equal(pyr[0], win)
 
     def test_higher_levels_match_pool_of_wide_window(self, rng):
         for _ in range(20):
@@ -207,13 +207,13 @@ class TestBuildPyramid:
                 origin = tuple(c - side // 2 for c in center)
                 wide = naive_window(arr, origin, side)
                 want = naive_average_pool(wide, d**lvl)
-                np.testing.assert_allclose(pyr.levels[lvl].data, want, rtol=1e-5, atol=1e-7)
+                np.testing.assert_allclose(pyr[lvl], want, rtol=1e-5, atol=1e-7)
 
     def test_border_levels_read_zeros(self):
         vol = VoxelVolume(np.ones((8, 8, 8), dtype=np.float32))
         pyr = build_pyramid(vol, (0, 0, 0), 4, 2, 2)
         # the level-1 region pokes far outside; padded voxels dilute the mean
-        assert pyr.levels[1].data.mean() < pyr.levels[0].data.mean() + 1e-6
+        assert pyr[1].mean() < pyr[0].mean() + 1e-6
 
     def test_validates_arguments(self):
         vol = VoxelVolume(np.zeros((8, 8, 8), dtype=np.float32))
@@ -235,11 +235,11 @@ class TestBuildPyramid:
         finally:
             tracemalloc.stop()
         assert peak < 16 * arr.nbytes
-        np.testing.assert_array_equal(pyr.levels[0].data, naive_window(arr, (7, -1, 16), 8))
+        np.testing.assert_array_equal(pyr[0], naive_window(arr, (7, -1, 16), 8))
         for lvl in range(1, 9):
             # values are multiples of 2^-24, so every float64 sum is exact
             want = naive_pyramid_level(arr, center, 8, 2**lvl)
-            np.testing.assert_array_equal(pyr.levels[lvl].data, want, err_msg=f"level {lvl}")
+            np.testing.assert_array_equal(pyr[lvl], want, err_msg=f"level {lvl}")
 
 
 class TestSummedAreaPyramid:
@@ -257,10 +257,9 @@ class TestSummedAreaPyramid:
             for lvl in range(1, levels):
                 side = w * d**lvl
                 origin = tuple(c - side // 2 for c in center)
-                want = _pooled_array(extract_window(vol, origin, side).data, d**lvl, "mean")
+                want = _pooled_array(extract_window(vol, origin, side), d**lvl, "mean")
                 for pyr in built:
-                    assert pyr.levels[lvl].origin == origin
-                    np.testing.assert_array_equal(pyr.levels[lvl].data, want,
+                    np.testing.assert_array_equal(pyr[lvl], want,
                                                   err_msg=f"center {center} level {lvl}")
 
     def test_table_is_clipped_box_sum_with_zero_face(self, rng):
@@ -280,4 +279,4 @@ class TestSummedAreaPyramid:
             build_pyramid(vol, (10, 10, 10), 4, 2, 2, integral=small)
         # a pyramid wholly outside the volume reads zeros from any table
         pyr = build_pyramid(vol, (60, 10, 10), 4, 2, 2, integral=small)
-        assert not pyr.levels[1].data.any()
+        assert not pyr[1].any()

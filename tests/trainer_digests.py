@@ -1,8 +1,10 @@
-"""SHA-256 digests of what both trainers return, over a fixed run matrix.
+"""SHA-256 digests of what both trainers and window inference return, over
+a fixed run matrix.
 
 Not a tier-1 test (no ``test_`` prefix): it prints one line per trained
-state and one per metric of each run, so two trees can be compared by
-diffing their output. A refactor of the training loops that keeps results
+state and one per metric of each run, then one line per segmentation and
+one per sampled IoU, so two trees can be compared by diffing their output.
+A refactor of the training or inference paths that keeps results
 byte-identical prints the same lines. Run it from a tree's root:
 
     PYTHONPATH=src python3 tests/trainer_digests.py > digests.txt
@@ -12,6 +14,10 @@ low-resolution labels, float32 and float64 and micro-batches 1, 2 and 4,
 and the pyramid trainer with both decoders, both pyramid draws and both
 queue policies, every run with a validation set; one run of each trainer
 reads its instances from manifest records instead of in-memory pairs.
+Inference covers ``segment_volume`` on two worker threads and
+``sampled_iou`` of its labels, for both decoders at two and three pyramid
+levels, on models whose zero-initialized output head gets random weights so
+the labels hold both classes.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from hiloseg.data_io import SynthConfig, load_manifest, write_dataset
-from hiloseg.models import HiLoConfig, OnetConfig, train_hilo, train_superres_onet
+from hiloseg.inference import sampled_iou, segment_volume
+from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, train_hilo, train_superres_onet
 from hiloseg.queue import TrainingQueue
 from hiloseg.sampling import SamplerConfig
 from hiloseg.voxel import LabelVolume, VoxelVolume
@@ -117,6 +124,26 @@ def _hilo_runs(records):
     )
 
 
+def _inference_lines():
+    vol, truth = _instance((30, 26, 28), [((4, 5, 6), (12, 11, 13)),
+                                          ((18, 15, 16), (25, 22, 24))], 90)
+    for decoder in ("cnn", "onet"):
+        for levels in (2, 3):
+            cfg = dataclasses.replace(HILO, decoder=decoder, levels=levels)
+            model = HiLoModel(cfg, seed=8)
+            rng = np.random.default_rng(9)
+            state = model.state_dict()
+            for key in state:
+                if ".head." in key:
+                    state[key] = rng.normal(0.0, 0.5, size=state[key].shape).astype(np.float32)
+            model.load_state_dict(state)
+            pred = segment_volume(vol, model, cfg, threads=2).data
+            iou = sampled_iou(lambda c: pred[c[:, 0], c[:, 1], c[:, 2]], truth, n=4096, seed=1)
+            name = f"segment-{decoder}-L{levels}"
+            yield name, "labels", _digest(pred.shape, pred.tobytes())
+            yield name, "sampled_iou", _digest(iou)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         write_dataset(tmp, SynthConfig(dims=(16, 16, 16), seed=2), 6)
@@ -126,6 +153,8 @@ def main() -> int:
                 for line in _lines(name, state, metrics):
                     print(" ".join(line))
                 sys.stdout.flush()
+    for line in _inference_lines():
+        print(" ".join(line))
     return 0
 
 
