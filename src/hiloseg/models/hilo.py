@@ -16,6 +16,15 @@ mean square over a fixed lattice of reference coordinates decoded along with
 each window's queries (``nn.PointNorm``). No statistic crosses the batch, so
 a batch gives the same outputs and gradients whole or split into
 micro-batches.
+
+A forward pass holds one pyramid level at a time. A level's input tensor
+is drawn only when its encoder runs and dies after the encoder's stem;
+each finished encoding lives until the concat, and the concat until the
+decoder's first block has consumed it. Under a tape the stem keeps its
+input for the kernel gradient, as every op keeps what its backward reads.
+The hand-overs are plain method calls (``enc.__call__(x)``), whose
+arguments CPython 3.11 and later move into the callee's frame; an instance
+call (``enc(x)``) keeps its argument alive until it returns.
 """
 
 from __future__ import annotations
@@ -111,6 +120,7 @@ class HiLoEncoder(nn.Module):
 
     def __call__(self, x):
         h = self.stem(x)
+        del x  # the level input dies here if the caller handed it over (module docstring)
         for block, pool in zip(self.blocks, self.pools):
             h = block(h)
             if pool:
@@ -167,20 +177,28 @@ class HiLoModel(nn.Module):
                                        F.selu, rng, dtype)
 
     def forward_batch(self, level_inputs, coords01=None) -> nn.Tensor:
-        """Levels are (B, w, w, w, 1) tensors, one per pyramid level."""
-        if len(level_inputs) != len(self.encoders):
-            raise ValueError(
-                f"pyramid has {len(level_inputs)} levels, model expects {len(self.encoders)}"
-            )
-        encs = [enc(x) for enc, x in zip(self.encoders, level_inputs)]
-        merged = encs[0] if len(encs) == 1 else F.concat(encs, axis=-1)
-        if self.cfg.decoder == "cnn":
-            if coords01 is not None:
-                raise ValueError("the grid decoder takes no coordinate query")
-            return self.decoder(merged)
-        if coords01 is None:
+        """``level_inputs`` yields one (B, w, w, w, 1) tensor per pyramid
+        level, each drawn only when its encoder runs (module docstring)."""
+        grid = self.cfg.decoder == "cnn"
+        if grid and coords01 is not None:
+            raise ValueError("the grid decoder takes no coordinate query")
+        if not grid and coords01 is None:
             raise ValueError("the coordinate decoder needs a coordinate query")
-        return self.decoder(coords01, merged)
+        if grid:
+            return self.decoder.__call__(self._encode(level_inputs))
+        return self.decoder.__call__(coords01, self._encode(level_inputs))
+
+    def _encode(self, level_inputs) -> nn.Tensor:
+        """The level encodings concatenated along channels."""
+        n = len(self.encoders)
+        levels = iter(level_inputs)
+        try:
+            encs = [enc.__call__(next(levels)) for enc in self.encoders]
+        except StopIteration:
+            raise ValueError(f"pyramid has fewer levels than the model's {n}") from None
+        if next(levels, None) is not None:
+            raise ValueError(f"pyramid has more levels than the model's {n}")
+        return encs[0] if len(encs) == 1 else F.concat(encs, axis=-1)
 
 
 def hilo_forward(pyr: np.ndarray, cfg: HiLoConfig, model: HiLoModel, coords=None) -> np.ndarray:
@@ -189,13 +207,16 @@ def hilo_forward(pyr: np.ndarray, cfg: HiLoConfig, model: HiLoModel, coords=None
     ``pyr`` is the (levels, w, w, w) array ``build_pyramid`` returns. The
     result, in the model's dtype, is a (w, w, w) probability grid for the
     grid decoder, or (n,) per-query probabilities at an (n, 3) array of
-    window-local integer coordinates for the coordinate decoder.
+    window-local integer coordinates for the coordinate decoder. Each
+    level is copied into a metered tensor of the model's dtype only when
+    its encoder runs, and the copy dies after the stem, so one level's
+    activations are alive at a time next to the finished encodings.
     """
     w = cfg.window_size
     if pyr.shape != (cfg.levels, w, w, w):
         raise ValueError(f"pyramid has shape {pyr.shape}, config expects "
                          f"(levels, w, w, w) = {(cfg.levels, w, w, w)}")
-    levels = [nn.Tensor(lv[None, :, :, :, None].astype(model.dtype)) for lv in pyr]
+    levels = (nn.Tensor(lv[None, :, :, :, None].astype(model.dtype)) for lv in pyr)
     coords01 = None
     if coords is not None:
         coords01 = nn.Tensor(np.asarray(coords, dtype=model.dtype)[None] / float(w))

@@ -125,6 +125,7 @@ class OnetEncoder(nn.Module):
 
     def __call__(self, x):
         h = self.stem(x)
+        del x  # the input dies here if the caller handed it over (onet_encode)
         for i, block in enumerate(self.blocks):
             h = block(h)
             if i < 2:
@@ -199,11 +200,12 @@ class OnetModel(nn.Module):
 
 
 def onet_encode(vol: VoxelVolume, cfg: OnetConfig, model: OnetModel) -> LatentCode:
-    """Pool a volume by the configured factor and encode it, recording no tape."""
+    """Pool a volume by the configured factor and encode it, recording no
+    tape. The pooled input tensor is made in the encoder call and dies
+    after the stem."""
     pooled = average_pool(vol, cfg.input_downsample) if cfg.input_downsample > 1 else vol
-    x = nn.Tensor(pooled.data[None, :, :, :, None].astype(model.dtype))
     with nn.no_grad():
-        z = model.encoder(x)
+        z = model.encoder.__call__(nn.Tensor(pooled.data[None, :, :, :, None].astype(model.dtype)))
     return LatentCode(z.data[0])
 
 

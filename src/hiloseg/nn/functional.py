@@ -62,10 +62,12 @@ per-instance reduction contract:
   OpenBLAS rounds some of these products differently when only the
   operands' storage order changes.
 
-The byte meter counts conv3d's outputs and, one chunk at a time, one
-item's padded planes in every pass and the slab columns of its
-input-gradient pass. The slab columns of the forward and weight-gradient
-passes are not counted.
+The byte meter counts every op's output, upsampling's included (reshape's
+is a view, counted with its input), and conv3d's scratch in part: one
+chunk at a time, one item's padded planes in every pass and the slab
+columns of its input-gradient pass. The slab columns of the forward and
+weight-gradient passes and the per-item kernel gradient ``dw`` are not
+counted.
 """
 
 from __future__ import annotations
@@ -433,9 +435,8 @@ def upsample_nearest3d(x: Tensor, factor: int) -> Tensor:
         return x
     b, d, h, w, c = x.data.shape
     f = factor
-    out = np.broadcast_to(
-        x.data[:, :, None, :, None, :, None, :], (b, d, f, h, f, w, f, c)
-    ).reshape(b, d * f, h * f, w * f, c)
+    out = np.empty((b, d * f, h * f, w * f, c), x.dtype)  # owns its memory: metered
+    out.reshape(b, d, f, h, f, w, f, c)[...] = x.data[:, :, None, :, None, :, None, :]
     nx = x.node
 
     def bw(g):

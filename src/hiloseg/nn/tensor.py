@@ -14,12 +14,13 @@ propagates vector-Jacobian products, each arriving through
 Arrays this core allocates register with a byte meter, which is how the
 training-memory bound is measured: the meter's peak is the analog of device
 memory (parameters, gradients, optimizer moments, the activations a caller
-holds or a backward closure captured, conv3d's padded planes, one chunk
-of one item at a time, and the slab columns of its input-gradient pass),
-deliberately excluding host-side dataset storage. Only arrays that own
-their memory are counted, so scratch that numpy returns as a view of a
-fresh copy (the slab columns ``reshape`` builds in conv3d's forward and
-weight-gradient passes) is not.
+holds or a backward closure captured, upsampling's output among them,
+conv3d's padded planes, one chunk of one item at a time, and the slab
+columns of its input-gradient pass), deliberately excluding host-side
+dataset storage. Only arrays that own their memory are counted. conv3d's
+remaining scratch is not: the slab columns of its forward and
+weight-gradient passes, which ``reshape`` returns as a view of a fresh
+copy, and the per-item kernel gradient ``dw``, which is never tracked.
 """
 
 from __future__ import annotations

@@ -4,6 +4,9 @@ configuration, not on the scan's size. The occupancy encoder, which sees
 the whole pooled scan, is measured next to it to show that the meter does
 see scan size where a model depends on it."""
 
+import dataclasses
+
+import pytest
 from conftest import meter_peak
 
 from hiloseg.data_io import SynthConfig, generate_synthetic_one
@@ -46,18 +49,36 @@ def test_window_pyramid_peak_does_not_depend_on_scan_size():
     assert large["onet_encode"] > 10 * small["onet_encode"]
 
 
+def _one_window_region(side: int) -> BoundingBox:
+    c = side // 2
+    return BoundingBox((c - 8,) * 3, (c + 7,) * 3)
+
+
 def test_deep_pyramid_segment_peak_is_pinned():
     """Segmenting one window with the deep-pyramid model peaks at the same
-    bytes at two scan sizes: at norm2 of the level-2 encoder's first block,
-    its skip input, conv1's output, the standardized output and its scaled
-    copy (16³ × 6 float32 each), plus the level inputs and two finished
-    encodings. A whole padded copy of a conv input, or conv1's output still
-    alive while conv2 runs, would raise it."""
+    bytes at two scan sizes: at norm2 of the last level's first encoder
+    block, its skip input, conv1's output, the standardized output and its
+    scaled copy (16³ × 6 float32 each), plus the two finished encodings
+    (8³ × 6 float32 each). The level inputs are dead by then, each after
+    its stem. A whole padded copy of a conv input, conv1's output still
+    alive while conv2 runs, or a level input or encoding kept longer than
+    its last use would raise it."""
     model = HiLoModel(DEEP, seed=0)
     got = []
     for side in (32, 96):
         vol = generate_synthetic_one(SynthConfig(dims=(side,) * 3, seed=1), 0)[0]
-        c = side // 2
-        region = BoundingBox((c - 8,) * 3, (c + 7,) * 3)
-        got.append(meter_peak(lambda: segment_volume(vol, model, DEEP, region, threads=1)))
-    assert got == [466_944, 466_944]
+        got.append(meter_peak(
+            lambda: segment_volume(vol, model, DEEP, _one_window_region(side), threads=1)))
+    assert got == [417_792, 417_792]
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_each_pyramid_level_costs_one_encoding(levels):
+    """Each level adds one finished 8³ × 6 float32 encoding (12,288 B) to the
+    segmentation peak, and nothing else: its input, stem output and block
+    activations are dead before the next level's encoder runs."""
+    cfg = dataclasses.replace(DEEP, levels=levels, downsampling_factor=4 if levels < 4 else 2)
+    model = HiLoModel(cfg, seed=0)
+    vol = generate_synthetic_one(SynthConfig(dims=(32,) * 3, seed=1), 0)[0]
+    peak = meter_peak(lambda: segment_volume(vol, model, cfg, _one_window_region(32), threads=1))
+    assert peak == 4 * 16**3 * 6 * 4 + (levels - 1) * 8**3 * 6 * 4

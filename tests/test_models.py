@@ -9,7 +9,9 @@ answer exactly 0.5 everywhere, with no spatial bias.
 
 import numpy as np
 import pytest
+from conftest import meter_peak
 
+from hiloseg import nn
 from hiloseg.models import (
     HiLoConfig,
     HiLoModel,
@@ -286,6 +288,28 @@ class TestHiLoForward:
         with pytest.raises(ValueError, match="coordinate"):
             hilo_forward(pyr, cfg, HiLoModel(cfg, seed=0))
 
+    @pytest.mark.parametrize("decoder", ["cnn", "onet"])
+    def test_decoder_kind_is_checked_before_any_encoder_runs(self, decoder):
+        """A query the decoder cannot take is refused before any level is
+        encoded, so the failing call leaves nothing on the byte meter."""
+        cfg = HiLoConfig(decoder=decoder, **TINY_HILO)
+        model = HiLoModel(cfg, seed=0)
+        levels = [nn.Tensor(np.ones((1, 8, 8, 8, 1), np.float32)) for _ in range(cfg.levels)]
+        coords01 = nn.Tensor(np.zeros((1, 2, 3), np.float32)) if decoder == "cnn" else None
+
+        def call():
+            with pytest.raises(ValueError, match="coordinate"):
+                model.forward_batch(levels, coords01)
+
+        assert meter_peak(call) == 0
+
+    @pytest.mark.parametrize("count, word", [(1, "fewer"), (3, "more")])
+    def test_forward_batch_level_count_mismatch(self, count, word):
+        cfg = HiLoConfig(**TINY_HILO)
+        levels = [nn.Tensor(np.ones((1, 8, 8, 8, 1), np.float32)) for _ in range(count)]
+        with pytest.raises(ValueError, match=f"{word} levels"):
+            HiLoModel(cfg, seed=0).forward_batch(levels)
+
     def test_batch_matches_singletons(self):
         cfg = HiLoConfig(**TINY_HILO)
         vol = random_volume((30, 28, 26))
@@ -294,8 +318,6 @@ class TestHiLoForward:
             for c in [(8, 9, 10), (20, 18, 14), (15, 15, 15)]
         ]
         model = nudged(HiLoModel(cfg, seed=0), np.random.default_rng(3))
-        import hiloseg.nn as nn
-
         levels = [
             nn.Tensor(np.stack([p[i] for p in pyrs])[..., None])
             for i in range(cfg.levels)

@@ -439,6 +439,24 @@ class TestResampling:
         back = F.avg_pool3d(up, 3).data
         np.testing.assert_allclose(back, coarse, rtol=1e-12)
 
+    def test_upsample_output_is_metered(self, rng):
+        """The output owns its memory, so the byte meter counts it: under
+        no_grad the op's peak is its output. Values and gradient equal the
+        broadcast formula bit for bit."""
+        b, d, h, w, c, f = 2, 3, 2, 4, 5, 2
+        x = nn.Tensor(rng.normal(size=(b, d, h, w, c)).astype(np.float32), requires_grad=True)
+        with no_grad():
+            peak = meter_peak(lambda: F.upsample_nearest3d(x, f))
+        out = F.upsample_nearest3d(x, f)
+        assert out.data.base is None
+        assert peak == out.data.nbytes
+        spread = (b, d, f, h, f, w, f, c)
+        want = np.broadcast_to(x.data[:, :, None, :, None, :, None, :], spread)
+        np.testing.assert_array_equal(out.data, want.reshape(out.shape))
+        g = rng.normal(size=out.shape).astype(np.float32)
+        F.sum_all(F.mul(out, g)).backward()  # hands upsampling exactly g
+        np.testing.assert_array_equal(x.grad, g.reshape(spread).sum(axis=(2, 4, 6)))
+
     def test_adaptive_pool_uniform_case(self, rng):
         x = rng.normal(size=(2, 4, 4, 4, 3)).astype(np.float64)
         got = F.adaptive_avg_pool3d(nn.Tensor(x), (2, 2, 2)).data

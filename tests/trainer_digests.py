@@ -2,10 +2,12 @@
 a fixed run matrix.
 
 Not a tier-1 test (no ``test_`` prefix): it prints one line per trained
-state and one per metric of each run, then one line per segmentation and
-one per sampled IoU, so two trees can be compared by diffing their output.
-A refactor of the training or inference paths that keeps results
-byte-identical prints the same lines. Run it from a tree's root:
+state and one per metric of each run, then three per segmentation (its
+labels, their sampled IoU and the byte meter's peak over the same
+segmentation on one worker thread), so two trees can be compared by
+diffing their output. A refactor of the training or inference paths that
+keeps results byte-identical prints the same lines; a change to activation
+lifetimes moves only the peak lines. Run it from a tree's root:
 
     PYTHONPATH=src python3 tests/trainer_digests.py > digests.txt
 
@@ -29,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from conftest import meter_peak
 
 from hiloseg.data_io import SynthConfig, load_manifest, write_dataset
 from hiloseg.inference import sampled_iou, segment_volume
@@ -138,10 +141,13 @@ def _inference_lines():
                     state[key] = rng.normal(0.0, 0.5, size=state[key].shape).astype(np.float32)
             model.load_state_dict(state)
             pred = segment_volume(vol, model, cfg, threads=2).data
+            # how two workers' tiles overlap varies from run to run; one worker's peak does not
+            peak = meter_peak(lambda: segment_volume(vol, model, cfg, threads=1))
             iou = sampled_iou(lambda c: pred[c[:, 0], c[:, 1], c[:, 2]], truth, n=4096, seed=1)
             name = f"segment-{decoder}-L{levels}"
             yield name, "labels", _digest(pred.shape, pred.tobytes())
             yield name, "sampled_iou", _digest(iou)
+            yield name, "meter_peak", str(peak)
 
 
 def main() -> int:
