@@ -18,13 +18,20 @@ a batch gives the same outputs and gradients whole or split into
 micro-batches.
 
 A forward pass holds one pyramid level at a time. A level's input tensor
-is drawn only when its encoder runs and dies after the encoder's stem;
-each finished encoding lives until the concat, and the concat until the
-decoder's first block has consumed it. Under a tape the stem keeps its
-input for the kernel gradient, as every op keeps what its backward reads.
-The hand-overs are plain method calls (``enc.__call__(x)``), whose
-arguments CPython 3.11 and later move into the callee's frame; an instance
-call (``enc(x)``) keeps its argument alive until it returns.
+is drawn only when its encoder runs; each finished encoding lives until
+the concat, and the concat until the decoder's first block has consumed
+it. Without a tape the level input dies after the encoder's stem. The
+hand-overs are plain method calls (``enc.__call__(x)``), whose arguments
+CPython 3.11 and later move into the callee's frame; an instance call
+(``enc(x)``) keeps its argument alive until it returns, and so would
+CPython 3.10's plain calls, which is why the package requires 3.11.
+
+Under a tape each level encoder runs through ``F.recompute``. Until the
+backward a level keeps its input, in the recompute node, and its
+encoding, in the concat that the decoder's first block keeps; none of its
+encoder's activations. The backward rebuilds one encoder's tape at a
+time, so a training step, like segmentation, holds one level's
+activations at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import numpy as np
 
 from .. import nn
 from ..nn import functional as F
+from ..nn.tensor import grad_enabled
 from ..rng import make_rng
 from .onet import OnetDecoder
 
@@ -189,11 +197,14 @@ class HiLoModel(nn.Module):
         return self.decoder.__call__(coords01, self._encode(level_inputs))
 
     def _encode(self, level_inputs) -> nn.Tensor:
-        """The level encodings concatenated along channels."""
+        """The level encodings concatenated along channels; under a tape,
+        each through ``F.recompute`` (module docstring)."""
         n = len(self.encoders)
         levels = iter(level_inputs)
+        tape = grad_enabled()
         try:
-            encs = [enc.__call__(next(levels)) for enc in self.encoders]
+            encs = [F.recompute(enc, next(levels), enc.parameters()) if tape
+                    else enc.__call__(next(levels)) for enc in self.encoders]
         except StopIteration:
             raise ValueError(f"pyramid has fewer levels than the model's {n}") from None
         if next(levels, None) is not None:

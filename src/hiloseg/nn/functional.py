@@ -13,7 +13,9 @@ tensor, so the tape keeps:
 - the losses: their prediction (a sigmoid output, which the sigmoid keeps
   anyway) and target;
 - add, scale, reshape, concat, pooling, upsampling, padding, slicing and
-  the reductions: shapes only.
+  the reductions: shapes only;
+- recompute: its input only, from which its backward rebuilds the tape of
+  its function.
 
 A closure that allocates a gradient for one parent passes it with
 ``fresh=True``, and it becomes that parent's first gradient without a copy
@@ -76,7 +78,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, make_node, memory_meter
+from .tensor import Tensor, enable_grad, make_node, memory_meter, no_grad
 
 # Upper bound on the slab columns of one chunk, small enough to stay in L2.
 CONV_SCRATCH_BYTES = 512 << 10
@@ -94,6 +96,10 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    if len(shape) == 1 and g.ndim > 1 and g.shape[-1] == shape[0] and g.flags.c_contiguous:
+        # a per-channel gradient: one reduction over the rows, the bits of
+        # the sum over the leading axes without its axis bookkeeping
+        return np.add.reduce(g.reshape(-1, shape[0]), axis=0)
     extra = g.ndim - len(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))
@@ -260,17 +266,21 @@ def selu(x: Tensor) -> Tensor:
     # an exact zero, and it builds no data-dependent mask
     out = np.maximum(x.data, 0.0)
     out *= SELU_LAMBDA
-    neg = np.expm1(np.minimum(x.data, 0.0))
+    neg = np.minimum(x.data, 0.0)
+    np.expm1(neg, out=neg)
     neg *= SELU_LAMBDA * SELU_ALPHA
     out += neg
     nx = x.node
 
     def bw(g):
         # out > 0 exactly where x > 0; on the negative branch
-        # d/dx = lambda*alpha*e^x = out + lambda*alpha
-        nx.accumulate_grad(
-            np.where(out > 0, g * SELU_LAMBDA, g * (out + SELU_LAMBDA * SELU_ALPHA)), fresh=True
-        )
+        # d/dx = lambda*alpha*e^x = out + lambda*alpha. One buffer has the
+        # bits of where(out > 0, g * lambda, g * (out + lambda*alpha)); g
+        # stays the first factor, whose NaN a NaN product keeps
+        d = out + SELU_LAMBDA * SELU_ALPHA
+        np.copyto(d, SELU_LAMBDA, where=out > 0)
+        np.multiply(g, d, out=d)
+        nx.accumulate_grad(d, fresh=True)
 
     return make_node(out, (nx,), bw)
 
@@ -350,11 +360,11 @@ def _correlate(x: np.ndarray, wk: np.ndarray, pad: int, metered: bool) -> np.nda
             # the padded block dies once its columns are copied out
             col = _col(_padded_planes(x[bi], pad, d0, d1 + k - 1), k, metered)
             n = (d1 - d0) * plane
-            acc = col[:n] @ wk[0]
+            acc = out[bi, d0:d1].reshape(n, cout)  # a view: the GEMMs write in place
+            np.matmul(col[:n], wk[0], out=acc)
             for a in range(1, k):
                 acc += col[a * plane : a * plane + n] @ wk[a]
             del col  # one chunk's columns alive at a time
-            out[bi, d0:d1] = acc.reshape(d1 - d0, oh, ow, cout)
     return out
 
 
@@ -545,10 +555,10 @@ def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...], ref: int | N
     never the input.
     """
     if ref is None:
-        xc = x.data - _mean(x.data, axes)
-        var = _mean(xc * xc, axes)  # np.var's own steps, bit for bit
+        xhat = x.data - _mean(x.data, axes)
+        var = _mean(xhat * xhat, axes)  # np.var's own steps, bit for bit
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = xc * inv
+        xhat *= inv
     else:
         src = x.data[:, -ref:]
         var = _mean(src * src, axes)
@@ -561,7 +571,10 @@ def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...], ref: int | N
         if ref is None:
             gm = _mean(g, axes)
             gx = _mean(g * xhat, axes)
-            nx.accumulate_grad(inv * (g - gm - xhat * gx), fresh=True)
+            grad = g - gm
+            grad -= xhat * gx
+            np.multiply(inv, grad, out=grad)  # inv stays the first factor, as in inv * grad
+            nx.accumulate_grad(grad, fresh=True)
             return
         # each entry's own term; the statistics' term lands on the reference set
         gx = (g * xhat).sum(axis=axes, keepdims=True) / count
@@ -642,3 +655,34 @@ def focal_loss(pred: Tensor, target, gamma: float = 2.0, alpha: float = 0.25) ->
         npred.accumulate_grad(_entry_grad(d_pt * (2.0 * t - 1.0), mask, g), fresh=True)
 
     return make_node(loss, (npred,), bw)
+
+
+# ---------------------------------------------------------------------------
+# recomputation
+
+
+def recompute(fn, x: Tensor, params) -> Tensor:
+    """``fn(x)``, with the tape of ``fn`` rebuilt in the backward instead of
+    kept (Chen et al. 2016, *Training Deep Nets with Sublinear Memory Cost*).
+
+    The forward runs ``fn`` without a tape and records one node that keeps
+    ``x``'s array only. The backward re-runs ``fn`` on a fresh tape, even
+    inside ``no_grad``, and seeds its reverse sweep with the incoming
+    gradient (``Tensor.backward``); ``params``, the leaves ``fn`` reads,
+    receive their gradients there. ``fn`` must depend on ``x`` and
+    ``params`` alone: the ops are deterministic, so the rebuilt tape and
+    the gradients equal a kept tape's bit for bit.
+    """
+    with no_grad():
+        out = fn(x).data
+    xd, nx = x.data, x.node
+
+    def bw(g):
+        with enable_grad():
+            xi = Tensor(xd, requires_grad=nx is not None)
+            y = fn(xi)
+        y.backward(seed=g)
+        if nx is not None:
+            nx.accumulate_grad(xi.grad, fresh=True)
+
+    return make_node(out, (nx, *(p.node for p in params)), bw)

@@ -8,8 +8,11 @@ needs only the values it reads (Griewank & Walther 2008), which is also why
 autograd keeps per-op saved tensors apart from the tensors a user holds
 (Paszke et al. 2019). ``backward()`` topologically sorts the nodes and
 propagates vector-Jacobian products, each arriving through
-``Tensor.accumulate_grad``. Inference code wraps forward passes in
-``no_grad()`` so no tape is built.
+``Tensor.accumulate_grad``. It starts from a scalar loss, or from any
+tensor with a seed gradient of its shape: the seeded sweep is how
+``functional.recompute`` backpropagates through a tape it rebuilds in the
+backward. Inference code wraps forward passes in ``no_grad()`` so no tape
+is built; ``enable_grad()`` builds one inside it.
 
 Arrays this core allocates register with a byte meter, which is how the
 training-memory bound is measured: the meter's peak is the analog of device
@@ -77,17 +80,31 @@ def grad_enabled() -> bool:
     return getattr(_grad_enabled, "value", True)
 
 
-class no_grad:
-    """Context manager disabling tape construction (forward-only mode)."""
+class _GradMode:
+    """Context manager setting tape construction to ``enabled`` in its block."""
+
+    enabled: bool
 
     def __enter__(self):
         self._prev = grad_enabled()
-        _grad_enabled.value = False
+        _grad_enabled.value = self.enabled
         return self
 
     def __exit__(self, *exc):
         _grad_enabled.value = self._prev
         return False
+
+
+class no_grad(_GradMode):
+    """Disables tape construction (forward-only mode)."""
+
+    enabled = False
+
+
+class enable_grad(_GradMode):
+    """Records a tape even inside ``no_grad``."""
+
+    enabled = True
 
 
 class Tensor:
@@ -166,8 +183,13 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        """Backpropagate from this (scalar) tensor through the recorded tape.
+    def backward(self, seed: np.ndarray | None = None) -> None:
+        """Backpropagate from this tensor through the recorded tape.
+
+        ``seed`` is the gradient of this tensor, of its shape; without one
+        the tensor must be a scalar, and its gradient is 1. A seeded sweep
+        is how ``functional.recompute`` pushes a gradient through a tape it
+        rebuilt, so a rebuilt tape runs through this code and no copy of it.
 
         The tape is consumed: each node's closure, graph links and
         intermediate gradient are dropped once it has run, so the arrays a
@@ -176,8 +198,10 @@ class Tensor:
         (parameters and explicit-grad inputs) keep both their data and their
         accumulated gradients.
         """
-        if self.data.size != 1:
-            raise ValueError("backward() must start from a scalar tensor")
+        if seed is None:
+            if self.data.size != 1:
+                raise ValueError("backward() without a seed must start from a scalar tensor")
+            seed = np.ones_like(self.data)
         root = self if self._node is None else self._node
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -194,7 +218,7 @@ class Tensor:
             for p in node._inputs:
                 if id(p) not in seen:
                     stack.append((p, False))
-        root.accumulate_grad(np.ones_like(self.data))
+        root.accumulate_grad(seed)
         for node in reversed(topo):
             fn = node._fn
             if fn is not None and node.grad is not None:

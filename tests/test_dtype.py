@@ -31,6 +31,11 @@ def probs(rng, shape, dtype):
     return Tensor(rng.uniform(0.05, 0.95, size=shape).astype(dtype), requires_grad=True)
 
 
+def recomputed(rng, dtype):
+    w = leaf(rng, (3, 4), dtype)
+    return F.recompute(lambda x: F.selu(F.matmul(x, w)), leaf(rng, (2, 3), dtype), [w])
+
+
 # op name -> builder(rng, dtype) returning the op's result; the leaves it makes
 # carry the dtype, every other argument is a Python number or an integer array
 OPS = {
@@ -57,6 +62,7 @@ OPS = {
     "bce_loss": lambda r, t: F.bce_loss(probs(r, (2, 6), t), r.random((2, 6)) > 0.5),
     "focal_loss": lambda r, t: F.focal_loss(probs(r, (2, 6), t),
                                             r.integers(0, 2, (2, 6), dtype=np.uint8)),
+    "recompute": recomputed,
 }
 # the reference-point form of batch_standardize is its own branch
 OPS_EXTRA = {

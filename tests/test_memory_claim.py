@@ -20,6 +20,10 @@ CFG = HiLoConfig(window_size=8, downsampling_factor=2, levels=3, encoder_blocks=
                  cnn_decoder_blocks=1, base_channels=2, batch_size=2)
 # the benchmark's segmentation model: windows of 16, pyramid factor 4, 3 levels
 DEEP = HiLoConfig(window_size=16, downsampling_factor=4, levels=3, base_channels=6)
+# small enough to train at four pyramid depths: two blocks on each side,
+# encodings of 4³ × 2 float32 (512 B) per item
+TRAIN = HiLoConfig(window_size=8, downsampling_factor=2, levels=1, encoder_blocks=2,
+                   cnn_decoder_blocks=2, base_channels=2, batch_size=4)
 ONET = OnetConfig(input_downsample=4, encoder_blocks=1, decoder_blocks=1, base_channels=2,
                   latent_dim=8, decoder_hidden=8)
 
@@ -82,3 +86,25 @@ def test_each_pyramid_level_costs_one_encoding(levels):
     vol = generate_synthetic_one(SynthConfig(dims=(32,) * 3, seed=1), 0)[0]
     peak = meter_peak(lambda: segment_volume(vol, model, cfg, _one_window_region(32), threads=1))
     assert peak == 4 * 16**3 * 6 * 4 + (levels - 1) * 8**3 * 6 * 4
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_each_pyramid_level_costs_three_encodings_in_training(levels):
+    """A training step rebuilds each level encoder's tape in its backward
+    (``F.recompute``), so between its forward and its backward a level keeps
+    only its input, a view of the host batch that the meter does not count.
+    The step peaks in the second micro-batch's backward, at the decoder's
+    full-resolution last block: 113,480 B at every L, next to every
+    parameter and its gradient. The decoder's first block still holds its
+    standardized input and its activation, L·2 channels each, and from
+    L = 2 on also the concat, which its 1×1 projection keeps for the kernel
+    gradient: 3 encodings per level and micro-batch item. Before recompute,
+    each level's whole encoder tape lived until the backward."""
+    cfg = dataclasses.replace(TRAIN, levels=levels)
+    scan = generate_synthetic_one(SynthConfig(dims=(32,) * 3, seed=1), 0)
+    params = sum(p.data.nbytes for p in HiLoModel(cfg).parameters())
+    peak = meter_peak(lambda: train_hilo(
+        [scan], cfg, TrainingQueue(capacity=1), epochs=1, max_steps=1, micro_batch=2,
+        sampler=SamplerConfig(redraw_prob=1.0), pyramid_sampling="volume", seed=0))
+    encodings = 3 * levels if levels > 1 else 2
+    assert peak == 2 * params + 113_480 + encodings * 2 * 4**3 * 2 * 4

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hiloseg import nn
+from hiloseg.models.hilo import HiLoConfig, HiLoEncoder
 from hiloseg.nn import functional as F
 from hiloseg.nn.layers import (
     ConditionalPointNorm,
@@ -201,6 +202,18 @@ class TestBlockGradients:
             return F.mean_all(F.sigmoid(block(x)))
 
         finite_difference_check(loss, [x] + block.parameters(), rng=rng, n_probes=80)
+
+    def test_recomputed_hilo_encoder(self, rng):
+        """The encoder's tape rebuilt in the backward gives its input and
+        every parameter their gradients."""
+        cfg = HiLoConfig(window_size=4, levels=1, encoder_blocks=2, base_channels=2)
+        enc = HiLoEncoder(cfg, rng=np.random.default_rng(5), dtype=np.float64)
+        x = t64(rng, 2, 4, 4, 4, 1)
+
+        def loss():
+            return F.mean_all(F.sigmoid(F.recompute(enc, x, enc.parameters())))
+
+        finite_difference_check(loss, [x] + enc.parameters(), rng=rng, n_probes=80)
 
     def test_dense_layer(self, rng):
         dense = Dense(5, 7, rng=6, dtype=np.float64)

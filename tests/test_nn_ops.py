@@ -232,6 +232,22 @@ class TestActivations:
         assert got == want.tobytes()
         assert xt.grad.tobytes() == want_grad.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_selu_gradient_bit_equal_to_where_formula(self, dtype):
+        """The input gradient has the bits of where(out > 0, g * lambda,
+        g * (out + lambda*alpha)) for every pair of special values in the
+        input and in the gradient."""
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-40, -1e-40, 1.5, -2.5]
+        x, g = (a.ravel() for a in np.meshgrid(np.array(special, dtype), np.array(special, dtype)))
+        with np.errstate(all="ignore"):
+            xt = nn.Tensor(x.copy(), requires_grad=True)
+            y = F.selu(xt)
+            want = np.where(y.data > 0, g * F.SELU_LAMBDA,
+                            g * (y.data + F.SELU_LAMBDA * F.SELU_ALPHA))
+            F.sum_all(F.mul(y, g)).backward()  # hands selu exactly g
+        assert xt.grad.dtype == want.dtype
+        assert xt.grad.tobytes() == want.tobytes()
+
     def test_selu_self_normalizing_fixed_point(self, rng):
         # unit-gaussian input keeps roughly zero mean and unit variance
         x = rng.standard_normal(200_000)

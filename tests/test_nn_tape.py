@@ -1,7 +1,9 @@
 """The tape: what its graph nodes keep alive, how gradients are handed to
-them, and the hooks a profiler rebinds (an op result's ``_backward`` and
-``Tensor.accumulate_grad``)."""
+them, the seeded sweep that rebuilds a tape in the backward
+(``F.recompute``), and the hooks a profiler rebinds (an op result's
+``_backward`` and ``Tensor.accumulate_grad``)."""
 
+import contextlib
 import itertools
 import weakref
 
@@ -244,3 +246,59 @@ class TestHookContract:
             for i in range(batch):
                 assert len(alone[i][k]) == 1
                 np.testing.assert_array_equal(got[i], alone[i][k][0])
+
+
+class TestRecompute:
+    """``F.recompute`` keeps its input only and rebuilds its tape in the
+    backward, where a seeded ``Tensor.backward`` sweeps it."""
+
+    def test_seeded_backward_equals_weighted_sum(self, rng):
+        w = nn.parameter(rng.normal(size=(3, 4)).astype(np.float32))
+        x = rng.normal(size=(5, 3)).astype(np.float32)
+        s = rng.normal(size=(5, 4)).astype(np.float32)
+
+        def grad(sweep):
+            w.zero_grad()
+            sweep(F.selu(F.matmul(nn.Tensor(x), w)))
+            return w.grad
+
+        seeded = grad(lambda y: y.backward(seed=s))
+        summed = grad(lambda y: F.sum_all(F.mul(y, s)).backward())
+        assert seeded.tobytes() == summed.tobytes()
+
+    def test_non_scalar_root_needs_a_seed(self, rng):
+        w = nn.parameter(rng.normal(size=(3,)))
+        with pytest.raises(ValueError, match="scalar"):
+            F.scale(w, 2.0).backward()
+
+    def test_forward_keeps_no_activation(self, monkeypatch, rng):
+        names = ("conv3d", "matmul", "batch_standardize", "mul", "add", "selu")
+        made = record_outputs(monkeypatch, names)
+        block, x = conv_block_case(rng)
+        y = F.recompute(block, x, block.parameters())
+        live = [r() for name in names for r in made[name] if r() is not None]
+        assert len(live) == 1 and live[0] is y.data
+
+    @staticmethod
+    def block_gradients(rng, wrap, context=contextlib.nullcontext):
+        block, x = conv_block_case(rng)
+        loss = F.sum_all(F.mul(wrap(block, x), 0.5))
+        with context():
+            loss.backward()
+        return [t.grad for t in [x] + block.parameters()]
+
+    def test_gradients_bit_equal_to_a_kept_tape(self):
+        kept = self.block_gradients(np.random.default_rng(1), lambda f, x: f(x))
+        rebuilt = self.block_gradients(np.random.default_rng(1),
+                                       lambda f, x: F.recompute(f, x, f.parameters()))
+        for a, b in zip(kept, rebuilt):
+            assert a.tobytes() == b.tobytes()
+
+    def test_backward_inside_no_grad_still_reaches_the_parameters(self):
+        def wrap(f, x):
+            return F.recompute(f, x, f.parameters())
+
+        outside = self.block_gradients(np.random.default_rng(2), wrap)
+        inside = self.block_gradients(np.random.default_rng(2), wrap, nn.no_grad)
+        for a, b in zip(outside, inside):
+            assert b is not None and a.tobytes() == b.tobytes()
