@@ -203,7 +203,7 @@ class HiLoModel(nn.Module):
         levels = iter(level_inputs)
         tape = grad_enabled()
         try:
-            encs = [F.recompute(enc, next(levels), enc.parameters()) if tape
+            encs = [F.recompute(enc, (next(levels),), enc.parameters()) if tape
                     else enc.__call__(next(levels)) for enc in self.encoders]
         except StopIteration:
             raise ValueError(f"pyramid has fewer levels than the model's {n}") from None

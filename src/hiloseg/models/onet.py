@@ -19,6 +19,18 @@ lattice of reference coordinates (``nn.ReferencePoints``) decoded along with
 each element's queries, by whose root mean square it scales. So a
 micro-batch gives the same outputs and gradients as the full batch, and a
 point's occupancy never depends on the other points queried with it.
+
+Training holds one decoder block's activations at a time. Under a tape
+each ``ResidualBlockFC`` runs its per-point path through ``F.recompute``,
+as the window-pyramid models run their level encoders: until the backward
+a block keeps only its input, in the recompute node, and the backward
+rebuilds one block's tape at a time. The conditioning stacks of a
+``"cbn"`` block stay on the outer tape and enter the recompute as their
+(B, 1, C) affines, never as the latent: the latent then collects its
+gradient from each stack in the kept tape's order, where a recompute node
+would hand it one partial sum per block, and the encoder's gradients
+would move by an ulp. Without a tape (MISE, validation, ``onet_decode``)
+the blocks run directly.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ import numpy as np
 from .. import nn
 from ..inference import BoundingBox
 from ..nn import functional as F
+from ..nn.tensor import grad_enabled
 from ..rng import make_rng
 from ..voxel import VoxelVolume, average_pool
 
@@ -179,8 +192,11 @@ class OnetDecoder(nn.Module):
             h = self.input(F.concat([coords01, F.repeat_middle(latent, n + len(self.reference))],
                                     axis=-1))
             cond = None
+        tape = grad_enabled()
         for block in self.blocks:
-            h = block(h, cond)
+            affine = block.condition(cond)
+            h = (F.recompute(block.points, (h, *affine), block.point_parameters()) if tape
+                 else block.points(h, *affine))
         h = self.final_norm(h, cond) if self.cbn else self.final_norm(h)
         out = F.sigmoid(F.slice_middle(self.head(self.activation(h)), n))
         return F.reshape(out, (b, n))

@@ -14,12 +14,14 @@ tensor, so the tape keeps:
   anyway) and target;
 - add, scale, reshape, concat, pooling, upsampling, padding, slicing and
   the reductions: shapes only;
-- recompute: its input only, from which its backward rebuilds the tape of
+- recompute: its inputs only, from which its backward rebuilds the tape of
   its function.
 
 A closure that allocates a gradient for one parent passes it with
 ``fresh=True``, and it becomes that parent's first gradient without a copy
-(``Tensor.accumulate_grad``). conv3d lowers to GEMMs on
+(``Tensor.accumulate_grad``). A closure owns the gradient it is handed
+(``Tensor.backward``), so ``add`` hands ``g`` itself to its first parent
+the same way and copies it only for the second. conv3d lowers to GEMMs on
 slab columns, a partial im2col over the two fast spatial axes (Chellapilla
 et al. 2006; Anderson et al. 2017). It takes the unpadded input; for a
 chunk of output planes [d0, d1) of one item it zero-pads only that item's
@@ -129,11 +131,11 @@ def add(a: Tensor, b) -> Tensor:
     out = a.data + b.data
     na, nb = a.node, b.node
 
-    def bw(g):  # g itself may reach both parents: never fresh
-        if na is not None:
-            _accumulate_unbroadcast(na, g)
+    def bw(g):  # the closure owns g (Tensor.backward): a copy to b, g itself to a
         if nb is not None:
             _accumulate_unbroadcast(nb, g)
+        if na is not None:
+            _accumulate_unbroadcast(na, g, fresh=True)
 
     return make_node(out, (na, nb), bw)
 
@@ -661,28 +663,39 @@ def focal_loss(pred: Tensor, target, gamma: float = 2.0, alpha: float = 0.25) ->
 # recomputation
 
 
-def recompute(fn, x: Tensor, params) -> Tensor:
-    """``fn(x)``, with the tape of ``fn`` rebuilt in the backward instead of
-    kept (Chen et al. 2016, *Training Deep Nets with Sublinear Memory Cost*).
+def recompute(fn, xs: tuple, params) -> Tensor:
+    """``fn(*xs)``, with the tape of ``fn`` rebuilt in the backward instead
+    of kept (Chen et al. 2016, *Training Deep Nets with Sublinear Memory
+    Cost*).
 
     The forward runs ``fn`` without a tape and records one node that keeps
-    ``x``'s array only. The backward re-runs ``fn`` on a fresh tape, even
-    inside ``no_grad``, and seeds its reverse sweep with the incoming
-    gradient (``Tensor.backward``); ``params``, the leaves ``fn`` reads,
-    receive their gradients there. ``fn`` must depend on ``x`` and
-    ``params`` alone: the ops are deterministic, so the rebuilt tape and
-    the gradients equal a kept tape's bit for bit.
+    the arrays of the input tensors ``xs`` only. The backward re-runs
+    ``fn`` on a fresh tape, even inside ``no_grad``, on one leaf per input,
+    drops the rebuilt output's data, which the sweep needs only where a
+    closure of ``fn`` captured it, and seeds its reverse sweep with the
+    incoming gradient, handed over (``Tensor.backward``). ``params``, the
+    leaves ``fn`` reads, receive their gradients there; each input leaf
+    then hands its gradient to its input's node. ``fn`` must depend on
+    ``xs`` and ``params`` alone: the ops are deterministic, so the rebuilt
+    tape and the gradients equal a kept tape's bit for bit, with one
+    exception. An input with consumers outside ``fn`` gets one partial sum
+    per recompute node, where a kept tape adds each of ``fn``'s
+    contributions in its own order, so its gradient may differ in the last
+    bit; ``OnetDecoder`` passes its norms' affines, not the latent they
+    are computed from, for that reason.
     """
     with no_grad():
-        out = fn(x).data
-    xd, nx = x.data, x.node
+        out = fn(*xs).data
+    datas, nodes = [x.data for x in xs], [x.node for x in xs]
 
     def bw(g):
         with enable_grad():
-            xi = Tensor(xd, requires_grad=nx is not None)
-            y = fn(xi)
-        y.backward(seed=g)
-        if nx is not None:
-            nx.accumulate_grad(xi.grad, fresh=True)
+            leaves = [Tensor(d, requires_grad=n is not None) for d, n in zip(datas, nodes)]
+            y = fn(*leaves)
+        y.data = None
+        y.backward(seed=g, fresh=True)
+        for leaf, n in zip(leaves, nodes):
+            if n is not None and leaf.grad is not None:
+                n.accumulate_grad(leaf.grad, fresh=True)
 
-    return make_node(out, (nx, *(p.node for p in params)), bw)
+    return make_node(out, (*nodes, *(p.node for p in params)), bw)

@@ -182,15 +182,20 @@ class _ConditionalAffine(Module):
         h = F.leaky_relu(stack[0](cond))
         return stack[1](h)
 
-    def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
-        xhat = self._standardize(x)
+    def affine(self, cond: Tensor) -> tuple[Tensor, Tensor]:
+        """The (gamma, beta) pair of each batch element, each (B, 1, C), to
+        broadcast across the element's points."""
         gamma = self._affine_from(cond, self.gamma_stack)  # (B, C)
         beta = self._affine_from(cond, self.beta_stack)
-        # broadcast one (gamma, beta) pair per batch element across middle axes
-        shape = (x.data.shape[0],) + (1,) * (x.data.ndim - 2) + (gamma.data.shape[-1],)
-        gamma = F.reshape(gamma, shape)
-        beta = F.reshape(beta, shape)
-        return F.add(F.mul(xhat, gamma), beta)
+        shape = (gamma.data.shape[0], 1, gamma.data.shape[1])
+        return F.reshape(gamma, shape), F.reshape(beta, shape)
+
+    def scaled(self, x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+        """The standardized (B, N, C) points under an ``affine`` pair."""
+        return F.add(F.mul(self._standardize(x), gamma), beta)
+
+    def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
+        return self.scaled(x, *self.affine(cond))
 
 
 class ElementNorm(_ChannelAffine, _OwnStats):
@@ -256,7 +261,9 @@ class ResidualBlockFC(Module):
     """Pre-activation fully connected residual block: (norm, act, dense) x 2 + skip.
 
     The norms are point norms on the last ``ref`` reference points,
-    conditional when ``cond_dim`` is given.
+    conditional when ``cond_dim`` is given. A call is ``condition``, which
+    maps the condition to both norms' per-element affines, then ``points``,
+    the per-point path, which reads those affines and ``point_parameters``.
     """
 
     def __init__(self, cin: int, cout: int, rng, ref: int, activation=F.leaky_relu,
@@ -274,14 +281,33 @@ class ResidualBlockFC(Module):
         self.dense2 = Dense(cout, cout, rng, dtype)
         self.proj = Dense(cin, cout, rng, dtype, bias=False) if cin != cout else None
 
-    def __call__(self, x: Tensor, cond: Tensor | None = None) -> Tensor:
-        def normed(norm, t):
-            return norm(t, cond) if isinstance(norm, _ConditionalAffine) else norm(t)
+    def condition(self, cond: Tensor | None) -> tuple:
+        """Both conditional norms' (gamma, beta) from ``cond``; () for norms
+        with their own affine parameters."""
+        if not isinstance(self.norm1, _ConditionalAffine):
+            return ()
+        return (*self.norm1.affine(cond), *self.norm2.affine(cond))
 
-        h = self.dense1(self.activation(normed(self.norm1, x)))
-        h = self.dense2(self.activation(normed(self.norm2, h)))
+    def point_parameters(self) -> list[Tensor]:
+        """The parameters ``points`` reads: all but the conditional norms'."""
+        parts = [self.dense1, self.dense2, self.proj]
+        if not isinstance(self.norm1, _ConditionalAffine):
+            parts += [self.norm1, self.norm2]
+        return [p for m in parts if m is not None for p in m.parameters()]
+
+    def points(self, x: Tensor, *affine: Tensor) -> Tensor:
+        """The block on (B, N, C) points, given ``condition``'s tensors."""
+        def normed(norm, t, pair):
+            return norm.scaled(t, *pair) if pair else norm(t)
+
+        h = self.dense1(self.activation(normed(self.norm1, x, affine[:2])))
+        h = self.activation(normed(self.norm2, h, affine[2:]))  # dense1's output dies before dense2
+        h = self.dense2(h)
         skip = self.proj(x) if self.proj is not None else x
         return F.add(skip, h)
+
+    def __call__(self, x: Tensor, cond: Tensor | None = None) -> Tensor:
+        return self.points(x, *self.condition(cond))
 
 
 class ResidualBlockConv3d(Module):

@@ -8,10 +8,12 @@ needs only the values it reads (Griewank & Walther 2008), which is also why
 autograd keeps per-op saved tensors apart from the tensors a user holds
 (Paszke et al. 2019). ``backward()`` topologically sorts the nodes and
 propagates vector-Jacobian products, each arriving through
-``Tensor.accumulate_grad``. It starts from a scalar loss, or from any
-tensor with a seed gradient of its shape: the seeded sweep is how
-``functional.recompute`` backpropagates through a tape it rebuilds in the
-backward. Inference code wraps forward passes in ``no_grad()`` so no tape
+``Tensor.accumulate_grad``. It hands each node's gradient over to the
+node's closure, which may pass it on to one parent instead of copying it,
+so a gradient that ``add`` forwards is one buffer, not two. It starts
+from a scalar loss, or from any tensor with a seed gradient of its shape:
+the seeded sweep is how ``functional.recompute`` backpropagates through a
+tape it rebuilds in the backward. Inference code wraps forward passes in ``no_grad()`` so no tape
 is built; ``enable_grad()`` builds one inside it.
 
 Arrays this core allocates register with a byte meter, which is how the
@@ -183,16 +185,21 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self, seed: np.ndarray | None = None) -> None:
+    def backward(self, seed: np.ndarray | None = None, fresh: bool = False) -> None:
         """Backpropagate from this tensor through the recorded tape.
 
         ``seed`` is the gradient of this tensor, of its shape; without one
         the tensor must be a scalar, and its gradient is 1. A seeded sweep
         is how ``functional.recompute`` pushes a gradient through a tape it
         rebuilt, so a rebuilt tape runs through this code and no copy of it.
+        ``fresh`` hands the seed over as in ``accumulate_grad``; otherwise
+        it is copied, and the caller's array is never written.
 
-        The tape is consumed: each node's closure, graph links and
-        intermediate gradient are dropped once it has run, so the arrays a
+        Each node's gradient is taken out of the node before its closure
+        runs, so the closure owns it: it may hand it on to one parent
+        instead of copying it (``functional.add`` does), and it dies as soon
+        as the closure lets go of it. The tape is consumed: each node's
+        closure and graph links are dropped once it has run, so the arrays a
         closure captured die with it, and an op result still held by the
         caller loses its data. A graph can only be walked once. Leaves
         (parameters and explicit-grad inputs) keep both their data and their
@@ -201,7 +208,7 @@ class Tensor:
         if seed is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a seed must start from a scalar tensor")
-            seed = np.ones_like(self.data)
+            seed, fresh = np.ones_like(self.data), True
         root = self if self._node is None else self._node
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -218,14 +225,14 @@ class Tensor:
             for p in node._inputs:
                 if id(p) not in seen:
                     stack.append((p, False))
-        root.accumulate_grad(seed)
+        root.accumulate_grad(seed, fresh=fresh)
+        del seed  # an adopted seed is the root's gradient, to die with its closure
         for node in reversed(topo):
-            fn = node._fn
-            if fn is not None and node.grad is not None:
-                fn(node.grad)
-            if node is not root and not node.requires_grad:
-                # free intermediate grads eagerly; only leaves keep theirs
-                node.grad = None
+            fn, g = node._fn, node.grad
+            if not node.requires_grad:
+                node.grad = None  # only leaves keep theirs; the closure owns g
+            if fn is not None and g is not None:
+                fn(g)
             if fn is not None:
                 # Reverse topological order means every consumer of this node
                 # already ran, so its closure (with the arrays it captured)

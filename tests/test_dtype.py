@@ -33,7 +33,7 @@ def probs(rng, shape, dtype):
 
 def recomputed(rng, dtype):
     w = leaf(rng, (3, 4), dtype)
-    return F.recompute(lambda x: F.selu(F.matmul(x, w)), leaf(rng, (2, 3), dtype), [w])
+    return F.recompute(lambda x: F.selu(F.matmul(x, w)), (leaf(rng, (2, 3), dtype),), [w])
 
 
 # op name -> builder(rng, dtype) returning the op's result; the leaves it makes
@@ -64,10 +64,18 @@ OPS = {
                                             r.integers(0, 2, (2, 6), dtype=np.uint8)),
     "recompute": recomputed,
 }
-# the reference-point form of batch_standardize is its own branch
+def recomputed_two_inputs(rng, dtype):
+    w = leaf(rng, (3, 4), dtype)
+    return F.recompute(lambda x, s: F.selu(F.mul(F.matmul(x, w), s)),
+                       (leaf(rng, (2, 3), dtype), leaf(rng, (2, 1), dtype)), [w])
+
+
+# the reference-point form of batch_standardize is its own branch, and so
+# is recompute's hand-over of more than one input gradient
 OPS_EXTRA = {
     "batch_standardize_ref": lambda r, t: F.batch_standardize(leaf(r, (2, 6, 3), t), 1e-5,
                                                               (1,), 3),
+    "recompute_two_inputs": recomputed_two_inputs,
 }
 
 

@@ -11,7 +11,14 @@ from conftest import meter_peak
 
 from hiloseg.data_io import SynthConfig, generate_synthetic_one
 from hiloseg.inference import BoundingBox, segment_volume
-from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, OnetModel, train_hilo
+from hiloseg.models import (
+    HiLoConfig,
+    HiLoModel,
+    OnetConfig,
+    OnetModel,
+    train_hilo,
+    train_superres_onet,
+)
 from hiloseg.models.onet import onet_encode
 from hiloseg.queue import TrainingQueue
 from hiloseg.sampling import SamplerConfig
@@ -94,7 +101,7 @@ def test_each_pyramid_level_costs_three_encodings_in_training(levels):
     (``F.recompute``), so between its forward and its backward a level keeps
     only its input, a view of the host batch that the meter does not count.
     The step peaks in the second micro-batch's backward, at the decoder's
-    full-resolution last block: 113,480 B at every L, next to every
+    full-resolution last block: 113,476 B at every L, next to every
     parameter and its gradient. The decoder's first block still holds its
     standardized input and its activation, L·2 channels each, and from
     L = 2 on also the concat, which its 1×1 projection keeps for the kernel
@@ -107,4 +114,35 @@ def test_each_pyramid_level_costs_three_encodings_in_training(levels):
         [scan], cfg, TrainingQueue(capacity=1), epochs=1, max_steps=1, micro_batch=2,
         sampler=SamplerConfig(redraw_prob=1.0), pyramid_sampling="volume", seed=0))
     encodings = 3 * levels if levels > 1 else 2
-    assert peak == 2 * params + 113_480 + encodings * 2 * 4**3 * 2 * 4
+    assert peak == 2 * params + 113_476 + encodings * 2 * 4**3 * 2 * 4
+
+
+# the occupancy trainer's decoder at a small width: 101 queries and the 27
+# reference points make each per-point activation (2, 128, 16) float32
+ONET_TRAIN = OnetConfig(input_downsample=4, encoder_blocks=1, base_channels=2, latent_dim=8,
+                        decoder_hidden=16)
+
+
+@pytest.mark.parametrize("conditioning", ["cbn", "concat"])
+def test_each_decoder_block_costs_its_input_in_training(conditioning):
+    """An occupancy training step rebuilds each decoder block's tape in its
+    backward (``F.recompute``), so until then a block keeps only its input,
+    in its recompute node. The step peaks while the last block's tape is
+    rebuilt; no block holds a gradient yet. Each further block adds its
+    parameters and its (2, 128, 16) float32 input and, under ``"cbn"``, its
+    four (2, 1, 16) affines and the four (2, 16) hidden activations of the
+    conditioning stacks that compute them, which stay on the outer tape.
+    Before recompute, each block added four (2, 128, 16) arrays: 75,072 B
+    under ``"cbn"`` and 67,904 B under ``"concat"``."""
+    scans = [generate_synthetic_one(SynthConfig(dims=(32,) * 3, seed=1), i) for i in (0, 1)]
+    got = []
+    for blocks in (1, 2, 3, 4):
+        cfg = dataclasses.replace(ONET_TRAIN, conditioning=conditioning, decoder_blocks=blocks)
+        got.append(meter_peak(lambda: train_superres_onet(
+            scans, cfg, SamplerConfig(n_train_coords=101), epochs=1, batch=2)))
+    block = OnetModel(dataclasses.replace(ONET_TRAIN, conditioning=conditioning)).decoder.blocks[0]
+    params = sum(p.data.nbytes for p in block.parameters())
+    per_block = params + 2 * 128 * 16 * 4 + (8 * 2 * 16 * 4 if conditioning == "cbn" else 0)
+    assert per_block == {"cbn": 26_176, "concat": 18_752}[conditioning]
+    first = {"cbn": 190_428, "concat": 188_060}[conditioning]
+    assert got == [first + k * per_block for k in range(4)]

@@ -10,6 +10,7 @@ import pytest
 
 from hiloseg import nn
 from hiloseg.models.hilo import HiLoConfig, HiLoEncoder
+from hiloseg.models.onet import OnetDecoder
 from hiloseg.nn import functional as F
 from hiloseg.nn.layers import (
     ConditionalPointNorm,
@@ -211,9 +212,30 @@ class TestBlockGradients:
         x = t64(rng, 2, 4, 4, 4, 1)
 
         def loss():
-            return F.mean_all(F.sigmoid(F.recompute(enc, x, enc.parameters())))
+            return F.mean_all(F.sigmoid(F.recompute(enc, (x,), enc.parameters())))
 
         finite_difference_check(loss, [x] + enc.parameters(), rng=rng, n_probes=80)
+
+    def test_recomputed_conditional_onet_decoder(self, rng):
+        """Under a tape each decoder block runs through ``F.recompute`` with
+        its norms' conditioned affines as further inputs: the coordinates,
+        the latent and every parameter get their gradients."""
+        dec = OnetDecoder(3, 4, 2, "cbn", F.leaky_relu, rng=np.random.default_rng(6),
+                          dtype=np.float64)
+        for p in dec.parameters():  # off the zero-initialized head and affine layers
+            p.data[...] = rng.normal(scale=0.5, size=p.shape)
+        coords = t64(rng, 2, 5, 3)
+        latent = t64(rng, 2, 3)
+        calls = []
+
+        def loss():
+            return F.mean_all(dec(coords, latent))
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(F, "recompute", lambda *a, _op=F.recompute: calls.append(a) or _op(*a))
+            finite_difference_check(loss, [coords, latent] + dec.parameters(), rng=rng,
+                                    n_probes=80)
+        assert calls and all(len(xs) == 5 for _, xs, _ in calls)
 
     def test_dense_layer(self, rng):
         dense = Dense(5, 7, rng=6, dtype=np.float64)

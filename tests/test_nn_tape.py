@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hiloseg import nn
+from hiloseg.models.onet import OnetDecoder
 from hiloseg.nn import functional as F
 from hiloseg.nn.layers import Conv3d, Dense, ElementNorm, ResidualBlockConv3d, ResidualBlockFC
 from hiloseg.nn.tensor import Tensor
@@ -249,7 +250,7 @@ class TestHookContract:
 
 
 class TestRecompute:
-    """``F.recompute`` keeps its input only and rebuilds its tape in the
+    """``F.recompute`` keeps its inputs only and rebuilds its tape in the
     backward, where a seeded ``Tensor.backward`` sweeps it."""
 
     def test_seeded_backward_equals_weighted_sum(self, rng):
@@ -275,7 +276,7 @@ class TestRecompute:
         names = ("conv3d", "matmul", "batch_standardize", "mul", "add", "selu")
         made = record_outputs(monkeypatch, names)
         block, x = conv_block_case(rng)
-        y = F.recompute(block, x, block.parameters())
+        y = F.recompute(block, (x,), block.parameters())
         live = [r() for name in names for r in made[name] if r() is not None]
         assert len(live) == 1 and live[0] is y.data
 
@@ -290,13 +291,60 @@ class TestRecompute:
     def test_gradients_bit_equal_to_a_kept_tape(self):
         kept = self.block_gradients(np.random.default_rng(1), lambda f, x: f(x))
         rebuilt = self.block_gradients(np.random.default_rng(1),
-                                       lambda f, x: F.recompute(f, x, f.parameters()))
+                                       lambda f, x: F.recompute(f, (x,), f.parameters()))
         for a, b in zip(kept, rebuilt):
             assert a.tobytes() == b.tobytes()
 
+    @staticmethod
+    def decoder_case(conditioning, blocks=3):
+        """An occupancy decoder with random weights (its head and affine
+        layers start at zero), 7 queries and a leaf latent, built after any
+        op is patched so its activation is the patched one."""
+        rng = np.random.default_rng(3)
+        dec = OnetDecoder(6, 8, blocks, conditioning, F.leaky_relu, rng=4)
+        for p in dec.parameters():
+            p.data[...] = rng.normal(scale=0.5, size=p.shape)
+        coords = nn.Tensor(rng.random((2, 7, 3)).astype(np.float32), requires_grad=True)
+        latent = nn.Tensor(rng.normal(size=(2, 6)).astype(np.float32), requires_grad=True)
+        return dec, coords, latent
+
+    @pytest.mark.parametrize("conditioning", ["cbn", "concat"])
+    def test_decoder_gradients_bit_equal_to_a_kept_tape(self, conditioning, monkeypatch):
+        """The conditioning stacks stay on the outer tape, so the latent's
+        gradient sums their contributions in the kept tape's order."""
+        def gradients():
+            dec, coords, latent = self.decoder_case(conditioning)
+            F.sum_all(F.mul(dec(coords, latent), 0.5)).backward()
+            return [t.grad for t in [coords, latent] + dec.parameters()]
+
+        rebuilt = gradients()
+        with monkeypatch.context() as m:
+            m.setattr(F, "recompute", lambda fn, xs, params: fn(*xs))
+            kept = gradients()
+        for a, b in zip(kept, rebuilt):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("conditioning", ["cbn", "concat"])
+    def test_taped_decoder_forward_keeps_no_block_activation(self, conditioning, monkeypatch):
+        """Until the backward, a block keeps its input (in its recompute
+        node) and none of its activations: of the per-point standardized
+        outputs and activations, only the final norm's and the head's input
+        are alive."""
+        names = ("batch_standardize", "leaky_relu")
+        made = record_outputs(monkeypatch, names)
+        dec, coords, latent = self.decoder_case(conditioning)
+        y = dec(coords, latent)
+        points = (2, 7 + len(dec.reference), 8)
+        live = {name: sum(r() is not None and r().shape == points for r in made[name])
+                for name in names}
+        assert len(made["batch_standardize"]) == 1 + 2 * len(dec.blocks)
+        assert live == {"batch_standardize": 1, "leaky_relu": 1}
+        F.sum_all(y).backward()
+        assert all(r() is None for name in names for r in made[name])
+
     def test_backward_inside_no_grad_still_reaches_the_parameters(self):
         def wrap(f, x):
-            return F.recompute(f, x, f.parameters())
+            return F.recompute(f, (x,), f.parameters())
 
         outside = self.block_gradients(np.random.default_rng(2), wrap)
         inside = self.block_gradients(np.random.default_rng(2), wrap, nn.no_grad)

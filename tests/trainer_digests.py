@@ -2,12 +2,13 @@
 a fixed run matrix.
 
 Not a tier-1 test (no ``test_`` prefix): it prints one line per trained
-state and one per metric of each run, then three per segmentation (its
-labels, their sampled IoU and the byte meter's peak over the same
-segmentation on one worker thread), so two trees can be compared by
-diffing their output. A refactor of the training or inference paths that
-keeps results byte-identical prints the same lines; a change to activation
-lifetimes moves only the peak lines. Run it from a tree's root:
+state, one per metric and one with the byte meter's peak of each run,
+then three per segmentation (its labels, their sampled IoU and the byte
+meter's peak over the same segmentation on one worker thread), so two
+trees can be compared by diffing their output. A refactor of the training
+or inference paths that keeps results byte-identical prints the same
+lines; a change to activation lifetimes moves only the peak lines. Run it
+from a tree's root:
 
     PYTHONPATH=src python3 tests/trainer_digests.py > digests.txt
 
@@ -28,6 +29,7 @@ import dataclasses
 import hashlib
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -103,10 +105,10 @@ def _onet_runs(records):
          dataclasses.replace(ONET, conditioning="concat", coord_resolution="low"), np.float64, 1),
     ]
     for name, cfg, dtype, micro_batch in runs:
-        yield name, train_superres_onet(train, cfg, SAMPLER, epochs=3, batch=4, val_dataset=val,
-                                        lr=0.01, micro_batch=micro_batch, seed=3, dtype=dtype)
-    yield "onet-records", train_superres_onet(records[:4], ONET, SAMPLER, epochs=2, batch=2,
-                                              val_dataset=records[4:], lr=0.01, seed=4)
+        yield name, partial(train_superres_onet, train, cfg, SAMPLER, epochs=3, batch=4,
+                            val_dataset=val, lr=0.01, micro_batch=micro_batch, seed=3, dtype=dtype)
+    yield "onet-records", partial(train_superres_onet, records[:4], ONET, SAMPLER, epochs=2,
+                                  batch=2, val_dataset=records[4:], lr=0.01, seed=4)
 
 
 def _hilo_runs(records):
@@ -116,12 +118,12 @@ def _hilo_runs(records):
         for sampling in ("bb", "volume"):
             for policy in ("fifo", "hardness"):
                 queue = TrainingQueue(capacity=8, policy=policy)
-                yield f"hilo-{decoder}-{sampling}-{policy}", train_hilo(
-                    train, cfg, queue, epochs=20, sampler=SAMPLER, val_dataset=val, lr=0.01,
-                    validate_every=3, seed=5, pyramid_sampling=sampling, max_steps=9,
+                yield f"hilo-{decoder}-{sampling}-{policy}", partial(
+                    train_hilo, train, cfg, queue, epochs=20, sampler=SAMPLER, val_dataset=val,
+                    lr=0.01, validate_every=3, seed=5, pyramid_sampling=sampling, max_steps=9,
                 )
-    yield "hilo-records", train_hilo(
-        records[:4], HILO, TrainingQueue(capacity=8, policy="hardness"), epochs=20,
+    yield "hilo-records", partial(
+        train_hilo, records[:4], HILO, TrainingQueue(capacity=8, policy="hardness"), epochs=20,
         sampler=SAMPLER, val_dataset=records[4:], lr=0.01, validate_every=3, seed=6,
         pyramid_sampling="volume", max_steps=6,
     )
@@ -155,9 +157,12 @@ def main() -> int:
         write_dataset(tmp, SynthConfig(dims=(16, 16, 16), seed=2), 6)
         records = load_manifest(Path(tmp) / "manifest.tsv").paths()
         for runs in (_onet_runs(records), _hilo_runs(records)):
-            for name, (state, metrics) in runs:
-                for line in _lines(name, state, metrics):
+            for name, run in runs:
+                result = []
+                peak = meter_peak(lambda: result.append(run()))
+                for line in _lines(name, *result[0]):
                     print(" ".join(line))
+                print(name, "meter_peak", peak)
                 sys.stdout.flush()
     for line in _inference_lines():
         print(" ".join(line))
