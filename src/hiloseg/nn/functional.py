@@ -14,6 +14,11 @@ tensor, so the tape keeps:
   anyway) and target;
 - add, scale, reshape, concat, pooling, upsampling, padding, slicing and
   the reductions: shapes only;
+- an operand added into the buffer of the op's product (``mul``'s ``c``,
+  a ``matmul`` or ``conv3d`` bias): nothing. Its gradient goes first,
+  through the per-instance sum that ``add``'s closure gives its second
+  operand, so the op has the values and gradients of ``add`` on the
+  product bit for bit, without the product's second array;
 - recompute: its inputs only, from which its backward rebuilds the tape of
   its function.
 
@@ -56,7 +61,7 @@ per-instance reduction contract:
   rounds a row of a (B, K) @ (K, M) product differently from the same row
   alone.
 - An op whose parameter gradient sums over batch axis 0 (matmul's weight,
-  a bias or scale broadcast by ``add`` or ``mul``, conv3d's kernel) adds one
+  a bias, scale or shift broadcast over the batch, conv3d's kernel) adds one
   partial per instance straight into the parameter's gradient, in instance
   order. The sum is (((g0 + g1) + g2) + ...) under every split, a fixed
   association (Demmel & Nguyen 2013). It holds for leaves that one op uses
@@ -140,20 +145,37 @@ def add(a: Tensor, b) -> Tensor:
     return make_node(out, (na, nb), bw)
 
 
-def mul(a: Tensor, b) -> Tensor:
+def _add_into(out: np.ndarray, c) -> Tensor | None:
+    """Add the optional operand ``c``, which must broadcast to ``out``'s
+    shape, into the op's own result ``out``, which rounds as ``out + c``
+    does, and return ``c``'s graph node (None without one). Its backward
+    sends ``c``'s gradient first, as ``add`` does."""
+    if c is None:
+        return None
+    c = as_tensor(c, dtype=out.dtype)
+    np.add(out, c.data, out=out)  # raises on a numpy scalar, which += would rebind
+    return c.node
+
+
+def mul(a: Tensor, b, c=None) -> Tensor:
+    """a·b, plus ``c`` added into the product's buffer when given: the values
+    and gradients of ``add(mul(a, b), c)`` without its second array."""
     b = as_tensor(b, dtype=a.dtype)
     out = a.data * b.data
+    nc = _add_into(out, c)
     na, nb = a.node, b.node
     ad = a.data if nb is not None else None
     bd = b.data if na is not None else None
 
     def bw(g):
+        if nc is not None:
+            _accumulate_unbroadcast(nc, g)
         if na is not None:
             _accumulate_unbroadcast(na, g * bd, fresh=True)
         if nb is not None:
             _accumulate_unbroadcast(nb, g * ad, fresh=True)
 
-    return make_node(out, (na, nb), bw)
+    return make_node(out, (na, nb, nc), bw)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -166,9 +188,11 @@ def scale(a: Tensor, s: float) -> Tensor:
     return make_node(out, (na,), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias=None) -> Tensor:
     """a @ b with a of shape (B, ..., K) and b a (K, M) matrix, or a kernel
-    whose leading axes are all 1 (a 1x1x1 convolution's (1, 1, 1, K, M))."""
+    whose leading axes are all 1 (a 1x1x1 convolution's (1, 1, 1, K, M)),
+    plus ``bias`` added into the product's buffer when given: the values and
+    gradients of ``add(matmul(a, b), bias)`` without its second array."""
     mat = b.data.reshape(b.data.shape[-2:])
 
     def product(x, y):
@@ -180,11 +204,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return res
 
     out = product(a.data, mat)
+    nc = _add_into(out, bias)
     na, nb = a.node, b.node
     ad = a.data if nb is not None else None
     k, m = mat.shape
 
     def bw(g):
+        if nc is not None:
+            _accumulate_unbroadcast(nc, g)
         if na is not None:
             na.accumulate_grad(product(g, mat.T), fresh=True)
         if nb is not None:
@@ -193,7 +220,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 nb.accumulate_grad(part if part.shape == nb.shape else part.reshape(nb.shape),
                                    fresh=True)
 
-    return make_node(out, (na, nb), bw)
+    return make_node(out, (na, nb, nc), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -370,9 +397,12 @@ def _correlate(x: np.ndarray, wk: np.ndarray, pad: int, metered: bool) -> np.nda
     return out
 
 
-def conv3d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
+def conv3d(x: Tensor, w: Tensor, padding: int = 0, bias=None) -> Tensor:
     """3D cross-correlation at stride 1. x: (B, D, H, W, Cin);
-    w: (k, k, k, Cin, Cout); ``padding`` in [0, k - 1] zeros on each side."""
+    w: (k, k, k, Cin, Cout); ``padding`` in [0, k - 1] zeros on each side.
+    ``bias`` is added into the result's buffer when given: the values and
+    gradients of ``add(conv3d(x, w, padding), bias)`` without its second
+    array."""
     if x.data.ndim != 5 or w.data.ndim != 5:
         raise ValueError("conv3d expects a 5-d input and a 5-d kernel")
     k = w.data.shape[0]
@@ -385,16 +415,19 @@ def conv3d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     if min(x.data.shape[1:4]) + 2 * padding < k:
         raise ValueError("kernel larger than padded input")
     if k == 1:
-        return matmul(x, w)
+        return matmul(x, w, bias)
 
     cin, cout = w.data.shape[3:]
     p = padding
     out = _correlate(x.data, w.data.reshape(k, -1, cout), p, metered=False)
+    nc = _add_into(out, bias)
     nx, nw = x.node, w.node
     xd = x.data if nw is not None else None  # the kernel gradient reads the input
     wd = w.data if nx is not None else None  # the input gradient reads the kernel
 
     def bw(g):
+        if nc is not None:
+            _accumulate_unbroadcast(nc, g)
         if nw is not None:
             b, od, oh, ow = g.shape[:4]
             plane = oh * ow
@@ -414,7 +447,7 @@ def conv3d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
             dx = _correlate(g, wt.reshape(k, -1, cin), k - 1 - p, metered=True)
             nx.accumulate_grad(dx, fresh=True)
 
-    return make_node(out, (nx, nw), bw)
+    return make_node(out, (nx, nw, nc), bw)
 
 
 def avg_pool3d(x: Tensor, factor: int) -> Tensor:

@@ -85,10 +85,7 @@ class Dense(Module):
         self.b = parameter(np.full(cout, bias_init, dtype=dtype)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = F.matmul(x, self.w)
-        if self.b is not None:
-            out = F.add(out, self.b)
-        return out
+        return F.matmul(x, self.w, self.b)
 
 
 class Conv3d(Module):
@@ -106,10 +103,7 @@ class Conv3d(Module):
         self.b = parameter(np.zeros(cout, dtype=dtype)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = F.conv3d(x, self.w, padding=self.padding)
-        if self.b is not None:
-            out = F.add(out, self.b)
-        return out
+        return F.conv3d(x, self.w, self.padding, self.b)
 
 
 class _OwnStats(Module):
@@ -145,7 +139,19 @@ class _ReferenceStats(Module):
         return F.batch_standardize(x, self.eps, (1,), self.ref)
 
 
-class _ChannelAffine(Module):
+class _AffineNorm(Module):
+    """The subclass's standardizer followed by an affine."""
+
+    def scaled(self, x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+        """The standardized ``x`` times ``gamma`` plus ``beta``. ``x`` is
+        rebound once standardized, so an input handed over by a plain method
+        call with no star-arguments (``norm.scaled(t, gamma, beta)``) dies
+        there; an instance call or a star-call keeps it until it returns."""
+        x = self._standardize(x)
+        return F.mul(x, gamma, beta)
+
+
+class _ChannelAffine(_AffineNorm):
     """A learnable per-channel affine after the subclass's standardizer."""
 
     def _init_affine(self, channels: int, dtype) -> None:
@@ -153,10 +159,10 @@ class _ChannelAffine(Module):
         self.beta = parameter(np.zeros(channels, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return F.add(F.mul(self._standardize(x), self.gamma), self.beta)
+        return self.scaled(x, self.gamma, self.beta)
 
 
-class _ConditionalAffine(Module):
+class _ConditionalAffine(_AffineNorm):
     """An affine computed from a conditioning vector after the subclass's
     standardizer.
 
@@ -189,10 +195,6 @@ class _ConditionalAffine(Module):
         beta = self._affine_from(cond, self.beta_stack)
         shape = (gamma.data.shape[0], 1, gamma.data.shape[1])
         return F.reshape(gamma, shape), F.reshape(beta, shape)
-
-    def scaled(self, x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-        """The standardized (B, N, C) points under an ``affine`` pair."""
-        return F.add(F.mul(self._standardize(x), gamma), beta)
 
     def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
         return self.scaled(x, *self.affine(cond))
@@ -264,6 +266,13 @@ class ResidualBlockFC(Module):
     conditional when ``cond_dim`` is given. A call is ``condition``, which
     maps the condition to both norms' per-element affines, then ``points``,
     the per-point path, which reads those affines and ``point_parameters``.
+
+    dense1's output is handed to ``norm2.scaled`` as a temporary, with no
+    local holding it, so without a tape it dies once standardized, before
+    norm2's affine allocates. The hand-over is a plain method call with its
+    arguments spelled out: CPython 3.11 and later move those into the
+    callee's frame, where an instance call (``norm2(t)``) or a star-call
+    (``scaled(t, *pair)``) keeps them in an argument tuple until it returns.
     """
 
     def __init__(self, cin: int, cout: int, rng, ref: int, activation=F.leaky_relu,
@@ -297,11 +306,9 @@ class ResidualBlockFC(Module):
 
     def points(self, x: Tensor, *affine: Tensor) -> Tensor:
         """The block on (B, N, C) points, given ``condition``'s tensors."""
-        def normed(norm, t, pair):
-            return norm.scaled(t, *pair) if pair else norm(t)
-
-        h = self.dense1(self.activation(normed(self.norm1, x, affine[:2])))
-        h = self.activation(normed(self.norm2, h, affine[2:]))  # dense1's output dies before dense2
+        n1, n2 = self.norm1, self.norm2
+        g1, b1, g2, b2 = affine or (n1.gamma, n1.beta, n2.gamma, n2.beta)
+        h = self.activation(n2.scaled(self.dense1(self.activation(n1.scaled(x, g1, b1))), g2, b2))
         h = self.dense2(h)
         skip = self.proj(x) if self.proj is not None else x
         return F.add(skip, h)
@@ -312,7 +319,12 @@ class ResidualBlockFC(Module):
 
 class ResidualBlockConv3d(Module):
     """Pre-activation convolutional residual block with 3x3x3 kernels, each
-    batch element normalized on its own (``ElementNorm``)."""
+    batch element normalized on its own (``ElementNorm``).
+
+    conv1's output is handed to ``norm2.scaled`` by a plain method call, as
+    in ``ResidualBlockFC``, so without a tape it dies once standardized,
+    before norm2's affine allocates.
+    """
 
     def __init__(self, cin: int, cout: int, rng, activation=F.selu, dtype=np.float32):
         rng = make_rng(rng)
@@ -325,8 +337,8 @@ class ResidualBlockConv3d(Module):
         self.proj = Conv3d(cin, cout, 1, rng, dtype, bias=False) if cin != cout else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = self.conv1(self.activation(self.norm1(x)))
-        h = self.activation(self.norm2(h))  # conv1's output dies before conv2 runs
+        n1, n2 = self.norm1, self.norm2
+        h = self.activation(n2.scaled(self.conv1(self.activation(n1(x))), n2.gamma, n2.beta))
         h = self.conv2(h)
         skip = self.proj(x) if self.proj is not None else x
         return F.add(skip, h)

@@ -4,6 +4,8 @@ float32 end to end. Integer helper arrays (pooling widths, targets) are cast,
 never allowed to promote.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -71,11 +73,18 @@ def recomputed_two_inputs(rng, dtype):
 
 
 # the reference-point form of batch_standardize is its own branch, and so
-# is recompute's hand-over of more than one input gradient
+# are recompute's hand-over of more than one input gradient and each operand
+# an op adds into its product's buffer; a row named ``<op>_<operand>`` covers
+# an optional operand (test_every_op_is_covered)
 OPS_EXTRA = {
     "batch_standardize_ref": lambda r, t: F.batch_standardize(leaf(r, (2, 6, 3), t), 1e-5,
                                                               (1,), 3),
     "recompute_two_inputs": recomputed_two_inputs,
+    "mul_c": lambda r, t: F.mul(leaf(r, (2, 3, 4), t), leaf(r, (4,), t), leaf(r, (2, 1, 4), t)),
+    "matmul_bias": lambda r, t: F.matmul(leaf(r, (2, 5), t), leaf(r, (5, 3), t),
+                                         leaf(r, (3,), t)),
+    "conv3d_bias": lambda r, t: F.conv3d(leaf(r, (2, 4, 5, 3, 2), t),
+                                         leaf(r, (3, 3, 3, 2, 3), t), 1, leaf(r, (3,), t)),
 }
 
 
@@ -99,7 +108,8 @@ def dtypes_seen(monkeypatch):
 
 
 def test_every_op_is_covered():
-    """A new op in nn.functional gets a row in OPS."""
+    """A new op in nn.functional gets a row in OPS, and a new optional
+    operand of an op (an argument defaulting to None) a row in OPS_EXTRA."""
     not_ops = {"as_tensor", "elementwise_bce", "elementwise_focal"}
     public = {
         name for name, fn in vars(F).items()
@@ -107,6 +117,11 @@ def test_every_op_is_covered():
         and not name.startswith("_") and name not in not_ops
     }
     assert public == set(OPS)
+    optional = {
+        f"{name}_{arg.name}" for name in public
+        for arg in inspect.signature(getattr(F, name)).parameters.values() if arg.default is None
+    }
+    assert optional <= set(OPS_EXTRA)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -67,32 +67,35 @@ def _one_window_region(side: int) -> BoundingBox:
 
 def test_deep_pyramid_segment_peak_is_pinned():
     """Segmenting one window with the deep-pyramid model peaks at the same
-    bytes at two scan sizes: at norm2 of the last level's first encoder
-    block, its skip input, conv1's output, the standardized output and its
-    scaled copy (16³ × 6 float32 each), plus the two finished encodings
-    (8³ × 6 float32 each). The level inputs are dead by then, each after
-    its stem. A whole padded copy of a conv input, conv1's output still
-    alive while conv2 runs, or a level input or encoding kept longer than
-    its last use would raise it."""
+    bytes at two scan sizes: in a convolution of the last level's first
+    encoder block, at its skip input, the convolution's input and its
+    output (16³ × 6 float32 each), the 9 padded planes of one 7-plane chunk
+    (9·18·18·6·4 = 69,984 B), plus the two finished encodings (8³ × 6
+    float32 each). The level inputs are dead by then, each after its stem.
+    A whole padded copy of a conv input, a bias or norm shift added into a
+    fresh array, conv1's output alive past norm2's standardization, or a
+    level input or encoding kept longer than its last use would raise it."""
     model = HiLoModel(DEEP, seed=0)
     got = []
     for side in (32, 96):
         vol = generate_synthetic_one(SynthConfig(dims=(side,) * 3, seed=1), 0)[0]
         got.append(meter_peak(
             lambda: segment_volume(vol, model, DEEP, _one_window_region(side), threads=1)))
-    assert got == [417_792, 417_792]
+    assert got == [389_472, 389_472]
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
 def test_each_pyramid_level_costs_one_encoding(levels):
     """Each level adds one finished 8³ × 6 float32 encoding (12,288 B) to the
     segmentation peak, and nothing else: its input, stem output and block
-    activations are dead before the next level's encoder runs."""
+    activations are dead before the next level's encoder runs. The rest is
+    the peak of one encoder block: three 16³ × 6 float32 activations and
+    one chunk of padded planes (69,984 B)."""
     cfg = dataclasses.replace(DEEP, levels=levels, downsampling_factor=4 if levels < 4 else 2)
     model = HiLoModel(cfg, seed=0)
     vol = generate_synthetic_one(SynthConfig(dims=(32,) * 3, seed=1), 0)[0]
     peak = meter_peak(lambda: segment_volume(vol, model, cfg, _one_window_region(32), threads=1))
-    assert peak == 4 * 16**3 * 6 * 4 + (levels - 1) * 8**3 * 6 * 4
+    assert peak == 3 * 16**3 * 6 * 4 + 69_984 + (levels - 1) * 8**3 * 6 * 4
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])

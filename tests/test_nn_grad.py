@@ -100,6 +100,31 @@ class TestPrimitiveGradients:
         finite_difference_check(loss, [x], rng=rng)
 
 
+    @pytest.mark.parametrize("op, a_shape, b_shape", [
+        ("mul", (2, 5, 3), (3,)),
+        ("matmul", (2, 5, 4), (4, 3)),
+        ("conv3d", (2, 3, 4, 3, 2), (3, 3, 3, 2, 3)),
+        ("conv3d_pointwise", (2, 3, 2, 3, 4), (1, 1, 1, 4, 3)),
+    ])
+    def test_added_operand(self, rng, op, a_shape, b_shape):
+        """The operand an op adds into its product's buffer, per element
+        (B, 1, ..., C), gets its gradient through the op's own closure."""
+        a, b = t64(rng, *a_shape), t64(rng, *b_shape)
+        c = t64(rng, 2, *(1,) * (len(a_shape) - 2), 3)
+        weights = nn.Tensor(rng.normal(size=a_shape[:-1] + (3,)))
+        fused = {
+            "mul": lambda: F.mul(a, b, c),
+            "matmul": lambda: F.matmul(a, b, c),
+            "conv3d": lambda: F.conv3d(a, b, 1, c),
+            "conv3d_pointwise": lambda: F.conv3d(a, b, 0, c),
+        }[op]
+
+        def loss():
+            return F.mean_all(F.mul(F.selu(fused()), weights))
+
+        finite_difference_check(loss, [a, b, c], rng=rng)
+
+
 class TestConvGradients:
     def test_stride1_padded(self, rng):
         x = t64(rng, 2, 4, 4, 4, 3)

@@ -1,6 +1,7 @@
 """Forward-value checks for the autodiff core: ops against naive oracles."""
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -428,6 +429,112 @@ class TestConv3d:
         assert peak + item_columns > bound  # so the bound would catch unchunked columns
 
 
+# op -> (operand shapes of a, b for a batch of B and C output channels, the
+# fused call, the two-op composition it replaces)
+ADDED_OPERAND = {
+    "mul": (lambda B, C: ((B, 7, C), (C,)),
+            lambda a, b, c: F.mul(a, b, c), lambda a, b, c: F.add(F.mul(a, b), c)),
+    "matmul": (lambda B, C: ((B, 7, 5), (5, C)),
+               lambda a, b, c: F.matmul(a, b, c), lambda a, b, c: F.add(F.matmul(a, b), c)),
+    "conv3d": (lambda B, C: ((B, 4, 3, 5, 2), (3, 3, 3, 2, C)),
+               lambda a, b, c: F.conv3d(a, b, 1, c),
+               lambda a, b, c: F.add(F.conv3d(a, b, 1), c)),
+    "conv3d_pointwise": (lambda B, C: ((B, 2, 3, 4, 5), (1, 1, 1, 5, C)),
+                         lambda a, b, c: F.conv3d(a, b, 0, c),
+                         lambda a, b, c: F.add(F.conv3d(a, b, 0), c)),
+}
+
+
+class TestAddedOperand:
+    """``mul(a, b, c)``, ``matmul(a, w, bias)`` and ``conv3d(x, w, p, bias)``
+    add their last operand into the product's buffer; values and gradients
+    must be those of the two-op composition bit for bit, and a batch split
+    into micro-batches must give the whole batch's bits."""
+
+    B, C = 3, 4
+
+    def operands(self, rng, op, addend, dtype):
+        a_shape, b_shape = ADDED_OPERAND[op][0](self.B, self.C)
+        if addend == "channel":
+            c_shape = (self.C,)
+        else:
+            c_shape = (self.B,) + (1,) * (len(a_shape) - 2) + (self.C,)
+        return [rng.normal(size=shape).astype(dtype) for shape in (a_shape, b_shape, c_shape)]
+
+    @staticmethod
+    def run(fn, a, b, c, g):
+        """Values and the gradients of all three operands for output gradient ``g``."""
+        leaves = [nn.Tensor(v.copy(), requires_grad=True) for v in (a, b, c)]
+        out = fn(*leaves)
+        values = out.data
+        F.sum_all(F.mul(out, g)).backward()  # hands the op exactly g
+        return [values] + [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("addend", ["channel", "element"])
+    @pytest.mark.parametrize("op", sorted(ADDED_OPERAND))
+    def test_bit_equal_to_the_composition(self, rng, op, addend, dtype):
+        a, b, c = self.operands(rng, op, addend, dtype)
+        _, fused, composed = ADDED_OPERAND[op]
+        with no_grad():
+            g = composed(nn.Tensor(a), nn.Tensor(b), nn.Tensor(c)).data
+        g = rng.normal(size=g.shape).astype(dtype)
+        got, want = self.run(fused, a, b, c, g), self.run(composed, a, b, c, g)
+        for name, x, y in zip(("value", "a", "b", "c"), got, want):
+            assert x.dtype == dtype, name
+            np.testing.assert_array_equal(x, y, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("addend", ["channel", "element"])
+    @pytest.mark.parametrize("op", sorted(ADDED_OPERAND))
+    def test_micro_batches_give_the_whole_batch(self, rng, op, addend, dtype):
+        """Items 0 and 1–2 as two micro-batches: the shared operand (and a
+        per-channel addend) accumulates over both backwards."""
+        a, b, c = self.operands(rng, op, addend, dtype)
+        _, fused, _ = ADDED_OPERAND[op]
+        with no_grad():
+            g = fused(nn.Tensor(a), nn.Tensor(b), nn.Tensor(c)).data
+        g = rng.normal(size=g.shape).astype(dtype)
+        whole = self.run(fused, a, b, c, g)
+        bt = nn.Tensor(b.copy(), requires_grad=True)
+        ct = nn.Tensor(c.copy(), requires_grad=True) if addend == "channel" else None
+        values, a_grads, c_grads = [], [], []
+        for rows in (slice(0, 1), slice(1, 3)):
+            at = nn.Tensor(a[rows].copy(), requires_grad=True)
+            cr = ct if ct is not None else nn.Tensor(c[rows].copy(), requires_grad=True)
+            out = fused(at, bt, cr)
+            values.append(out.data)
+            F.sum_all(F.mul(out, g[rows])).backward()
+            a_grads.append(at.grad)
+            if ct is None:
+                c_grads.append(cr.grad)
+        split = [np.concatenate(values), np.concatenate(a_grads), bt.grad,
+                 ct.grad if ct is not None else np.concatenate(c_grads)]
+        for name, x, y in zip(("value", "a", "b", "c"), split, whole):
+            np.testing.assert_array_equal(x, y, err_msg=name)
+
+    def test_zero_dim_product_refuses_an_addend(self):
+        """numpy returns the product of two 0-d arrays as a scalar, which has
+        no buffer to add into: the op raises rather than drop the addend."""
+        one = nn.Tensor(np.array(2.0))
+        with pytest.raises(TypeError):
+            F.mul(one, one, one)
+
+    def test_added_operand_keeps_no_array(self, rng):
+        """The closure captures no array for the added operand: an op result
+        added in dies with its caller's last reference, and its gradient
+        still arrives, summed over the 7 rows it broadcasts across."""
+        a, b, c = (nn.Tensor(v, requires_grad=True)
+                   for v in self.operands(rng, "mul", "element", np.float64))
+        addend = F.scale(c, 1.0)
+        ref = weakref.ref(addend.data)
+        out = F.mul(a, b, addend)
+        del addend
+        assert ref() is None
+        F.sum_all(out).backward()
+        np.testing.assert_array_equal(c.grad, np.full(c.shape, 7.0))
+
+
 class TestResampling:
     def test_avg_pool_matches_reshape_mean(self, rng):
         x = rng.normal(size=(2, 6, 4, 8, 3)).astype(np.float64)
@@ -736,24 +843,62 @@ class TestResidualBlocks:
 
     def test_conv_block_frees_conv1_output_before_conv2(self, rng, monkeypatch):
         """Under no_grad conv2 starts with as many metered bytes alive as
-        conv1 did, its input alone. The block's peak is then three 16³ × 6
-        float32 activations: at norm2, conv1's output, the standardized
-        output and its scaled copy; at conv2's bias, its input, the
-        convolution and the sum."""
+        conv1 did, its input alone. The block's peak is then two 16³ × 6
+        float32 activations, a convolution's input and output, and the 9
+        padded planes of one 7-plane chunk (9·18·18·6·4 = 69,984 B): norm2's
+        affine and conv2's bias go into the buffers of the ops before them,
+        and conv1's output dies once norm2 has standardized it."""
         block = ResidualBlockConv3d(6, 6, rng=0)
         x = nn.Tensor(rng.normal(size=(1, 16, 16, 16, 6)).astype(np.float32))
         live = []
         conv3d = F.conv3d
 
-        def counted(inp, w, padding=0):
+        def counted(*args):
             live.append(memory_meter.current)
-            return conv3d(inp, w, padding=padding)
+            return conv3d(*args)
 
         monkeypatch.setattr(F, "conv3d", counted)
         with no_grad():
             peak = meter_peak(lambda: block(x))
         assert len(live) == 2 and live[1] == live[0]
-        assert peak == 3 * x.data.nbytes
+        assert peak == 2 * x.data.nbytes + 69_984
+
+    @pytest.mark.parametrize("kind", ["conv", "fc", "fc-conditional"])
+    def test_first_layer_output_dies_once_norm2_standardized_it(self, rng, monkeypatch, kind):
+        """Without a tape, conv1's or dense1's output is dead by the time
+        norm2 applies its affine: the block hands it to ``norm2.scaled``
+        with no local holding it, and ``scaled`` rebinds it once
+        standardized."""
+        if kind == "conv":
+            block = ResidualBlockConv3d(3, 3, rng=0)
+            x, args = nn.Tensor(rng.normal(size=(2, 4, 4, 4, 3)).astype(np.float32)), ()
+            name = "conv1"
+        else:
+            cond = 5 if kind == "fc-conditional" else None
+            block = ResidualBlockFC(3, 4, rng=0, ref=2, cond_dim=cond)
+            x = nn.Tensor(rng.normal(size=(2, 6, 3)).astype(np.float32))
+            args = (nn.Tensor(rng.normal(size=(2, 5)).astype(np.float32)),) if cond else ()
+            name = "dense1"
+        first = getattr(block, name)
+        made, alive_at_affine = [], []
+
+        def recorded(t):
+            out = first(t)
+            made.append(weakref.ref(out))
+            return out
+
+        mul = F.mul
+
+        def affine(*a):
+            if made:  # norm2's: norm1's ran before the first layer
+                alive_at_affine.append(made[0]() is not None)
+            return mul(*a)
+
+        monkeypatch.setattr(block, name, recorded)
+        monkeypatch.setattr(F, "mul", affine)
+        with no_grad():
+            block(x, *args)
+        assert alive_at_affine == [False]
 
     def test_channel_change_uses_projection(self, rng):
         block = ResidualBlockFC(4, 7, rng=0, ref=2)
