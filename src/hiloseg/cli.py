@@ -31,6 +31,7 @@ from .data_io import (
     load_volume,
     save_volume,
     volume_dims,
+    write_atomic,
     write_dataset,
     write_pgm,
 )
@@ -191,7 +192,8 @@ def runconfig_text(rc: RunConfig) -> str:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_kv: dict[str, str] = {}
     if args.config:
-        file_kv = parse_kv_text(Path(args.config).read_text(), source=str(args.config))
+        text = Path(args.config).read_text(encoding="utf-8")
+        file_kv = parse_kv_text(text, source=str(args.config))
     # a flag's dest is its config key; only the dotted dests are settings
     flags = {k: v for k, v in vars(args).items() if "." in k and v is not None}
     rc = runconfig_replace(runconfig_from_kv(file_kv), flags)
@@ -229,7 +231,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _write_resolved(rc: RunConfig, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config_resolved.txt").write_text(runconfig_text(rc))
+    write_atomic(out_dir / "config_resolved.txt", runconfig_text(rc).encode())
 
 
 def _require(rc: RunConfig, **fields_needed) -> None:
@@ -358,7 +360,7 @@ def cmd_train(rc: RunConfig) -> int:
     save_checkpoint(ckpt, rc.model, config_text(cfg), state)
     lines = ["step\tloss\tsmoothed_iou"]
     lines += [f"{step}\t{loss:.6f}\t{iou:.6f}" for step, loss, iou in rows]
-    (out_dir / "metrics.tsv").write_text("\n".join(lines) + "\n")
+    write_atomic(out_dir / "metrics.tsv", ("\n".join(lines) + "\n").encode())
     tail = f", best at {best}" if rows else ""
     print(f"trained {rc.model} for {extent}{tail}; checkpoint at {ckpt}")
     return 0
@@ -414,7 +416,7 @@ def cmd_eval(rc: RunConfig) -> int:
     lines = ["instance\tvoxel_iou\tbb_iou\tsampled_iou"]
     lines += [f"{name}\t{v:.6f}\t{b:.6f}\t{s:.6f}" for name, v, b, s in rows]
     lines += [f"mean\t{means[0]:.6f}\t{means[1]:.6f}\t{means[2]:.6f}"]
-    (out_dir / "metrics_eval.tsv").write_text("\n".join(lines) + "\n")
+    write_atomic(out_dir / "metrics_eval.tsv", ("\n".join(lines) + "\n").encode())
     print(
         f"evaluated {len(rows)} {rc.split} instances: mean voxel IoU {means[0]:.4f}, "
         f"BB IoU {means[1]:.4f}, sampled IoU {means[2]:.4f}"

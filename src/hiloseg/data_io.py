@@ -5,6 +5,9 @@ File format ("HILOVOL1"): 8-byte magic, u16 version, u8 dtype code
 (x, y, z), all little-endian, then the raw payload in row-major (x slowest)
 order. The header is exactly 23 bytes.
 
+Every file the package writes goes through ``write_atomic``, so a reader
+never sees a partial file.
+
 The synthetic generator stands in for a private CT dataset: cluttered bags
 of benign convex objects plus exactly one gun-shaped composite per instance,
 with the label volume marking exactly the gun voxels. Benign and gun
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import os
 import struct
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +46,22 @@ DEFAULT_SPLIT_RATIOS = (2600 / 2924, 128 / 2924, 196 / 2924)
 # file format
 
 
+def write_atomic(path, *chunks) -> None:
+    """Write the bytes-like ``chunks``, in order, to a temporary file next to
+    ``path`` and swap it in whole with ``os.replace``. On any error the
+    temporary file is removed and ``path`` keeps what it held."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_volume(path, vol: VoxelVolume | LabelVolume) -> None:
     if isinstance(vol, VoxelVolume):
         code, payload = _DTYPE_VOLUME, vol.data.astype("<f4", copy=False)
@@ -50,9 +70,8 @@ def save_volume(path, vol: VoxelVolume | LabelVolume) -> None:
     else:
         raise TypeError(f"expected VoxelVolume or LabelVolume, got {type(vol).__name__}")
     nx, ny, nz = vol.dims
-    with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, VERSION, code, nx, ny, nz))
-        fh.write(np.ascontiguousarray(payload).tobytes())
+    write_atomic(path, HEADER.pack(MAGIC, VERSION, code, nx, ny, nz),
+                 np.ascontiguousarray(payload))
 
 
 def _check_header(path, head: bytes, size: int) -> tuple[int, tuple[int, int, int]]:
@@ -125,12 +144,13 @@ class DatasetManifest:
 
     def save(self, path) -> None:
         lines = [f"{r.path}\t{r.label_path}\t{r.split}" for r in self.records]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode())
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         records = []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             parts = line.split("\t")
@@ -361,6 +381,4 @@ def write_pgm(path, image: np.ndarray) -> None:
         arr = arr.astype(np.uint8)
     h, wd = arr.shape
     maxval = max(1, int(arr.max()))
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{wd} {h}\n{maxval}\n".encode("ascii"))
-        fh.write(arr.tobytes())
+    write_atomic(path, f"P5\n{wd} {h}\n{maxval}\n".encode("ascii"), arr.tobytes())

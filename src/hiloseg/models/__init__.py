@@ -11,7 +11,6 @@ from .hilo import (
 from .onet import (
     CONDITIONINGS,
     WIDTHS,
-    LatentCode,
     OnetConfig,
     OnetModel,
     extract_bounding_box,
@@ -27,7 +26,6 @@ __all__ = [
     "WIDTHS",
     "HiLoConfig",
     "HiLoModel",
-    "LatentCode",
     "OnetConfig",
     "OnetModel",
     "coordinate_pool_schedule",

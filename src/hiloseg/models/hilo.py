@@ -11,9 +11,9 @@ decoder (``OnetDecoder``) with SELU, conditioned by concatenating the
 flattened level encodings onto each query.
 
 Convolutional blocks standardize each window over its own space and channels
-(``nn.ElementNorm``); the coordinate decoder scales each channel by its root
-mean square over a fixed lattice of reference coordinates decoded along with
-each window's queries (``nn.PointNorm``). No statistic crosses the batch, so
+(``nn.Norm``); the coordinate decoder scales each channel by its root mean
+square over a fixed lattice of reference coordinates decoded along with each
+window's queries (``nn.Norm`` with ``ref``). No statistic crosses the batch, so
 a batch gives the same outputs and gradients whole or split into
 micro-batches.
 
@@ -155,7 +155,7 @@ class HiLoGridDecoder(nn.Module):
         self.blocks = [
             nn.ResidualBlockConv3d(ci, c, rng, dtype=dtype) for ci in ins
         ]
-        self.final_norm = nn.ElementNorm(c, dtype=dtype)
+        self.final_norm = nn.Norm(c, dtype=dtype)
         self.head = nn.Conv3d(c, 1, 3, rng, dtype, zero_init=True)
 
     def __call__(self, h):

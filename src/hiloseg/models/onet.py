@@ -9,13 +9,13 @@ max-pooled originals.
 The encoder is a small convolutional residual network ending in a fixed
 adaptive pooling, so one parameter set accepts any input dims. The decoder
 is a per-coordinate MLP conditioned on the encoder's latent either through
-conditional point normalization (``nn.ConditionalPointNorm``) or by
+conditional normalization (``nn.Norm`` with ``cond_dim``) or by
 concatenating the (repeated) latent onto each coordinate; the window-pyramid
 models reuse it as their coordinate decoder.
 
 Every normalization takes its statistics from one batch element alone: the
 encoder's from the whole element, the decoder's per channel from a fixed
-lattice of reference coordinates (``nn.ReferencePoints``) decoded along with
+lattice of reference coordinates (``nn.REFERENCE_POINTS``) decoded along with
 each element's queries, by whose root mean square it scales. So a
 micro-batch gives the same outputs and gradients as the full batch, and a
 point's occupancy never depends on the other points queried with it.
@@ -92,20 +92,6 @@ class OnetConfig:
         return self.base_channels * (2 if self.width == "wide" else 1)
 
 
-@dataclass(frozen=True)
-class LatentCode:
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values).reshape(-1)
-        if not np.isfinite(values).all():
-            raise ValueError("latent code contains non-finite values")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
 def normalize_coords(coords, dims) -> np.ndarray:
     """Map integer voxel coordinates onto [0, 1]^3 by per-axis division.
 
@@ -133,7 +119,7 @@ class OnetEncoder(nn.Module):
             nn.ResidualBlockConv3d(ci, co, rng, activation=F.leaky_relu, dtype=dtype)
             for ci, co in zip(ins, outs)
         ]
-        self.final_norm = nn.ElementNorm(outs[-1], dtype=dtype)
+        self.final_norm = nn.Norm(outs[-1], dtype=dtype)
         self.head = nn.Dense(outs[-1] * 64, cfg.latent_dim, rng, dtype)
 
     def __call__(self, x):
@@ -167,24 +153,23 @@ class OnetDecoder(nn.Module):
                  rng, dtype=np.float32):
         self.cbn = conditioning == "cbn"
         self.activation = activation
-        self.reference = nn.ReferencePoints(dtype=dtype)
+        self.reference = nn.REFERENCE_POINTS.astype(dtype)
         ref = len(self.reference)
+        norm_cond = cond_dim if self.cbn else None
         self.input = nn.Dense(3 if self.cbn else 3 + cond_dim, hidden, rng, dtype)
         self.blocks = [
             nn.ResidualBlockFC(hidden, hidden, rng, ref, activation=activation,
-                               cond_dim=cond_dim if self.cbn else None, dtype=dtype)
+                               cond_dim=norm_cond, dtype=dtype)
             for _ in range(blocks)
         ]
-        if self.cbn:
-            self.final_norm = nn.ConditionalPointNorm(hidden, cond_dim, rng, ref, dtype=dtype)
-        else:
-            self.final_norm = nn.PointNorm(hidden, ref, dtype=dtype)
+        self.final_norm = nn.Norm(hidden, ref, norm_cond, rng, dtype)
         # zero logits at initialization: every coordinate starts at 0.5
         self.head = nn.Dense(hidden, 1, rng, dtype, zero_init=True)
 
     def __call__(self, coords01, latent):
         b, n, _ = coords01.data.shape
-        coords01 = self.reference.append(coords01)
+        lattice = np.broadcast_to(self.reference, (b,) + self.reference.shape)
+        coords01 = F.concat([coords01, nn.Tensor(lattice)], axis=1)
         if self.cbn:
             h = self.input(coords01)
             cond = latent
@@ -197,7 +182,7 @@ class OnetDecoder(nn.Module):
             affine = block.condition(cond)
             h = (F.recompute(block.points, (h, *affine), block.point_parameters()) if tape
                  else block.points(h, *affine))
-        h = self.final_norm(h, cond) if self.cbn else self.final_norm(h)
+        h = self.final_norm(h, cond)
         out = F.sigmoid(F.slice_middle(self.head(self.activation(h)), n))
         return F.reshape(out, (b, n))
 
@@ -215,27 +200,30 @@ class OnetModel(nn.Module):
         return self.decoder(coords01, self.encoder(vols))
 
 
-def onet_encode(vol: VoxelVolume, cfg: OnetConfig, model: OnetModel) -> LatentCode:
-    """Pool a volume by the configured factor and encode it, recording no
-    tape. The pooled input tensor is made in the encoder call and dies
-    after the stem."""
+def onet_encode(vol: VoxelVolume, cfg: OnetConfig, model: OnetModel) -> np.ndarray:
+    """The (latent_dim,) latent code of a volume pooled by the configured
+    factor, in the model's dtype, recording no tape. The pooled input tensor
+    is made in the encoder call and dies after the stem. Raises
+    ``ValueError`` on a non-finite latent."""
     pooled = average_pool(vol, cfg.input_downsample) if cfg.input_downsample > 1 else vol
     with nn.no_grad():
         z = model.encoder.__call__(nn.Tensor(pooled.data[None, :, :, :, None].astype(model.dtype)))
-    return LatentCode(z.data[0])
+    if not np.isfinite(z.data).all():
+        raise ValueError("latent code contains non-finite values")
+    return z.data[0]
 
 
-def onet_decode(coords, latent: LatentCode, cfg: OnetConfig, model: OnetModel,
+def onet_decode(coords, latent: np.ndarray, cfg: OnetConfig, model: OnetModel,
                 dims) -> np.ndarray:
     """Occupancy probabilities at (n, 3) integer voxel coordinates of a volume
-    of ``dims`` against one latent, recording no tape."""
+    of ``dims`` against one (latent_dim,) latent, recording no tape."""
     coords = np.asarray(coords)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ValueError(f"expected (n, 3) coordinates, got shape {coords.shape}")
     if not np.issubdtype(coords.dtype, np.integer):
         raise ValueError(f"expected integer voxel coordinates, got dtype {coords.dtype}")
     c01 = normalize_coords(coords, dims)
-    z = nn.Tensor(latent.values[None].astype(model.dtype))
+    z = nn.Tensor(latent[None].astype(model.dtype))
     with nn.no_grad():
         parts = [
             model.decoder(nn.Tensor(c01[None, a : a + _DECODE_CHUNK].astype(model.dtype)), z).data[0]

@@ -19,13 +19,11 @@ from .functional import (
     upsample_nearest3d,
 )
 from .layers import (
-    ConditionalPointNorm,
+    REFERENCE_POINTS,
     Conv3d,
     Dense,
-    ElementNorm,
     Module,
-    PointNorm,
-    ReferencePoints,
+    Norm,
     ResidualBlockConv3d,
     ResidualBlockFC,
 )
@@ -41,10 +39,8 @@ __all__ = [
     "Module",
     "Dense",
     "Conv3d",
-    "ElementNorm",
-    "PointNorm",
-    "ConditionalPointNorm",
-    "ReferencePoints",
+    "Norm",
+    "REFERENCE_POINTS",
     "ResidualBlockFC",
     "ResidualBlockConv3d",
     "Adam",

@@ -17,19 +17,19 @@ Layout (all integers little-endian):
 
 Values are always stored as float32, so a float64 verification-mode model
 round-trips through float32 precision by design. A file is written to a
-temporary name in its directory and swapped in whole, so a reader never
-sees a partial checkpoint; bytes after the last section are a format error.
+temporary name in its directory and swapped in whole (``write_atomic``), so
+a reader never sees a partial checkpoint; bytes after the last section are a
+format error.
 """
 
 from __future__ import annotations
 
-import os
 import struct
-import uuid
 from pathlib import Path
 
 import numpy as np
 
+from ..data_io import write_atomic
 from ..errors import FormatError
 
 MAGIC = b"HILOCKPT"
@@ -116,15 +116,7 @@ def save_checkpoint(
         moments = {f"m/{k}": v for k, v in optimizer["m"].items()}
         moments.update({f"v/{k}": v for k, v in optimizer["v"].items()})
         _write_table(out, moments)
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(out)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, out)
 
 
 def load_checkpoint(path):

@@ -2,9 +2,10 @@
 
 A ``Module`` owns named parameters (trainable tensors), discovered by
 walking attributes, including lists of submodules, so checkpointing gets
-stable hierarchical names like ``encoders.1.blocks.0.conv1.w``. Every norm
-takes its statistics from one batch element alone, so a module holds no
-other state and runs the same code in training and inference.
+stable hierarchical names like ``encoders.1.blocks.0.conv1.w``. The one
+normalization, ``Norm``, takes its statistics from one batch element alone,
+so a module holds no other state and runs the same code in training and
+inference.
 """
 
 from __future__ import annotations
@@ -106,157 +107,79 @@ class Conv3d(Module):
         return F.conv3d(x, self.w, self.padding, self.b)
 
 
-class _OwnStats(Module):
-    """Statistics of each batch element alone, over its whole space and
-    channels (group norm with one group), so no element's output or gradient
-    depends on the others in its batch.
+# The 27 cell centres of the unit cube's 3×3×3 grid, (27, 3) float64. A
+# coordinate decoder appends them to every element's query points, scales its
+# norms by their statistics, and drops them again before its head. 8 points
+# cost validation IoU; 64 put the occupancy trainer's byte-meter peak 1.5%
+# above batch norm's (each point is one more row of every decoder activation).
+REFERENCE_POINTS = np.ascontiguousarray((np.indices((3, 3, 3)).reshape(3, -1).T + 0.5) / 3)
+REFERENCE_POINTS.flags.writeable = False
+
+
+class Norm(Module):
+    """A normalization whose statistics come from one batch element alone,
+    so no element's output or gradient depends on the others in its batch,
+    followed by a per-channel affine.
+
+    Without ``ref``, each element is standardized over its whole space and
+    channels (group norm with one group, Wu & He 2018). An all-air window
+    has variance 0, so each norm scales its backward gradient by
+    1/sqrt(eps); eps is 1e-3 so a chain of them stays finite.
+
+    With ``ref``, each channel of an element's (B, N, C) points is scaled by
+    its root mean square over the element's last ``ref`` points, the
+    reference points (eps 1e-5). A point's output then depends on itself and
+    its element's reference points only, never on the other points queried
+    with it. Nothing is subtracted, so a shift shared by all of an element's
+    points (a concatenated latent, a stream bias) still reaches the output.
+    The reference set follows virtual batch normalization (Salimans et al.
+    2016).
+
+    Without ``cond_dim``, the affine is a learnable ``gamma`` and ``beta``.
+    With it, two small dense stacks (two layers, leaky ReLU after the first)
+    map a (B, cond_dim) condition to one (gamma, beta) pair per element
+    (``affine``). Their final layers start at zero weights with biases
+    (1, 0), so a fresh conditional norm equals the unconditioned one.
     """
 
-    def __init__(self, eps: float):
-        self.eps = eps
-
-    def _standardize(self, x: Tensor) -> Tensor:
-        return F.batch_standardize(x, self.eps, tuple(range(1, x.data.ndim)))
-
-
-class _ReferenceStats(Module):
-    """Each channel of a batch element's (B, N, C) points scaled by its root
-    mean square over the element's reference points, the last ``ref``.
-
-    A point's output depends on itself and its element's fixed reference
-    points only: never on the rest of the batch, nor on the other points
-    queried with it. Nothing is subtracted, so a shift shared by all of an
-    element's points (a concatenated latent, a stream bias) still reaches
-    the output. The reference set follows virtual batch normalization
-    (Salimans et al. 2016).
-    """
-
-    def __init__(self, eps: float, ref: int):
-        self.eps = eps
+    def __init__(self, channels: int, ref: int | None = None, cond_dim: int | None = None,
+                 rng=None, dtype=np.float32):
         self.ref = ref
+        self.eps = 1e-3 if ref is None else 1e-5
+        self.conditional = cond_dim is not None
+        if not self.conditional:
+            self.gamma = parameter(np.ones(channels, dtype=dtype))
+            self.beta = parameter(np.zeros(channels, dtype=dtype))
+            return
+        rng = make_rng(rng)
+        self.gamma_stack = [
+            Dense(cond_dim, channels, rng, dtype),
+            Dense(channels, channels, rng, dtype, zero_init=True, bias_init=1.0),
+        ]
+        self.beta_stack = [
+            Dense(cond_dim, channels, rng, dtype),
+            Dense(channels, channels, rng, dtype, zero_init=True, bias_init=0.0),
+        ]
 
-    def _standardize(self, x: Tensor) -> Tensor:
-        return F.batch_standardize(x, self.eps, (1,), self.ref)
-
-
-class _AffineNorm(Module):
-    """The subclass's standardizer followed by an affine."""
+    def affine(self, cond: Tensor) -> tuple[Tensor, Tensor]:
+        """A conditional norm's (gamma, beta) for each batch element, each
+        (B, 1, C), to broadcast across the element's points."""
+        gamma, beta = (s[1](F.leaky_relu(s[0](cond))) for s in (self.gamma_stack, self.beta_stack))
+        shape = (gamma.data.shape[0], 1, gamma.data.shape[1])
+        return F.reshape(gamma, shape), F.reshape(beta, shape)
 
     def scaled(self, x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         """The standardized ``x`` times ``gamma`` plus ``beta``. ``x`` is
         rebound once standardized, so an input handed over by a plain method
         call with no star-arguments (``norm.scaled(t, gamma, beta)``) dies
         there; an instance call or a star-call keeps it until it returns."""
-        x = self._standardize(x)
+        axes = tuple(range(1, x.data.ndim)) if self.ref is None else (1,)
+        x = F.batch_standardize(x, self.eps, axes, self.ref)
         return F.mul(x, gamma, beta)
 
-
-class _ChannelAffine(_AffineNorm):
-    """A learnable per-channel affine after the subclass's standardizer."""
-
-    def _init_affine(self, channels: int, dtype) -> None:
-        self.gamma = parameter(np.ones(channels, dtype=dtype))
-        self.beta = parameter(np.zeros(channels, dtype=dtype))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.scaled(x, self.gamma, self.beta)
-
-
-class _ConditionalAffine(_AffineNorm):
-    """An affine computed from a conditioning vector after the subclass's
-    standardizer.
-
-    Two small dense stacks (two layers, leaky ReLU after the first) map the
-    condition to per-channel gamma and beta, one pair per batch element. The
-    final layers start at zero weights with biases (1, 0), so a fresh network
-    behaves exactly like its unconditioned norm with a unit affine.
-    """
-
-    def _init_affine(self, channels: int, cond_dim: int, rng, hidden: int | None, dtype) -> None:
-        rng = make_rng(rng)
-        hidden = hidden or channels
-        self.gamma_stack = [
-            Dense(cond_dim, hidden, rng, dtype),
-            Dense(hidden, channels, rng, dtype, zero_init=True, bias_init=1.0),
-        ]
-        self.beta_stack = [
-            Dense(cond_dim, hidden, rng, dtype),
-            Dense(hidden, channels, rng, dtype, zero_init=True, bias_init=0.0),
-        ]
-
-    def _affine_from(self, cond: Tensor, stack) -> Tensor:
-        h = F.leaky_relu(stack[0](cond))
-        return stack[1](h)
-
-    def affine(self, cond: Tensor) -> tuple[Tensor, Tensor]:
-        """The (gamma, beta) pair of each batch element, each (B, 1, C), to
-        broadcast across the element's points."""
-        gamma = self._affine_from(cond, self.gamma_stack)  # (B, C)
-        beta = self._affine_from(cond, self.beta_stack)
-        shape = (gamma.data.shape[0], 1, gamma.data.shape[1])
-        return F.reshape(gamma, shape), F.reshape(beta, shape)
-
-    def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
-        return self.scaled(x, *self.affine(cond))
-
-
-class ElementNorm(_ChannelAffine, _OwnStats):
-    """Each batch element standardized over its own space and channels, with
-    a per-channel affine: the conv blocks' normalization.
-
-    An all-air window has variance 0, so each norm scales its backward
-    gradient by 1/sqrt(eps); eps is 1e-3 so a chain of them stays finite.
-    """
-
-    def __init__(self, channels: int, eps: float = 1e-3, dtype=np.float32):
-        _OwnStats.__init__(self, eps)
-        self._init_affine(channels, dtype)
-
-
-class PointNorm(_ChannelAffine, _ReferenceStats):
-    """Points scaled per channel by their element's reference points, with a
-    per-channel affine: the coordinate decoders' normalization."""
-
-    def __init__(self, channels: int, ref: int, eps: float = 1e-5, dtype=np.float32):
-        _ReferenceStats.__init__(self, eps, ref)
-        self._init_affine(channels, dtype)
-
-
-class ConditionalPointNorm(_ConditionalAffine, _ReferenceStats):
-    """Reference-point scaling whose affine comes from a conditioning vector."""
-
-    def __init__(self, channels: int, cond_dim: int, rng, ref: int, hidden: int | None = None,
-                 eps: float = 1e-5, dtype=np.float32):
-        _ReferenceStats.__init__(self, eps, ref)
-        self._init_affine(channels, cond_dim, rng, hidden, dtype)
-
-
-class ReferencePoints:
-    """A fixed lattice of the ``side**3`` cell centres of the unit cube.
-
-    A coordinate decoder appends it to every element's query points, scales
-    its per-point norms by the statistics of these points, and drops them
-    again before its head.
-    """
-
-    # 27 points: 8 cost validation IoU, 64 put the occupancy trainer's
-    # byte-meter peak 1.5% above batch norm's (each point is one more row
-    # of every decoder activation)
-    side = 3
-
-    def __init__(self, dtype=np.float32):
-        g = (np.arange(self.side) + 0.5) / self.side
-        grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1)
-        self.points = grid.reshape(-1, 3).astype(dtype)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def append(self, coords01: Tensor) -> Tensor:
-        """(B, N, 3) queries to (B, N + len(self), 3)."""
-        b = coords01.data.shape[0]
-        return F.concat([coords01, Tensor(np.broadcast_to(self.points, (b,) + self.points.shape))],
-                        axis=1)
+    def __call__(self, x: Tensor, cond: Tensor | None = None) -> Tensor:
+        gamma, beta = self.affine(cond) if self.conditional else (self.gamma, self.beta)
+        return self.scaled(x, gamma, beta)
 
 
 class ResidualBlockFC(Module):
@@ -279,28 +202,24 @@ class ResidualBlockFC(Module):
                  cond_dim: int | None = None, dtype=np.float32):
         rng = make_rng(rng)
         self.activation = activation
-        if cond_dim:
-            norm, cond_args = ConditionalPointNorm, (cond_dim, rng)
-        else:
-            norm, cond_args = PointNorm, ()
-        self.norm1 = norm(cin, *cond_args, ref=ref, dtype=dtype)
+        self.norm1 = Norm(cin, ref, cond_dim, rng, dtype)
         # no bias on dense1, as under batch norm, which cancels shifts
         self.dense1 = Dense(cin, cout, rng, dtype, bias=False)
-        self.norm2 = norm(cout, *cond_args, ref=ref, dtype=dtype)
+        self.norm2 = Norm(cout, ref, cond_dim, rng, dtype)
         self.dense2 = Dense(cout, cout, rng, dtype)
         self.proj = Dense(cin, cout, rng, dtype, bias=False) if cin != cout else None
 
     def condition(self, cond: Tensor | None) -> tuple:
         """Both conditional norms' (gamma, beta) from ``cond``; () for norms
         with their own affine parameters."""
-        if not isinstance(self.norm1, _ConditionalAffine):
+        if not self.norm1.conditional:
             return ()
         return (*self.norm1.affine(cond), *self.norm2.affine(cond))
 
     def point_parameters(self) -> list[Tensor]:
         """The parameters ``points`` reads: all but the conditional norms'."""
         parts = [self.dense1, self.dense2, self.proj]
-        if not isinstance(self.norm1, _ConditionalAffine):
+        if not self.norm1.conditional:
             parts += [self.norm1, self.norm2]
         return [p for m in parts if m is not None for p in m.parameters()]
 
@@ -319,7 +238,7 @@ class ResidualBlockFC(Module):
 
 class ResidualBlockConv3d(Module):
     """Pre-activation convolutional residual block with 3x3x3 kernels, each
-    batch element normalized on its own (``ElementNorm``).
+    batch element normalized on its own (``Norm`` without ``ref``).
 
     conv1's output is handed to ``norm2.scaled`` by a plain method call, as
     in ``ResidualBlockFC``, so without a tape it dies once standardized,
@@ -329,10 +248,10 @@ class ResidualBlockConv3d(Module):
     def __init__(self, cin: int, cout: int, rng, activation=F.selu, dtype=np.float32):
         rng = make_rng(rng)
         self.activation = activation
-        self.norm1 = ElementNorm(cin, dtype=dtype)
+        self.norm1 = Norm(cin, dtype=dtype)
         # no bias on conv1, as under batch norm (the element norm cancels only a shared shift)
         self.conv1 = Conv3d(cin, cout, 3, rng, dtype, bias=False)
-        self.norm2 = ElementNorm(cout, dtype=dtype)
+        self.norm2 = Norm(cout, dtype=dtype)
         self.conv2 = Conv3d(cout, cout, 3, rng, dtype)
         self.proj = Conv3d(cin, cout, 1, rng, dtype, bias=False) if cin != cout else None
 

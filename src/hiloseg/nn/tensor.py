@@ -132,7 +132,9 @@ class Tensor:
                  "_node", "_fn", "_inputs", "_handle", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        if not isinstance(data, np.ndarray):
+        if isinstance(data, np.generic):  # an op on 0-d arrays: keeps its dtype
+            data = np.asarray(data)
+        elif not isinstance(data, np.ndarray):  # Python numbers and lists
             data = np.asarray(data, dtype=np.float32)
         self.data = memory_meter.track(data)
         self.grad: np.ndarray | None = None

@@ -1,13 +1,16 @@
-"""Checkpoint files: round trip, atomic replacement, and corrupt files."""
+"""Checkpoint files: round trip, atomic replacement (of every file the
+package writes), and corrupt files."""
 
 import os
 
 import numpy as np
 import pytest
 
+from hiloseg import cli, data_io
+from hiloseg.data_io import DatasetManifest, ManifestRecord, save_volume, write_pgm
 from hiloseg.errors import FormatError
-from hiloseg.nn import checkpoint
 from hiloseg.nn.checkpoint import load_checkpoint, save_checkpoint
+from hiloseg.voxel import VoxelVolume
 
 STATE = {
     "stem.w": np.arange(24, dtype=np.float32).reshape(2, 3, 4),
@@ -18,6 +21,19 @@ OPTIMIZER = {
     "step": 7, "lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
     "m": {"stem.b": np.array([0.1, 0.2], dtype=np.float32)},
     "v": {"stem.b": np.array([0.01, 0.02], dtype=np.float32)},
+}
+
+
+# writer -> (the file name it writes, write(path, i)); i = 0 and 1 write
+# different bytes
+WRITERS = {
+    "checkpoint": ("model.hckpt", lambda p, i: save_checkpoint(p, "hilo", f"a = {i}\n", STATE)),
+    "volume": ("v.vol", lambda p, i: save_volume(p, VoxelVolume(np.full((2, 3, 4), i, np.float32)))),
+    "manifest": ("manifest.tsv",
+                 lambda p, i: DatasetManifest([ManifestRecord(f"v{i}", "l", "train")]).save(p)),
+    "pgm": ("s.pgm", lambda p, i: write_pgm(p, np.full((2, 3), i, np.uint8))),
+    "config_resolved": ("config_resolved.txt",
+                        lambda p, i: cli._write_resolved(cli.RunConfig(seed=i), p.parent)),
 }
 
 
@@ -71,16 +87,20 @@ class TestCheckpoint:
         assert kind == "onet" and list(state) == ["x"] and optimizer is None
         assert os.listdir(tmp_path) == ["model.hckpt"]
 
-    def test_failed_write_keeps_old_file_and_removes_temp(self, tmp_path, monkeypatch):
-        path = tmp_path / "model.hckpt"
-        save_checkpoint(path, "hilo", "", STATE)
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_old_file_and_removes_temp(self, tmp_path, monkeypatch, writer):
+        """Every writer swaps a finished temporary file in whole: when the
+        swap fails, the old file stays as it was and no temporary is left."""
+        name, write = WRITERS[writer]
+        path = tmp_path / name
+        write(path, 0)
         before = path.read_bytes()
 
         def fail(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(checkpoint.os, "replace", fail)
+        monkeypatch.setattr(data_io.os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, "onet", "", {"x": np.ones(2, dtype=np.float32)})
+            write(path, 1)
         assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["model.hckpt"]
+        assert os.listdir(tmp_path) == [name]

@@ -85,6 +85,10 @@ OPS_EXTRA = {
                                          leaf(r, (3,), t)),
     "conv3d_bias": lambda r, t: F.conv3d(leaf(r, (2, 4, 5, 3, 2), t),
                                          leaf(r, (3, 3, 3, 2, 3), t), 1, leaf(r, (3,), t)),
+    # on 0-d operands numpy returns a scalar, not an array
+    "add_0d": lambda r, t: F.add(leaf(r, (), t), leaf(r, (), t)),
+    "mul_0d": lambda r, t: F.mul(leaf(r, (), t), leaf(r, (), t)),
+    "scale_0d": lambda r, t: F.scale(leaf(r, (), t), 0.3),
 }
 
 
@@ -179,13 +183,13 @@ def test_onet_encode_decode_keeps_float64():
     rng = np.random.default_rng(2)
     vol = VoxelVolume(rng.random((12, 10, 14)).astype(np.float32))
     latent = onet_encode(vol, cfg, model)
-    assert latent.values.dtype == np.float64
+    assert latent.dtype == np.float64
     coords = np.stack([rng.integers(0, d, size=40) for d in vol.dims], axis=1)
     got = onet_decode(coords, latent, cfg, model, vol.dims)
     assert got.dtype == np.float64
     with no_grad():
         want = model.decoder(Tensor((coords / np.array(vol.dims, dtype=np.float64))[None]),
-                             Tensor(latent.values[None])).data[0]
+                             Tensor(latent[None])).data[0]
     np.testing.assert_array_equal(got, want)
 
 

@@ -15,7 +15,6 @@ from hiloseg import nn
 from hiloseg.models import (
     HiLoConfig,
     HiLoModel,
-    LatentCode,
     OnetConfig,
     OnetModel,
     coordinate_pool_schedule,
@@ -191,16 +190,21 @@ class TestCoordinatePoolSchedule:
 
 
 class TestLatentCode:
+    """``onet_encode`` returns the latent code as a (latent_dim,) array."""
+
     def test_flattens_and_keeps_dtype(self):
         for dtype in (np.float32, np.float64):
-            z = LatentCode(np.arange(12, dtype=dtype).reshape(3, 4))
-            assert z.values.shape == (12,)
-            assert z.values.dtype == dtype
-            assert len(z) == 12
+            cfg = OnetConfig(input_downsample=1, **TINY_ONET)
+            z = onet_encode(random_volume((8, 8, 8)), cfg, OnetModel(cfg, seed=0, dtype=dtype))
+            assert z.shape == (cfg.latent_dim,)
+            assert z.dtype == dtype
 
     def test_rejects_non_finite(self):
+        cfg = OnetConfig(input_downsample=1, **TINY_ONET)
+        model = OnetModel(cfg, seed=0)
+        model.encoder.head.b.data[1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            LatentCode(np.array([1.0, np.nan]))
+            onet_encode(random_volume((8, 8, 8)), cfg, model)
 
 
 class TestNormalizeCoords:
@@ -384,8 +388,7 @@ class TestOnetEncodeDecode:
     def test_latent_length(self):
         cfg = OnetConfig(**TINY_ONET)
         lat = onet_encode(random_volume((32, 24, 16)), cfg, OnetModel(cfg, seed=0))
-        assert isinstance(lat, LatentCode)
-        assert len(lat) == cfg.latent_dim
+        assert lat.shape == (cfg.latent_dim,)
 
     def test_pooled_twin_gives_identical_latent(self):
         """Encoding at input_downsample=8 equals pooling first and encoding
@@ -398,13 +401,13 @@ class TestOnetEncodeDecode:
         vol = random_volume((64, 48, 40), seed=6)
         lat8 = onet_encode(vol, cfg8, m8)
         lat1 = onet_encode(average_pool(vol, 8), cfg1, m1)
-        np.testing.assert_array_equal(lat8.values, lat1.values)
+        np.testing.assert_array_equal(lat8, lat1)
 
     def test_tiny_volume_encodes(self):
         cfg = OnetConfig(input_downsample=1, **TINY_ONET)
         lat = onet_encode(random_volume((4, 3, 5)), cfg, OnetModel(cfg, seed=0))
-        assert np.isfinite(lat.values).all()
-        assert len(lat) == cfg.latent_dim
+        assert np.isfinite(lat).all()
+        assert lat.shape == (cfg.latent_dim,)
 
     @pytest.mark.parametrize("conditioning", ["cbn", "concat"])
     def test_decode_is_per_point(self, conditioning):

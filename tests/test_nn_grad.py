@@ -13,11 +13,9 @@ from hiloseg.models.hilo import HiLoConfig, HiLoEncoder
 from hiloseg.models.onet import OnetDecoder
 from hiloseg.nn import functional as F
 from hiloseg.nn.layers import (
-    ConditionalPointNorm,
     Conv3d,
     Dense,
-    ElementNorm,
-    PointNorm,
+    Norm,
     ResidualBlockConv3d,
     ResidualBlockFC,
 )
@@ -156,7 +154,7 @@ class TestConvGradients:
 
 class TestNormalizationGradients:
     def test_element_norm(self, rng):
-        norm = ElementNorm(3, dtype=np.float64)
+        norm = Norm(3, dtype=np.float64)
         norm.gamma.data = rng.normal(1.0, 0.2, size=3)
         norm.beta.data = rng.normal(0.0, 0.2, size=3)
         x = t64(rng, 2, 3, 2, 3, 3)
@@ -167,7 +165,7 @@ class TestNormalizationGradients:
         finite_difference_check(loss, [x, norm.gamma, norm.beta], rng=rng)
 
     def test_point_norm(self, rng):
-        norm = PointNorm(5, ref=3, dtype=np.float64)
+        norm = Norm(5, ref=3, dtype=np.float64)
         norm.gamma.data = rng.normal(1.0, 0.2, size=5)
         norm.beta.data = rng.normal(0.0, 0.2, size=5)
         x = t64(rng, 2, 6, 5)
@@ -178,7 +176,7 @@ class TestNormalizationGradients:
         finite_difference_check(loss, [x, norm.gamma, norm.beta], rng=rng)
 
     def test_conditional_point_norm(self, rng):
-        norm = ConditionalPointNorm(4, 3, rng=5, ref=3, dtype=np.float64)
+        norm = Norm(4, ref=3, cond_dim=3, rng=5, dtype=np.float64)
         for stack in (norm.gamma_stack, norm.beta_stack):
             stack[1].w.data = rng.normal(size=stack[1].w.data.shape) * 0.3
         x = t64(rng, 2, 5, 4)
@@ -319,7 +317,7 @@ class TestEndToEndGradient:
     def test_small_conv_net(self, rng):
         """Conv encoder into dense head, the full op mix in one graph."""
         conv1 = Conv3d(1, 3, 3, rng=8, dtype=np.float64)
-        norm = ElementNorm(3, dtype=np.float64)
+        norm = Norm(3, dtype=np.float64)
         dense = Dense(3 * 8, 1, rng=9, dtype=np.float64)
         x = t64(rng, 2, 4, 4, 4, 1)
         target = np.array([[1.0], [0.0]])

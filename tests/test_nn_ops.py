@@ -10,13 +10,11 @@ from conftest import meter_peak
 from hiloseg import nn
 from hiloseg.nn import functional as F
 from hiloseg.nn.layers import (
-    ConditionalPointNorm,
+    REFERENCE_POINTS,
     Conv3d,
     Dense,
-    ElementNorm,
     Module,
-    PointNorm,
-    ReferencePoints,
+    Norm,
     ResidualBlockConv3d,
     ResidualBlockFC,
     fan_in_uniform,
@@ -688,20 +686,22 @@ class TestLosses:
 
 
 class TestConditionalPointNorm:
+    """``Norm`` with ``ref`` and ``cond_dim``: the affine comes from a condition."""
+
     def test_fresh_network_equals_plain_point_norm(self, rng):
         """Zero-initialized affine heads with biases (1, 0) make a new
         conditional norm behave exactly like an unconditioned norm, whatever
         the condition."""
         x = rng.normal(size=(6, 7, 8)).astype(np.float64)
         cond = rng.normal(size=(6, 5)).astype(np.float64)
-        cpn = ConditionalPointNorm(8, 5, rng=0, ref=3, dtype=np.float64)
-        pn = PointNorm(8, ref=3, dtype=np.float64)
+        cpn = Norm(8, ref=3, cond_dim=5, rng=0, dtype=np.float64)
+        pn = Norm(8, ref=3, dtype=np.float64)
         got = cpn(nn.Tensor(x), nn.Tensor(cond)).data
         want = pn(nn.Tensor(x)).data
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_condition_changes_output_after_nudge(self, rng):
-        cpn = ConditionalPointNorm(4, 3, rng=0, ref=2, dtype=np.float64)
+        cpn = Norm(4, ref=2, cond_dim=3, rng=0, dtype=np.float64)
         # push the zero-initialized gamma head off zero so the condition matters
         cpn.gamma_stack[1].w.data += rng.normal(size=cpn.gamma_stack[1].w.data.shape) * 0.1
         x = nn.Tensor(rng.normal(size=(2, 5, 4)).astype(np.float64))
@@ -711,7 +711,7 @@ class TestConditionalPointNorm:
 
     def test_per_element_affine(self, rng):
         """Each batch element gets its own (gamma, beta) from its condition."""
-        cpn = ConditionalPointNorm(4, 2, rng=1, ref=2, dtype=np.float64)
+        cpn = Norm(4, ref=2, cond_dim=2, rng=1, dtype=np.float64)
         cpn.beta_stack[1].w.data += 0.5
         x = np.zeros((2, 3, 4))
         cond = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -724,17 +724,17 @@ class TestConditionalPointNorm:
 
 class TestPerInstanceNorms:
     """Statistics come from one batch element alone: from its whole space
-    and channels (ElementNorm) or, per channel, from its reference points
-    (PointNorm, ConditionalPointNorm)."""
+    and channels (no ``ref``) or, per channel, from its reference points
+    (``ref``, with or without a condition)."""
 
     @staticmethod
     def norms():
         # (norm, input shape, axes of the statistics, condition shape,
         #  the entries of axis 1 the statistics pool)
         return [
-            (ElementNorm(3, dtype=np.float64), (4, 3, 4, 2, 3), (1, 2, 3, 4), None, slice(None)),
-            (PointNorm(3, ref=4, dtype=np.float64), (4, 7, 3), (1,), None, slice(-4, None)),
-            (ConditionalPointNorm(3, 2, rng=0, ref=4, dtype=np.float64), (4, 7, 3), (1,), (4, 2),
+            (Norm(3, dtype=np.float64), (4, 3, 4, 2, 3), (1, 2, 3, 4), None, slice(None)),
+            (Norm(3, ref=4, dtype=np.float64), (4, 7, 3), (1,), None, slice(-4, None)),
+            (Norm(3, ref=4, cond_dim=2, rng=0, dtype=np.float64), (4, 7, 3), (1,), (4, 2),
              slice(-4, None)),
         ]
 
@@ -745,12 +745,12 @@ class TestPerInstanceNorms:
         return norm(x, nn.Tensor(np.ones(cond_shape)))
 
     def test_unit_moments_over_the_pooled_entries(self, rng):
-        """ElementNorm: zero mean, unit variance; the point norms: unit mean
+        """Without ``ref``: zero mean, unit variance; with it: unit mean
         square, each over the entries its statistics pool."""
         for norm, shape, axes, cond_shape, pooled in self.norms():
             x = rng.normal(loc=3.0, scale=2.0, size=shape)
             out = self.call(norm, nn.Tensor(x), cond_shape).data[:, pooled]
-            if isinstance(norm, ElementNorm):
+            if norm.ref is None:
                 v = x[:, pooled].var(axis=axes)
                 np.testing.assert_allclose(out.mean(axis=axes), 0.0, atol=1e-10)
                 got = out.var(axis=axes)
@@ -783,7 +783,7 @@ class TestPerInstanceNorms:
         x = rng.normal(size=(2, 4, 4, 4, 3)).astype(np.float32)
         x[1] = 0.0
         xt = nn.parameter(x)
-        norms = [ElementNorm(3) for _ in range(16)]
+        norms = [Norm(3) for _ in range(16)]
         h = xt
         for norm in norms:
             h = F.selu(norm(h))
@@ -814,14 +814,9 @@ class TestPerInstanceNorms:
             assert np.abs(xt.grad[:, 0]).sum() > 0 and np.abs(xt.grad[:, 3:]).sum() > 0
 
     def test_reference_points_tile_the_unit_cube(self):
-        ref = ReferencePoints(dtype=np.float64)
-        assert len(ref) == 27
-        assert len(np.unique(ref.points, axis=0)) == 27
-        np.testing.assert_allclose(np.sort(np.unique(ref.points)), [1 / 6, 1 / 2, 5 / 6])
-        queries = nn.Tensor(np.zeros((2, 5, 3)))
-        both = ref.append(queries).data
-        assert both.shape == (2, 32, 3)
-        np.testing.assert_array_equal(both[:, 5:], np.broadcast_to(ref.points, (2, 27, 3)))
+        assert REFERENCE_POINTS.shape == (27, 3) and REFERENCE_POINTS.dtype == np.float64
+        assert len(np.unique(REFERENCE_POINTS, axis=0)) == 27
+        np.testing.assert_allclose(np.sort(np.unique(REFERENCE_POINTS)), [1 / 6, 1 / 2, 5 / 6])
 
 
 class TestResidualBlocks:
@@ -910,8 +905,8 @@ class TestResidualBlocks:
 
     def test_conditioned_block_routes_condition(self, rng):
         block = ResidualBlockFC(4, 4, rng=0, ref=2, cond_dim=3, dtype=np.float64)
-        assert isinstance(block.norm1, ConditionalPointNorm)
-        assert isinstance(ResidualBlockFC(4, 4, rng=0, ref=2).norm1, PointNorm)
+        assert block.norm1.conditional and block.norm2.conditional
+        assert not ResidualBlockFC(4, 4, rng=0, ref=2).norm1.conditional
         x = nn.Tensor(rng.normal(size=(2, 5, 4)).astype(np.float64))
         out = block(x, cond=nn.Tensor(np.zeros((2, 3))))
         assert out.data.shape == (2, 5, 4)

@@ -13,7 +13,7 @@ import pytest
 from hiloseg import nn
 from hiloseg.models.onet import OnetDecoder
 from hiloseg.nn import functional as F
-from hiloseg.nn.layers import Conv3d, Dense, ElementNorm, ResidualBlockConv3d, ResidualBlockFC
+from hiloseg.nn.layers import Conv3d, Dense, Norm, ResidualBlockConv3d, ResidualBlockFC
 from hiloseg.nn.tensor import Tensor
 
 
@@ -217,7 +217,7 @@ class TestHookContract:
     def test_each_parameter_gets_one_partial_per_instance_in_order(self, rng, monkeypatch):
         batch = 3
         conv = Conv3d(2, 3, 3, rng=1)
-        norm = ElementNorm(3)
+        norm = Norm(3)
         dense = Dense(3, 2, rng=2)
         params = conv.parameters() + norm.parameters() + dense.parameters()
         x = rng.normal(size=(batch, 4, 4, 4, 2)).astype(np.float32)

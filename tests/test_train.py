@@ -124,6 +124,30 @@ def test_micro_batched_step_exact_for_any_batch(total):
             np.testing.assert_array_equal(g, w, err_msg=f"micro-batch {micro_batch}")
 
 
+def test_micro_batched_step_seeds_a_float64_model_in_float64(monkeypatch):
+    """A float64 model's loss root is float64 at every chunk, so each
+    backward is seeded with the float64 1/total, not float32(1/3)."""
+    total = 3
+    rng = np.random.default_rng(0)
+    dense = nn.Dense(4, 1, rng=1, dtype=np.float64)
+    x = rng.normal(size=(total, 5, 4))
+    t = rng.random((total, 5, 1)) > 0.5
+    roots = []
+    backward = nn.Tensor.backward
+
+    def recorded(self, *args, **kwargs):
+        roots.append(self.data.item())
+        assert self.dtype == np.float64
+        return backward(self, *args, **kwargs)
+
+    def entry_losses(a, b):
+        return F.bce_loss(F.sigmoid(dense(nn.Tensor(x[a:b]))), t[a:b])
+
+    monkeypatch.setattr(nn.Tensor, "backward", recorded)
+    losses = _micro_batched_step(_GradRecorder(dense.parameters()), total, 2, entry_losses)
+    assert roots == [losses[:2].sum() * (1.0 / total), losses[2] * (1.0 / total)]
+
+
 class TestDivergenceGuard:
     def test_steady_losses_pass(self):
         guard = _DivergenceGuard()
