@@ -6,8 +6,8 @@ flags. A flag is a config key: its argparse ``dest`` is the key it sets
 ``--help`` shows that key as its metavar. Every command echoes the fully
 resolved configuration into its output directory as ``config_resolved.txt``
 so a run is reproducible from that file and the seed alone. ``run.seed`` is
-the only seed: the generator and sampler seeds are overwritten with it
-during resolution.
+the only seed: the generator's seed is overwritten with it during
+resolution.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 divergence.
 """
@@ -224,7 +224,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     # one seed governs every stream
     rc.synth = dataclasses.replace(rc.synth, seed=rc.seed)
-    rc.sampler = dataclasses.replace(rc.sampler, seed=rc.seed)
     return rc
 
 
@@ -310,17 +309,11 @@ def _train_onet(rc: RunConfig, train_recs, val_recs):
         )
     epochs = rc.epochs if rc.epochs >= 0 else 200
     batch = rc.batch if rc.batch > 0 else 8
-    state, metrics = train_superres_onet(
+    return train_superres_onet(
         train_recs, rc.onet, rc.sampler, epochs=epochs, batch=batch,
         val_dataset=val_recs, lr=rc.lr, micro_batch=rc.micro_batch,
         seed=rc.seed, dtype=rc.dtype, smoothing_window=rc.smoothing_window,
     )
-    rows = [
-        (e + 1, metrics["train_loss"][e], metrics["val_iou_smoothed"][e])
-        for e in range(len(metrics["val_iou_smoothed"]))
-    ]
-    best = f"epoch {metrics['best_epoch'] + 1}" if metrics["best_epoch"] is not None else "final"
-    return state, rows, f"{epochs} epochs", best
 
 
 def _train_hilo(rc: RunConfig, train_recs, val_recs):
@@ -329,19 +322,13 @@ def _train_hilo(rc: RunConfig, train_recs, val_recs):
     if rc.batch > 0 and rc.batch != hcfg.batch_size:
         hcfg = dataclasses.replace(hcfg, batch_size=rc.batch)
     queue = TrainingQueue(rc.queue_capacity, rc.queue_policy)
-    state, metrics = train_hilo(
+    return train_hilo(
         train_recs, hcfg, queue, epochs=epochs, sampler=rc.sampler,
         val_dataset=val_recs, lr=rc.lr, validate_every=rc.validate_every,
         micro_batch=rc.micro_batch, seed=rc.seed,
         smoothing_window=rc.smoothing_window, pyramid_sampling=rc.pyramid_sampling,
         max_steps=rc.max_steps or None, dtype=rc.dtype,
     )
-    rows = [
-        (step, metrics["train_loss"][step - 1], metrics["val_iou_smoothed"][k])
-        for k, step in enumerate(metrics["val_steps"])
-    ]
-    best = f"step {metrics['best_step']}" if metrics["best_step"] is not None else "final"
-    return state, rows, f"{metrics['steps']} steps", best
 
 
 def cmd_train(rc: RunConfig) -> int:
@@ -353,16 +340,18 @@ def cmd_train(rc: RunConfig) -> int:
         raise UsageError(f"no training instances in {rc.data_dir}")
     _write_resolved(rc, rc.out_dir)
     train, cfg = (_train_onet, rc.onet) if rc.model.startswith("onet") else (_train_hilo, rc.hilo)
-    state, rows, extent, best = train(rc, train_recs, val_recs)
+    state, fit = train(rc, train_recs, val_recs)
 
     out_dir = Path(rc.out_dir)
     ckpt = out_dir / "checkpoint.hckpt"
     save_checkpoint(ckpt, rc.model, config_text(cfg), state)
     lines = ["step\tloss\tsmoothed_iou"]
-    lines += [f"{step}\t{loss:.6f}\t{iou:.6f}" for step, loss, iou in rows]
+    lines += [f"{step}\t{fit['train_loss'][step - 1]:.6f}\t{iou:.6f}"
+              for step, iou in zip(fit["val_steps"], fit["val_iou_smoothed"])]
     write_atomic(out_dir / "metrics.tsv", ("\n".join(lines) + "\n").encode())
-    tail = f", best at {best}" if rows else ""
-    print(f"trained {rc.model} for {extent}{tail}; checkpoint at {ckpt}")
+    best = f"step {fit['best_step']}" if fit["best_step"] is not None else "final"
+    tail = f", best at {best}" if fit["val_steps"] else ""
+    print(f"trained {rc.model} for {len(fit['train_loss'])} steps{tail}; checkpoint at {ckpt}")
     return 0
 
 

@@ -4,18 +4,20 @@ Both trainers run one loop, ``_fit``: Adam steps on micro-batched batches,
 the divergence check, and validation that keeps the state with the best
 smoothed IoU. Each trainer keeps only its data path. The occupancy trainer
 walks epoch permutations of pooled volumes held in memory; the pyramid
-trainer draws pyramids from instances that a loader thread feeds into a
-training queue.
+trainer draws pyramids from instances that a loader pushes into a training
+queue between steps.
 
-Both trainers return (best parameter state, metrics dict) and never write
-files themselves; checkpointing is the caller's job. Instances can be given
-as in-memory (volume, labels) pairs or as manifest records with ``path`` and
-``label_path`` attributes, which are loaded on demand.
+Both trainers return (best parameter state, ``_fit``'s step-indexed record)
+and never write files themselves; checkpointing is the caller's job.
+Instances can be given as in-memory (volume, labels) pairs or as manifest
+records with ``path`` and ``label_path`` attributes, which are loaded on
+demand.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 
 import numpy as np
 
@@ -77,6 +79,13 @@ def _require_at_least(low: int, **sizes: int | None) -> None:
             raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+# _DivergenceGuard: the mean of the last _GUARD_WINDOW losses may not exceed
+# _GUARD_FACTOR times the first loss once _GUARD_GRACE losses have been seen
+_GUARD_WINDOW = 5
+_GUARD_FACTOR = 4.0
+_GUARD_GRACE = 10
+
+
 class _DivergenceGuard:
     """Raises once the smoothed loss blows past a multiple of the first loss.
 
@@ -86,10 +95,7 @@ class _DivergenceGuard:
     losses raise immediately.
     """
 
-    def __init__(self, window: int = 5, factor: float = 4.0, grace: int = 10):
-        self.window = window
-        self.factor = factor
-        self.grace = grace
+    def __init__(self):
         self.losses: list[float] = []
         self.reference: float | None = None
 
@@ -100,11 +106,11 @@ class _DivergenceGuard:
         if self.reference is None:
             self.reference = max(float(loss), 1e-6)
             return
-        smoothed = float(np.mean(self.losses[-self.window :]))
-        if len(self.losses) > self.grace and smoothed > self.factor * self.reference:
+        smoothed = float(np.mean(self.losses[-_GUARD_WINDOW:]))
+        if len(self.losses) > _GUARD_GRACE and smoothed > _GUARD_FACTOR * self.reference:
             raise DivergenceError(
                 f"{context}: smoothed loss {smoothed:.4g} exceeds "
-                f"{self.factor:g} x initial {self.reference:.4g}"
+                f"{_GUARD_FACTOR:g} x initial {self.reference:.4g}"
             )
 
 
@@ -177,9 +183,11 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
 
     Validation (when a validation set is given) runs after every epoch on a
     fixed per-instance coordinate sample; the state with the best smoothed
-    validation IoU is returned. All instances must share one volume shape so
-    they can batch. ``micro_batch`` bounds how many instances one forward and
-    backward pass holds; it bounds memory only and never changes the result.
+    validation IoU is returned with ``_fit``'s record, whose steps are
+    batches (``ceil(len(dataset) / batch)`` per epoch). All instances must
+    share one volume shape so they can batch. ``micro_batch`` bounds how
+    many instances one forward and backward pass holds; it bounds memory
+    only and never changes the result.
     """
     dataset = list(dataset)
     if not dataset:
@@ -192,13 +200,6 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
         raise ValueError(f"instances must share dims to batch, got {sorted(shapes)}")
 
     model = OnetModel(cfg, seed, dtype)
-    metrics = {
-        "train_loss": [], "val_loss": [], "val_iou": [], "val_iou_smoothed": [],
-        "best_epoch": None, "epochs": epochs,
-    }
-    if epochs == 0:
-        return _snapshot(model), metrics
-
     val = []
     for j, item in enumerate(val_dataset or []):
         inst = _prep_onet_instance(item, cfg)
@@ -231,17 +232,8 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
                 yield [vols, c01], t, None
 
     per_epoch = math.ceil(len(insts) / batch)
-    state, fit = _fit(model, lambda xs: model(*xs), F.bce_loss, epochs * per_epoch, batches(),
-                      val, per_epoch, lr, micro_batch, smoothing_window, "occupancy training")
-    losses = fit["train_loss"]
-    metrics["train_loss"] = [
-        float(np.mean(losses[e * per_epoch : (e + 1) * per_epoch])) for e in range(epochs)
-    ]
-    for key in ("val_loss", "val_iou", "val_iou_smoothed"):
-        metrics[key] = fit[key]
-    if fit["best_step"] is not None:
-        metrics["best_epoch"] = fit["best_step"] // per_epoch - 1
-    return state, metrics
+    return _fit(model, lambda xs: model(*xs), F.bce_loss, epochs * per_epoch, batches(),
+                val, per_epoch, lr, micro_batch, smoothing_window, "occupancy training")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +243,7 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
 def _crop_to_positive_bb(item) -> tuple[VoxelVolume, LabelVolume]:
     """Load one instance and keep only the labeled object's bounding box.
 
-    The crop is checked once here, in the loader thread, so every pyramid
+    The crop is checked once here, in the loader's worker, so every pyramid
     draw from it reads the arrays as they are."""
     vol, labels = _as_pair(item)
     pos = np.argwhere(labels.data)
@@ -304,15 +296,18 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
                dtype=np.float32):
     """Queue-fed training of a window-pyramid model.
 
-    A loader thread feeds ``queue`` one instance per step (the payload is the
-    labeled object's bounding-box crop); pyramid locations are drawn inside
-    the crop ("bb" mode) or over it with the miss-redraw rule ("volume").
+    A loader pushes one instance into ``queue`` per step, between steps (the
+    payload is the labeled object's bounding-box crop); pyramid locations
+    are drawn inside the crop ("bb" mode) or over it with the miss-redraw
+    rule ("volume").
     The grid decoder trains on focal loss over whole label windows, the
     coordinate decoder on BCE over uniform window coordinates. Validation
     evaluates one fixed pyramid per validation instance every
     ``validate_every`` steps; the state with the best smoothed IoU is
-    returned. ``micro_batch`` bounds how many pyramids one forward and
-    backward pass holds; it bounds memory only and never changes the result.
+    returned with ``_fit``'s record and the all-empty prediction's
+    validation IoU as ``baseline_iou``. ``micro_batch`` bounds how many
+    pyramids one forward and backward pass holds; it bounds memory only and
+    never changes the result.
     """
     dataset = list(dataset)
     if not dataset:
@@ -329,47 +324,40 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
         total_steps = min(total_steps, max_steps)
 
     model = HiLoModel(cfg, seed, dtype)
-    metrics = {
-        "train_loss": [], "val_steps": [], "val_loss": [], "val_iou": [], "val_iou_smoothed": [],
-        "best_step": None, "baseline_iou": None, "steps": total_steps,
-    }
-    if total_steps == 0:
-        return _snapshot(model), metrics
-
     # one fixed pyramid per validation instance, reused at every validation
     val = [
         _stack_windows([_draw_window(_crop_to_positive_bb(item), cfg, sampler, pyramid_sampling,
                                      make_rng(seed, _VAL_STREAM, j))], dtype)
         for j, item in enumerate(val_dataset or [])
     ]
+    baseline = None
     if val:
         truths = [t[0] != 0 for _, t in val]
-        metrics["baseline_iou"] = float(np.mean([mask_iou(np.zeros_like(m), m) for m in truths]))
+        baseline = float(np.mean([mask_iou(np.zeros_like(m), m) for m in truths]))
 
     def batches():
+        # the loader starts with the first batch, so a run of no steps loads nothing
+        loader = BatchLoader(queue, dataset, _crop_to_positive_bb).start()
         qrng = make_rng(seed, _QUEUE_STREAM)
         prng = make_rng(seed, _PYRAMID_STREAM)
-        while True:
-            entries = loader.next_batch(cfg.batch_size, qrng)
-            draws = [_draw_window(e.payload, cfg, sampler, pyramid_sampling, prng) for e in entries]
+        try:
+            while True:
+                entries = loader.next_batch(cfg.batch_size, qrng)
+                draws = [_draw_window(e.payload, cfg, sampler, pyramid_sampling, prng)
+                         for e in entries]
 
-            def done(losses):
-                for e, h in zip(entries, losses):
-                    try:
+                def done(losses):
+                    for e, h in zip(entries, losses):
                         queue.update_hardness(e.instance_id, float(h))
-                    except KeyError:
-                        pass  # evicted by the loader while this step was computing
 
-            yield (*_stack_windows(draws, dtype), done)
+                yield (*_stack_windows(draws, dtype), done)
+        finally:
+            loader.stop()
 
     L = cfg.levels
-    loader = BatchLoader(queue, dataset, _crop_to_positive_bb).start()
-    try:
+    with closing(batches()) as stream:
         state, fit = _fit(model, lambda xs: model.forward_batch(xs[:L], *xs[L:]),
                           F.focal_loss if cfg.decoder == "cnn" else F.bce_loss, total_steps,
-                          batches(), val, validate_every, lr, micro_batch, smoothing_window,
+                          stream, val, validate_every, lr, micro_batch, smoothing_window,
                           "pyramid training")
-    finally:
-        loader.stop()
-    metrics.update(fit)
-    return state, metrics
+    return state, {**fit, "baseline_iou": baseline}

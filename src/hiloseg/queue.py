@@ -1,10 +1,11 @@
 """Bounded in-memory training queue with FIFO, occurrence, and hardness policies.
 
-The queue decouples disk loading from batch formation: a loader pushes one
-new instance per formed batch while gradient steps run, so training never
-waits on the disk once steady state is reached. Sampling and eviction follow
-the softmax weightings of the occurrence/hardness policies; FIFO samples
-uniformly and evicts the oldest entry.
+The queue decouples disk loading from batch formation: a loader reads the
+next file while a gradient step runs and pushes it as the next batch forms,
+one new instance per batch, so training never waits on the disk once steady
+state is reached. Sampling and eviction follow the softmax weightings of the
+occurrence/hardness policies; FIFO samples uniformly and evicts the oldest
+entry.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import logging
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -25,6 +27,9 @@ POLICIES = ("fifo", "occurrence", "hardness")
 
 # Hardness of a never-trained entry: effectively +inf, so fresh instances are
 # sampled promptly and never become the eviction candidate before first training.
+# Its softmax weight is 1 against 0 for every trained entry, so while fresh
+# entries exist every hardness draw goes to one of them: with one push per
+# step, a hardness batch holds only the newest instance, whatever the capacity.
 MAX_HARDNESS = float(np.finfo(np.float64).max)
 
 
@@ -44,7 +49,9 @@ class TrainingQueue:
     weights both the draws and the choice of the entry to evict. Draws are
     sequential and with replacement; each draw increments the drawn entry's
     occurrence count immediately, so later draws within one batch already
-    see the updated weights.
+    see the updated weights. Under the hardness policy, while any entry is
+    fresh (never trained, at ``MAX_HARDNESS``) every draw of the batch goes
+    to the fresh entries and none to a trained one.
     """
 
     def __init__(self, capacity: int = 512, policy: str = "fifo"):
@@ -127,15 +134,17 @@ class TrainingQueue:
 
 
 class BatchLoader:
-    """Single producer thread feeding a TrainingQueue, one file per batch.
+    """Feeds a TrainingQueue one loaded file per batch, reading the next file
+    while the current step runs.
 
-    The trainer calls :meth:`next_batch` once per step; the call blocks until
-    the loader has pushed exactly one new instance for this batch, samples the
-    batch under the queue lock, and releases the loader to start reading the
-    next file. Disk I/O therefore overlaps gradient computation of the
-    current batch. Failed loads are logged and skipped, retrying with the
-    next file in cycle order. A full cycle of files without one successful
-    load stops the loader, and :meth:`next_batch` raises the last error.
+    One worker thread loads files in cycle order. The trainer calls
+    :meth:`next_batch` once per step; the call waits for the pending load,
+    pushes it, hands the worker the next file and samples the batch, all in
+    the trainer's thread. Every push and eviction therefore falls between
+    two steps, and disk I/O overlaps the gradient computation of the batch.
+    Failed loads are logged and skipped, retrying with the next file in
+    cycle order. A full cycle of files without one successful load makes
+    :meth:`next_batch` raise the last error.
     """
 
     def __init__(self, queue: TrainingQueue, files: Iterable,
@@ -145,61 +154,44 @@ class BatchLoader:
         if not self.files:
             raise ValueError("file list must be nonempty")
         self.load_fn = load_fn
-        self.load_count = 0
-        self._push_done = threading.Semaphore(0)
-        self._batch_done = threading.Semaphore(0)
-        self._stop = threading.Event()
+        self._cycle = itertools.cycle(enumerate(self.files))
         self._seq = 0
-        self._thread: threading.Thread | None = None
-        self._error: BaseException | None = None
+        self._pool: ThreadPoolExecutor | None = None
+        self._pending: Future | None = None
 
     def start(self) -> "BatchLoader":
-        self._thread = threading.Thread(target=self._run, name="hiloseg-loader", daemon=True)
-        self._thread.start()
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hiloseg-loader")
+        self._pending = self._pool.submit(self._load)
         return self
 
-    def _run(self) -> None:
-        files = itertools.cycle(enumerate(self.files))
-        failures = 0  # consecutive, since the last successful load
-        while not self._stop.is_set():
-            idx, path = next(files)
+    def _load(self) -> tuple[int, Any]:
+        """(file index, payload) of the next file in cycle order that loads."""
+        for attempt in range(1, len(self.files) + 1):
+            idx, path = next(self._cycle)
             try:
-                payload = self.load_fn(path)  # slow part happens outside the queue lock
-                self.load_count += 1
+                return idx, self.load_fn(path)
             except Exception as exc:  # noqa: BLE001 - I/O contract: warn and retry
-                failures += 1
-                if failures >= len(self.files):
+                if attempt == len(self.files):
                     log.error("loader failed on every file; last error on %r: %s", path, exc)
-                    self._error = exc
-                    return
+                    raise
                 log.warning("loader failed on %r: %s; retrying with next file", path, exc)
-                continue
-            failures = 0
-            instance_id = (self._seq, idx)
-            self._seq += 1
-            self.queue.push(QueueEntry(instance_id=instance_id, payload=payload))
-            self._push_done.release()
-            self._batch_done.acquire()
 
     def next_batch(self, batch_size: int, rng) -> list[QueueEntry]:
-        """Block until this batch's file push landed, then sample the batch.
+        """Push this batch's file, then sample the batch.
 
-        Raises the loader's last error once it stopped after a full cycle of
-        failed loads.
+        Raises the last load error after a full cycle of failed loads, and
+        ``RuntimeError`` when the loader is not running.
         """
-        while not self._push_done.acquire(timeout=0.5):
-            if self._error is not None:
-                raise self._error
-            if self._stop.is_set():
-                raise RuntimeError("loader stopped while a batch was pending")
-            if self._thread is not None and not self._thread.is_alive():
-                raise RuntimeError("loader thread died before the batch was ready")
-        batch = self.queue.sample_batch(batch_size, rng)
-        self._batch_done.release()
-        return batch
+        if self._pending is None:
+            raise RuntimeError("loader is not running")
+        idx, payload = self._pending.result()
+        self.queue.push(QueueEntry(instance_id=(self._seq, idx), payload=payload))
+        self._seq += 1
+        self._pending = self._pool.submit(self._load)
+        return self.queue.sample_batch(batch_size, rng)
 
     def stop(self) -> None:
-        self._stop.set()
-        self._batch_done.release()  # unblock a loader waiting on batch completion
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
+        """Drop the pending load and wait for the worker to finish."""
+        self._pending = None
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)

@@ -1,7 +1,7 @@
 """Stochastic selection: coordinate sampling and pyramid location sampling.
 
-Every sampler is a pure function of its inputs and a seed (or an explicit
-generator stream), so runs are reproducible across thread schedules.
+Every sampler is a pure function of its inputs and a seed or a generator
+the caller passes, so runs are reproducible across thread schedules.
 Coordinates are (n, 3) int64 arrays of voxel indices; labels drawn with
 them are parallel (n,) uint8 arrays.
 """
@@ -16,10 +16,8 @@ from .errors import DegenerateLabelsError
 from .rng import make_rng
 from .voxel import LabelVolume
 
-# Stream keys so different consumers of one root seed never collide.
-_STREAM_BIASED = 101
+# Stream key so other consumers of the same seed never collide.
 _STREAM_UNIFORM = 102
-_STREAM_PYRAMID = 103
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,6 @@ class SamplerConfig:
     shape_fraction: float = 0.6
     redraw_prob: float = 0.9
     redraw_scope: str = "level0"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("n_train_coords", "n_test_coords", "n_hilo_coords"):
@@ -72,7 +69,7 @@ def sample_biased_coords(
     labels: LabelVolume,
     cfg: SamplerConfig,
     n: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw coordinates biased toward the positive voxels.
 
@@ -83,8 +80,6 @@ def sample_biased_coords(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if rng is None:
-        rng = make_rng(cfg.seed, _STREAM_BIASED)
     data = labels.data
     n_pos = int(round(n * cfg.shape_fraction))
     parts = []
@@ -116,7 +111,7 @@ def sample_pyramid_location(
     w: int,
     d: int,
     levels: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[int, int, int]:
     """Draw a pyramid center, redrawing gun-free locations with ``redraw_prob``.
 
@@ -128,8 +123,6 @@ def sample_pyramid_location(
     possible: every positive voxel is hit by the center on it, so labels
     without one raise ``DegenerateLabelsError``.
     """
-    if rng is None:
-        rng = make_rng(cfg.seed, _STREAM_PYRAMID)
     data = labels.data
     if cfg.redraw_prob >= 1.0 and not data.any():
         raise DegenerateLabelsError(

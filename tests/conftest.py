@@ -1,5 +1,5 @@
-"""Shared fixtures, the finite-difference gradient checker and the byte
-meter's peak probe."""
+"""Shared fixtures, the finite-difference gradient checker, the byte
+meter's peak probe and a training queue's eviction record."""
 
 import gc
 
@@ -16,6 +16,18 @@ def meter_peak(fn) -> int:
     base = memory_meter.current
     fn()
     return memory_meter.peak - base
+
+
+def recording_evictions(queue) -> list:
+    """Wrap ``queue.push`` so each push appends what it evicted (or None)."""
+    evicted, push = [], queue.push
+
+    def recording_push(entry):
+        evicted.append(push(entry))
+        return evicted[-1]
+
+    queue.push = recording_push
+    return evicted
 
 
 def finite_difference_check(build_loss, tensors, n_probes=50, eps=1e-5,

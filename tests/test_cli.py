@@ -94,6 +94,10 @@ def test_train_writes_checkpoint(run, model):
     for name in ("checkpoint.hckpt", "metrics.tsv", "config_resolved.txt"):
         assert (out_dir / name).is_file(), name
     assert f"run.model = {model}" in (out_dir / "config_resolved.txt").read_text()
+    # both families report optimizer steps: 2 epochs of batches of 2 for onet-sr
+    n_train = len(load_manifest(run["data"] / "manifest.tsv").paths("train"))
+    steps = 2 if model == "hilo-cnn" else 2 * -(-n_train // 2)
+    assert f" for {steps} steps" in out
 
 
 @pytest.mark.parametrize("model", ["hilo-cnn", "onet-sr"])
@@ -200,7 +204,7 @@ def test_flag_overrides_config_file(run):
     cfg.write_text("run.seed = 5\nhilo.window_size = 12\nrun.queue_policy = hardness\n")
     rc = resolve("train", "--config", cfg, "--seed", 7, "--w", 8)
     assert (rc.seed, rc.hilo.window_size, rc.queue_policy) == (7, 8, "hardness")
-    assert rc.sampler.seed == rc.synth.seed == 7
+    assert rc.synth.seed == 7
     rc = resolve("train", "--config", cfg)
     assert (rc.seed, rc.hilo.window_size) == (5, 12)
 

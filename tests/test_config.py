@@ -103,8 +103,9 @@ class TestDataclassBridge:
 
     def test_unknown_keys_refused(self):
         # a key that names no field is a mistake, not a setting to skip
-        with pytest.raises(FormatError, match=r"other\.thing, sampler\.seed"):
-            kv_to_dataclass(SamplerConfig, {"seed": "9", "sampler.seed": "9", "other.thing": "5"})
+        with pytest.raises(FormatError, match=r"other\.thing, sampler\.n_hilo_coords$"):
+            kv_to_dataclass(SamplerConfig, {"n_hilo_coords": "9", "sampler.n_hilo_coords": "9",
+                                            "other.thing": "5"})
 
     def test_bad_value_reports_key(self):
         with pytest.raises(FormatError, match="n_train_coords"):

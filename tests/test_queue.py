@@ -1,5 +1,6 @@
 """Training queue policies, eviction, and the one-load-per-batch loader."""
 
+import threading
 import time
 
 import numpy as np
@@ -196,20 +197,40 @@ class TestSamplingDistribution:
         return counts
 
 
+def loader_threads_alive():
+    # the executor names its worker "hiloseg-loader_0"
+    return [t for t in threading.enumerate()
+            if t.name.startswith("hiloseg-loader") and t.is_alive()]
+
+
 class TestBatchLoader:
     def test_one_load_per_batch(self):
-        q = TrainingQueue(capacity=16, policy="fifo")
+        q = TrainingQueue(capacity=64, policy="fifo")
         loader = BatchLoader(q, files=[f"f{i}" for i in range(10)], load_fn=lambda p: p.upper())
         loader.start()
         try:
             for step in range(50):
                 batch = loader.next_batch(4, step)
                 assert len(batch) == 4
+                assert len(q) == step + 1
         finally:
             loader.stop()
-        # one push gates each batch; the loader may have prefetched the next
-        # file already, so the counter can run exactly one ahead
-        assert loader.load_count in (50, 51)
+        assert [e.payload for e in q._entries.values()] == [f"F{i % 10}" for i in range(50)]
+
+    def test_next_file_loads_while_the_step_runs(self):
+        started = [threading.Event() for _ in range(2)]
+
+        def load(path):
+            started[int(path)].set()
+            return path
+
+        loader = BatchLoader(TrainingQueue(capacity=4), files=["0", "1"], load_fn=load).start()
+        try:
+            loader.next_batch(1, 0)
+            # no further next_batch call: the worker starts the second file by itself
+            assert started[1].wait(timeout=5.0)
+        finally:
+            loader.stop()
 
     def test_payloads_come_from_load_fn(self):
         q = TrainingQueue(capacity=4, policy="fifo")
@@ -233,22 +254,39 @@ class TestBatchLoader:
             assert batch[0].payload == "good"
         finally:
             loader.stop()
+        assert "corrupt file" in caplog.text
 
     def test_empty_file_list_rejected(self):
         with pytest.raises(ValueError):
             BatchLoader(TrainingQueue(), files=[], load_fn=lambda p: p)
 
     def test_dead_loader_raises_instead_of_hanging(self):
-        q = TrainingQueue(capacity=4)
-        loader = BatchLoader(q, files=["a"], load_fn=lambda p: p).start()
-        loader.next_batch(1, 0)
-        loader.stop()
-        with pytest.raises(RuntimeError):
-            loader.next_batch(1, 1)
+        """After stop, a batch is refused at once, whether the next load had
+        finished or was still running when the loader stopped."""
+        for load_s in (0.0, 0.2):
+
+            def load(path):
+                time.sleep(load_s)
+                return path
+
+            q = TrainingQueue(capacity=4)
+            loader = BatchLoader(q, files=["a"], load_fn=load).start()
+            loader.next_batch(1, 0)
+            loader.stop()
+            assert not loader_threads_alive()
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match="not running"):
+                loader.next_batch(1, 1)
+            assert time.monotonic() - start < 1.0
+            assert len(q) == 1
+
+    def test_unstarted_loader_raises(self):
+        with pytest.raises(RuntimeError, match="not running"):
+            BatchLoader(TrainingQueue(), files=["a"], load_fn=lambda p: p).next_batch(1, 0)
 
     def test_every_load_failing_raises_last_error(self):
-        """A full cycle of failed loads stops the loader; the batch gets the
-        last error instead of waiting forever."""
+        """A full cycle of failed loads ends the loading; the batch gets the
+        last error instead of waiting forever, and no file is tried again."""
         calls = []
 
         def broken(path):
@@ -261,11 +299,13 @@ class TestBatchLoader:
         try:
             with pytest.raises(OSError, match="cannot read c"):
                 loader.next_batch(1, 0)
+            with pytest.raises(OSError, match="cannot read c"):
+                loader.next_batch(1, 1)
         finally:
             loader.stop()
         assert time.monotonic() - start < 5.0
         assert calls == ["a", "b", "c"]
-        assert not loader._thread.is_alive()
+        assert not loader_threads_alive()
 
     def test_ids_stay_unique_across_file_cycles(self):
         """Cycling a short file list re-pushes the same files; sequence
@@ -278,4 +318,5 @@ class TestBatchLoader:
         finally:
             loader.stop()
         ids = q.instance_ids()
-        assert len(ids) == len(set(ids)) >= 12
+        assert len(ids) == len(set(ids)) == 12
+        assert ids == [(k, k % 2) for k in range(12)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hiloseg.errors import DegenerateLabelsError
+from hiloseg.rng import make_rng
 from hiloseg.sampling import (
     SamplerConfig,
     sample_biased_coords,
@@ -59,8 +60,7 @@ class TestUniformCoords:
 class TestBiasedCoords:
     def test_labels_agree_with_lookup(self):
         labels = make_labels()
-        cfg = SamplerConfig(seed=5)
-        coords, got = sample_biased_coords(labels, cfg, 2000)
+        coords, got = sample_biased_coords(labels, SamplerConfig(), 2000, rng=make_rng(5))
         assert coords.shape == (2000, 3) and coords.dtype == np.int64
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, labels.data[coords[:, 0], coords[:, 1], coords[:, 2]])
@@ -68,8 +68,8 @@ class TestBiasedCoords:
     def test_positive_share_matches_round(self):
         labels = make_labels()
         for n in (10, 11, 100, 333):
-            cfg = SamplerConfig(seed=2)
-            _, got = sample_biased_coords(labels, cfg, n)
+            cfg = SamplerConfig()
+            _, got = sample_biased_coords(labels, cfg, n, rng=make_rng(2))
             # every shape draw lands on a positive voxel; uniform draws can
             # only add positives on top of round(n * fraction)
             assert int(got.sum()) >= round(n * cfg.shape_fraction)
@@ -77,25 +77,25 @@ class TestBiasedCoords:
     def test_fraction_zero_never_needs_positives(self):
         empty = LabelVolume(np.zeros((6, 6, 6), dtype=np.uint8))
         cfg = SamplerConfig(shape_fraction=0.0)
-        coords, got = sample_biased_coords(empty, cfg, 50)
+        coords, got = sample_biased_coords(empty, cfg, 50, rng=make_rng(0))
         assert len(coords) == len(got) == 50
 
     def test_degenerate_labels_raise(self):
         empty = LabelVolume(np.zeros((6, 6, 6), dtype=np.uint8))
         with pytest.raises(DegenerateLabelsError):
-            sample_biased_coords(empty, SamplerConfig(), 10)
+            sample_biased_coords(empty, SamplerConfig(), 10, rng=make_rng(0))
 
     def test_deterministic_per_seed(self):
         labels = make_labels()
-        a = sample_biased_coords(labels, SamplerConfig(seed=9), 64)
-        b = sample_biased_coords(labels, SamplerConfig(seed=9), 64)
+        a = sample_biased_coords(labels, SamplerConfig(), 64, rng=make_rng(9))
+        b = sample_biased_coords(labels, SamplerConfig(), 64, rng=make_rng(9))
         np.testing.assert_array_equal(a[0], b[0])
 
 
 class TestPyramidLocation:
     def test_center_always_in_bounds(self):
         labels = make_labels()
-        cfg = SamplerConfig(seed=1)
+        cfg = SamplerConfig()
         rng = np.random.default_rng(0)
         for _ in range(200):
             c = sample_pyramid_location(labels, cfg, 4, 2, 2, rng=rng)
@@ -125,7 +125,7 @@ class TestPyramidLocation:
         r = 0.9
         want = q / (1 - (1 - q) * r)
 
-        cfg = SamplerConfig(seed=0, redraw_prob=r)
+        cfg = SamplerConfig(redraw_prob=r)
         rng = np.random.default_rng(42)
         n = 20000
         got = 0
@@ -138,7 +138,7 @@ class TestPyramidLocation:
 
     def test_redraw_prob_zero_is_uniform(self):
         labels = make_labels()
-        cfg = SamplerConfig(seed=0, redraw_prob=0.0)
+        cfg = SamplerConfig(redraw_prob=0.0)
         rng = np.random.default_rng(1)
         centers = [sample_pyramid_location(labels, cfg, 4, 2, 1, rng=rng) for _ in range(3000)]
         xs = np.array([c[0] for c in centers])
@@ -147,21 +147,21 @@ class TestPyramidLocation:
 
     def test_terminates_on_all_negative_volume(self):
         empty = LabelVolume(np.zeros((8, 8, 8), dtype=np.uint8))
-        cfg = SamplerConfig(seed=0)
+        cfg = SamplerConfig()
         c = sample_pyramid_location(empty, cfg, 4, 2, 2, rng=np.random.default_rng(0))
         assert all(0 <= v < 8 for v in c)
 
     def test_redraw_one_on_gun_free_labels_raises(self):
         """No center can hit an all-zero volume, so redraw_prob = 1 would loop forever."""
         empty = LabelVolume(np.zeros((8, 8, 8), dtype=np.uint8))
-        cfg = SamplerConfig(seed=0, redraw_prob=1.0)
+        cfg = SamplerConfig(redraw_prob=1.0)
         with pytest.raises(DegenerateLabelsError):
             sample_pyramid_location(empty, cfg, 4, 2, 2, rng=np.random.default_rng(0))
 
     def test_redraw_one_with_single_positive_voxel_hits(self):
         data = np.zeros((8, 8, 8), dtype=np.uint8)
         data[6, 1, 3] = 1
-        cfg = SamplerConfig(seed=0, redraw_prob=1.0)
+        cfg = SamplerConfig(redraw_prob=1.0)
         rng = np.random.default_rng(0)
         for _ in range(5):
             c = sample_pyramid_location(LabelVolume(data), cfg, 2, 2, 2, rng=rng)

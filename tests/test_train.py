@@ -7,9 +7,11 @@ of epochs); they check the machinery, not model quality.
 
 import dataclasses
 import threading
+import time
 
 import numpy as np
 import pytest
+from conftest import recording_evictions
 
 from hiloseg.errors import DivergenceError
 from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, OnetModel, train_hilo, train_superres_onet
@@ -182,9 +184,8 @@ class TestTrainOnet:
         assert state.keys() == fresh.keys()
         for k in state:
             np.testing.assert_array_equal(state[k], fresh[k])
-        assert metrics["epochs"] == 0
-        assert metrics["train_loss"] == []
-        assert metrics["best_epoch"] is None
+        assert metrics["train_loss"] == metrics["val_steps"] == []
+        assert metrics["best_step"] is None
 
     def test_loss_decreases(self):
         _, metrics = train_superres_onet(
@@ -204,12 +205,14 @@ class TestTrainOnet:
         sm = metrics["val_iou_smoothed"]
         for i in range(5):
             assert sm[i] == pytest.approx(np.mean(metrics["val_iou"][max(0, i - 4) : i + 1]))
-        assert metrics["best_epoch"] == int(np.argmax(sm))
+        # one batch per epoch, so every step validates
+        assert metrics["val_steps"] == [1, 2, 3, 4, 5]
+        assert metrics["best_step"] == metrics["val_steps"][int(np.argmax(sm))]
 
     def test_epoch_metrics_with_several_batches_per_epoch(self, monkeypatch):
-        """Five instances in batches of two: each train_loss entry is the
-        mean of its epoch's three batch losses, validation runs once per
-        epoch, and best_epoch counts epochs, not batches."""
+        """Five instances in batches of two: train_loss holds every batch's
+        loss, validation runs after each epoch's third batch, and best_step
+        counts batches."""
         batch_losses = []
 
         def recording_step(*args):
@@ -223,10 +226,11 @@ class TestTrainOnet:
             val_dataset=onet_dataset(2, seed0=20), seed=1,
         )
         assert len(batch_losses) == 12
-        assert metrics["train_loss"] == [float(np.mean(batch_losses[3 * e : 3 * e + 3]))
-                                         for e in range(4)]
+        assert metrics["train_loss"] == batch_losses
+        assert metrics["val_steps"] == [3, 6, 9, 12]
         assert len(metrics["val_loss"]) == len(metrics["val_iou"]) == 4
-        assert metrics["best_epoch"] == int(np.argmax(metrics["val_iou_smoothed"]))
+        sm = metrics["val_iou_smoothed"]
+        assert metrics["best_step"] == metrics["val_steps"][int(np.argmax(sm))]
 
     def test_deterministic_across_runs(self):
         kwargs = dict(epochs=2, batch=4, lr=0.01, seed=7)
@@ -317,7 +321,8 @@ class TestTrainHilo:
         fresh = HiLoModel(HILO_CFG, seed=5).state_dict()
         for k in state:
             np.testing.assert_array_equal(state[k], fresh[k])
-        assert metrics["steps"] == 0
+        assert metrics["train_loss"] == []
+        assert len(queue) == 0  # a run of no steps loads nothing
 
     def test_loss_decreases_and_metrics_line_up(self):
         queue = TrainingQueue(capacity=8)
@@ -358,7 +363,6 @@ class TestTrainHilo:
             hilo_dataset(4), HILO_CFG, queue, epochs=100, sampler=SAMPLER,
             max_steps=3, seed=0,
         )
-        assert metrics["steps"] == 3
         assert len(metrics["train_loss"]) == 3
 
     def test_deterministic_across_runs(self):
@@ -386,7 +390,7 @@ class TestTrainHilo:
             [scan, scan], HiLoConfig(batch_size=4), TrainingQueue(capacity=8), epochs=10,
             micro_batch=2, seed=seed, pyramid_sampling="bb", max_steps=6,
         )
-        assert metrics["steps"] == 6
+        assert len(metrics["train_loss"]) == 6
         assert np.isfinite(metrics["train_loss"]).all()
 
     @pytest.mark.parametrize("decoder", ["cnn", "onet"])
@@ -415,7 +419,7 @@ class TestTrainHilo:
             with pytest.raises(ValueError, match=f"^{name} must be >= {low}"):
                 train_hilo(hilo_dataset(2), HILO_CFG, TrainingQueue(capacity=8),
                            **{"epochs": 1, name: size})
-            assert not any(t.name == "hiloseg-loader" and t.is_alive()
+            assert not any(t.name.startswith("hiloseg-loader") and t.is_alive()
                            for t in threading.enumerate())
 
     def test_coordinate_decoder_variant(self):
@@ -452,6 +456,30 @@ class TestTrainHilo:
         assert any(h < MAX_HARDNESS for h in hard)
         assert all(np.isfinite(h) for h in hard if h < MAX_HARDNESS)
 
+    def test_load_time_never_changes_evictions(self, monkeypatch):
+        """Each push falls between two steps, after the previous step's
+        hardness updates, so a slow load evicts the same ids as a fast one
+        and every step pushes exactly one instance."""
+        cfg = dataclasses.replace(HILO_CFG, batch_size=1)
+
+        def evictions():
+            queue = TrainingQueue(capacity=2, policy="hardness")
+            evicted = recording_evictions(queue)
+            train_hilo(hilo_dataset(6), cfg, queue, epochs=1, sampler=SAMPLER, seed=0)
+            return evicted
+
+        fast = evictions()
+        crop = train_mod._crop_to_positive_bb
+
+        def slow_crop(item):
+            time.sleep(0.15)
+            return crop(item)
+
+        monkeypatch.setattr(train_mod, "_crop_to_positive_bb", slow_crop)
+        slow = evictions()
+        assert slow == fast
+        assert len(fast) == 6 and fast[:2] == [None, None] and None not in fast[2:]
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             train_hilo([], HILO_CFG, TrainingQueue(capacity=8), epochs=1)
@@ -463,3 +491,6 @@ class TestTrainHilo:
                 hilo_dataset(4), HILO_CFG, queue, epochs=40, sampler=SAMPLER,
                 lr=1e4, seed=0,
             )
+        # the loader stops with the run that raised
+        assert not any(t.name.startswith("hiloseg-loader") and t.is_alive()
+                       for t in threading.enumerate())

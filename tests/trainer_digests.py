@@ -2,12 +2,14 @@
 a fixed run matrix.
 
 Not a tier-1 test (no ``test_`` prefix): it prints one line per trained
-state, one per metric and one with the byte meter's peak of each run,
-then three per segmentation (its labels, their sampled IoU and the byte
+state, one per metric and one with the byte meter's peak of each run, one
+with the sequence of queue evictions of each pyramid-trainer run, then
+three per segmentation (its labels, their sampled IoU and the byte
 meter's peak over the same segmentation on one worker thread), so two
 trees can be compared by diffing their output. A refactor of the training
 or inference paths that keeps results byte-identical prints the same
-lines; a change to activation lifetimes moves only the peak lines. Run it
+lines; a change to activation lifetimes moves only the peak lines, and a
+change to when the loader pushes moves the eviction lines. Run it
 from a tree's root:
 
     PYTHONPATH=src python3 tests/trainer_digests.py > digests.txt
@@ -33,7 +35,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from conftest import meter_peak
+from conftest import meter_peak, recording_evictions
 
 from hiloseg.data_io import SynthConfig, load_manifest, write_dataset
 from hiloseg.inference import sampled_iou, segment_volume
@@ -106,9 +108,10 @@ def _onet_runs(records):
     ]
     for name, cfg, dtype, micro_batch in runs:
         yield name, partial(train_superres_onet, train, cfg, SAMPLER, epochs=3, batch=4,
-                            val_dataset=val, lr=0.01, micro_batch=micro_batch, seed=3, dtype=dtype)
+                            val_dataset=val, lr=0.01, micro_batch=micro_batch, seed=3,
+                            dtype=dtype), None
     yield "onet-records", partial(train_superres_onet, records[:4], ONET, SAMPLER, epochs=2,
-                                  batch=2, val_dataset=records[4:], lr=0.01, seed=4)
+                                  batch=2, val_dataset=records[4:], lr=0.01, seed=4), None
 
 
 def _hilo_runs(records):
@@ -121,12 +124,13 @@ def _hilo_runs(records):
                 yield f"hilo-{decoder}-{sampling}-{policy}", partial(
                     train_hilo, train, cfg, queue, epochs=20, sampler=SAMPLER, val_dataset=val,
                     lr=0.01, validate_every=3, seed=5, pyramid_sampling=sampling, max_steps=9,
-                )
+                ), recording_evictions(queue)
+    queue = TrainingQueue(capacity=8, policy="hardness")
     yield "hilo-records", partial(
-        train_hilo, records[:4], HILO, TrainingQueue(capacity=8, policy="hardness"), epochs=20,
+        train_hilo, records[:4], HILO, queue, epochs=20,
         sampler=SAMPLER, val_dataset=records[4:], lr=0.01, validate_every=3, seed=6,
         pyramid_sampling="volume", max_steps=6,
-    )
+    ), recording_evictions(queue)
 
 
 def _inference_lines():
@@ -157,12 +161,14 @@ def main() -> int:
         write_dataset(tmp, SynthConfig(dims=(16, 16, 16), seed=2), 6)
         records = load_manifest(Path(tmp) / "manifest.tsv").paths()
         for runs in (_onet_runs(records), _hilo_runs(records)):
-            for name, run in runs:
+            for name, run, evicted in runs:
                 result = []
                 peak = meter_peak(lambda: result.append(run()))
                 for line in _lines(name, *result[0]):
                     print(" ".join(line))
                 print(name, "meter_peak", peak)
+                if evicted is not None:
+                    print(name, "evictions", _digest(evicted))
                 sys.stdout.flush()
     for line in _inference_lines():
         print(" ".join(line))
