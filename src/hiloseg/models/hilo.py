@@ -26,12 +26,14 @@ CPython 3.11 and later move into the callee's frame; an instance call
 (``enc(x)``) keeps its argument alive until it returns, and so would
 CPython 3.10's plain calls, which is why the package requires 3.11.
 
-Under a tape each level encoder runs through ``F.recompute``. Until the
-backward a level keeps its input, in the recompute node, and its
-encoding, in the concat that the decoder's first block keeps; none of its
-encoder's activations. The backward rebuilds one encoder's tape at a
-time, so a training step, like segmentation, holds one level's
-activations at a time.
+Under a tape each level encoder runs through ``F.recompute``, and so do
+the grid decoder's pooled blocks, all in one. Until the backward a level
+keeps its input, in its encoder's recompute node, and its encoding, in
+the concat that the pooled blocks' recompute node keeps; none of its
+encoder's or the pooled blocks' activations. The backward rebuilds the
+pooled blocks' tape, then one encoder's tape at a time, so a training
+step, like segmentation, holds one level's activations at a time, and
+each level adds one encoding to its peak.
 """
 
 from __future__ import annotations
@@ -147,6 +149,12 @@ class HiLoGridDecoder(nn.Module):
     voxel-for-voxel with the level-0 window. Upsampling late keeps the
     expensive full-resolution maps down to a single block, which is what
     bounds the training-memory peak.
+
+    Under a tape the pooled blocks run through one ``F.recompute`` on the
+    concat, so until the backward they keep the concat alone. The last
+    block keeps its tape: a training step peaks in that block's backward,
+    where its activations are alive anyway, and a recompute there would
+    only add its input.
     """
 
     def __init__(self, cfg: HiLoConfig, rng, dtype=np.float32):
@@ -159,15 +167,24 @@ class HiLoGridDecoder(nn.Module):
         self.head = nn.Conv3d(c, 1, 3, rng, dtype, zero_init=True)
 
     def __call__(self, h):
-        last = len(self.blocks) - 1
-        for i, block in enumerate(self.blocks):
-            if i == last:
-                h = F.upsample_nearest3d(h, 2)
-            h = block(h)
+        *pooled, last = self.blocks
+        if pooled and grad_enabled():
+            h = F.recompute(self._pooled, (h,), [p for b in pooled for p in b.parameters()])
+        else:  # inline, not self._pooled(h), so the concat dies in the first block
+            for block in pooled:
+                h = block(h)
+        h = F.upsample_nearest3d(h, 2)
+        h = last(h)
         h = F.selu(self.final_norm(h))
         out = F.sigmoid(self.head(h))
         b, d, hh, w, _ = out.data.shape
         return F.reshape(out, (b, d, hh, w))
+
+    def _pooled(self, h):
+        """The blocks before the upsampling, as one function to recompute."""
+        for block in self.blocks[:-1]:
+            h = block(h)
+        return h
 
 
 class HiLoModel(nn.Module):

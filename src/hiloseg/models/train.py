@@ -341,8 +341,9 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
         qrng = make_rng(seed, _QUEUE_STREAM)
         prng = make_rng(seed, _PYRAMID_STREAM)
         try:
-            while True:
-                entries = loader.next_batch(cfg.batch_size, qrng)
+            for step in range(1, total_steps + 1):
+                # the last step starts no load: its file would never be pushed
+                entries = loader.next_batch(cfg.batch_size, qrng, prefetch=step < total_steps)
                 draws = [_draw_window(e.payload, cfg, sampler, pyramid_sampling, prng)
                          for e in entries]
 

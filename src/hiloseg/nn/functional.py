@@ -715,7 +715,10 @@ def recompute(fn, xs: tuple, params) -> Tensor:
     per recompute node, where a kept tape adds each of ``fn``'s
     contributions in its own order, so its gradient may differ in the last
     bit; ``OnetDecoder`` passes its norms' affines, not the latent they
-    are computed from, for that reason.
+    are computed from, for that reason. The users are the training
+    forwards: each ``HiLoEncoder``, the blocks of ``HiLoGridDecoder``
+    before its upsampling, as one function, and the per-point path of each
+    ``OnetDecoder`` block.
     """
     with no_grad():
         out = fn(*xs).data

@@ -139,12 +139,13 @@ class BatchLoader:
 
     One worker thread loads files in cycle order. The trainer calls
     :meth:`next_batch` once per step; the call waits for the pending load,
-    pushes it, hands the worker the next file and samples the batch, all in
-    the trainer's thread. Every push and eviction therefore falls between
-    two steps, and disk I/O overlaps the gradient computation of the batch.
-    Failed loads are logged and skipped, retrying with the next file in
-    cycle order. A full cycle of files without one successful load makes
-    :meth:`next_batch` raise the last error.
+    pushes it, hands the worker the next file unless the step is the last
+    one, and samples the batch, all in the trainer's thread. Every push and
+    eviction therefore falls between two steps, and disk I/O overlaps the
+    gradient computation of the batch. Failed loads are logged and skipped,
+    retrying with the next file in cycle order. A full cycle of files
+    without one successful load makes :meth:`next_batch` raise the last
+    error.
     """
 
     def __init__(self, queue: TrainingQueue, files: Iterable,
@@ -176,18 +177,20 @@ class BatchLoader:
                     raise
                 log.warning("loader failed on %r: %s; retrying with next file", path, exc)
 
-    def next_batch(self, batch_size: int, rng) -> list[QueueEntry]:
+    def next_batch(self, batch_size: int, rng, prefetch: bool = True) -> list[QueueEntry]:
         """Push this batch's file, then sample the batch.
 
-        Raises the last load error after a full cycle of failed loads, and
-        ``RuntimeError`` when the loader is not running.
+        With ``prefetch`` false no next file is loaded, so a caller that
+        knows its last batch reads no file it never pushes; the loader then
+        has no further batch. Raises the last load error after a full cycle
+        of failed loads, and ``RuntimeError`` when the loader is not running.
         """
         if self._pending is None:
             raise RuntimeError("loader is not running")
         idx, payload = self._pending.result()
         self.queue.push(QueueEntry(instance_id=(self._seq, idx), payload=payload))
         self._seq += 1
-        self._pending = self._pool.submit(self._load)
+        self._pending = self._pool.submit(self._load) if prefetch else None
         return self.queue.sample_batch(batch_size, rng)
 
     def stop(self) -> None:

@@ -98,26 +98,61 @@ def test_each_pyramid_level_costs_one_encoding(levels):
     assert peak == 3 * 16**3 * 6 * 4 + 69_984 + (levels - 1) * 8**3 * 6 * 4
 
 
-@pytest.mark.parametrize("levels", [1, 2, 3, 4])
-def test_each_pyramid_level_costs_three_encodings_in_training(levels):
-    """A training step rebuilds each level encoder's tape in its backward
-    (``F.recompute``), so between its forward and its backward a level keeps
-    only its input, a view of the host batch that the meter does not count.
-    The step peaks in the second micro-batch's backward, at the decoder's
-    full-resolution last block: 113,476 B at every L, next to every
-    parameter and its gradient. The decoder's first block still holds its
-    standardized input and its activation, L·2 channels each, and from
-    L = 2 on also the concat, which its 1×1 projection keeps for the kernel
-    gradient: 3 encodings per level and micro-batch item. Before recompute,
-    each level's whole encoder tape lived until the backward."""
-    cfg = dataclasses.replace(TRAIN, levels=levels)
+def _train_peak_above_params(cfg: HiLoConfig) -> int:
+    """Meter peak of one training step in two micro-batches, less every
+    parameter and its gradient."""
     scan = generate_synthetic_one(SynthConfig(dims=(32,) * 3, seed=1), 0)
     params = sum(p.data.nbytes for p in HiLoModel(cfg).parameters())
     peak = meter_peak(lambda: train_hilo(
         [scan], cfg, TrainingQueue(capacity=1), epochs=1, max_steps=1, micro_batch=2,
         sampler=SamplerConfig(redraw_prob=1.0), pyramid_sampling="volume", seed=0))
-    encodings = 3 * levels if levels > 1 else 2
-    assert peak == 2 * params + 113_476 + encodings * 2 * 4**3 * 2 * 4
+    return peak - 2 * params
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_each_pyramid_level_costs_one_encoding_in_training(levels):
+    """A training step rebuilds each level encoder's tape, and the grid
+    decoder's pooled blocks' tape, in the backward (``F.recompute``). So
+    until then a level keeps only its input, a view of the host batch that
+    the meter does not count, and its encoding, in the concat that the
+    pooled blocks' recompute node keeps: one 4³ × 2 float32 encoding
+    (512 B) per level and micro-batch item. The step peaks in the second
+    micro-batch's backward, at the decoder's full-resolution last block:
+    111,428 B at every L, next to every parameter and its gradient. A
+    first decoder block that kept its tape would add its standardized
+    input and its activation, L·2 channels each: 3 encodings per level."""
+    cfg = dataclasses.replace(TRAIN, levels=levels)
+    assert _train_peak_above_params(cfg) == 111_428 + levels * 2 * 4**3 * 2 * 4
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 4, 6])
+def test_pooled_decoder_depth_costs_only_parameters(blocks):
+    """The grid decoder's blocks before the upsampling run through one
+    recompute, so a deeper pooled segment adds its parameters and their
+    gradients to a training step's peak and no activation. A pooled block
+    that kept its tape would add 4 activations of 4³ × 2 float32 per
+    micro-batch item, 4,096 B over the two items."""
+    cfg = dataclasses.replace(TRAIN, cnn_decoder_blocks=blocks)
+    assert _train_peak_above_params(cfg) == 112_452
+
+
+def test_benchmark_training_peak_is_pinned():
+    """Two steps of the benchmark's pyramid trainer (default ``HiLoConfig``:
+    windows of 16, 2 levels, batch 16, 7 decoder blocks; micro-batch 2,
+    hardness queue of 2) peak at the same bytes at two scan sizes: one
+    full-resolution decoder block's backward next to every parameter, its
+    gradient and Adam's two moments, plus one 8³ × 6 float32 encoding per
+    level and micro-batch item. A pooled decoder block or a level encoder
+    that kept its tape until the backward would raise it."""
+    got = []
+    for side in (32, 48):
+        scans = [generate_synthetic_one(SynthConfig(dims=(side,) * 3, seed=1), i)
+                 for i in range(2)]
+        got.append(meter_peak(lambda: train_hilo(
+            scans, HiLoConfig(), TrainingQueue(capacity=2, policy="hardness"), epochs=2,
+            max_steps=2, micro_batch=2, sampler=SamplerConfig(redraw_prob=1.0),
+            pyramid_sampling="volume", seed=1)))
+    assert got == [2_618_036, 2_618_036]
 
 
 # the occupancy trainer's decoder at a small width: 101 queries and the 27

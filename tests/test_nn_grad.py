@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hiloseg import nn
-from hiloseg.models.hilo import HiLoConfig, HiLoEncoder
+from hiloseg.models.hilo import HiLoConfig, HiLoEncoder, HiLoGridDecoder
 from hiloseg.models.onet import OnetDecoder
 from hiloseg.nn import functional as F
 from hiloseg.nn.layers import (
@@ -238,6 +238,25 @@ class TestBlockGradients:
             return F.mean_all(F.sigmoid(F.recompute(enc, (x,), enc.parameters())))
 
         finite_difference_check(loss, [x] + enc.parameters(), rng=rng, n_probes=80)
+
+    def test_recomputed_hilo_grid_decoder(self, rng):
+        """Under a tape the decoder's pooled blocks run through one
+        ``F.recompute``: the concat and every parameter get their gradients."""
+        cfg = HiLoConfig(window_size=4, levels=2, cnn_decoder_blocks=3, base_channels=2)
+        dec = HiLoGridDecoder(cfg, rng=np.random.default_rng(7), dtype=np.float64)
+        for p in dec.parameters():  # off the zero-initialized head
+            p.data[...] = rng.normal(scale=0.5, size=p.shape)
+        h = t64(rng, 2, 2, 2, 2, 4)
+        calls = []
+
+        def loss():
+            return F.mean_all(dec(h))
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(F, "recompute", lambda *a, _op=F.recompute: calls.append(a) or _op(*a))
+            finite_difference_check(loss, [h] + dec.parameters(), rng=rng, n_probes=80)
+        pooled = [p for block in dec.blocks[:-1] for p in block.parameters()]
+        assert calls and all(params == pooled for _, _, params in calls)
 
     def test_recomputed_conditional_onet_decoder(self, rng):
         """Under a tape each decoder block runs through ``F.recompute`` with

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hiloseg import nn
+from hiloseg.models.hilo import HiLoConfig, HiLoGridDecoder
 from hiloseg.models.onet import OnetDecoder
 from hiloseg.nn import functional as F
 from hiloseg.nn.layers import Conv3d, Dense, Norm, ResidualBlockConv3d, ResidualBlockFC
@@ -339,6 +340,53 @@ class TestRecompute:
                 for name in names}
         assert len(made["batch_standardize"]) == 1 + 2 * len(dec.blocks)
         assert live == {"batch_standardize": 1, "leaky_relu": 1}
+        F.sum_all(y).backward()
+        assert all(r() is None for name in names for r in made[name])
+
+    @staticmethod
+    def grid_decoder_case():
+        """A three-block grid decoder with random weights (its head starts at zero) on a
+        leaf concat of two levels' (2, 2, 2, 2, 2) encodings; its blocks'
+        activation is looked up now, so a patched ``F.selu`` is the one
+        they call."""
+        rng = np.random.default_rng(3)
+        cfg = HiLoConfig(window_size=4, levels=2, cnn_decoder_blocks=3, base_channels=2)
+        dec = HiLoGridDecoder(cfg, rng=4)
+        for block in dec.blocks:
+            block.activation = F.selu
+        for p in dec.parameters():
+            p.data[...] = rng.normal(scale=0.5, size=p.shape)
+        h = nn.Tensor(rng.normal(size=(2, 2, 2, 2, 4)).astype(np.float32), requires_grad=True)
+        return dec, h
+
+    def test_grid_decoder_gradients_bit_equal_to_a_kept_tape(self, monkeypatch):
+        """The pooled blocks rebuilt in one recompute give the concat and
+        every parameter the kept tape's gradients."""
+        def gradients():
+            dec, h = self.grid_decoder_case()
+            F.sum_all(F.mul(dec(h), 0.5)).backward()
+            return [t.grad for t in [h] + dec.parameters()]
+
+        rebuilt = gradients()
+        with monkeypatch.context() as m:
+            m.setattr(F, "recompute", lambda fn, xs, params: fn(*xs))
+            kept = gradients()
+        assert len(kept) == len(rebuilt)
+        for a, b in zip(kept, rebuilt):
+            assert a.tobytes() == b.tobytes()
+
+    def test_taped_grid_decoder_forward_keeps_no_pooled_block_activation(self, monkeypatch):
+        """Until the backward, the pooled blocks keep their input (in the
+        recompute node) and none of their standardized outputs or
+        activations; only the full-resolution last block and final norm
+        keep theirs."""
+        names = ("batch_standardize", "selu")
+        made = record_outputs(monkeypatch, names)
+        dec, h = self.grid_decoder_case()
+        y = dec(h)
+        n = 2 * (len(dec.blocks) - 1)  # two norms and two activations per pooled block
+        for name in names:
+            assert alive(made[name]) == [False] * n + [True] * 3
         F.sum_all(y).backward()
         assert all(r() is None for name in names for r in made[name])
 

@@ -232,6 +232,19 @@ class TestBatchLoader:
         finally:
             loader.stop()
 
+    def test_last_batch_without_prefetch_loads_no_further_file(self):
+        calls = []
+        loader = BatchLoader(TrainingQueue(capacity=4), files=["a", "b"],
+                             load_fn=lambda p: calls.append(p) or p).start()
+        try:
+            loader.next_batch(1, 0)
+            loader.next_batch(1, 1, prefetch=False)
+            with pytest.raises(RuntimeError, match="not running"):
+                loader.next_batch(1, 2)
+        finally:
+            loader.stop()
+        assert calls == ["a", "b"]
+
     def test_payloads_come_from_load_fn(self):
         q = TrainingQueue(capacity=4, policy="fifo")
         loader = BatchLoader(q, files=["x"], load_fn=lambda p: {"path": p}).start()

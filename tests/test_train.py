@@ -480,6 +480,18 @@ class TestTrainHilo:
         assert slow == fast
         assert len(fast) == 6 and fast[:2] == [None, None] and None not in fast[2:]
 
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_each_step_loads_one_file_and_no_more(self, steps, monkeypatch):
+        """The last step starts no load, so a run reads only the files it pushes."""
+        loads = []
+        crop = train_mod._crop_to_positive_bb
+        monkeypatch.setattr(train_mod, "_crop_to_positive_bb",
+                            lambda item: loads.append(item) or crop(item))
+        queue = TrainingQueue(capacity=8)
+        train_hilo(hilo_dataset(4), HILO_CFG, queue, epochs=5, sampler=SAMPLER, seed=0,
+                   max_steps=steps)
+        assert len(loads) == steps == len(queue)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             train_hilo([], HILO_CFG, TrainingQueue(capacity=8), epochs=1)

@@ -17,7 +17,8 @@ from a tree's root:
 The matrix covers the occupancy trainer with both conditionings, high- and
 low-resolution labels, float32 and float64 and micro-batches 1, 2 and 4,
 and the pyramid trainer with both decoders, both pyramid draws and both
-queue policies, every run with a validation set; one run of each trainer
+queue policies, plus a grid decoder of three blocks, every run with a
+validation set; one run of each trainer
 reads its instances from manifest records instead of in-memory pairs.
 Inference covers ``segment_volume`` on two worker threads and
 ``sampled_iou`` of its labels, for both decoders at two and three pyramid
@@ -125,6 +126,13 @@ def _hilo_runs(records):
                     train_hilo, train, cfg, queue, epochs=20, sampler=SAMPLER, val_dataset=val,
                     lr=0.01, validate_every=3, seed=5, pyramid_sampling=sampling, max_steps=9,
                 ), recording_evictions(queue)
+    # three grid-decoder blocks, so more than one runs before the upsampling
+    queue = TrainingQueue(capacity=8, policy="hardness")
+    yield "hilo-cnn3-volume-hardness", partial(
+        train_hilo, train, dataclasses.replace(HILO, cnn_decoder_blocks=3), queue, epochs=20,
+        sampler=SAMPLER, val_dataset=val, lr=0.01, validate_every=3, seed=5,
+        pyramid_sampling="volume", max_steps=9,
+    ), recording_evictions(queue)
     queue = TrainingQueue(capacity=8, policy="hardness")
     yield "hilo-records", partial(
         train_hilo, records[:4], HILO, queue, epochs=20,
