@@ -21,16 +21,20 @@ micro-batch gives the same outputs and gradients as the full batch, and a
 point's occupancy never depends on the other points queried with it.
 
 Training holds one decoder block's activations at a time. Under a tape
-each ``ResidualBlockFC`` runs its per-point path through ``F.recompute``,
-as the window-pyramid models run their level encoders: until the backward
-a block keeps only its input, in the recompute node, and the backward
-rebuilds one block's tape at a time. The conditioning stacks of a
+the encoder runs through one ``F.recompute`` on the volume batch, and
+each ``ResidualBlockFC`` runs its per-point path through another, as the
+window-pyramid models run their level encoders: until the backward the
+encoder keeps only its input, a block only its input, each in its
+recompute node, and the backward rebuilds one block's tape at a time,
+then the encoder's, once the latent's gradient is complete. So a step
+that peaks in the decoder holds no encoder activation, whatever the
+scan's size. The conditioning stacks of a
 ``"cbn"`` block stay on the outer tape and enter the recompute as their
 (B, 1, C) affines, never as the latent: the latent then collects its
 gradient from each stack in the kept tape's order, where a recompute node
 would hand it one partial sum per block, and the encoder's gradients
-would move by an ulp. Without a tape (MISE, validation, ``onet_decode``)
-the blocks run directly.
+would move by an ulp. Without a tape (MISE, validation, ``onet_encode``,
+``onet_decode``) the encoder and the blocks run directly.
 """
 
 from __future__ import annotations
@@ -197,7 +201,9 @@ class OnetModel(nn.Module):
                                    cfg.conditioning, F.leaky_relu, rng, dtype)
 
     def __call__(self, vols, coords01) -> nn.Tensor:
-        return self.decoder(coords01, self.encoder(vols))
+        enc = self.encoder
+        latent = F.recompute(enc, (vols,), enc.parameters()) if grad_enabled() else enc(vols)
+        return self.decoder(coords01, latent)
 
 
 def onet_encode(vol: VoxelVolume, cfg: OnetConfig, model: OnetModel) -> np.ndarray:

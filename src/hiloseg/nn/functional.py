@@ -19,6 +19,9 @@ tensor, so the tape keeps:
   through the per-instance sum that ``add``'s closure gives its second
   operand, so the op has the values and gradients of ``add`` on the
   product bit for bit, without the product's second array;
+- ``matmul``'s ``residual``, added after the bias: nothing. It plays
+  ``add``'s first operand: its node comes first among the op's parents,
+  and it gets ``g`` itself, last, once the closure has read it;
 - recompute: its inputs only, from which its backward rebuilds the tape of
   its function.
 
@@ -26,7 +29,10 @@ A closure that allocates a gradient for one parent passes it with
 ``fresh=True``, and it becomes that parent's first gradient without a copy
 (``Tensor.accumulate_grad``). A closure owns the gradient it is handed
 (``Tensor.backward``), so ``add`` hands ``g`` itself to its first parent
-the same way and copies it only for the second. conv3d lowers to GEMMs on
+the same way and copies it only for the second, and the elementwise
+backwards (``leaky_relu``, ``selu``, ``batch_standardize`` and ``mul``'s
+first operand) write their input gradient over ``g`` and hand it on, with
+no array of their own. conv3d lowers to GEMMs on
 slab columns, a partial im2col over the two fast spatial axes (Chellapilla
 et al. 2006; Anderson et al. 2017). It takes the unpadded input; for a
 chunk of output planes [d0, d1) of one item it zero-pads only that item's
@@ -167,13 +173,13 @@ def mul(a: Tensor, b, c=None) -> Tensor:
     ad = a.data if nb is not None else None
     bd = b.data if na is not None else None
 
-    def bw(g):
+    def bw(g):  # g is read for c and b, then overwritten for a
         if nc is not None:
             _accumulate_unbroadcast(nc, g)
-        if na is not None:
-            _accumulate_unbroadcast(na, g * bd, fresh=True)
         if nb is not None:
             _accumulate_unbroadcast(nb, g * ad, fresh=True)
+        if na is not None:
+            _accumulate_unbroadcast(na, np.multiply(g, bd, out=g), fresh=True)
 
     return make_node(out, (na, nb, nc), bw)
 
@@ -188,11 +194,14 @@ def scale(a: Tensor, s: float) -> Tensor:
     return make_node(out, (na,), bw)
 
 
-def matmul(a: Tensor, b: Tensor, bias=None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias=None, residual=None) -> Tensor:
     """a @ b with a of shape (B, ..., K) and b a (K, M) matrix, or a kernel
     whose leading axes are all 1 (a 1x1x1 convolution's (1, 1, 1, K, M)),
     plus ``bias`` added into the product's buffer when given: the values and
-    gradients of ``add(matmul(a, b), bias)`` without its second array."""
+    gradients of ``add(matmul(a, b), bias)`` without its second array.
+    ``residual`` is added after the bias in the same buffer: the values and
+    gradients of ``add(residual, matmul(a, b, bias))``, whose first operand
+    gets ``g`` itself, last."""
     mat = b.data.reshape(b.data.shape[-2:])
 
     def product(x, y):
@@ -205,6 +214,7 @@ def matmul(a: Tensor, b: Tensor, bias=None) -> Tensor:
 
     out = product(a.data, mat)
     nc = _add_into(out, bias)
+    nr = _add_into(out, residual)
     na, nb = a.node, b.node
     ad = a.data if nb is not None else None
     k, m = mat.shape
@@ -219,8 +229,11 @@ def matmul(a: Tensor, b: Tensor, bias=None) -> Tensor:
                 part = ai.reshape(-1, k).T @ gi.reshape(-1, m)
                 nb.accumulate_grad(part if part.shape == nb.shape else part.reshape(nb.shape),
                                    fresh=True)
+        if nr is not None:
+            _accumulate_unbroadcast(nr, g, fresh=True)
 
-    return make_node(out, (na, nb, nc), bw)
+    # the residual first, as add's first operand: the reverse sweep's order
+    return make_node(out, (nr, na, nb, nc), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -278,13 +291,15 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     # bit, signed zeros, infinities and NaN included; at slope 0, inf * 0 is NaN.
     if not 0 < slope <= 1:
         raise ValueError(f"leaky_relu slope must be in (0, 1], got {slope}")
-    out = np.maximum(x.data, x.data * slope)
+    out = x.data * slope
+    np.maximum(x.data, out, out=out)
     nx = x.node
 
     def bw(g):
         # out > 0 exactly where x > 0; 1 or slope times g has the bits of
         # where(out > 0, g, g * slope), and numpy's float where is slow
-        nx.accumulate_grad(np.maximum(out > 0, np.asarray(slope, out.dtype)) * g, fresh=True)
+        factor = np.maximum(out > 0, np.asarray(slope, out.dtype))
+        nx.accumulate_grad(np.multiply(factor, g, out=g), fresh=True)
 
     return make_node(out, (nx,), bw)
 
@@ -308,8 +323,7 @@ def selu(x: Tensor) -> Tensor:
         # stays the first factor, whose NaN a NaN product keeps
         d = out + SELU_LAMBDA * SELU_ALPHA
         np.copyto(d, SELU_LAMBDA, where=out > 0)
-        np.multiply(g, d, out=d)
-        nx.accumulate_grad(d, fresh=True)
+        nx.accumulate_grad(np.multiply(g, d, out=g), fresh=True)
 
     return make_node(out, (nx,), bw)
 
@@ -606,16 +620,16 @@ def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...], ref: int | N
         if ref is None:
             gm = _mean(g, axes)
             gx = _mean(g * xhat, axes)
-            grad = g - gm
-            grad -= xhat * gx
-            np.multiply(inv, grad, out=grad)  # inv stays the first factor, as in inv * grad
-            nx.accumulate_grad(grad, fresh=True)
+            np.subtract(g, gm, out=g)
+            g -= xhat * gx
+            np.multiply(inv, g, out=g)  # inv stays the first factor, as in inv * g
+            nx.accumulate_grad(g, fresh=True)
             return
         # each entry's own term; the statistics' term lands on the reference set
         gx = (g * xhat).sum(axis=axes, keepdims=True) / count
-        grad = inv * g
-        grad[:, -ref:] -= inv * xhat[:, -ref:] * gx
-        nx.accumulate_grad(grad, fresh=True)
+        np.multiply(inv, g, out=g)
+        g[:, -ref:] -= inv * xhat[:, -ref:] * gx
+        nx.accumulate_grad(g, fresh=True)
 
     return make_node(xhat, (nx,), bw)
 
@@ -717,8 +731,8 @@ def recompute(fn, xs: tuple, params) -> Tensor:
     bit; ``OnetDecoder`` passes its norms' affines, not the latent they
     are computed from, for that reason. The users are the training
     forwards: each ``HiLoEncoder``, the blocks of ``HiLoGridDecoder``
-    before its upsampling, as one function, and the per-point path of each
-    ``OnetDecoder`` block.
+    before its upsampling, as one function, the ``OnetEncoder``, and the
+    per-point path of each ``OnetDecoder`` block.
     """
     with no_grad():
         out = fn(*xs).data

@@ -85,8 +85,8 @@ class Dense(Module):
         self.w = parameter(w)
         self.b = parameter(np.full(cout, bias_init, dtype=dtype)) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return F.matmul(x, self.w, self.b)
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        return F.matmul(x, self.w, self.b, residual)
 
 
 class Conv3d(Module):
@@ -183,7 +183,8 @@ class Norm(Module):
 
 
 class ResidualBlockFC(Module):
-    """Pre-activation fully connected residual block: (norm, act, dense) x 2 + skip.
+    """Pre-activation fully connected residual block: (norm, act, dense) x 2 + skip,
+    the skip added into dense2's own buffer (``F.matmul``'s ``residual``).
 
     The norms are point norms on the last ``ref`` reference points,
     conditional when ``cond_dim`` is given. A call is ``condition``, which
@@ -228,9 +229,7 @@ class ResidualBlockFC(Module):
         n1, n2 = self.norm1, self.norm2
         g1, b1, g2, b2 = affine or (n1.gamma, n1.beta, n2.gamma, n2.beta)
         h = self.activation(n2.scaled(self.dense1(self.activation(n1.scaled(x, g1, b1))), g2, b2))
-        h = self.dense2(h)
-        skip = self.proj(x) if self.proj is not None else x
-        return F.add(skip, h)
+        return self.dense2(h, self.proj(x) if self.proj is not None else x)
 
     def __call__(self, x: Tensor, cond: Tensor | None = None) -> Tensor:
         return self.points(x, *self.condition(cond))

@@ -83,6 +83,8 @@ OPS_EXTRA = {
     "mul_c": lambda r, t: F.mul(leaf(r, (2, 3, 4), t), leaf(r, (4,), t), leaf(r, (2, 1, 4), t)),
     "matmul_bias": lambda r, t: F.matmul(leaf(r, (2, 5), t), leaf(r, (5, 3), t),
                                          leaf(r, (3,), t)),
+    "matmul_residual": lambda r, t: F.matmul(leaf(r, (2, 5), t), leaf(r, (5, 3), t),
+                                             leaf(r, (3,), t), leaf(r, (2, 3), t)),
     "conv3d_bias": lambda r, t: F.conv3d(leaf(r, (2, 4, 5, 3, 2), t),
                                          leaf(r, (3, 3, 3, 2, 3), t), 1, leaf(r, (3,), t)),
     # on 0-d operands numpy returns a scalar, not an array

@@ -170,6 +170,9 @@ def test_each_decoder_block_costs_its_input_in_training(conditioning):
     parameters and its (2, 128, 16) float32 input and, under ``"cbn"``, its
     four (2, 1, 16) affines and the four (2, 16) hidden activations of the
     conditioning stacks that compute them, which stay on the outer tape.
+    Under ``"cbn"`` with one block that rebuild peaks 7,976 B below the
+    encoder's rebuilt backward, at the slab columns of a convolution's
+    input-gradient pass, so the second block adds 18,200 B, not 26,176 B.
     Before recompute, each block added four (2, 128, 16) arrays: 75,072 B
     under ``"cbn"`` and 67,904 B under ``"concat"``."""
     scans = [generate_synthetic_one(SynthConfig(dims=(32,) * 3, seed=1), i) for i in (0, 1)]
@@ -182,5 +185,47 @@ def test_each_decoder_block_costs_its_input_in_training(conditioning):
     params = sum(p.data.nbytes for p in block.parameters())
     per_block = params + 2 * 128 * 16 * 4 + (8 * 2 * 16 * 4 if conditioning == "cbn" else 0)
     assert per_block == {"cbn": 26_176, "concat": 18_752}[conditioning]
-    first = {"cbn": 190_428, "concat": 188_060}[conditioning]
-    assert got == [first + k * per_block for k in range(4)]
+    first = {"cbn": 138_204, "concat": 135_836}[conditioning]
+    encoder_above = {"cbn": 7_976, "concat": 0}[conditioning]
+    assert got == [first + encoder_above] + [first + k * per_block for k in range(1, 4)]
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 6])
+def test_occupancy_encoder_depth_costs_only_parameters(blocks):
+    """The occupancy encoder runs through one ``F.recompute`` on the volume
+    batch, so until the backward it keeps that batch, a view of the host
+    batch that the meter does not count, and none of its activations. A
+    step of two micro-batches that peaks in the decoder, in the second
+    micro-batch's rebuild of the last block, then holds the same bytes
+    next to every parameter and its gradient at any encoder depth. A kept
+    encoder tape would add each block's activations: 2,304 to 7,552 B above
+    one block at these depths."""
+    cfg = dataclasses.replace(ONET_TRAIN, encoder_blocks=blocks, decoder_blocks=2)
+    scans = [generate_synthetic_one(SynthConfig(dims=(32,) * 3, seed=1), i) for i in range(4)]
+    params = sum(p.data.nbytes for p in OnetModel(cfg).parameters())
+    peak = meter_peak(lambda: train_superres_onet(
+        scans, cfg, SamplerConfig(n_train_coords=101), epochs=1, batch=4, micro_batch=2))
+    assert peak - 2 * params == 136_772
+
+
+def test_benchmark_occupancy_training_peak_is_pinned():
+    """Two steps of the benchmark's occupancy trainer (default
+    ``OnetConfig``: batch 8, micro-batch 2, 2^12 points) peak at the same
+    bytes at two scan sizes. The peak sits in the second step's rebuilt
+    forward of the last decoder block, at a leaky ReLU's output: eleven
+    (2, 4123, 64) float32 arrays are alive, next to every parameter, its
+    gradient and Adam's two moments. The encoder's tape, kept until the backward, put
+    its activations at the pooled grid on top, so the peak grew with the
+    scan: 37,644,572 B at 32³ and 40,970,652 B at the benchmark's default
+    dims. A decoder block's residual sum in its own array, or an
+    elementwise backward that allocates its input gradient, would raise it.
+    The benchmark's ``onet-sr`` ``peak_bytes`` reads this figure plus the
+    512 B latent that each earlier operation of its timed pass keeps until
+    the checks: 35,487,644 B after 21 operations at seed 1."""
+    got = []
+    for dims in ((32, 32, 32), (64, 48, 64)):
+        scans = [generate_synthetic_one(SynthConfig(dims=dims, seed=1), i) for i in range(8)]
+        got.append(meter_peak(lambda: train_superres_onet(
+            scans, OnetConfig(), SamplerConfig(n_train_coords=2**12), epochs=2, batch=8,
+            micro_batch=2, seed=1)))
+    assert got == [35_476_892, 35_476_892]

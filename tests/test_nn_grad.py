@@ -10,7 +10,7 @@ import pytest
 
 from hiloseg import nn
 from hiloseg.models.hilo import HiLoConfig, HiLoEncoder, HiLoGridDecoder
-from hiloseg.models.onet import OnetDecoder
+from hiloseg.models.onet import OnetConfig, OnetDecoder, OnetModel
 from hiloseg.nn import functional as F
 from hiloseg.nn.layers import (
     Conv3d,
@@ -103,6 +103,7 @@ class TestPrimitiveGradients:
         ("matmul", (2, 5, 4), (4, 3)),
         ("conv3d", (2, 3, 4, 3, 2), (3, 3, 3, 2, 3)),
         ("conv3d_pointwise", (2, 3, 2, 3, 4), (1, 1, 1, 4, 3)),
+        ("matmul_residual", (2, 5, 4), (4, 3)),
     ])
     def test_added_operand(self, rng, op, a_shape, b_shape):
         """The operand an op adds into its product's buffer, per element
@@ -113,6 +114,7 @@ class TestPrimitiveGradients:
         fused = {
             "mul": lambda: F.mul(a, b, c),
             "matmul": lambda: F.matmul(a, b, c),
+            "matmul_residual": lambda: F.matmul(a, b, None, c),
             "conv3d": lambda: F.conv3d(a, b, 1, c),
             "conv3d_pointwise": lambda: F.conv3d(a, b, 0, c),
         }[op]
@@ -278,6 +280,29 @@ class TestBlockGradients:
             finite_difference_check(loss, [coords, latent] + dec.parameters(), rng=rng,
                                     n_probes=80)
         assert calls and all(len(xs) == 5 for _, xs, _ in calls)
+
+    def test_recomputed_onet_encoder(self, rng):
+        """Under a tape the occupancy model's encoder runs through one
+        ``F.recompute`` on the volume batch, with its parameters as the
+        recompute's: the volumes and every parameter get their gradients."""
+        cfg = OnetConfig(encoder_blocks=2, decoder_blocks=1, base_channels=2, latent_dim=4,
+                         decoder_hidden=4)
+        model = OnetModel(cfg, seed=2, dtype=np.float64)
+        for p in model.parameters():  # off the zero-initialized head and affine layers
+            p.data[...] = rng.normal(scale=0.5, size=p.shape)
+        vols = nn.Tensor(rng.random((2, 6, 5, 7, 1)), requires_grad=True)
+        coords = nn.Tensor(rng.random((2, 5, 3)))
+        calls = []
+
+        def loss():
+            return F.mean_all(model(vols, coords))
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(F, "recompute", lambda *a, _op=F.recompute: calls.append(a) or _op(*a))
+            finite_difference_check(loss, [vols] + model.parameters(), rng=rng, n_probes=80)
+        encoder_calls = [c for c in calls if c[0] is model.encoder]
+        assert encoder_calls and all(xs == (vols,) and params == model.encoder.parameters()
+                                     for _, xs, params in encoder_calls)
 
     def test_dense_layer(self, rng):
         dense = Dense(5, 7, rng=6, dtype=np.float64)

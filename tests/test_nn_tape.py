@@ -12,7 +12,7 @@ import pytest
 
 from hiloseg import nn
 from hiloseg.models.hilo import HiLoConfig, HiLoGridDecoder
-from hiloseg.models.onet import OnetDecoder
+from hiloseg.models.onet import OnetConfig, OnetDecoder, OnetModel
 from hiloseg.nn import functional as F
 from hiloseg.nn.layers import Conv3d, Dense, Norm, ResidualBlockConv3d, ResidualBlockFC
 from hiloseg.nn.tensor import Tensor
@@ -56,13 +56,14 @@ class TestRetention:
     """An op result dies with its handle unless a backward reads it."""
 
     @pytest.mark.parametrize(
-        "case, activation, dropped",
-        [(conv_block_case, "selu", ("mul", "add", "conv3d", "matmul")),
-         (fc_block_case, "leaky_relu", ("mul", "add", "matmul"))],
+        "case, activation, result, dropped",
+        [(conv_block_case, "selu", "add", ("mul", "conv3d", "matmul")),
+         (fc_block_case, "leaky_relu", "matmul", ("mul",))],
         ids=["conv", "fc"],
     )
-    def test_only_what_backward_reads_stays_alive(self, monkeypatch, case, activation, dropped):
-        names = dropped + ("batch_standardize", activation)
+    def test_only_what_backward_reads_stays_alive(self, monkeypatch, case, activation, result,
+                                                  dropped):
+        names = tuple(dict.fromkeys((result, "add") + dropped + ("batch_standardize", activation)))
 
         def gradients(keep):
             with monkeypatch.context() as m:
@@ -78,12 +79,14 @@ class TestRetention:
             return state, after, grads
 
         state, after, grads = gradients(keep=None)
-        # the block's result is the last add; every other add, mul, conv3d
-        # and matmul output is dead once the forward returns
-        assert state["add"][-1] and not any(state["add"][:-1])
+        # the block's result is the last add, or the FC block's dense2, which
+        # adds the skip into its own buffer; every other add, mul, conv3d and
+        # matmul output is dead once the forward returns
+        assert state[result][-1] and not any(state[result][:-1])
         for name in dropped:
-            if name != "add":
-                assert state[name] and not any(state[name]), name
+            assert state[name] and not any(state[name]), name
+        if result != "add":
+            assert state["add"] == []
         # backward reads the standardized outputs and the activations
         assert state["batch_standardize"] and all(state["batch_standardize"])
         assert state[activation] and all(state[activation])
@@ -184,6 +187,34 @@ class TestGradientHandOver:
         g = np.ones(3, np.float32)
         a.accumulate_grad(g)
         assert a.grad is not g
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "copied"])
+    @pytest.mark.parametrize("op", [
+        F.leaky_relu,
+        F.selu,
+        lambda x: F.batch_standardize(x, 1e-3, (1, 2)),
+        lambda x: F.batch_standardize(x, 1e-5, (1,), 2),
+        lambda x: F.mul(x, nn.parameter(np.full(3, 1.5, np.float32)),
+                        nn.parameter(np.ones((2, 5, 3), np.float32))),
+        lambda x: F.matmul(nn.parameter(np.ones((2, 5, 4), np.float32)),
+                           nn.parameter(np.ones((4, 3), np.float32)),
+                           nn.parameter(np.zeros(3, np.float32)), x),
+    ], ids=["leaky_relu", "selu", "batch_standardize", "batch_standardize_ref", "mul",
+            "matmul_residual"])
+    def test_backward_writes_its_input_gradient_into_its_own(self, rng, monkeypatch, op, fresh):
+        """These closures hand their input (mul: its first operand; matmul:
+        its residual) the gradient they were given, written over in place.
+        A seed handed over is that buffer; any other seed is copied first and
+        never written."""
+        self.watch_buffers(monkeypatch)
+        x = nn.Tensor(rng.normal(size=(2, 5, 3)).astype(np.float32), requires_grad=True)
+        y = op(x)
+        s = rng.normal(size=y.shape).astype(np.float32)
+        want = s.copy()
+        y.backward(seed=s, fresh=fresh)
+        assert np.shares_memory(x.grad, s) == fresh
+        if not fresh:
+            assert s.tobytes() == want.tobytes()
 
     def test_conv3d_input_gradient_is_adopted(self, rng, monkeypatch):
         self.watch_buffers(monkeypatch)
@@ -322,6 +353,35 @@ class TestRecompute:
         with monkeypatch.context() as m:
             m.setattr(F, "recompute", lambda fn, xs, params: fn(*xs))
             kept = gradients()
+        for a, b in zip(kept, rebuilt):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("conditioning", ["cbn", "concat"])
+    def test_model_gradients_bit_equal_to_a_kept_tape(self, conditioning, monkeypatch):
+        """The occupancy model rebuilds its encoder's tape in one recompute
+        on the volume batch, seeded by the latent's gradient, which the
+        decoder's consumers sum in the kept tape's order: the encoder's and
+        the decoder's parameters get the kept tape's gradients."""
+        cfg = OnetConfig(conditioning=conditioning, encoder_blocks=2, decoder_blocks=2,
+                         base_channels=2, latent_dim=6, decoder_hidden=8)
+
+        def gradients(recompute):
+            rng = np.random.default_rng(3)
+            model = OnetModel(cfg, seed=4)
+            for p in model.parameters():  # off the zero-initialized head and affine layers
+                p.data[...] = rng.normal(scale=0.5, size=p.shape)
+            vols = nn.Tensor(rng.random((2, 6, 5, 7, 1)).astype(np.float32))
+            coords = nn.Tensor(rng.random((2, 7, 3)).astype(np.float32))
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(F, "recompute", lambda *a: calls.append(a[0]) or recompute(*a))
+                F.sum_all(F.mul(model(vols, coords), 0.5)).backward()
+            return [p.grad for p in model.parameters()], calls[0] is model.encoder
+
+        rebuilt, encoder_first = gradients(F.recompute)
+        kept, _ = gradients(lambda fn, xs, params: fn(*xs))
+        assert encoder_first
+        assert len(kept) == len(rebuilt)
         for a, b in zip(kept, rebuilt):
             assert a.tobytes() == b.tobytes()
 

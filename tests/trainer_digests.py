@@ -16,7 +16,8 @@ from a tree's root:
 
 The matrix covers the occupancy trainer with both conditionings, high- and
 low-resolution labels, float32 and float64 and micro-batches 1, 2 and 4,
-and the pyramid trainer with both decoders, both pyramid draws and both
+plus one run of 512 points whose step peaks in the decoder, and the
+pyramid trainer with both decoders, both pyramid draws and both
 queue policies, plus a grid decoder of three blocks, every run with a
 validation set; one run of each trainer
 reads its instances from manifest records instead of in-memory pairs.
@@ -111,6 +112,12 @@ def _onet_runs(records):
         yield name, partial(train_superres_onet, train, cfg, SAMPLER, epochs=3, batch=4,
                             val_dataset=val, lr=0.01, micro_batch=micro_batch, seed=3,
                             dtype=dtype), None
+    # 16 hidden channels and 512 points: this step peaks in the decoder, the
+    # others in the encoder's rebuilt backward
+    yield "onet-cbn-high-f32-mb2-p512", partial(
+        train_superres_onet, train, dataclasses.replace(ONET, decoder_hidden=16),
+        dataclasses.replace(SAMPLER, n_train_coords=512), epochs=3, batch=4, val_dataset=val,
+        lr=0.01, micro_batch=2, seed=3), None
     yield "onet-records", partial(train_superres_onet, records[:4], ONET, SAMPLER, epochs=2,
                                   batch=2, val_dataset=records[4:], lr=0.01, seed=4), None
 
