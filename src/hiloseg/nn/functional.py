@@ -77,6 +77,25 @@ per-instance reduction contract:
   OpenBLAS rounds some of these products differently when only the
   operands' storage order changes.
 
+Per-channel work on a channels-last tensor runs on long rows, since C is
+small (6 in the default HiLo model) and numpy loops once per innermost run:
+
+- A (C,) operand (``mul``'s gamma and its gradient's, a norm's beta, a
+  conv3d or matmul bias) meets a C-contiguous 5-D tensor as rows of W·C
+  entries against the vector tiled W times. Elementwise, the bits are the
+  broadcast's. (B, N, C) point tensors broadcast as numpy does.
+- A per-channel gradient sum adds the (rows, C) rows in order through
+  einsum, as ``np.add.reduce(axis=0)`` does for C > 1; a (B, N, C) to
+  (B, 1, C) sum adds the points in order the same way. For C = 1 numpy
+  sums pairwise, and the reduction stays.
+- Pooling adds the f³ strided slices of its windows in C order, then +0.0,
+  the bits of the reshaped ``sum``. Its backward and upsampling broadcast
+  each voxel onto f·C entries of a row once, then copy whole rows.
+
+Each keeps the bits of the numpy expression it replaced. The one exception
+is a NaN's payload where two different NaNs meet in one window sum: numpy's
+own loops may keep either.
+
 The byte meter counts every op's output, upsampling's included (reshape's
 is a view, counted with its input), and conv3d's scratch in part: one
 chunk at a time, one item's padded planes in every pass and the slab
@@ -108,15 +127,47 @@ def as_tensor(x, dtype=None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype or np.float32))
 
 
+def _channel_op(op, a: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``op(a, v, out=out)`` for the ufunc ``op``, an array ``a`` and an
+    operand ``v`` that broadcasts to it. A (C,) ``v`` against a C-contiguous
+    channels-last 5-D ``a`` runs on rows of W·C entries against ``v`` tiled
+    W times (module docstring). Without ``out`` the result owns its
+    memory, so the byte meter counts it."""
+    if (a.ndim == 5 and v.shape == a.shape[4:] and a.flags.c_contiguous
+            and (out is None or out.flags.c_contiguous)):
+        if out is None:
+            out = np.empty(a.shape, np.result_type(a, v))
+        row = np.repeat(v[None], a.shape[3], axis=0).reshape(-1)  # v tiled W times
+        op(a.reshape(-1, row.size), row, out=out.reshape(-1, row.size))
+        return out
+    return op(a, v, out=out)
+
+
+def _point_sum(g: np.ndarray) -> np.ndarray:
+    """``g.sum(axis=1, keepdims=True)`` of a (B, N, C) array bit for bit, as
+    an array of its own: einsum adds the points in order, as that reduction
+    does for C > 1 on a C-contiguous ``g``."""
+    b, _, c = g.shape
+    if c == 1 or not g.flags.c_contiguous:
+        return g.sum(axis=1, keepdims=True)
+    out = np.empty((b, 1, c), g.dtype)
+    np.einsum("bnc->bc", g, out=out.reshape(b, c))
+    return out
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if len(shape) == 1 and g.ndim > 1 and g.shape[-1] == shape[0] and g.flags.c_contiguous:
-        # a per-channel gradient: one reduction over the rows, the bits of
-        # the sum over the leading axes without its axis bookkeeping
-        return np.add.reduce(g.reshape(-1, shape[0]), axis=0)
+        # a per-channel gradient: the rows summed in order, the bits of
+        # np.add.reduce over them, which sums pairwise for C = 1 (module
+        # docstring), and of the sum over the leading axes
+        g2d = g.reshape(-1, shape[0])
+        return np.add.reduce(g2d, axis=0) if shape[0] == 1 else np.einsum("ij->j", g2d)
     extra = g.ndim - len(shape)
     if extra:
         g = g.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
+    if axes == (1,) and g.ndim == 3:  # a per-element affine's sum over its points
+        return _point_sum(g)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
@@ -159,7 +210,7 @@ def _add_into(out: np.ndarray, c) -> Tensor | None:
     if c is None:
         return None
     c = as_tensor(c, dtype=out.dtype)
-    np.add(out, c.data, out=out)  # raises on a numpy scalar, which += would rebind
+    _channel_op(np.add, out, c.data, out=out)  # raises on a numpy scalar, which += would rebind
     return c.node
 
 
@@ -167,7 +218,7 @@ def mul(a: Tensor, b, c=None) -> Tensor:
     """a·b, plus ``c`` added into the product's buffer when given: the values
     and gradients of ``add(mul(a, b), c)`` without its second array."""
     b = as_tensor(b, dtype=a.dtype)
-    out = a.data * b.data
+    out = _channel_op(np.multiply, a.data, b.data)
     nc = _add_into(out, c)
     na, nb = a.node, b.node
     ad = a.data if nb is not None else None
@@ -179,7 +230,7 @@ def mul(a: Tensor, b, c=None) -> Tensor:
         if nb is not None:
             _accumulate_unbroadcast(nb, g * ad, fresh=True)
         if na is not None:
-            _accumulate_unbroadcast(na, np.multiply(g, bd, out=g), fresh=True)
+            _accumulate_unbroadcast(na, _channel_op(np.multiply, g, bd, out=g), fresh=True)
 
     return make_node(out, (na, nb, nc), bw)
 
@@ -329,11 +380,11 @@ def selu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = np.empty_like(x.data)
-    pos = x.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1/(1 + e^-x) for x >= 0 and e^x/(1 + e^x) below, with e = e^-|x| <= 1,
+    # so no exp overflows; min(x, -x) is -|x| that keeps x's own NaN
+    e = np.exp(np.minimum(x.data, -x.data))
+    d = 1.0 + e
+    out = np.where(x.data >= 0, 1.0 / d, e / d)
     nx = x.node
 
     def bw(g):
@@ -464,6 +515,39 @@ def conv3d(x: Tensor, w: Tensor, padding: int = 0, bias=None) -> Tensor:
     return make_node(out, (nx, nw, nc), bw)
 
 
+def _window_sums(x: np.ndarray, f: int) -> np.ndarray:
+    """The sums over the non-overlapping f³ windows of the channels-last
+    ``x``, bit for bit those of ``x.reshape(b, d/f, f, h/f, f, w/f, f,
+    c).sum(axis=(2, 4, 6))``, as an array of its own. For C > 1 that
+    reduction adds the f³ strided slices in C order, starting from +0.0;
+    ``((s0 + s1) + ...) + 0.0`` has the same bits and loops over fewer,
+    longer runs. For C = 1 it sums pairwise, and runs here as it is."""
+    b, d, h, w, c = x.shape
+    v = x.reshape(b, d // f, f, h // f, f, w // f, f, c)
+    if c == 1:
+        return v.sum(axis=(2, 4, 6))
+    slices = [v[:, :, i, :, j, :, k] for i in range(f) for j in range(f) for k in range(f)]
+    out = np.add(slices[0], slices[1])
+    for s in slices[2:]:
+        np.add(out, s, out=out)
+    np.add(out, 0.0, out=out)  # -0.0 where every entry is -0.0 becomes +0.0
+    return out
+
+
+def _spread(x: np.ndarray, f: int) -> np.ndarray:
+    """Every voxel of the channels-last ``x`` repeated ``f`` times along each
+    spatial axis, as an array of its own, so the byte meter counts it. Each
+    voxel's C entries are broadcast f times along the fast axis once; rows
+    and planes are then copied whole along the two slower axes."""
+    b, d, h, w, c = x.shape
+    out = np.empty((b, d * f, h * f, w * f, c), x.dtype)
+    v = out.reshape(b * d, f, h, f, w * f * c)
+    v[:, 0, :, 0].reshape(b * d, h, w, f, c)[...] = x.reshape(b * d, h, w, 1, c)
+    v[:, 0, :, 1:] = v[:, 0, :, :1]
+    v[:, 1:] = v[:, :1]
+    return out
+
+
 def avg_pool3d(x: Tensor, factor: int) -> Tensor:
     """Non-overlapping mean pooling over the three spatial axes."""
     if factor < 1:
@@ -474,14 +558,13 @@ def avg_pool3d(x: Tensor, factor: int) -> Tensor:
     if d % factor or h % factor or w % factor:
         raise ValueError(f"spatial dims {(d, h, w)} not divisible by factor {factor}")
     f = factor
-    od, oh, ow = d // f, h // f, w // f
-    out = x.data.reshape(b, od, f, oh, f, ow, f, c).mean(axis=(2, 4, 6))
+    out = _window_sums(x.data, f)
+    # as ndarray.mean divides its sum: by an intp count, in place
+    np.true_divide(out, np.intp(f**3), out=out, casting="unsafe")
     nx = x.node
 
     def bw(g):
-        gx = np.empty((b, d, h, w, c), g.dtype)
-        gx.reshape(b, od, f, oh, f, ow, f, c)[...] = g[:, :, None, :, None, :, None, :] / f**3
-        nx.accumulate_grad(gx, fresh=True)
+        nx.accumulate_grad(_spread(g / f**3, f), fresh=True)
 
     return make_node(out, (nx,), bw)
 
@@ -492,14 +575,12 @@ def upsample_nearest3d(x: Tensor, factor: int) -> Tensor:
         raise ValueError(f"upsampling factor must be >= 1, got {factor}")
     if factor == 1:
         return x
-    b, d, h, w, c = x.data.shape
     f = factor
-    out = np.empty((b, d * f, h * f, w * f, c), x.dtype)  # owns its memory: metered
-    out.reshape(b, d, f, h, f, w, f, c)[...] = x.data[:, :, None, :, None, :, None, :]
+    out = _spread(x.data, f)
     nx = x.node
 
     def bw(g):
-        nx.accumulate_grad(g.reshape(b, d, f, h, f, w, f, c).sum(axis=(2, 4, 6)), fresh=True)
+        nx.accumulate_grad(_window_sums(g, f), fresh=True)
 
     return make_node(out, (nx,), bw)
 
@@ -626,7 +707,8 @@ def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...], ref: int | N
             nx.accumulate_grad(g, fresh=True)
             return
         # each entry's own term; the statistics' term lands on the reference set
-        gx = (g * xhat).sum(axis=axes, keepdims=True) / count
+        gx = (_point_sum(g * xhat) if axes == (1,) and g.ndim == 3
+              else (g * xhat).sum(axis=axes, keepdims=True)) / count
         np.multiply(inv, g, out=g)
         g[:, -ref:] -= inv * xhat[:, -ref:] * gx
         nx.accumulate_grad(g, fresh=True)

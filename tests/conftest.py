@@ -1,5 +1,6 @@
 """Shared fixtures, the finite-difference gradient checker, the byte
-meter's peak probe and a training queue's eviction record."""
+meter's peak probe, a bit-equality assertion and a training queue's
+eviction record."""
 
 import gc
 
@@ -16,6 +17,18 @@ def meter_peak(fn) -> int:
     base = memory_meter.current
     fn()
     return memory_meter.peak - base
+
+
+def assert_same_bits(got, want, what: str = "") -> None:
+    """``got`` has ``want``'s dtype, shape and bytes, NaN payloads and signed
+    zeros included."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.dtype == want.dtype, f"{what}: dtype {got.dtype} != {want.dtype}"
+    assert got.shape == want.shape, f"{what}: shape {got.shape} != {want.shape}"
+    if got.tobytes() != want.tobytes():
+        bits = f"u{got.itemsize}"
+        n = np.count_nonzero(got.view(bits) != want.view(bits))
+        raise AssertionError(f"{what}: {n} of {got.size} entries differ in their bits")
 
 
 def recording_evictions(queue) -> list:

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import meter_peak
+from conftest import assert_same_bits, meter_peak
 
 from hiloseg import nn
 from hiloseg.nn import functional as F
@@ -1165,3 +1165,222 @@ class TestMemoryMeter:
         memory_meter.reset_peak()
         assert memory_meter.peak == memory_meter.current
         assert keep.data is not None
+
+
+def with_specials(rng, x: np.ndarray, n: int = 4) -> np.ndarray:
+    """``x`` with -0.0, +inf, -inf and NaN written over ``n`` random entries
+    each, and a run of -0.0 along its first axis."""
+    x = x.copy()
+    flat = x.reshape(-1)
+    for value in (-0.0, np.inf, -np.inf, np.nan):
+        flat[rng.choice(flat.size, min(n, flat.size), replace=False)] = value
+    x[..., :1] = -0.0
+    return x
+
+
+def wide(rng, shape, dtype) -> np.ndarray:
+    """Normal entries scaled by powers of ten from 1e-6 to 1e6, so that a sum
+    in another order rounds differently."""
+    return (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, size=shape)).astype(dtype)
+
+
+# (input shape, gamma/beta shape, whether the input is a non-contiguous view)
+CHANNEL_CASES = {
+    "grid": ((2, 16, 16, 16, 6), (6,), False),  # a HiLo micro-batch at the window side
+    "concat": ((2, 8, 8, 8, 12), (12,), False),  # the grid decoder's pooled input
+    "one channel": ((1, 4, 4, 4, 1), (1,), False),
+    "one column": ((2, 4, 4, 1, 6), (6,), False),
+    "points": ((2, 4123, 64), (64,), False),  # occupancy points plus 27 reference points
+    "point affine": ((2, 4123, 64), (2, 1, 64), False),  # a conditional norm's (B, 1, C)
+    "view": ((2, 4, 4, 8, 6), (6,), True),
+}
+
+
+class TestChannelRows:
+    """The per-channel operands, gradient sums, pooling and upsampling keep
+    the bits of the numpy expressions they replaced, forward and backward,
+    on the models' shapes and on each fallback."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CHANNEL_CASES))
+    def test_affine_bits(self, rng, case, dtype):
+        """``mul(x, gamma, beta)``: ``x * gamma + beta``, the input gradient
+        ``g * gamma``, and gamma's and beta's gradients as the per-instance
+        reductions over rows, summed in instance order."""
+        shape, pshape, view = CHANNEL_CASES[case]
+        if view:  # every other column: not C-contiguous
+            x = with_specials(rng, wide(rng, shape, dtype))[:, :, :, ::2]
+        else:
+            x = with_specials(rng, wide(rng, shape, dtype))
+        gamma, beta = (with_specials(rng, wide(rng, pshape, dtype), 1) for _ in range(2))
+        g = with_specials(rng, wide(rng, x.shape, dtype))
+        leaves = [nn.Tensor(v, requires_grad=True) for v in (x, gamma.copy(), beta.copy())]
+        with np.errstate(all="ignore"):
+            out = F.mul(*leaves)
+            assert out.data.base is None  # metered
+            assert_same_bits(out.data, np.add(x * gamma, beta), "value")
+            F.sum_all(F.mul(out, g)).backward()  # hands mul exactly g
+            assert_same_bits(leaves[0].grad, g * gamma, "x")
+            for leaf, d in ((leaves[1], g * x), (leaves[2], g)):
+                if len(pshape) == 1:
+                    c = pshape[0]
+                    want = np.add.reduce(d[0].reshape(-1, c), axis=0)
+                    for di in d[1:]:
+                        want = want + np.add.reduce(di.reshape(-1, c), axis=0)
+                else:
+                    want = d.sum(axis=1, keepdims=True)
+                assert_same_bits(leaf.grad, want, "parameter")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cout", [1, 6])
+    def test_conv_bias_bits(self, rng, dtype, cout):
+        """A conv3d bias: added as ``out + b``, its gradient one row sum per
+        instance."""
+        x = wide(rng, (2, 6, 6, 6, 3), dtype)
+        w, b = wide(rng, (3, 3, 3, 3, cout), dtype), with_specials(rng, wide(rng, (cout,), dtype), 0)
+        bt = nn.Tensor(b.copy(), requires_grad=True)
+        out = F.conv3d(nn.Tensor(x), nn.Tensor(w), 1, bt)
+        with no_grad():
+            plain = F.conv3d(nn.Tensor(x), nn.Tensor(w), 1).data
+        assert_same_bits(out.data, plain + b, "value")
+        g = wide(rng, out.shape, dtype)
+        F.sum_all(F.mul(out, g)).backward()
+        want = np.add.reduce(g[0].reshape(-1, cout), axis=0) + np.add.reduce(
+            g[1].reshape(-1, cout), axis=0)
+        assert_same_bits(bt.grad, want, "bias")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(16**3, 6), (8**3, 6), (8**3, 12), (4123, 64), (27, 64),
+                                       (2, 6), (9, 1), (4096, 1)])
+    def test_channel_sum_is_the_row_reduction(self, rng, shape, dtype):
+        """Guard: numpy's einsum adds a C-contiguous (rows, C) array's rows in
+        order, the bits of ``np.add.reduce(axis=0)``, on the shapes the models
+        sum (a per-instance conv bias and norm affine at 16³ and 8³, a dense
+        layer's 4,123 points). A numpy whose einsum loop changes fails here,
+        not as a silent drift of trained bits. C = 1 keeps the reduction."""
+        g = wide(rng, shape, dtype)
+        want = np.add.reduce(g, axis=0)
+        if shape[1] > 1:
+            assert_same_bits(np.einsum("ij->j", g), want, "einsum")
+        assert_same_bits(F._unbroadcast(g, shape[1:]), want, "channel sum")
+        if shape[0] > 8 and shape[1] > 1:  # the data tell the orders apart
+            assert np.add.reduce(g[::-1], axis=0).tobytes() != want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 4123, 64), (2, 27, 64), (2, 30, 1)])
+    @pytest.mark.parametrize("view", [False, True])
+    def test_point_sums(self, rng, shape, dtype, view):
+        """The (B, N, C) -> (B, 1, C) sum of a conditional norm's affine
+        gradient and of the reference-point backward of ``batch_standardize``:
+        the bits of ``sum(axis=1, keepdims=True)``, as an array of its own."""
+        g = with_specials(rng, wide(rng, shape, dtype))
+        if view:
+            g = np.concatenate([g, g], axis=2)[:, :, ::2]
+        with np.errstate(all="ignore"):
+            got = F._unbroadcast(g, (shape[0], 1, shape[2]))
+            assert_same_bits(got, g.sum(axis=1, keepdims=True))
+        assert got.base is None
+        x = wide(rng, shape, dtype)
+        ref = 27 if shape[1] > 27 else 3
+        xt = nn.Tensor(x, requires_grad=True)
+        out = F.batch_standardize(xt, 1e-5, (1,), ref=ref)
+        xhat = out.data.copy()
+        g = wide(rng, shape, dtype)
+        F.sum_all(F.mul(out, g)).backward()
+        src = x[:, -ref:]
+        inv = 1.0 / np.sqrt(F._mean(src * src, (1,)) + 1e-5)
+        gx = (g * xhat).sum(axis=(1,), keepdims=True) / ref
+        want = inv * g
+        want[:, -ref:] -= inv * xhat[:, -ref:] * gx
+        assert_same_bits(xt.grad, want, "reference backward")
+
+    @staticmethod
+    def pool_input(rng, shape, f, dtype):
+        """Wide entries, with windows of -0.0, of +inf, of -inf, of +inf and
+        -inf, and of NaN: one special value per window, so no two NaNs meet
+        in one sum, where numpy's loops may keep either's payload."""
+        x = wide(rng, shape, dtype)
+        b, d, h, w, c = shape
+        windows = x.reshape(b, d // f, f, h // f, f, w // f, f, c).transpose(0, 1, 3, 5, 7, 2, 4, 6)
+        windows = windows.reshape(-1, f**3)  # a copy, one row per window
+        rows = rng.choice(len(windows), min(5, len(windows)), replace=False)
+        for row, fill in zip(rows, ("zeros", np.inf, -np.inf, "both", np.nan)):
+            if fill == "zeros":
+                windows[row] = -0.0
+            elif fill == "both":
+                windows[row, :2] = np.inf, -np.inf
+            else:
+                windows[row, rng.integers(f**3)] = fill
+        windows = windows.reshape(b, d // f, h // f, w // f, c, f, f, f)
+        return np.ascontiguousarray(windows.transpose(0, 1, 5, 2, 6, 3, 7, 4)).reshape(shape)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("f", [2, 3])
+    @pytest.mark.parametrize("c", [1, 6, 12])
+    @pytest.mark.parametrize("grid", [(2, 2, 2), (1, 1, 1), (2, 1, 3)])
+    def test_pooling_bits(self, rng, grid, c, f, dtype):
+        """``avg_pool3d`` forward: the reshaped ``mean``; backward: the
+        gradient divided by f³ and broadcast. ``upsample_nearest3d``
+        forward: the broadcast; backward: the reshaped ``sum``."""
+        od, oh, ow = grid
+        b = 2
+        fine = (b, od * f, oh * f, ow * f, c)
+        spread = (b, od, f, oh, f, ow, f, c)
+        x = self.pool_input(rng, fine, f, dtype)
+        xt = nn.Tensor(x, requires_grad=True)
+        with np.errstate(all="ignore"):
+            out = F.avg_pool3d(xt, f)
+            assert out.data.base is None  # metered
+            assert_same_bits(out.data, x.reshape(spread).mean(axis=(2, 4, 6)), "pool")
+            g = with_specials(rng, wide(rng, out.shape, dtype))
+            F.sum_all(F.mul(out, g)).backward()
+            want = np.empty(fine, dtype)
+            want.reshape(spread)[...] = g[:, :, None, :, None, :, None, :] / f**3
+            assert_same_bits(xt.grad, want, "pool backward")
+
+            y = with_specials(rng, wide(rng, out.shape, dtype))
+            yt = nn.Tensor(y, requires_grad=True)
+            up = F.upsample_nearest3d(yt, f)
+            assert up.data.base is None
+            want = np.empty(fine, dtype)
+            want.reshape(spread)[...] = y[:, :, None, :, None, :, None, :]
+            assert_same_bits(up.data, want, "upsample")
+            g = self.pool_input(rng, fine, f, dtype)
+            F.sum_all(F.mul(up, g)).backward()
+            assert_same_bits(yt.grad, g.reshape(spread).sum(axis=(2, 4, 6)), "upsample backward")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pooling_a_view(self, rng, dtype):
+        """A non-contiguous input pools as its contiguous copy does."""
+        x = wide(rng, (2, 4, 4, 8, 6), dtype)[:, :, :, ::2]
+        got = F.avg_pool3d(nn.Tensor(x), 2).data
+        assert_same_bits(got, x.reshape(2, 2, 2, 2, 2, 2, 2, 6).mean(axis=(2, 4, 6)))
+        assert_same_bits(F.upsample_nearest3d(nn.Tensor(x), 2).data,
+                         x.repeat(2, axis=1).repeat(2, axis=2).repeat(2, axis=3))
+
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_sigmoid_bits(self, dtype, bits):
+        """The sigmoid has the bits of the two-branch formula split by a
+        boolean mask, on random bit patterns, NaN payloads included, on a
+        16³ tile and on a MISE chunk of (1, 8219); no overflow warning."""
+        rng = np.random.default_rng(5)
+
+        def masked(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        patterns = rng.integers(0, np.iinfo(bits).max, 100_000, dtype=bits, endpoint=True)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-40, -1e-40, 100.0, -100.0]
+        for x in (np.concatenate([patterns.view(dtype), np.array(special, dtype)]),
+                  (rng.standard_normal((1, 16, 16, 16)) * 8).astype(dtype),
+                  (rng.standard_normal((1, 8219)) * 8).astype(dtype)):
+            with np.errstate(all="ignore"):
+                want = masked(x)
+            # signaling NaNs among the patterns set the invalid flag in exp,
+            # in both formulas; no finite input overflows
+            with np.errstate(over="raise", invalid="ignore"):
+                assert_same_bits(F.sigmoid(nn.Tensor(x)).data, want)
