@@ -1,13 +1,19 @@
 """Command line entry points: generate, train, eval, segment.
 
 One process per run. Configuration is resolved as defaults < config file <
-flags. A flag is a config key: its argparse ``dest`` is the key it sets
-(``--w`` sets ``hilo.window_size``, ``--seed`` sets ``run.seed``), and
-``--help`` shows that key as its metavar. Every command echoes the fully
-resolved configuration into its output directory as ``config_resolved.txt``
-so a run is reproducible from that file and the seed alone. ``run.seed`` is
-the only seed: the generator's seed is overwritten with it during
-resolution.
+flags, through ``config``'s one reader and writer. Each value has one key,
+and a flag is that key: its argparse ``dest`` is the key it sets (``--w``
+sets ``hilo.window_size``, ``--seed`` sets ``run.seed``), and ``--help``
+shows that key as its metavar. A key the run does not read is refused, not
+dropped: a key that names no setting (exit 2), and a value the chosen
+trainer would ignore, i.e. for occupancy training a queue, step-cap,
+validation or pyramid-draw setting other than its default (exit 1). The
+settings of other commands and model families may share a config file.
+``run.seed`` is the only seed: it overwrites ``synth.seed``, and a
+``synth.seed`` that differs from it is refused (exit 1). Every command
+echoes the fully resolved configuration into its output directory as
+``config_resolved.txt``, which reads back as a config file, so a run is
+reproducible from that file alone.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 divergence.
 """
@@ -23,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import coerce_value, config_text, format_kv, kv_to_dataclass, parse_kv_text
+from .config import coerce_value, config_text, config_values, parse_kv_text, read_config, with_values
 from .data_io import (
     SPLITS,
     SynthConfig,
@@ -66,6 +72,11 @@ MODEL_KINDS = {
 
 # refuse occupancy training that would page whole volumes past this
 _ONET_RAM_BUDGET = 1 << 30
+# settings only the window-pyramid trainer reads
+_PYRAMID_TRAINING_KEYS = frozenset({
+    "run.queue_policy", "run.queue_capacity", "run.max_steps", "run.validate_every",
+    "run.pyramid_sampling",
+})
 
 
 class UsageError(Exception):
@@ -74,15 +85,14 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    """Everything a run needs, flags and module configs together.
+    """Every setting of a run, flags and module configs together.
 
-    ``epochs`` and ``batch`` of -1 mean the selected model family's default
-    (20 epochs / batch 16 for the pyramid models, 200 / 8 for the occupancy
-    models); ``max_steps`` 0 means no cap. ``threads`` is the number of
-    worker threads that segment tiles (at least 1).
+    ``epochs`` and ``batch`` of -1 leave them to the trainer's defaults (the
+    pyramid trainer's batch is ``hilo.batch_size``); ``max_steps`` 0 means
+    no cap. ``threads`` is the number of worker threads that segment tiles
+    (at least 1).
     """
 
-    subcommand: str = ""
     model: str = "hilo-cnn"
     seed: int = 0
     precision: str = "float32"
@@ -147,48 +157,6 @@ class RunConfig:
 # config resolution: defaults < config file < flags
 
 
-def runconfig_values(rc: RunConfig) -> dict[str, object]:
-    """Every setting of ``rc`` by its config key: ``run.<field>`` for the
-    top-level fields, ``<part>.<field>`` for the nested configs."""
-    out: dict[str, object] = {}
-    for f in dataclasses.fields(rc):
-        value = getattr(rc, f.name)
-        if dataclasses.is_dataclass(value):
-            out.update({f"{f.name}.{g.name}": getattr(value, g.name) for g in dataclasses.fields(value)})
-        elif f.name != "subcommand":
-            out[f"run.{f.name}"] = value
-    return out
-
-
-def runconfig_replace(rc: RunConfig, values: dict[str, object]) -> RunConfig:
-    """``rc`` with typed ``values`` set by config key."""
-    parts: dict[str, dict] = {}
-    for key, value in values.items():
-        part, name = key.split(".", 1)
-        parts.setdefault(part, {})[name] = value
-    updates = parts.pop("run", {})
-    updates.update({part: dataclasses.replace(getattr(rc, part), **kw) for part, kw in parts.items()})
-    return dataclasses.replace(rc, **updates)
-
-
-def runconfig_from_kv(kv: dict[str, str]) -> RunConfig:
-    defaults = runconfig_values(RunConfig())
-    unknown = sorted(set(kv) - set(defaults))
-    if unknown:
-        raise FormatError(f"unknown config keys: {', '.join(unknown)}")
-    values = {}
-    for key, text in kv.items():
-        try:
-            values[key] = coerce_value(text, defaults[key])
-        except ValueError as exc:
-            raise FormatError(f"bad value for {key}: {text!r} ({exc})") from exc
-    return runconfig_replace(RunConfig(), values)
-
-
-def runconfig_text(rc: RunConfig) -> str:
-    return format_kv(runconfig_values(rc))
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_kv: dict[str, str] = {}
     if args.config:
@@ -196,8 +164,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         file_kv = parse_kv_text(text, source=str(args.config))
     # a flag's dest is its config key; only the dotted dests are settings
     flags = {k: v for k, v in vars(args).items() if "." in k and v is not None}
-    rc = runconfig_replace(runconfig_from_kv(file_kv), flags)
-    rc.subcommand = args.subcommand
+    rc = with_values(read_config(RunConfig(), file_kv, "run."), flags, "run.")
     given = set(file_kv) | set(flags)
 
     # the model kind decides the pyramid decoder
@@ -214,15 +181,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         # box extraction defaults to coarse labels unless explicitly chosen
         rc.onet = dataclasses.replace(rc.onet, coord_resolution="low")
 
-    if rc.subcommand == "train" and rc.model.startswith("onet"):
-        if given & {"run.queue_policy", "run.queue_capacity"}:
+    # a given value the run would not honour is refused, not dropped
+    if args.subcommand == "train" and rc.model.startswith("onet"):
+        values, defaults = config_values(rc, "run."), config_values(RunConfig(), "run.")
+        unread = sorted(k for k in given & _PYRAMID_TRAINING_KEYS if values[k] != defaults[k])
+        if unread:
             raise UsageError(
-                "training queues drive the window-pyramid trainers; occupancy "
-                "training loads whole pooled volumes per batch. Drop the queue "
-                "settings or pick a hilo-* model."
+                f"occupancy training does not read {', '.join(unread)}: it runs whole "
+                "epochs, validates after each, and has no training queue or pyramid "
+                "draw. Drop them or pick a hilo-* model."
             )
-
-    # one seed governs every stream
+    if "synth.seed" in given and rc.synth.seed != rc.seed:
+        raise UsageError(
+            f"synth.seed = {rc.synth.seed} differs from run.seed = {rc.seed}; run.seed "
+            "(--seed) is the only seed, so set that instead"
+        )
     rc.synth = dataclasses.replace(rc.synth, seed=rc.seed)
     return rc
 
@@ -230,13 +203,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _write_resolved(rc: RunConfig, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(out_dir / "config_resolved.txt", runconfig_text(rc).encode())
+    write_atomic(out_dir / "config_resolved.txt", config_text(rc, "run.").encode())
 
 
-def _require(rc: RunConfig, **fields_needed) -> None:
+def _require(command: str, **fields_needed) -> None:
     for flag, value in fields_needed.items():
         if not value:
-            raise UsageError(f"{rc.subcommand} needs --{flag} (or the matching config key)")
+            raise UsageError(f"{command} needs --{flag} (or the matching config key)")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +224,7 @@ def load_model(path):
     cfg_cls, model_cls = MODEL_KINDS[kind]
     kv = parse_kv_text(text, source=f"{path} config block")
     try:
-        cfg = kv_to_dataclass(cfg_cls, kv)
+        cfg = read_config(cfg_cls(), kv)
         model = model_cls(cfg)
         model.load_state_dict(state)
     except ValueError as exc:
@@ -284,7 +257,7 @@ def _predict_mask(rc: RunConfig, kind, cfg, model, vol: VoxelVolume,
 
 
 def cmd_generate(rc: RunConfig) -> int:
-    _require(rc, out=rc.out_dir)
+    _require("generate", out=rc.out_dir)
     manifest = write_dataset(rc.out_dir, rc.synth, rc.count)
     _write_resolved(rc, rc.out_dir)
     c = manifest.counts
@@ -293,6 +266,11 @@ def cmd_generate(rc: RunConfig) -> int:
         f"(train {c['train']}, val {c['val']}, test {c['test']})"
     )
     return 0
+
+
+def _given(**sizes: int) -> dict[str, int]:
+    """The trainer arguments a run set; -1 leaves the trainer's default."""
+    return {name: value for name, value in sizes.items() if value != -1}
 
 
 def _train_onet(rc: RunConfig, train_recs, val_recs):
@@ -307,23 +285,20 @@ def _train_onet(rc: RunConfig, train_recs, val_recs):
             f"in memory (budget {_ONET_RAM_BUDGET / 2**20:.0f} MiB); reduce the "
             "instance count or input scale, or train a memory-bounded hilo-* model"
         )
-    epochs = rc.epochs if rc.epochs >= 0 else 200
-    batch = rc.batch if rc.batch > 0 else 8
     return train_superres_onet(
-        train_recs, rc.onet, rc.sampler, epochs=epochs, batch=batch,
+        train_recs, rc.onet, rc.sampler, **_given(epochs=rc.epochs, batch=rc.batch),
         val_dataset=val_recs, lr=rc.lr, micro_batch=rc.micro_batch,
         seed=rc.seed, dtype=rc.dtype, smoothing_window=rc.smoothing_window,
     )
 
 
 def _train_hilo(rc: RunConfig, train_recs, val_recs):
-    epochs = rc.epochs if rc.epochs >= 0 else 20
     hcfg = rc.hilo
     if rc.batch > 0 and rc.batch != hcfg.batch_size:
         hcfg = dataclasses.replace(hcfg, batch_size=rc.batch)
     queue = TrainingQueue(rc.queue_capacity, rc.queue_policy)
     return train_hilo(
-        train_recs, hcfg, queue, epochs=epochs, sampler=rc.sampler,
+        train_recs, hcfg, queue, **_given(epochs=rc.epochs), sampler=rc.sampler,
         val_dataset=val_recs, lr=rc.lr, validate_every=rc.validate_every,
         micro_batch=rc.micro_batch, seed=rc.seed,
         smoothing_window=rc.smoothing_window, pyramid_sampling=rc.pyramid_sampling,
@@ -332,7 +307,7 @@ def _train_hilo(rc: RunConfig, train_recs, val_recs):
 
 
 def cmd_train(rc: RunConfig) -> int:
-    _require(rc, data=rc.data_dir, out=rc.out_dir)
+    _require("train", data=rc.data_dir, out=rc.out_dir)
     manifest = load_manifest(Path(rc.data_dir) / "manifest.tsv")
     train_recs = manifest.paths("train")
     val_recs = manifest.paths("val")
@@ -356,9 +331,9 @@ def cmd_train(rc: RunConfig) -> int:
 
 
 def cmd_eval(rc: RunConfig) -> int:
-    _require(rc, data=rc.data_dir, out=rc.out_dir)
+    _require("eval", data=rc.data_dir, out=rc.out_dir)
     if not rc.oracle_bypass:
-        _require(rc, checkpoint=rc.checkpoint)
+        _require("eval", checkpoint=rc.checkpoint)
     manifest = load_manifest(Path(rc.data_dir) / "manifest.tsv")
     records = manifest.paths(rc.split)
     if not records:
@@ -448,7 +423,7 @@ def _parse_slices(text: str) -> list[tuple[int, int]]:
 
 
 def cmd_segment(rc: RunConfig) -> int:
-    _require(rc, input=rc.input_path, checkpoint=rc.checkpoint, out=rc.out_dir)
+    _require("segment", input=rc.input_path, checkpoint=rc.checkpoint, out=rc.out_dir)
     vol = load_volume(rc.input_path)
     if not isinstance(vol, VoxelVolume):
         raise UsageError(f"{rc.input_path} holds labels, not a scan volume")
@@ -515,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--queue", dest="run.queue_policy", choices=POLICIES, help="training queue policy")
     t.add_argument("--queue-size", dest="run.queue_capacity", type=int)
     t.add_argument("--conditioning", dest="onet.conditioning", choices=("cbn", "concat"))
-    t.add_argument("--width", dest="onet.width", choices=("wide", "shallow"))
     t.add_argument("--resolution", dest="onet.coord_resolution", choices=("high", "low"),
                    help="label grid resolution")
     t.add_argument("--epochs", dest="run.epochs", type=int)
@@ -567,8 +541,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        rc = resolve_config(args)
-        return _COMMANDS[rc.subcommand](rc)
+        return _COMMANDS[args.subcommand](resolve_config(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

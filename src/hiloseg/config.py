@@ -1,10 +1,15 @@
-"""Line-oriented ``key = value`` configuration texts.
+"""Line-oriented ``key = value`` configuration texts and the one bridge
+between them and config dataclasses.
 
 Used for run config files and for the config block embedded in checkpoints.
-Run config keys are namespaced with dots (``hilo.window_size``); a checkpoint
-block is ``config_text`` of its model's config, keyed by bare field names.
-Values are plain strings here; typed coercion happens against a dataclass's
-field defaults.
+A setting's key is its field name; the settings of a nested dataclass field
+are keyed ``<field>.<key>``, to any depth, and an optional prefix names the
+top level's own fields. So a run config keys ``run.seed`` and
+``hilo.window_size``, and a checkpoint block, ``config_text`` of its model's
+config, keys bare field names. ``config_values`` lists the typed settings of
+a config by key; ``with_values`` sets typed settings by key; ``read_config``
+reads settings from text, coercing each to the type of the value it
+replaces and refusing any key ``config_values`` does not list.
 """
 
 from __future__ import annotations
@@ -30,25 +35,16 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
     return out
 
 
+def _format_value(value) -> str:
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def format_kv(mapping: dict) -> str:
-    lines = [f"{key} = {value}" for key, value in format_to_strings(mapping).items()]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def dataclass_to_kv(obj) -> dict[str, str]:
-    return format_to_strings({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
-
-
-def format_to_strings(mapping: dict) -> dict[str, str]:
-    out = {}
-    for key, value in mapping.items():
-        if isinstance(value, (tuple, list)):
-            out[key] = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            out[key] = "true" if value else "false"
-        else:
-            out[key] = str(value)
-    return out
+    return "".join(f"{key} = {_format_value(value)}\n" for key, value in mapping.items())
 
 
 def coerce_value(text: str, default):
@@ -71,23 +67,49 @@ def coerce_value(text: str, default):
     return text
 
 
-def kv_to_dataclass(cls, kv: dict[str, str]):
-    """Build a dataclass from string values, defaults filling absent keys.
+def config_values(obj, prefix: str = "") -> dict[str, object]:
+    """Every setting of dataclass ``obj`` by its key, in field order."""
+    out: dict[str, object] = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update({f"{f.name}.{k}": v for k, v in config_values(value).items()})
+        else:
+            out[prefix + f.name] = value
+    return out
 
-    A key that names no field of ``cls`` is a FormatError.
-    """
-    base = cls()
-    unknown = sorted(set(kv) - {f.name for f in dataclasses.fields(cls)})
+
+def with_values(obj, values: dict[str, object], prefix: str = ""):
+    """``obj`` with typed ``values`` set by their ``config_values`` keys."""
+    own: dict[str, object] = {}
+    parts: dict[str, dict[str, object]] = {}
+    for key, value in values.items():
+        name = key.removeprefix(prefix)
+        if "." in name:
+            part, rest = name.split(".", 1)
+            parts.setdefault(part, {})[rest] = value
+        else:
+            own[name] = value
+    own.update({part: with_values(getattr(obj, part), kw) for part, kw in parts.items()})
+    return dataclasses.replace(obj, **own)
+
+
+def read_config(obj, kv: dict[str, str], prefix: str = ""):
+    """``obj`` with the settings ``kv`` holds as text; absent keys keep
+    ``obj``'s values. A key ``config_values`` does not list, or a value that
+    does not parse, is a FormatError naming the key."""
+    current = config_values(obj, prefix)
+    unknown = sorted(set(kv) - set(current))
     if unknown:
-        raise FormatError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
-    updates = {}
+        raise FormatError(f"unknown {type(obj).__name__} keys: {', '.join(unknown)}")
+    values = {}
     for key, text in kv.items():
         try:
-            updates[key] = coerce_value(text, getattr(base, key))
+            values[key] = coerce_value(text, current[key])
         except ValueError as exc:
             raise FormatError(f"bad value for {key}: {text!r} ({exc})") from exc
-    return dataclasses.replace(base, **updates) if updates else base
+    return with_values(obj, values, prefix)
 
 
-def config_text(obj) -> str:
-    return format_kv(dataclass_to_kv(obj))
+def config_text(obj, prefix: str = "") -> str:
+    return format_kv(config_values(obj, prefix))

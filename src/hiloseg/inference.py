@@ -67,12 +67,6 @@ class BoundingBox:
             return 0
         return int(np.prod([b - a + 1 for a, b in zip(self.min, self.max)]))
 
-    @property
-    def sides(self) -> tuple[int, int, int]:
-        if self.is_empty:
-            return (0, 0, 0)
-        return tuple(b - a + 1 for a, b in zip(self.min, self.max))
-
     def expand(self, margin: int) -> "BoundingBox":
         if self.is_empty:
             return self

@@ -10,7 +10,6 @@ from .hilo import (
 )
 from .onet import (
     CONDITIONINGS,
-    WIDTHS,
     OnetConfig,
     OnetModel,
     extract_bounding_box,
@@ -23,7 +22,6 @@ from .train import train_hilo, train_superres_onet
 __all__ = [
     "CONDITIONINGS",
     "DECODERS",
-    "WIDTHS",
     "HiLoConfig",
     "HiLoModel",
     "OnetConfig",

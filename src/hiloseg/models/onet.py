@@ -59,13 +59,11 @@ _INIT_STREAM = 21
 _DECODE_CHUNK = 1 << 13
 
 CONDITIONINGS = ("cbn", "concat")
-WIDTHS = ("wide", "shallow")
 
 
 @dataclass(frozen=True)
 class OnetConfig:
     conditioning: str = "cbn"
-    width: str = "shallow"
     encoder_blocks: int = 5
     decoder_blocks: int = 5
     input_downsample: int = 8
@@ -78,8 +76,6 @@ class OnetConfig:
     def __post_init__(self) -> None:
         if self.conditioning not in CONDITIONINGS:
             raise ValueError(f"conditioning must be one of {CONDITIONINGS}, got {self.conditioning!r}")
-        if self.width not in WIDTHS:
-            raise ValueError(f"width must be one of {WIDTHS}, got {self.width!r}")
         if self.encoder_blocks < 1 or self.decoder_blocks < 1:
             raise ValueError("block counts must be >= 1")
         if self.input_downsample < 1:
@@ -90,10 +86,6 @@ class OnetConfig:
             raise ValueError("latent_dim, base_channels and decoder_hidden must be >= 1")
         if self.coord_resolution not in ("high", "low"):
             raise ValueError(f"coord_resolution must be 'high' or 'low', got {self.coord_resolution!r}")
-
-    @property
-    def encoder_channels(self) -> int:
-        return self.base_channels * (2 if self.width == "wide" else 1)
 
 
 def normalize_coords(coords, dims) -> np.ndarray:
@@ -114,7 +106,7 @@ class OnetEncoder(nn.Module):
     """
 
     def __init__(self, cfg: OnetConfig, rng, dtype=np.float32):
-        c = cfg.encoder_channels
+        c = cfg.base_channels
         # no bias on the stem, as on each block's conv1
         self.stem = nn.Conv3d(1, c, 3, rng, dtype, bias=False)
         outs = [c if i < 2 else 2 * c for i in range(cfg.encoder_blocks)]

@@ -56,11 +56,12 @@ def _micro_batched_step(opt, total: int, micro_batch: int, entry_losses) -> np.n
     accumulated over contiguous chunks of at most ``micro_batch``.
 
     ``entry_losses(a, b)`` returns the per-instance mean losses of instances
-    [a, b). Each chunk backpropagates their sum times 1/total, so every
-    instance's gradient is seeded alike whatever its chunk, and the ops add
-    per-instance parameter gradients in instance order (``nn.functional``):
-    the step is the whole batch's bit for bit, and the chunking bounds
-    memory only. Returns the per-instance losses in instance order.
+    [a, b). Each chunk seeds every one of them with 1/total, the gradient
+    of the batch mean, so every instance's gradient is seeded alike
+    whatever its chunk, and the ops add per-instance parameter gradients in
+    instance order (``nn.functional``): the step is the whole batch's bit
+    for bit, and the chunking bounds memory only. Returns the per-instance
+    losses in instance order.
     """
     opt.zero_grad()
     losses = np.empty(total)
@@ -68,7 +69,8 @@ def _micro_batched_step(opt, total: int, micro_batch: int, entry_losses) -> np.n
         b = min(a + micro_batch, total)
         per = entry_losses(a, b)
         losses[a:b] = per.data
-        F.scale(F.sum_all(per), 1.0 / total).backward()
+        per.data = None  # copied out; a backward keeps its root's data alive
+        per.backward(seed=np.full(b - a, 1.0 / total, per.dtype), fresh=True)
     opt.step()
     return losses
 

@@ -1,23 +1,11 @@
-"""Minimal reverse-mode-differentiable numerical core."""
+"""Minimal reverse-mode-differentiable numerical core.
+
+Ops live in ``nn.functional`` and the checkpoint format in
+``nn.checkpoint``; this package exports the tensor, the layers and the
+optimizer.
+"""
 
 from . import functional
-from .checkpoint import load_checkpoint, save_checkpoint
-from .functional import (
-    adaptive_avg_pool3d,
-    avg_pool3d,
-    bce_loss,
-    concat,
-    conv3d,
-    elementwise_bce,
-    elementwise_focal,
-    focal_loss,
-    leaky_relu,
-    pad_right3d,
-    repeat_middle,
-    selu,
-    sigmoid,
-    upsample_nearest3d,
-)
 from .layers import (
     REFERENCE_POINTS,
     Conv3d,
@@ -44,20 +32,4 @@ __all__ = [
     "ResidualBlockFC",
     "ResidualBlockConv3d",
     "Adam",
-    "conv3d",
-    "avg_pool3d",
-    "adaptive_avg_pool3d",
-    "upsample_nearest3d",
-    "pad_right3d",
-    "repeat_middle",
-    "concat",
-    "leaky_relu",
-    "selu",
-    "sigmoid",
-    "bce_loss",
-    "focal_loss",
-    "elementwise_bce",
-    "elementwise_focal",
-    "save_checkpoint",
-    "load_checkpoint",
 ]

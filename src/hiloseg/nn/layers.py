@@ -61,13 +61,6 @@ class Module:
                 raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
             p.data = memory_meter.track(np.ascontiguousarray(arr))
 
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def eval(self) -> "Module":
         """Returns the module unchanged: training and inference run the same
         code. Kept only because the benchmark's set-up still calls it."""

@@ -68,9 +68,6 @@ class TrainingQueue:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def instance_ids(self) -> list:
-        return list(self._entries)
-
     # -- policy internals ---------------------------------------------------
 
     def _evict_candidate(self) -> Any:

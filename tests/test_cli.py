@@ -4,15 +4,15 @@ subcommand, the files it writes, and the documented exit codes (0 success,
 
 import argparse
 import contextlib
-import dataclasses
 import io
+from pathlib import Path
 
 import pytest
 
 from hiloseg import cli
-from hiloseg.config import config_text, parse_kv_text
+from hiloseg.config import config_text, config_values, parse_kv_text, read_config
 from hiloseg.data_io import load_manifest, load_volume
-from hiloseg.models import HiLoConfig, HiLoModel
+from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, OnetModel
 from hiloseg.nn.checkpoint import save_checkpoint
 
 DIMS = (24, 20, 22)
@@ -56,10 +56,11 @@ def run(tmp_path_factory):
     config = root / "tiny.cfg"
     config.write_text(TINY_CONFIG)
     data = root / "data"
-    code, out, _ = call("generate", "--config", config, "--out", data,
-                        "--count", 8, "--dims", ",".join(map(str, DIMS)))
+    argv = ["generate", "--config", config, "--out", data,
+            "--count", 8, "--dims", ",".join(map(str, DIMS))]
+    code, out, _ = call(*argv)
     assert code == 0, out
-    trained, argvs = {}, {}
+    trained, argvs = {}, {"generate": [str(a) for a in argv]}
     for model, extra in (
         ("hilo-cnn", ["--max-steps", 2, "--pyramid-sampling", "volume"]),
         ("onet-sr", ["--epochs", 2, "--batch", 2]),
@@ -186,7 +187,7 @@ def test_unreadable_checkpoint_config_is_a_data_error(run):
 def test_every_flag_sets_a_config_key():
     """A flag's dest is the config key it sets; a mistyped key fails here
     instead of silently dropping the flag."""
-    keys = set(cli.runconfig_values(cli.RunConfig()))
+    keys = set(config_values(cli.RunConfig(), "run."))
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     seen = 0
@@ -209,13 +210,82 @@ def test_flag_overrides_config_file(run):
     assert (rc.seed, rc.hilo.window_size) == (5, 12)
 
 
-@pytest.mark.parametrize("model", ["hilo-cnn", "onet-sr"])
-def test_resolved_config_reads_back(run, model):
-    text = (run["trained"][model][1] / "config_resolved.txt").read_text()
-    back = cli.runconfig_from_kv(parse_kv_text(text))
-    rc = resolve(*run["argv"][model])
-    assert back == dataclasses.replace(rc, subcommand="")
-    assert cli.runconfig_text(back) == text
+@pytest.mark.parametrize("name", ["hilo-cnn", "onet-sr", "generate", "eval", "segment"])
+def test_resolved_config_reads_back(run, name):
+    """Every command's ``config_resolved.txt`` reads back to the run config
+    it resolved, and as a config file it resolves to that config again."""
+    argv = run["argv"].get(name)
+    if argv is None:
+        root = run["root"]
+        scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
+        argv = [str(a) for a in {
+            "eval": ["eval", "--data", run["data"], "--out", root / "readback-eval",
+                     "--oracle-bypass", "--bb-margin", 3],
+            "segment": ["segment", "--config", run["config"], "--input", scan,
+                        "--checkpoint", run["trained"]["hilo-cnn"][1] / "checkpoint.hckpt",
+                        "--out", root / "readback-segment", "--region", "2,2,2:12,12,12"],
+        }[name]]
+        code, _, err = call(*argv)
+        assert code == 0, err
+    rc = resolve(*argv)
+    resolved = Path(argv[argv.index("--out") + 1]) / "config_resolved.txt"
+    text = resolved.read_text()
+    back = read_config(cli.RunConfig(), parse_kv_text(text), "run.")
+    assert back == rc
+    assert config_text(back, "run.") == text
+    assert resolve(argv[0], "--config", resolved) == rc
+
+
+@pytest.mark.parametrize("flags,key", [
+    (["--max-steps", 1], "run.max_steps"),
+    (["--validate-every", 5], "run.validate_every"),
+    (["--pyramid-sampling", "volume"], "run.pyramid_sampling"),
+    (["--queue-size", 4, "--max-steps", 1], "run.max_steps, run.queue_capacity"),
+])
+def test_occupancy_training_refuses_pyramid_trainer_settings(run, flags, key):
+    """Occupancy training has no step cap, validation cadence or pyramid
+    draw: asking for one is refused, not trained past."""
+    out_dir = run["root"] / "onet-refused"
+    code, _, err = call("train", "--config", run["config"], "--data", run["data"],
+                        "--out", out_dir, "--model", "onet-sr", "--epochs", 3, "--batch", 2,
+                        *flags)
+    assert code == 1
+    assert "usage error" in err and key in err
+    assert not out_dir.exists()
+
+
+def test_synth_seed_other_than_run_seed_is_refused(run):
+    cfg = run["root"] / "synth-seed.cfg"
+    cfg.write_text("synth.seed = 3\n")
+    code, _, err = call("generate", "--config", cfg, "--seed", 4, "--count", 2,
+                        "--out", run["root"] / "synth-seed")
+    assert code == 1
+    assert "synth.seed" in err and "run.seed" in err
+    assert resolve("generate", "--config", cfg, "--seed", 3).synth.seed == 3
+
+
+def test_width_is_not_a_setting(run):
+    """Occupancy networks are widened by ``onet.base_channels`` alone: a
+    ``--width`` flag or a ``width`` key is refused wherever it appears."""
+    code, _, err = call("train", "--data", run["data"], "--model", "onet-sr", "--width", "wide",
+                        "--out", run["root"] / "width-flag")
+    assert code == 1
+    assert "--width" in err
+    cfg = run["root"] / "width.cfg"
+    cfg.write_text("onet.width = wide\n")
+    code, _, err = call("generate", "--config", cfg, "--out", run["root"] / "width-cfg")
+    assert code == 2
+    assert "onet.width" in err
+    tiny = OnetConfig(encoder_blocks=1, decoder_blocks=1, latent_dim=8, base_channels=2,
+                      decoder_hidden=8, input_downsample=2)
+    ckpt = run["root"] / "width.hckpt"
+    save_checkpoint(ckpt, "onet-sr", config_text(tiny) + "width = shallow\n",
+                    OnetModel(tiny).state_dict())
+    scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
+    code, _, err = call("segment", "--input", scan, "--checkpoint", ckpt,
+                        "--out", run["root"] / "width-ckpt")
+    assert code == 2
+    assert "data error" in err and "width" in err
 
 
 @pytest.mark.parametrize("argv", [

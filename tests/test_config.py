@@ -1,14 +1,17 @@
 """key = value config text parsing, formatting, and dataclass coercion."""
 
+import dataclasses
+
 import pytest
 
 from hiloseg.config import (
     coerce_value,
     config_text,
-    dataclass_to_kv,
+    config_values,
     format_kv,
-    kv_to_dataclass,
     parse_kv_text,
+    read_config,
+    with_values,
 )
 from hiloseg.data_io import SynthConfig
 from hiloseg.errors import FormatError
@@ -86,31 +89,76 @@ class TestCoercion:
 class TestDataclassBridge:
     def test_round_trip_sampler(self):
         cfg = SamplerConfig(n_train_coords=512, shape_fraction=0.25, redraw_scope="any")
-        kv = dataclass_to_kv(cfg)
+        kv = parse_kv_text(config_text(cfg))
         assert "n_train_coords" in kv
-        assert kv_to_dataclass(SamplerConfig, kv) == cfg
+        assert read_config(SamplerConfig(), kv) == cfg
 
     def test_round_trip_through_text(self):
         cfg = SynthConfig(dims=(24, 16, 20), noise=0.02, seed=5)
         text = config_text(cfg)
         assert "dims = 24,16,20" in text.splitlines()
-        assert kv_to_dataclass(SynthConfig, parse_kv_text(text)) == cfg
+        assert read_config(SynthConfig(), parse_kv_text(text)) == cfg
 
     def test_absent_keys_keep_defaults(self):
-        cfg = kv_to_dataclass(SamplerConfig, {"n_train_coords": "64"})
+        cfg = read_config(SamplerConfig(), {"n_train_coords": "64"})
         assert cfg.n_train_coords == 64
         assert cfg.shape_fraction == SamplerConfig().shape_fraction
 
     def test_unknown_keys_refused(self):
         # a key that names no field is a mistake, not a setting to skip
         with pytest.raises(FormatError, match=r"other\.thing, sampler\.n_hilo_coords$"):
-            kv_to_dataclass(SamplerConfig, {"n_hilo_coords": "9", "sampler.n_hilo_coords": "9",
-                                            "other.thing": "5"})
+            read_config(SamplerConfig(), {"n_hilo_coords": "9", "sampler.n_hilo_coords": "9",
+                                          "other.thing": "5"})
 
     def test_bad_value_reports_key(self):
         with pytest.raises(FormatError, match="n_train_coords"):
-            kv_to_dataclass(SamplerConfig, {"n_train_coords": "lots"})
+            read_config(SamplerConfig(), {"n_train_coords": "lots"})
 
     def test_dataclass_validation_still_applies(self):
         with pytest.raises(ValueError):
-            kv_to_dataclass(SamplerConfig, {"shape_fraction": "1.5"})
+            read_config(SamplerConfig(), {"shape_fraction": "1.5"})
+
+
+@dataclasses.dataclass(frozen=True)
+class Deep:
+    y: float = 0.5
+
+
+@dataclasses.dataclass(frozen=True)
+class Inner:
+    x: int = 1
+    deep: Deep = Deep()
+
+
+@dataclasses.dataclass(frozen=True)
+class Outer:
+    flag: bool = False
+    inner: Inner = Inner()
+    dims: tuple = (1, 2)
+
+
+class TestNestedKeys:
+    def test_nested_fields_are_keyed_by_part(self):
+        assert config_values(Outer(), "top.") == {
+            "top.flag": False, "inner.x": 1, "inner.deep.y": 0.5, "top.dims": (1, 2),
+        }
+        assert config_values(Inner()) == {"x": 1, "deep.y": 0.5}
+
+    def test_with_values_sets_by_key(self):
+        cfg = with_values(Outer(), {"top.flag": True, "inner.deep.y": 2.0}, "top.")
+        assert cfg == Outer(flag=True, inner=Inner(deep=Deep(y=2.0)))
+
+    def test_text_round_trip(self):
+        cfg = Outer(flag=True, inner=Inner(x=7, deep=Deep(y=0.25)), dims=(3, 4))
+        text = config_text(cfg, "top.")
+        assert text == "top.flag = true\ninner.x = 7\ninner.deep.y = 0.25\ntop.dims = 3,4\n"
+        assert read_config(Outer(), parse_kv_text(text), "top.") == cfg
+
+    @pytest.mark.parametrize("key", ["inner.z", "flag", "inner", "deep.y", "top.inner.x"])
+    def test_key_outside_the_listing_is_refused(self, key):
+        with pytest.raises(FormatError, match=rf"unknown Outer keys: {key.replace('.', '[.]')}$"):
+            read_config(Outer(), {key: "1"}, "top.")
+
+    def test_bad_nested_value_reports_key(self):
+        with pytest.raises(FormatError, match=r"inner\.deep\.y"):
+            read_config(Outer(), {"inner.deep.y": "half"})

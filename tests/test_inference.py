@@ -23,7 +23,6 @@ class TestBoundingBox:
         pts = np.array([[2, 5, 1], [7, 3, 9], [4, 4, 4]])
         bb = BoundingBox.from_points(pts)
         assert bb.min == (2, 3, 1) and bb.max == (7, 5, 9)
-        assert bb.sides == (6, 3, 9)
         assert bb.volume == 6 * 3 * 9
         assert not bb.is_empty
 

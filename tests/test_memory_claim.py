@@ -118,11 +118,11 @@ def test_each_pyramid_level_costs_one_encoding_in_training(levels):
     pooled blocks' recompute node keeps: one 4³ × 2 float32 encoding
     (512 B) per level and micro-batch item. The step peaks in the second
     micro-batch's backward, at the decoder's full-resolution last block:
-    111,428 B at every L, next to every parameter and its gradient. A
+    111,424 B at every L, next to every parameter and its gradient. A
     first decoder block that kept its tape would add its standardized
     input and its activation, L·2 channels each: 3 encodings per level."""
     cfg = dataclasses.replace(TRAIN, levels=levels)
-    assert _train_peak_above_params(cfg) == 111_428 + levels * 2 * 4**3 * 2 * 4
+    assert _train_peak_above_params(cfg) == 111_424 + levels * 2 * 4**3 * 2 * 4
 
 
 @pytest.mark.parametrize("blocks", [2, 3, 4, 6])
@@ -133,7 +133,7 @@ def test_pooled_decoder_depth_costs_only_parameters(blocks):
     that kept its tape would add 4 activations of 4³ × 2 float32 per
     micro-batch item, 4,096 B over the two items."""
     cfg = dataclasses.replace(TRAIN, cnn_decoder_blocks=blocks)
-    assert _train_peak_above_params(cfg) == 112_452
+    assert _train_peak_above_params(cfg) == 112_448
 
 
 def test_benchmark_training_peak_is_pinned():
@@ -152,7 +152,7 @@ def test_benchmark_training_peak_is_pinned():
             scans, HiLoConfig(), TrainingQueue(capacity=2, policy="hardness"), epochs=2,
             max_steps=2, micro_batch=2, sampler=SamplerConfig(redraw_prob=1.0),
             pyramid_sampling="volume", seed=1)))
-    assert got == [2_618_036, 2_618_036]
+    assert got == [2_618_032, 2_618_032]
 
 
 # the occupancy trainer's decoder at a small width: 101 queries and the 27
@@ -185,7 +185,7 @@ def test_each_decoder_block_costs_its_input_in_training(conditioning):
     params = sum(p.data.nbytes for p in block.parameters())
     per_block = params + 2 * 128 * 16 * 4 + (8 * 2 * 16 * 4 if conditioning == "cbn" else 0)
     assert per_block == {"cbn": 26_176, "concat": 18_752}[conditioning]
-    first = {"cbn": 138_204, "concat": 135_836}[conditioning]
+    first = {"cbn": 138_200, "concat": 135_832}[conditioning]
     encoder_above = {"cbn": 7_976, "concat": 0}[conditioning]
     assert got == [first + encoder_above] + [first + k * per_block for k in range(1, 4)]
 
@@ -205,7 +205,7 @@ def test_occupancy_encoder_depth_costs_only_parameters(blocks):
     params = sum(p.data.nbytes for p in OnetModel(cfg).parameters())
     peak = meter_peak(lambda: train_superres_onet(
         scans, cfg, SamplerConfig(n_train_coords=101), epochs=1, batch=4, micro_batch=2))
-    assert peak - 2 * params == 136_772
+    assert peak - 2 * params == 136_768
 
 
 def test_benchmark_occupancy_training_peak_is_pinned():
@@ -221,11 +221,11 @@ def test_benchmark_occupancy_training_peak_is_pinned():
     elementwise backward that allocates its input gradient, would raise it.
     The benchmark's ``onet-sr`` ``peak_bytes`` reads this figure plus the
     512 B latent that each earlier operation of its timed pass keeps until
-    the checks: 35,487,644 B after 21 operations at seed 1."""
+    the checks: 35,487,640 B after 21 operations at seed 1."""
     got = []
     for dims in ((32, 32, 32), (64, 48, 64)):
         scans = [generate_synthetic_one(SynthConfig(dims=dims, seed=1), i) for i in range(8)]
         got.append(meter_peak(lambda: train_superres_onet(
             scans, OnetConfig(), SamplerConfig(n_train_coords=2**12), epochs=2, batch=8,
             micro_batch=2, seed=1)))
-    assert got == [35_476_892, 35_476_892]
+    assert got == [35_476_888, 35_476_888]

@@ -108,7 +108,6 @@ class TestOnetConfig:
     def test_defaults(self):
         cfg = OnetConfig()
         assert cfg.conditioning == "cbn"
-        assert cfg.width == "shallow"
         assert cfg.encoder_blocks == 5
         assert cfg.decoder_blocks == 5
         assert cfg.input_downsample == 8
@@ -118,16 +117,11 @@ class TestOnetConfig:
         assert cfg.decoder_hidden == 64
         assert cfg.coord_resolution == "high"
 
-    def test_encoder_channels_double_when_wide(self):
-        assert OnetConfig(width="shallow").encoder_channels == 16
-        assert OnetConfig(width="wide").encoder_channels == 32
-        assert OnetConfig(width="wide", base_channels=5).encoder_channels == 10
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(conditioning="film"),
-            dict(width="deep"),
+            dict(threshold=0.0),
             dict(encoder_blocks=0),
             dict(decoder_blocks=0),
             dict(input_downsample=0),
@@ -348,30 +342,35 @@ class TestHiLoForward:
             assert not np.array_equal(hilo_forward(blanked, cfg, model), base)
 
 
+def parameter_count(model) -> int:
+    return sum(p.data.size for p in model.parameters())
+
+
 class TestParameterCounts:
     def test_flagship_count_and_ordering(self):
+        # the occupancy network's encoder at 32 and 16 base channels
         counts = {
-            (cond, width): OnetModel(
-                OnetConfig(conditioning=cond, width=width), seed=0
-            ).parameter_count()
+            (cond, channels): parameter_count(
+                OnetModel(OnetConfig(conditioning=cond, base_channels=channels), seed=0)
+            )
             for cond in ("cbn", "concat")
-            for width in ("wide", "shallow")
+            for channels in (32, 16)
         }
-        assert counts[("cbn", "wide")] == 1_562_273
+        assert counts[("cbn", 32)] == 1_562_273
         for cond in ("cbn", "concat"):
-            assert counts[(cond, "wide")] > counts[(cond, "shallow")]
-        for width in ("wide", "shallow"):
-            assert counts[("cbn", width)] > counts[("concat", width)]
+            assert counts[(cond, 32)] > counts[(cond, 16)]
+        for channels in (32, 16):
+            assert counts[("cbn", channels)] > counts[("concat", channels)]
 
     def test_hilo_grid_decoder_is_smaller_than_coord(self):
-        cnn = HiLoModel(HiLoConfig(), seed=0).parameter_count()
-        coord = HiLoModel(HiLoConfig(decoder="onet"), seed=0).parameter_count()
+        cnn = parameter_count(HiLoModel(HiLoConfig(), seed=0))
+        coord = parameter_count(HiLoModel(HiLoConfig(decoder="onet"), seed=0))
         assert 0 < cnn < coord
 
     @pytest.mark.parametrize("decoder,count,entries", [("cnn", 39_061, 140), ("onet", 99_149, 113)])
     def test_hilo_count_at_default_config(self, decoder, count, entries):
         model = HiLoModel(HiLoConfig(decoder=decoder), seed=0)
-        assert model.parameter_count() == count
+        assert parameter_count(model) == count
         assert len(model.state_dict()) == entries
 
     def test_hilo_coord_decoder_key_order(self):

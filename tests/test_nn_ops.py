@@ -1015,7 +1015,7 @@ class TestModulePlumbing:
 
     def test_parameter_count(self):
         d = Dense(3, 5, rng=0)
-        assert d.parameter_count() == 3 * 5 + 5
+        assert sum(p.data.size for p in d.parameters()) == 3 * 5 + 5
 
 
 class TestAutodiffMechanics:

@@ -57,7 +57,7 @@ class TestQueueBasics:
         q.push(entry("a"))
         q.push(entry("b"))
         assert len(q) == 2
-        assert set(q.instance_ids()) == {"a", "b"}
+        assert set(q._entries) == {"a", "b"}
 
     def test_capacity_never_exceeded(self):
         q = TrainingQueue(capacity=3, policy="fifo")
@@ -84,7 +84,7 @@ class TestEvictionOrder:
             q.push(entry(i))
         assert q.push(entry(3)) == 0
         assert q.push(entry(4)) == 1
-        assert set(q.instance_ids()) == {2, 3, 4}
+        assert set(q._entries) == {2, 3, 4}
 
     def test_occurrence_evicts_most_seen(self):
         q = TrainingQueue(capacity=3, policy="occurrence")
@@ -133,7 +133,7 @@ class TestEvictionOrder:
             got = q.push(entry(i, occurrences=occ, hardness=hard))
             want = ref.push(i, occ, hard)
             assert got == want, f"divergence at push {i}: {got} vs {want}"
-        assert set(q.instance_ids()) == {t[0] for t in ref.items}
+        assert set(q._entries) == {t[0] for t in ref.items}
 
 
 class TestSamplingDistribution:
@@ -182,12 +182,12 @@ class TestSamplingDistribution:
             len(list(g)) for _, g in __import__("itertools").groupby(drawn)
         )
         assert longest < 12
-        assert sum(q._entries[i].occurrences for i in q.instance_ids()) == 64
+        assert sum(e.occurrences for e in q._entries.values()) == 64
 
     @staticmethod
     def _first_draw_counts(q, n):
         counts = {}
-        occ_before = {i: q._entries[i].occurrences for i in q.instance_ids()}
+        occ_before = {i: e.occurrences for i, e in q._entries.items()}
         for trial in range(n):
             got = q.sample_batch(1, trial)[0]
             counts[got.instance_id] = counts.get(got.instance_id, 0) + 1
@@ -330,6 +330,6 @@ class TestBatchLoader:
                 loader.next_batch(1, step)
         finally:
             loader.stop()
-        ids = q.instance_ids()
+        ids = list(q._entries)
         assert len(ids) == len(set(ids)) == 12
         assert ids == [(k, k % 2) for k in range(12)]

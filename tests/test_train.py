@@ -127,27 +127,28 @@ def test_micro_batched_step_exact_for_any_batch(total):
 
 
 def test_micro_batched_step_seeds_a_float64_model_in_float64(monkeypatch):
-    """A float64 model's loss root is float64 at every chunk, so each
-    backward is seeded with the float64 1/total, not float32(1/3)."""
+    """A float64 model's per-instance losses are float64 at every chunk,
+    and each is seeded with the float64 1/total, not float32(1/3)."""
     total = 3
     rng = np.random.default_rng(0)
     dense = nn.Dense(4, 1, rng=1, dtype=np.float64)
     x = rng.normal(size=(total, 5, 4))
     t = rng.random((total, 5, 1)) > 0.5
-    roots = []
+    seeds = []
     backward = nn.Tensor.backward
 
-    def recorded(self, *args, **kwargs):
-        roots.append(self.data.item())
+    def recorded(self, seed=None, fresh=False):
         assert self.dtype == np.float64
-        return backward(self, *args, **kwargs)
+        seeds.append(seed.copy())
+        return backward(self, seed, fresh)
 
     def entry_losses(a, b):
         return F.bce_loss(F.sigmoid(dense(nn.Tensor(x[a:b]))), t[a:b])
 
     monkeypatch.setattr(nn.Tensor, "backward", recorded)
-    losses = _micro_batched_step(_GradRecorder(dense.parameters()), total, 2, entry_losses)
-    assert roots == [losses[:2].sum() * (1.0 / total), losses[2] * (1.0 / total)]
+    _micro_batched_step(_GradRecorder(dense.parameters()), total, 2, entry_losses)
+    assert [s.dtype for s in seeds] == [np.float64, np.float64]
+    np.testing.assert_array_equal(np.concatenate(seeds), np.full(total, 1.0 / total))
 
 
 class TestDivergenceGuard:
@@ -452,7 +453,7 @@ class TestTrainHilo:
     def test_training_updates_queue_hardness(self):
         queue = TrainingQueue(capacity=8, policy="hardness")
         train_hilo(hilo_dataset(4), HILO_CFG, queue, epochs=5, sampler=SAMPLER, seed=3)
-        hard = [queue._entries[i].hardness for i in queue.instance_ids()]
+        hard = [e.hardness for e in queue._entries.values()]
         assert any(h < MAX_HARDNESS for h in hard)
         assert all(np.isfinite(h) for h in hard if h < MAX_HARDNESS)
 
