@@ -5,10 +5,14 @@ flags, through ``config``'s one reader and writer. Each value has one key,
 and a flag is that key: its argparse ``dest`` is the key it sets (``--w``
 sets ``hilo.window_size``, ``--seed`` sets ``run.seed``), and ``--help``
 shows that key as its metavar. A key the run does not read is refused, not
-dropped: a key that names no setting (exit 2), and a value the chosen
-trainer would ignore, i.e. for occupancy training a queue, step-cap,
-validation or pyramid-draw setting other than its default (exit 1). The
-settings of other commands and model families may share a config file.
+dropped: a key that names no setting (exit 2), and for ``train`` a value
+that only the other model family's trainer reads, other than its default
+(exit 1). The pyramid trainer (``hilo-*``) alone reads the ``hilo.*`` keys
+and the queue, step-cap, validation and pyramid-draw keys; the occupancy
+trainer (``onet-*``) alone reads the ``onet.*`` keys and ``run.batch``, so
+``run.batch`` is the occupancy batch and ``hilo.batch_size`` the pyramid
+batch. A model section (``hilo.*`` or ``onet.*``) in a config file is
+exempt, so both families may share one file, as may other commands.
 ``run.seed`` is the only seed: it overwrites ``synth.seed``, and a
 ``synth.seed`` that differs from it is refused (exit 1). Every command
 echoes the fully resolved configuration into its output directory as
@@ -72,11 +76,19 @@ MODEL_KINDS = {
 
 # refuse occupancy training that would page whole volumes past this
 _ONET_RAM_BUDGET = 1 << 30
-# settings only the window-pyramid trainer reads
-_PYRAMID_TRAINING_KEYS = frozenset({
-    "run.queue_policy", "run.queue_capacity", "run.max_steps", "run.validate_every",
-    "run.pyramid_sampling",
-})
+# model family (a model kind's prefix) -> the keys only its trainer reads;
+# an entry ending in "." stands for its whole section
+_FAMILY_KEYS = {
+    "hilo": ("hilo.", "run.queue_policy", "run.queue_capacity", "run.max_steps",
+             "run.validate_every", "run.pyramid_sampling"),
+    "onet": ("onet.", "run.batch"),
+}
+
+
+def _readers(key: str) -> list[str]:
+    """The families whose trainer alone reads ``key`` (at most one)."""
+    section = key.split(".")[0] + "."
+    return [f for f, keys in _FAMILY_KEYS.items() if key in keys or section in keys]
 
 
 class UsageError(Exception):
@@ -87,10 +99,12 @@ class UsageError(Exception):
 class RunConfig:
     """Every setting of a run, flags and module configs together.
 
-    ``epochs`` and ``batch`` of -1 leave them to the trainer's defaults (the
-    pyramid trainer's batch is ``hilo.batch_size``); ``max_steps`` 0 means
-    no cap. ``threads`` is the number of worker threads that segment tiles
-    (at least 1).
+    A ``train`` run is refused a setting that only the other model family's
+    trainer reads (module docstring). ``batch`` is the occupancy batch; the
+    pyramid batch is ``hilo.batch_size``. ``epochs`` and ``batch`` of -1
+    leave them to the trainer's defaults; ``max_steps`` 0 means no cap.
+    ``lr`` must be positive and finite. ``threads`` is the number of worker
+    threads that segment tiles (at least 1).
     """
 
     model: str = "hilo-cnn"
@@ -145,8 +159,8 @@ class RunConfig:
         ):
             if getattr(self, name) < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
     @property
     def dtype(self):
@@ -181,15 +195,20 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         # box extraction defaults to coarse labels unless explicitly chosen
         rc.onet = dataclasses.replace(rc.onet, coord_resolution="low")
 
-    # a given value the run would not honour is refused, not dropped
-    if args.subcommand == "train" and rc.model.startswith("onet"):
+    # a given value the run would not honour is refused, not dropped; a model
+    # section in a file may serve the other family
+    if args.subcommand == "train":
+        family = rc.model.split("-")[0]
         values, defaults = config_values(rc, "run."), config_values(RunConfig(), "run.")
-        unread = sorted(k for k in given & _PYRAMID_TRAINING_KEYS if values[k] != defaults[k])
+        set_here = set(flags) | {k for k in file_kv if k.split(".")[0] not in _FAMILY_KEYS}
+        unread = sorted(k for k in set_here
+                        if _readers(k) not in ([], [family]) and values[k] != defaults[k])
         if unread:
+            kinds = ", ".join(k for k in MODEL_KINDS if not k.startswith(family))
+            batch = "; a hilo-* batch is hilo.batch_size" if "run.batch" in unread else ""
             raise UsageError(
-                f"occupancy training does not read {', '.join(unread)}: it runs whole "
-                "epochs, validates after each, and has no training queue or pyramid "
-                "draw. Drop them or pick a hilo-* model."
+                f"{rc.model} training does not read {', '.join(unread)}: only {kinds} "
+                f"do{batch}. Drop them or pick one of those models."
             )
     if "synth.seed" in given and rc.synth.seed != rc.seed:
         raise UsageError(
@@ -293,12 +312,9 @@ def _train_onet(rc: RunConfig, train_recs, val_recs):
 
 
 def _train_hilo(rc: RunConfig, train_recs, val_recs):
-    hcfg = rc.hilo
-    if rc.batch > 0 and rc.batch != hcfg.batch_size:
-        hcfg = dataclasses.replace(hcfg, batch_size=rc.batch)
     queue = TrainingQueue(rc.queue_capacity, rc.queue_policy)
     return train_hilo(
-        train_recs, hcfg, queue, **_given(epochs=rc.epochs), sampler=rc.sampler,
+        train_recs, rc.hilo, queue, **_given(epochs=rc.epochs), sampler=rc.sampler,
         val_dataset=val_recs, lr=rc.lr, validate_every=rc.validate_every,
         micro_batch=rc.micro_batch, seed=rc.seed,
         smoothing_window=rc.smoothing_window, pyramid_sampling=rc.pyramid_sampling,
@@ -339,9 +355,7 @@ def cmd_eval(rc: RunConfig) -> int:
     if not records:
         raise UsageError(f"no {rc.split!r} instances in {rc.data_dir}")
     _write_resolved(rc, rc.out_dir)
-    if rc.oracle_bypass:
-        kind, cfg, model = rc.model, None, None
-    else:
+    if not rc.oracle_bypass:
         kind, cfg, model = load_model(rc.checkpoint)
 
     rows = []
@@ -507,8 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", dest="run.data_dir", help="dataset directory (holds manifest.tsv)")
     e.add_argument("--checkpoint", dest="run.checkpoint")
     e.add_argument("--split", dest="run.split", choices=SPLITS)
-    e.add_argument("--model", dest="run.model", choices=MODEL_KINDS,
-                   help="kind label for oracle-bypass runs")
     e.add_argument("--region-margin", dest="run.region_margin", type=int)
     e.add_argument("--bb-margin", dest="run.bb_margin", type=int)
     e.add_argument("--threads", dest="run.threads", type=int)

@@ -129,7 +129,9 @@ def _fit(model, forward, loss, steps: int, batches, val, validate_every: int, lr
     ``model.cfg.threshold``, and that IoU averaged over the last
     ``smoothing_window`` validations. Returns the state at the best smoothed
     IoU (the final state without validation) and the per-step losses and
-    validation records, with ``best_step`` counted from 1.
+    validation records, with ``best_step`` counted from 1. Raises
+    DivergenceError on a non-finite loss, a runaway loss, or a non-finite
+    parameter after the last update.
     """
     opt = nn.Adam(model.parameters(), lr=lr)
     guard = _DivergenceGuard()
@@ -163,6 +165,9 @@ def _fit(model, forward, loss, steps: int, batches, val, validate_every: int, lr
             if smoothed > best:
                 best, best_state = smoothed, _snapshot(model)
                 fit["best_step"] = step
+    # the guard reads losses, which come before their step's update
+    if not all(np.isfinite(p.data).all() for p in opt.params):
+        raise DivergenceError(f"{context}: non-finite parameters after the last update")
     return (best_state if best_state is not None else _snapshot(model)), fit
 
 

@@ -12,8 +12,8 @@ tensor, so the tape keeps:
 - sigmoid, selu and leaky_relu: their output, not their input;
 - the losses: their prediction (a sigmoid output, which the sigmoid keeps
   anyway) and target;
-- add, scale, reshape, concat, pooling, upsampling, padding, slicing and
-  the reductions: shapes only;
+- add, reshape, concat, pooling, upsampling, padding and slicing: shapes
+  only;
 - an operand added into the buffer of the op's product (``mul``'s ``c``,
   a ``matmul`` or ``conv3d`` bias): nothing. Its gradient goes first,
   through the per-instance sum that ``add``'s closure gives its second
@@ -235,16 +235,6 @@ def mul(a: Tensor, b, c=None) -> Tensor:
     return make_node(out, (na, nb, nc), bw)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    out = a.data * s
-    na = a.node
-
-    def bw(g):
-        na.accumulate_grad(g * s, fresh=True)
-
-    return make_node(out, (na,), bw)
-
-
 def matmul(a: Tensor, b: Tensor, bias=None, residual=None) -> Tensor:
     """a @ b with a of shape (B, ..., K) and b a (K, M) matrix, or a kernel
     whose leading axes are all 1 (a 1x1x1 convolution's (1, 1, 1, K, M)),
@@ -311,26 +301,6 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
                 n.accumulate_grad(np.ascontiguousarray(g[tuple(idx)]), fresh=True)
 
     return make_node(out, nodes, bw)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.mean(), dtype=a.dtype)
-    na, size = a.node, a.data.size
-
-    def bw(g):
-        na.accumulate_grad(np.full(na.shape, float(g) / size, dtype=na.dtype), fresh=True)
-
-    return make_node(out, (na,), bw)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum(), dtype=a.dtype)
-    na = a.node
-
-    def bw(g):
-        na.accumulate_grad(np.full(na.shape, float(g), dtype=na.dtype), fresh=True)
-
-    return make_node(out, (na,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Shared fixtures, the finite-difference gradient checker, the byte
-meter's peak probe, a bit-equality assertion and a training queue's
-eviction record."""
+"""Shared fixtures, the finite-difference gradient checker, a summing
+backward, the byte meter's peak probe, a bit-equality assertion and a
+training queue's eviction record."""
 
 import gc
 
@@ -17,6 +17,14 @@ def meter_peak(fn) -> int:
     base = memory_meter.current
     fn()
     return memory_meter.peak - base
+
+
+def backward_sum(y) -> None:
+    """Backpropagate the sum of ``y``'s entries: ``y`` is the root, and each
+    entry is seeded with 1. ``y`` drops its data first, as the input of a
+    summing root would."""
+    y.data = None
+    y.backward(seed=np.ones(y.shape, y.dtype), fresh=True)
 
 
 def assert_same_bits(got, want, what: str = "") -> None:
@@ -43,21 +51,28 @@ def recording_evictions(queue) -> list:
     return evicted
 
 
-def finite_difference_check(build_loss, tensors, n_probes=50, eps=1e-5,
-                            tol=1e-4, rng=None):
+def finite_difference_check(build, tensors, n_probes=50, eps=1e-5,
+                            tol=1e-4, rng=None, reduce="mean"):
     """Compare analytic gradients against central finite differences.
 
-    ``build_loss`` maps nothing to a fresh scalar loss Tensor (it must reread
-    the current values of ``tensors``, which this helper perturbs in place).
+    ``build`` maps nothing to a fresh Tensor, and the loss is the mean (or
+    with ``reduce="sum"``, the sum) of its entries; ``build`` must reread
+    the current values of ``tensors``, which this helper perturbs in place.
     ``tensors`` are the leaves whose gradients are probed; each must have
     requires_grad set. Probes are random scalar positions across all leaves.
     Returns the worst relative error seen.
     """
     rng = np.random.default_rng(rng)
+
+    def loss_value():
+        y = build().data
+        return float(y.mean() if reduce == "mean" else y.sum())
+
     for t in tensors:
         t.zero_grad()
-    loss = build_loss()
-    loss.backward()
+    y = build()
+    weight = 1 / y.data.size if reduce == "mean" else 1.0
+    y.backward(seed=np.full(y.shape, weight, y.dtype), fresh=True)
     grads = [np.array(t.grad, copy=True) for t in tensors]
 
     worst = 0.0
@@ -70,9 +85,9 @@ def finite_difference_check(build_loss, tensors, n_probes=50, eps=1e-5,
         j = int(rng.integers(flat.size))
         keep = flat[j]
         flat[j] = keep + eps
-        up = build_loss().item()
+        up = loss_value()
         flat[j] = keep - eps
-        down = build_loss().item()
+        down = loss_value()
         flat[j] = keep
         numeric = (up - down) / (2 * eps)
         analytic = grads[ti].reshape(-1)[j]

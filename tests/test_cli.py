@@ -7,6 +7,7 @@ import contextlib
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hiloseg import cli
@@ -90,6 +91,9 @@ def test_generate_writes_dataset(run):
 
 @pytest.mark.parametrize("model", ["hilo-cnn", "onet-sr"])
 def test_train_writes_checkpoint(run, model):
+    """Both families train from one shared config file that carries both
+    model sections."""
+    assert run["argv"][model][1:3] == ["--config", str(run["config"])]
     out, out_dir = run["trained"][model]
     assert f"trained {model}" in out
     for name in ("checkpoint.hckpt", "metrics.tsv", "config_resolved.txt"):
@@ -130,6 +134,11 @@ def test_unknown_flag_is_a_usage_error(run):
     code, _, err = call("train", "--data", run["data"], "--bogus")
     assert code == 1
     assert "usage error" in err
+    # eval takes a checkpoint's kind from the checkpoint
+    code, _, err = call("eval", "--data", run["data"], "--oracle-bypass", "--model", "hilo-cnn",
+                        "--out", run["root"] / "eval-model")
+    assert code == 1
+    assert "--model" in err
 
 
 def test_non_checkpoint_file_is_a_data_error(run):
@@ -184,9 +193,16 @@ def test_unreadable_checkpoint_config_is_a_data_error(run):
     assert "data error" in err and "hilo.window_size" in err
 
 
+# the train keys that both model families' trainers read
+SHARED_TRAINING_KEYS = {"run.seed", "run.out_dir", "run.data_dir", "run.model", "run.epochs",
+                        "run.lr", "run.micro_batch", "run.smoothing_window", "run.precision"}
+
+
 def test_every_flag_sets_a_config_key():
     """A flag's dest is the config key it sets; a mistyped key fails here
-    instead of silently dropping the flag."""
+    instead of silently dropping the flag. A ``train`` flag's key is read by
+    exactly one model family's trainer, or is one both read, so a new flag
+    says which trainers honour it."""
     keys = set(config_values(cli.RunConfig(), "run."))
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
@@ -196,6 +212,10 @@ def test_every_flag_sets_a_config_key():
             if action.dest in ("help", "config"):
                 continue
             assert action.dest in keys, (name, action.option_strings, action.dest)
+            if name == "train":
+                readers = cli._readers(action.dest)
+                assert (len(readers) == 1) != (action.dest in SHARED_TRAINING_KEYS), (
+                    action.option_strings, action.dest, readers)
             seen += 1
     assert seen > 30
 
@@ -237,21 +257,57 @@ def test_resolved_config_reads_back(run, name):
 
 
 @pytest.mark.parametrize("flags,key", [
-    (["--max-steps", 1], "run.max_steps"),
-    (["--validate-every", 5], "run.validate_every"),
-    (["--pyramid-sampling", "volume"], "run.pyramid_sampling"),
-    (["--queue-size", 4, "--max-steps", 1], "run.max_steps, run.queue_capacity"),
+    (["--model", "onet-sr", "--max-steps", 1], "run.max_steps"),
+    (["--model", "onet-sr", "--validate-every", 5], "run.validate_every"),
+    (["--model", "onet-sr", "--pyramid-sampling", "volume"], "run.pyramid_sampling"),
+    (["--model", "onet-sr", "--queue-size", 4, "--max-steps", 1],
+     "run.max_steps, run.queue_capacity"),
+    (["--model", "onet-bb", "--queue", "hardness"], "run.queue_policy"),
+    (["--model", "onet-sr", "--w", 8], "hilo.window_size"),
+    (["--model", "onet-sr", "--d", 3], "hilo.downsampling_factor"),
+    (["--model", "onet-sr", "--w", 8, "--levels", 3], "hilo.levels, hilo.window_size"),
+    (["--model", "hilo-cnn", "--conditioning", "concat", "--resolution", "low"],
+     "onet.conditioning, onet.coord_resolution"),
+    (["--model", "hilo-onet", "--batch", 2], "run.batch"),
 ])
 def test_occupancy_training_refuses_pyramid_trainer_settings(run, flags, key):
-    """Occupancy training has no step cap, validation cadence or pyramid
-    draw: asking for one is refused, not trained past."""
-    out_dir = run["root"] / "onet-refused"
+    """Each family's trainer is refused the settings only the other reads:
+    occupancy training (onet-*) has no window pyramid, training queue, step
+    cap or validation cadence, and pyramid training (hilo-*) no occupancy
+    decoder, label grid or ``run.batch``. Asking for one is refused before
+    any file is written, not trained past."""
+    out_dir = run["root"] / "family-refused"
     code, _, err = call("train", "--config", run["config"], "--data", run["data"],
-                        "--out", out_dir, "--model", "onet-sr", "--epochs", 3, "--batch", 2,
-                        *flags)
+                        "--out", out_dir, "--epochs", 3, *flags)
     assert code == 1
     assert "usage error" in err and key in err
     assert not out_dir.exists()
+
+
+def test_pyramid_batch_is_hilo_batch_size(run):
+    """``run.batch`` is the occupancy batch: a pyramid run given it, by flag
+    (above) or from a file, is refused and pointed at ``hilo.batch_size``,
+    the one key of its batch, which the checkpoint and
+    ``config_resolved.txt`` record as the batch that trained."""
+    run_batch = run["root"] / "run-batch.cfg"
+    run_batch.write_text("run.batch = 2\n")
+    code, _, err = call("train", "--config", run_batch, "--data", run["data"],
+                        "--out", run["root"] / "hilo-batch", "--model", "hilo-onet")
+    assert code == 1
+    assert "run.batch" in err and "hilo.batch_size" in err
+    assert not (run["root"] / "hilo-batch").exists()
+
+    cfg = run["root"] / "batch3.cfg"
+    cfg.write_text(TINY_CONFIG.replace("hilo.batch_size = 4", "hilo.batch_size = 3"))
+    out_dir = run["root"] / "hilo-batch3"
+    code, out, err = call("train", "--config", cfg, "--data", run["data"], "--out", out_dir,
+                          "--model", "hilo-cnn", "--epochs", 1, "--pyramid-sampling", "volume")
+    assert code == 0, err
+    n_train = len(load_manifest(run["data"] / "manifest.tsv").paths("train"))
+    assert f" for {-(-n_train // 3)} steps" in out
+    assert cli.load_model(out_dir / "checkpoint.hckpt")[1].batch_size == 3
+    resolved = (out_dir / "config_resolved.txt").read_text().splitlines()
+    assert "hilo.batch_size = 3" in resolved and "run.batch = -1" in resolved
 
 
 def test_synth_seed_other_than_run_seed_is_refused(run):
@@ -317,6 +373,30 @@ def test_unknown_config_key_is_a_data_error(run):
     code, _, err = call("generate", "--config", cfg, "--out", run["root"] / "unknown-key")
     assert code == 2
     assert "hilo.window" in err
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_learning_rate_is_a_usage_error(run, lr):
+    out_dir = run["root"] / f"lr-{lr}"
+    code, _, err = call("train", "--config", run["config"], "--data", run["data"],
+                        "--out", out_dir, "--max-steps", 1, "--lr", lr)
+    assert code == 1
+    assert "usage error" in err and "lr" in err
+    assert not out_dir.exists()
+
+
+def test_non_finite_weights_after_the_last_step_exit_three(run):
+    """The loss of a run's only step comes before its update, so only the
+    weights show that the update overflowed: the run diverges, and no
+    checkpoint is written."""
+    out_dir = run["root"] / "lr-huge"
+    with np.errstate(over="ignore", invalid="ignore"):  # the update overflows on purpose
+        code, _, err = call("train", "--config", run["config"], "--data", run["data"],
+                            "--out", out_dir, "--max-steps", 1, "--lr", 1e300,
+                            "--pyramid-sampling", "volume")
+    assert code == 3
+    assert "diverged" in err and "non-finite parameters" in err
+    assert not (out_dir / "checkpoint.hckpt").exists()
 
 
 def test_divergence_exits_three(run):

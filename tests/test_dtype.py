@@ -8,6 +8,7 @@ import inspect
 
 import numpy as np
 import pytest
+from conftest import backward_sum
 
 from hiloseg.models import (
     HiLoConfig,
@@ -43,12 +44,9 @@ def recomputed(rng, dtype):
 OPS = {
     "add": lambda r, t: F.add(leaf(r, (2, 3, 4), t), leaf(r, (4,), t)),
     "mul": lambda r, t: F.mul(leaf(r, (2, 3, 4), t), leaf(r, (4,), t)),
-    "scale": lambda r, t: F.scale(leaf(r, (2, 3), t), 0.3),
     "matmul": lambda r, t: F.matmul(leaf(r, (2, 5), t), leaf(r, (5, 3), t)),
     "reshape": lambda r, t: F.reshape(leaf(r, (2, 6), t), (2, 3, 2)),
     "concat": lambda r, t: F.concat([leaf(r, (2, 3), t), leaf(r, (2, 2), t)], axis=-1),
-    "mean_all": lambda r, t: F.mean_all(leaf(r, (2, 3), t)),
-    "sum_all": lambda r, t: F.sum_all(leaf(r, (2, 3), t)),
     "leaky_relu": lambda r, t: F.leaky_relu(leaf(r, (2, 7), t)),
     "selu": lambda r, t: F.selu(leaf(r, (2, 7), t)),
     "sigmoid": lambda r, t: F.sigmoid(leaf(r, (2, 7), t)),
@@ -90,7 +88,6 @@ OPS_EXTRA = {
     # on 0-d operands numpy returns a scalar, not an array
     "add_0d": lambda r, t: F.add(leaf(r, (), t), leaf(r, (), t)),
     "mul_0d": lambda r, t: F.mul(leaf(r, (), t), leaf(r, (), t)),
-    "scale_0d": lambda r, t: F.scale(leaf(r, (), t), 0.3),
 }
 
 
@@ -134,7 +131,7 @@ def test_every_op_is_covered():
 @pytest.mark.parametrize("op", sorted(OPS) + sorted(OPS_EXTRA))
 def test_op_keeps_dtype(op, dtype, dtypes_seen):
     out = {**OPS, **OPS_EXTRA}[op](np.random.default_rng(0), dtype)
-    F.sum_all(out).backward()
+    backward_sum(out)
     kinds = {kind for kind, _ in dtypes_seen}
     assert kinds == {"result", "gradient"}
     wrong = [(kind, str(d)) for kind, d in dtypes_seen if d != dtype]
@@ -171,7 +168,7 @@ def hilo_loss(decoder, dtype, rng):
 def test_model_trains_in_its_dtype(build, variant, dtype, dtypes_seen):
     """Forward and backward of each model variant: every op result and every
     gradient is in the model's dtype."""
-    F.sum_all(build(variant, dtype, np.random.default_rng(1))).backward()
+    backward_sum(build(variant, dtype, np.random.default_rng(1)))
     wrong = sorted({(kind, str(d)) for kind, d in dtypes_seen if d != dtype})
     assert len(dtypes_seen) > 100
     assert not wrong, f"{variant} model in {np.dtype(dtype)}: {wrong}"

@@ -34,7 +34,7 @@ class TestPrimitiveGradients:
         c = t64(rng, 3)
 
         def loss():
-            return F.mean_all(F.mul(F.add(a, c), F.scale(b, 1.7)))
+            return F.mul(F.add(a, c), F.mul(b, 1.7))
 
         finite_difference_check(loss, [a, b, c], rng=rng)
 
@@ -45,7 +45,7 @@ class TestPrimitiveGradients:
 
         def loss():
             h = F.concat([F.matmul(a, w), b], axis=-1)
-            return F.mean_all(F.reshape(h, (6, 10)))
+            return F.reshape(h, (6, 10))
 
         finite_difference_check(loss, [a, w, b], rng=rng)
 
@@ -55,7 +55,7 @@ class TestPrimitiveGradients:
             weights = nn.Tensor(rng.normal(size=40).astype(np.float64))
 
             def loss():
-                return F.mean_all(F.mul(act(x), weights))
+                return F.mul(act(x), weights)
 
             finite_difference_check(loss, [x], rng=rng)
 
@@ -67,7 +67,7 @@ class TestPrimitiveGradients:
             h = F.upsample_nearest3d(h, 2)
             h = F.pad_right3d(h, (5, 6, 4))
             h = F.adaptive_avg_pool3d(h, (2, 2, 2))
-            return F.mean_all(h)
+            return h
 
         finite_difference_check(loss, [x], rng=rng)
 
@@ -75,7 +75,7 @@ class TestPrimitiveGradients:
         x = t64(rng, 1, 5, 7, 3, 2)
 
         def loss():
-            return F.mean_all(F.adaptive_avg_pool3d(x, (2, 3, 2)))
+            return F.adaptive_avg_pool3d(x, (2, 3, 2))
 
         finite_difference_check(loss, [x], rng=rng)
 
@@ -84,7 +84,7 @@ class TestPrimitiveGradients:
         weights = nn.Tensor(rng.normal(size=(3, 5, 6)).astype(np.float64))
 
         def loss():
-            return F.mean_all(F.mul(F.repeat_middle(x, 5), weights))
+            return F.mul(F.repeat_middle(x, 5), weights)
 
         finite_difference_check(loss, [x], rng=rng)
 
@@ -93,7 +93,7 @@ class TestPrimitiveGradients:
         weights = nn.Tensor(rng.normal(size=(2, 4, 3)).astype(np.float64))
 
         def loss():
-            return F.mean_all(F.mul(F.slice_middle(x, 4), weights))
+            return F.mul(F.slice_middle(x, 4), weights)
 
         finite_difference_check(loss, [x], rng=rng)
 
@@ -120,7 +120,7 @@ class TestPrimitiveGradients:
         }[op]
 
         def loss():
-            return F.mean_all(F.mul(F.selu(fused()), weights))
+            return F.mul(F.selu(fused()), weights)
 
         finite_difference_check(loss, [a, b, c], rng=rng)
 
@@ -131,7 +131,7 @@ class TestConvGradients:
         w = t64(rng, 3, 3, 3, 3, 2)
 
         def loss():
-            return F.mean_all(F.conv3d(x, w, padding=1))
+            return F.conv3d(x, w, padding=1)
 
         finite_difference_check(loss, [x, w], rng=rng)
 
@@ -140,7 +140,7 @@ class TestConvGradients:
         w = t64(rng, 1, 1, 1, 4, 2)
 
         def loss():
-            return F.mean_all(F.sigmoid(F.conv3d(x, w)))
+            return F.sigmoid(F.conv3d(x, w))
 
         finite_difference_check(loss, [x, w], rng=rng)
 
@@ -149,7 +149,7 @@ class TestConvGradients:
         x = t64(rng, 2, 4, 4, 4, 2)
 
         def loss():
-            return F.mean_all(F.selu(conv(x)))
+            return F.selu(conv(x))
 
         finite_difference_check(loss, [x, conv.w, conv.b], rng=rng)
 
@@ -162,7 +162,7 @@ class TestNormalizationGradients:
         x = t64(rng, 2, 3, 2, 3, 3)
 
         def loss():
-            return F.mean_all(F.sigmoid(norm(x)))
+            return F.sigmoid(norm(x))
 
         finite_difference_check(loss, [x, norm.gamma, norm.beta], rng=rng)
 
@@ -173,7 +173,7 @@ class TestNormalizationGradients:
         x = t64(rng, 2, 6, 5)
 
         def loss():
-            return F.mean_all(F.sigmoid(norm(x)))
+            return F.sigmoid(norm(x))
 
         finite_difference_check(loss, [x, norm.gamma, norm.beta], rng=rng)
 
@@ -185,7 +185,7 @@ class TestNormalizationGradients:
         cond = t64(rng, 2, 3)
 
         def loss():
-            return F.mean_all(F.sigmoid(norm(x, cond)))
+            return F.sigmoid(norm(x, cond))
 
         finite_difference_check(loss, [x, cond] + norm.parameters(), rng=rng, n_probes=80)
 
@@ -196,7 +196,7 @@ class TestBlockGradients:
         x = t64(rng, 2, 5, 4)
 
         def loss():
-            return F.mean_all(F.sigmoid(block(x)))
+            return F.sigmoid(block(x))
 
         finite_difference_check(loss, [x] + block.parameters(), rng=rng, n_probes=80)
 
@@ -206,7 +206,7 @@ class TestBlockGradients:
         cond = t64(rng, 3, 3)
 
         def loss():
-            return F.mean_all(F.sigmoid(block(x, cond=cond)))
+            return F.sigmoid(block(x, cond=cond))
 
         finite_difference_check(loss, [x, cond] + block.parameters(), rng=rng, n_probes=80)
 
@@ -216,7 +216,7 @@ class TestBlockGradients:
         cond = t64(rng, 2, 3)
 
         def loss():
-            return F.mean_all(F.sigmoid(block(x, cond=cond)))
+            return F.sigmoid(block(x, cond=cond))
 
         finite_difference_check(loss, [x, cond] + block.parameters(), rng=rng, n_probes=80)
 
@@ -225,7 +225,7 @@ class TestBlockGradients:
         x = t64(rng, 2, 3, 3, 3, 2)
 
         def loss():
-            return F.mean_all(F.sigmoid(block(x)))
+            return F.sigmoid(block(x))
 
         finite_difference_check(loss, [x] + block.parameters(), rng=rng, n_probes=80)
 
@@ -237,7 +237,7 @@ class TestBlockGradients:
         x = t64(rng, 2, 4, 4, 4, 1)
 
         def loss():
-            return F.mean_all(F.sigmoid(F.recompute(enc, (x,), enc.parameters())))
+            return F.sigmoid(F.recompute(enc, (x,), enc.parameters()))
 
         finite_difference_check(loss, [x] + enc.parameters(), rng=rng, n_probes=80)
 
@@ -252,7 +252,7 @@ class TestBlockGradients:
         calls = []
 
         def loss():
-            return F.mean_all(dec(h))
+            return dec(h)
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(F, "recompute", lambda *a, _op=F.recompute: calls.append(a) or _op(*a))
@@ -273,7 +273,7 @@ class TestBlockGradients:
         calls = []
 
         def loss():
-            return F.mean_all(dec(coords, latent))
+            return dec(coords, latent)
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(F, "recompute", lambda *a, _op=F.recompute: calls.append(a) or _op(*a))
@@ -295,7 +295,7 @@ class TestBlockGradients:
         calls = []
 
         def loss():
-            return F.mean_all(model(vols, coords))
+            return model(vols, coords)
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(F, "recompute", lambda *a, _op=F.recompute: calls.append(a) or _op(*a))
@@ -309,7 +309,7 @@ class TestBlockGradients:
         x = t64(rng, 8, 5)
 
         def loss():
-            return F.mean_all(F.leaky_relu(dense(x)))
+            return F.leaky_relu(dense(x))
 
         finite_difference_check(loss, [x, dense.w, dense.b], rng=rng)
 
@@ -320,7 +320,7 @@ class TestLossGradients:
         target = (rng.random(60) > 0.6).astype(np.float64)
 
         def loss():
-            return F.mean_all(F.bce_loss(F.sigmoid(z), target))
+            return F.bce_loss(F.sigmoid(z), target)
 
         finite_difference_check(loss, [z], rng=rng)
 
@@ -329,7 +329,7 @@ class TestLossGradients:
         target = (rng.random(60) > 0.6).astype(np.float64)
 
         def loss():
-            return F.mean_all(F.focal_loss(F.sigmoid(z), target, gamma=2.0, alpha=0.25))
+            return F.focal_loss(F.sigmoid(z), target, gamma=2.0, alpha=0.25)
 
         finite_difference_check(loss, [z], rng=rng)
 
@@ -339,7 +339,7 @@ class TestLossGradients:
         target = (rng.random(40) > 0.4).astype(np.float64)
 
         def loss():
-            return F.mean_all(F.focal_loss(F.sigmoid(z), target, gamma=1.0, alpha=0.4))
+            return F.focal_loss(F.sigmoid(z), target, gamma=1.0, alpha=0.4)
 
         finite_difference_check(loss, [z], rng=rng)
 
@@ -352,9 +352,9 @@ class TestLossGradients:
         weights = nn.Tensor(rng.normal(size=3))
 
         def loss():
-            return F.sum_all(F.mul(loss_op(F.sigmoid(z), target), weights))
+            return F.mul(loss_op(F.sigmoid(z), target), weights)
 
-        finite_difference_check(loss, [z], rng=rng)
+        finite_difference_check(loss, [z], rng=rng, reduce="sum")
 
 
 class TestEndToEndGradient:
@@ -370,7 +370,7 @@ class TestEndToEndGradient:
             h = F.selu(norm(conv1(x)))
             h = F.avg_pool3d(h, 2)
             h = F.reshape(h, (2, 3 * 8))
-            return F.mean_all(F.bce_loss(F.sigmoid(dense(h)), target))
+            return F.bce_loss(F.sigmoid(dense(h)), target)
 
         params = [x, conv1.w, conv1.b, norm.gamma, norm.beta, dense.w, dense.b]
         finite_difference_check(loss, params, rng=rng, n_probes=100)

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, meter_peak
+from conftest import assert_same_bits, backward_sum, meter_peak
 
 from hiloseg import nn
 from hiloseg.nn import functional as F
@@ -79,7 +79,7 @@ def conv3d_grads(x, w, g, padding=0):
     xt = nn.Tensor(x.copy(), requires_grad=True)
     wt = nn.Tensor(w.copy(), requires_grad=True)
     y = F.conv3d(xt, wt, padding=padding)
-    F.sum_all(F.mul(y, g)).backward()  # hands conv3d exactly g
+    backward_sum(F.mul(y, g))  # hands conv3d exactly g
     return xt.grad, wt.grad
 
 
@@ -89,12 +89,12 @@ class TestElementwiseOps:
         b = nn.Tensor(rng.normal(size=(3, 4)).astype(np.float32))
         np.testing.assert_allclose(F.add(a, b).data, a.data + b.data)
         np.testing.assert_allclose(F.mul(a, b).data, a.data * b.data)
-        np.testing.assert_allclose(F.scale(a, -2.5).data, a.data * -2.5)
+        np.testing.assert_allclose(F.mul(a, -2.5).data, a.data * -2.5)
 
     def test_broadcast_add_gradient_unbroadcasts(self, rng):
         a = nn.parameter(rng.normal(size=(4, 3)).astype(np.float64))
         b = nn.parameter(rng.normal(size=(3,)).astype(np.float64))
-        F.sum_all(F.add(a, b)).backward()
+        backward_sum(F.add(a, b))
         np.testing.assert_allclose(a.grad, np.ones((4, 3)))
         np.testing.assert_allclose(b.grad, np.full(3, 4.0))
 
@@ -117,7 +117,7 @@ class TestElementwiseOps:
 
         def grad(rows):
             w = nn.parameter(w0.copy())
-            F.sum_all(F.mul(getattr(F, op)(nn.Tensor(x[rows]), w), g[rows])).backward()
+            backward_sum(F.mul(getattr(F, op)(nn.Tensor(x[rows]), w), g[rows]))
             return w.grad
 
         g0, g1, g2 = (grad(slice(i, i + 1)) for i in range(3))
@@ -136,7 +136,7 @@ class TestElementwiseOps:
             a = nn.Tensor(x[rows].copy(), requires_grad=True)
             out = F.matmul(a, w)
             values = out.data  # backward drops an op result's data
-            F.sum_all(F.mul(out, g[rows])).backward()
+            backward_sum(F.mul(out, g[rows]))
             return values, a.grad
 
         out, grad = run(slice(None))
@@ -149,14 +149,6 @@ class TestElementwiseOps:
         parts = [nn.Tensor(rng.normal(size=(2, n)).astype(np.float32)) for n in (1, 4, 2)]
         got = F.concat(parts, axis=-1)
         np.testing.assert_allclose(got.data, np.concatenate([p.data for p in parts], axis=-1))
-
-    def test_mean_sum_reductions(self, rng):
-        a = nn.parameter(rng.normal(size=(6, 2)).astype(np.float64))
-        assert F.mean_all(a).item() == pytest.approx(a.data.mean())
-        s = F.sum_all(a)
-        assert s.item() == pytest.approx(a.data.sum())
-        s.backward()
-        np.testing.assert_allclose(a.grad, np.ones((6, 2)))
 
 
 class TestActivations:
@@ -189,7 +181,7 @@ class TestActivations:
             xt = nn.Tensor(x.copy(), requires_grad=True)
             y = F.leaky_relu(xt, slope=slope)
             want = np.where(y.data > 0, g, g * slope)
-            F.sum_all(F.mul(y, g)).backward()  # hands leaky_relu exactly g
+            backward_sum(F.mul(y, g))  # hands leaky_relu exactly g
         assert xt.grad.dtype == want.dtype
         assert xt.grad.tobytes() == want.tobytes()
 
@@ -227,7 +219,7 @@ class TestActivations:
             xt = nn.Tensor(x.copy(), requires_grad=True)
             y = F.selu(xt)
             got = y.data.tobytes()
-            F.sum_all(F.mul(y, g)).backward()  # hands selu exactly g
+            backward_sum(F.mul(y, g))  # hands selu exactly g
         assert got == want.tobytes()
         assert xt.grad.tobytes() == want_grad.tobytes()
 
@@ -243,7 +235,7 @@ class TestActivations:
             y = F.selu(xt)
             want = np.where(y.data > 0, g * F.SELU_LAMBDA,
                             g * (y.data + F.SELU_LAMBDA * F.SELU_ALPHA))
-            F.sum_all(F.mul(y, g)).backward()  # hands selu exactly g
+            backward_sum(F.mul(y, g))  # hands selu exactly g
         assert xt.grad.dtype == want.dtype
         assert xt.grad.tobytes() == want.tobytes()
 
@@ -414,7 +406,7 @@ class TestConv3d:
         b, n, cin, cout = 2, 12, 8, 8
         x = nn.Tensor(rng.normal(size=(b, n, n, n, cin)).astype(np.float32), requires_grad=True)
         w = nn.Tensor(rng.normal(size=(3, 3, 3, cin, cout)).astype(np.float32), requires_grad=True)
-        peak = meter_peak(lambda: F.sum_all(F.conv3d(x, w, padding=1)).backward())
+        peak = meter_peak(lambda: backward_sum(F.conv3d(x, w, padding=1)))
         f32, c = 4, max(cin, cout)
         output = b * n**3 * cout * f32  # held twice: the value and its gradient
         chunk = max(d1 - d0 for d0, d1 in F._plane_chunks(n, n, n, 3, c, f32))
@@ -465,7 +457,7 @@ class TestAddedOperand:
         leaves = [nn.Tensor(v.copy(), requires_grad=True) for v in (a, b, c)]
         out = fn(*leaves)
         values = out.data
-        F.sum_all(F.mul(out, g)).backward()  # hands the op exactly g
+        backward_sum(F.mul(out, g))  # hands the op exactly g
         return [values] + [t.grad for t in leaves]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -502,7 +494,7 @@ class TestAddedOperand:
             cr = ct if ct is not None else nn.Tensor(c[rows].copy(), requires_grad=True)
             out = fused(at, bt, cr)
             values.append(out.data)
-            F.sum_all(F.mul(out, g[rows])).backward()
+            backward_sum(F.mul(out, g[rows]))
             a_grads.append(at.grad)
             if ct is None:
                 c_grads.append(cr.grad)
@@ -524,12 +516,12 @@ class TestAddedOperand:
         still arrives, summed over the 7 rows it broadcasts across."""
         a, b, c = (nn.Tensor(v, requires_grad=True)
                    for v in self.operands(rng, "mul", "element", np.float64))
-        addend = F.scale(c, 1.0)
+        addend = F.mul(c, 1.0)
         ref = weakref.ref(addend.data)
         out = F.mul(a, b, addend)
         del addend
         assert ref() is None
-        F.sum_all(out).backward()
+        backward_sum(out)
         np.testing.assert_array_equal(c.grad, np.full(c.shape, 7.0))
 
 
@@ -575,7 +567,7 @@ class TestResampling:
         want = np.broadcast_to(x.data[:, :, None, :, None, :, None, :], spread)
         np.testing.assert_array_equal(out.data, want.reshape(out.shape))
         g = rng.normal(size=out.shape).astype(np.float32)
-        F.sum_all(F.mul(out, g)).backward()  # hands upsampling exactly g
+        backward_sum(F.mul(out, g))  # hands upsampling exactly g
         np.testing.assert_array_equal(x.grad, g.reshape(spread).sum(axis=(2, 4, 6)))
 
     def test_adaptive_pool_uniform_case(self, rng):
@@ -773,7 +765,7 @@ class TestPerInstanceNorms:
             # standardized to zeros, so every position holds the same beta
             rows = out.data[1].reshape(-1, shape[-1])
             np.testing.assert_array_equal(rows, np.broadcast_to(rows[0], rows.shape))
-            F.sum_all(F.mul(out, nn.Tensor(rng.normal(size=shape)))).backward()
+            backward_sum(F.mul(out, nn.Tensor(rng.normal(size=shape))))
             assert np.isfinite(xt.grad).all()
             assert all(np.isfinite(p.grad).all() for p in norm.parameters())
 
@@ -787,7 +779,7 @@ class TestPerInstanceNorms:
         h = xt
         for norm in norms:
             h = F.selu(norm(h))
-        F.sum_all(F.mul(h, nn.Tensor(rng.normal(size=x.shape).astype(np.float32)))).backward()
+        backward_sum(F.mul(h, nn.Tensor(rng.normal(size=x.shape).astype(np.float32))))
         assert np.isfinite(xt.grad).all()
         assert all(np.isfinite(p.grad).all() for norm in norms for p in norm.parameters())
 
@@ -809,7 +801,7 @@ class TestPerInstanceNorms:
             np.testing.assert_allclose(part, full[:, keep], rtol=1e-12)
             xt = nn.parameter(x)
             out = self.call(norm, xt, cond_shape)
-            F.sum_all(F.slice_middle(out, 1)).backward()
+            backward_sum(F.slice_middle(out, 1))
             np.testing.assert_array_equal(xt.grad[:, 1:3], 0.0)
             assert np.abs(xt.grad[:, 0]).sum() > 0 and np.abs(xt.grad[:, 3:]).sum() > 0
 
@@ -1030,12 +1022,12 @@ class TestAutodiffMechanics:
     def test_no_grad_builds_no_tape(self, rng):
         a = nn.parameter(rng.normal(size=(3,)).astype(np.float32))
         with nn.no_grad():
-            out = F.scale(a, 2.0)
+            out = F.mul(a, 2.0)
         assert out._backward is None and out._parents == ()
 
     def test_constant_inputs_build_no_tape(self, rng):
         a = nn.Tensor(rng.normal(size=(3,)).astype(np.float32))
-        out = F.scale(a, 2.0)
+        out = F.mul(a, 2.0)
         assert out._backward is None and out._parents == ()
 
     def test_grad_state_restored_after_exception(self):
@@ -1048,13 +1040,12 @@ class TestAutodiffMechanics:
     def test_backward_requires_scalar(self, rng):
         a = nn.parameter(rng.normal(size=(3,)).astype(np.float64))
         with pytest.raises(ValueError):
-            F.scale(a, 1.0).backward()
+            F.mul(a, 1.0).backward()
 
     def test_backward_consumes_tape_and_keeps_leaves(self, rng):
         a = nn.parameter(np.ones(3, dtype=np.float64))
-        h = F.scale(a, 2.0)
-        loss = F.sum_all(h)
-        loss.backward()
+        h = F.mul(a, 2.0)
+        backward_sum(F.mul(h, 1.0))
         np.testing.assert_allclose(a.grad, np.full(3, 2.0))
         assert a.data is not None
         # intermediates release data, closures, and graph links
@@ -1062,15 +1053,15 @@ class TestAutodiffMechanics:
 
     def test_gradient_accumulates_across_backwards(self, rng):
         a = nn.parameter(np.ones(2, dtype=np.float64))
-        F.sum_all(F.scale(a, 1.0)).backward()
-        F.sum_all(F.scale(a, 1.0)).backward()
+        backward_sum(F.mul(a, 1.0))
+        backward_sum(F.mul(a, 1.0))
         np.testing.assert_allclose(a.grad, np.full(2, 2.0))
 
     def test_diamond_graph_accumulates_both_paths(self, rng):
         a = nn.parameter(np.array([3.0], dtype=np.float64))
-        left = F.scale(a, 2.0)
-        right = F.scale(a, 5.0)
-        F.sum_all(F.add(left, right)).backward()
+        left = F.mul(a, 2.0)
+        right = F.mul(a, 5.0)
+        backward_sum(F.add(left, right))
         np.testing.assert_allclose(a.grad, [7.0])
 
     def test_accumulate_grad_shape_check(self):
@@ -1114,7 +1105,7 @@ class TestAutodiffMechanics:
             xt = nn.Tensor(x, requires_grad=True)
             out = F.batch_standardize(xt, 1e-5, axes)
             xhat = out.data.copy()
-            F.sum_all(F.mul(out, g)).backward()
+            backward_sum(F.mul(out, g))
             inv = 1.0 / np.sqrt(x.var(axis=axes, keepdims=True) + 1e-5)
             gm = g.mean(axis=axes, keepdims=True)
             want = inv * (g - gm - xhat * (g * xhat).mean(axis=axes, keepdims=True))
@@ -1219,7 +1210,7 @@ class TestChannelRows:
             out = F.mul(*leaves)
             assert out.data.base is None  # metered
             assert_same_bits(out.data, np.add(x * gamma, beta), "value")
-            F.sum_all(F.mul(out, g)).backward()  # hands mul exactly g
+            backward_sum(F.mul(out, g))  # hands mul exactly g
             assert_same_bits(leaves[0].grad, g * gamma, "x")
             for leaf, d in ((leaves[1], g * x), (leaves[2], g)):
                 if len(pshape) == 1:
@@ -1244,7 +1235,7 @@ class TestChannelRows:
             plain = F.conv3d(nn.Tensor(x), nn.Tensor(w), 1).data
         assert_same_bits(out.data, plain + b, "value")
         g = wide(rng, out.shape, dtype)
-        F.sum_all(F.mul(out, g)).backward()
+        backward_sum(F.mul(out, g))
         want = np.add.reduce(g[0].reshape(-1, cout), axis=0) + np.add.reduce(
             g[1].reshape(-1, cout), axis=0)
         assert_same_bits(bt.grad, want, "bias")
@@ -1286,7 +1277,7 @@ class TestChannelRows:
         out = F.batch_standardize(xt, 1e-5, (1,), ref=ref)
         xhat = out.data.copy()
         g = wide(rng, shape, dtype)
-        F.sum_all(F.mul(out, g)).backward()
+        backward_sum(F.mul(out, g))
         src = x[:, -ref:]
         inv = 1.0 / np.sqrt(F._mean(src * src, (1,)) + 1e-5)
         gx = (g * xhat).sum(axis=(1,), keepdims=True) / ref
@@ -1333,7 +1324,7 @@ class TestChannelRows:
             assert out.data.base is None  # metered
             assert_same_bits(out.data, x.reshape(spread).mean(axis=(2, 4, 6)), "pool")
             g = with_specials(rng, wide(rng, out.shape, dtype))
-            F.sum_all(F.mul(out, g)).backward()
+            backward_sum(F.mul(out, g))
             want = np.empty(fine, dtype)
             want.reshape(spread)[...] = g[:, :, None, :, None, :, None, :] / f**3
             assert_same_bits(xt.grad, want, "pool backward")
@@ -1346,7 +1337,7 @@ class TestChannelRows:
             want.reshape(spread)[...] = y[:, :, None, :, None, :, None, :]
             assert_same_bits(up.data, want, "upsample")
             g = self.pool_input(rng, fine, f, dtype)
-            F.sum_all(F.mul(up, g)).backward()
+            backward_sum(F.mul(up, g))
             assert_same_bits(yt.grad, g.reshape(spread).sum(axis=(2, 4, 6)), "upsample backward")
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -9,6 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import backward_sum
 
 from hiloseg import nn
 from hiloseg.models.hilo import HiLoConfig, HiLoGridDecoder
@@ -72,7 +73,7 @@ class TestRetention:
                 out = block(x)  # no collection: reference counts alone free the rest
                 g = np.random.default_rng(8).normal(size=out.shape).astype(np.float32)
                 state = {name: alive(refs) for name, refs in made.items()}
-                F.sum_all(F.mul(out, g)).backward()
+                backward_sum(F.mul(out, g))
                 grads = [x.grad] + [p.grad for p in block.parameters()]
                 del out
                 after = {name: alive(refs) for name, refs in made.items()}
@@ -102,14 +103,14 @@ class TestRetention:
     def test_selu_and_leaky_relu_keep_their_output_not_their_input(self, rng):
         for op in (F.selu, F.leaky_relu):
             x = nn.Tensor(rng.normal(size=(4, 5)).astype(np.float32), requires_grad=True)
-            h = F.scale(x, 2.0)
+            h = F.mul(x, 2.0)
             ref_in = weakref.ref(h.data)
             y = op(h)
             ref_out = weakref.ref(y.data)
-            loss = F.sum_all(y)  # the tape now holds y's node
+            loss = F.mul(y, 1.0)  # the tape now holds y's node
             del h, y
             assert ref_in() is None and ref_out() is not None
-            loss.backward()
+            backward_sum(loss)
             assert ref_out() is None
 
 
@@ -140,7 +141,7 @@ class TestGradientHandOver:
         a = nn.parameter(rng.normal(size=(3, 4)))
         b = nn.parameter(rng.normal(size=(3, 4)))
         out = F.add(a, b)
-        F.sum_all(F.scale(out, 3.0)).backward()
+        backward_sum(F.mul(out, 3.0))
         np.testing.assert_array_equal(a.grad, np.full((3, 4), 3.0))
         np.testing.assert_array_equal(b.grad, np.full((3, 4), 3.0))
         assert not np.shares_memory(a.grad, b.grad)
@@ -149,15 +150,15 @@ class TestGradientHandOver:
     def test_diamond_graph(self, rng, monkeypatch):
         self.watch_buffers(monkeypatch)
         a = nn.parameter(rng.normal(size=(2, 5)))
-        left = F.scale(a, 2.0)
+        left = F.mul(a, 2.0)
         right = F.mul(a, a)
-        F.sum_all(F.add(F.add(left, right), left)).backward()
+        backward_sum(F.add(F.add(left, right), left))
         np.testing.assert_allclose(a.grad, 4.0 + 2.0 * a.data, rtol=1e-15)
 
     def test_same_leaf_twice(self, rng, monkeypatch):
         self.watch_buffers(monkeypatch)
         a = nn.parameter(rng.normal(size=(4,)))
-        F.sum_all(F.add(a, a)).backward()
+        backward_sum(F.add(a, a))
         np.testing.assert_array_equal(a.grad, np.full(4, 2.0))
 
     def test_fresh_owned_array_is_adopted(self, rng):
@@ -220,7 +221,7 @@ class TestGradientHandOver:
         self.watch_buffers(monkeypatch)
         x = nn.Tensor(rng.normal(size=(1, 4, 4, 4, 2)).astype(np.float32), requires_grad=True)
         w = nn.parameter(rng.normal(size=(3, 3, 3, 2, 2)).astype(np.float32))
-        F.sum_all(F.conv3d(x, w, padding=1)).backward()
+        backward_sum(F.conv3d(x, w, padding=1))
         assert x.grad.base is None and x.grad.flags.writeable
 
 
@@ -230,7 +231,7 @@ class TestHookContract:
 
     def test_rebound_backward_runs_once(self, rng):
         a = nn.parameter(rng.normal(size=(3,)))
-        h = F.scale(a, 2.0)
+        h = F.mul(a, 2.0)
         inner = h._backward
         calls = []
 
@@ -240,7 +241,7 @@ class TestHookContract:
 
         h._backward = wrapped
         assert h._backward is wrapped
-        F.sum_all(h).backward()
+        backward_sum(h)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], np.ones(3))
         np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
@@ -269,7 +270,7 @@ class TestHookContract:
             for p in params:
                 p.zero_grad()
             h = dense(F.selu(norm(conv(nn.Tensor(x[rows])))))
-            F.sum_all(F.mul(h, g[rows])).backward()
+            backward_sum(F.mul(h, g[rows]))
             return [partials[id(p)] for p in params]
 
         whole = run(slice(None))
@@ -296,13 +297,13 @@ class TestRecompute:
             return w.grad
 
         seeded = grad(lambda y: y.backward(seed=s))
-        summed = grad(lambda y: F.sum_all(F.mul(y, s)).backward())
+        summed = grad(lambda y: backward_sum(F.mul(y, s)))
         assert seeded.tobytes() == summed.tobytes()
 
     def test_non_scalar_root_needs_a_seed(self, rng):
         w = nn.parameter(rng.normal(size=(3,)))
         with pytest.raises(ValueError, match="scalar"):
-            F.scale(w, 2.0).backward()
+            F.mul(w, 2.0).backward()
 
     def test_forward_keeps_no_activation(self, monkeypatch, rng):
         names = ("conv3d", "matmul", "batch_standardize", "mul", "add", "selu")
@@ -315,9 +316,9 @@ class TestRecompute:
     @staticmethod
     def block_gradients(rng, wrap, context=contextlib.nullcontext):
         block, x = conv_block_case(rng)
-        loss = F.sum_all(F.mul(wrap(block, x), 0.5))
+        loss = F.mul(wrap(block, x), 0.5)
         with context():
-            loss.backward()
+            backward_sum(loss)
         return [t.grad for t in [x] + block.parameters()]
 
     def test_gradients_bit_equal_to_a_kept_tape(self):
@@ -346,7 +347,7 @@ class TestRecompute:
         gradient sums their contributions in the kept tape's order."""
         def gradients():
             dec, coords, latent = self.decoder_case(conditioning)
-            F.sum_all(F.mul(dec(coords, latent), 0.5)).backward()
+            backward_sum(F.mul(dec(coords, latent), 0.5))
             return [t.grad for t in [coords, latent] + dec.parameters()]
 
         rebuilt = gradients()
@@ -375,7 +376,7 @@ class TestRecompute:
             calls = []
             with monkeypatch.context() as m:
                 m.setattr(F, "recompute", lambda *a: calls.append(a[0]) or recompute(*a))
-                F.sum_all(F.mul(model(vols, coords), 0.5)).backward()
+                backward_sum(F.mul(model(vols, coords), 0.5))
             return [p.grad for p in model.parameters()], calls[0] is model.encoder
 
         rebuilt, encoder_first = gradients(F.recompute)
@@ -400,7 +401,7 @@ class TestRecompute:
                 for name in names}
         assert len(made["batch_standardize"]) == 1 + 2 * len(dec.blocks)
         assert live == {"batch_standardize": 1, "leaky_relu": 1}
-        F.sum_all(y).backward()
+        backward_sum(y)
         assert all(r() is None for name in names for r in made[name])
 
     @staticmethod
@@ -424,7 +425,7 @@ class TestRecompute:
         every parameter the kept tape's gradients."""
         def gradients():
             dec, h = self.grid_decoder_case()
-            F.sum_all(F.mul(dec(h), 0.5)).backward()
+            backward_sum(F.mul(dec(h), 0.5))
             return [t.grad for t in [h] + dec.parameters()]
 
         rebuilt = gradients()
@@ -447,7 +448,7 @@ class TestRecompute:
         n = 2 * (len(dec.blocks) - 1)  # two norms and two activations per pooled block
         for name in names:
             assert alive(made[name]) == [False] * n + [True] * 3
-        F.sum_all(y).backward()
+        backward_sum(y)
         assert all(r() is None for name in names for r in made[name])
 
     def test_backward_inside_no_grad_still_reaches_the_parameters(self):
