@@ -4,20 +4,25 @@ One process per run. Configuration is resolved as defaults < config file <
 flags, through ``config``'s one reader and writer. Each value has one key,
 and a flag is that key: its argparse ``dest`` is the key it sets (``--w``
 sets ``hilo.window_size``, ``--seed`` sets ``run.seed``), and ``--help``
-shows that key as its metavar. A key the run does not read is refused, not
-dropped: a key that names no setting (exit 2), and for ``train`` a value
-that only the other model family's trainer reads, other than its default
-(exit 1). The pyramid trainer (``hilo-*``) alone reads the ``hilo.*`` keys
-and the queue, step-cap, validation and pyramid-draw keys; the occupancy
-trainer (``onet-*``) alone reads the ``onet.*`` keys and ``run.batch``, so
+shows that key as its metavar. The model, ``run.model`` and a checkpoint's
+kind, is the family: ``hilo`` (window pyramid) or ``onet`` (occupancy
+network). The variant is its config, so the paper's four are ``--model
+hilo``, ``--model hilo --decoder onet``, ``--model onet`` and ``--model
+onet --resolution low``. A key the run does not read is refused, not
+dropped: a key that names no setting (exit 2), and a value other than its
+default that only other runs read (exit 1). For ``train`` that is a value
+only the other family's trainer reads: the pyramid trainer alone reads the
+``hilo.*`` keys and the queue, step-cap, validation and pyramid-draw keys;
+the occupancy trainer alone reads the ``onet.*`` keys and ``run.batch``, so
 ``run.batch`` is the occupancy batch and ``hilo.batch_size`` the pyramid
 batch. A model section (``hilo.*`` or ``onet.*``) in a config file is
-exempt, so both families may share one file, as may other commands.
-``run.seed`` is the only seed: it overwrites ``synth.seed``, and a
-``synth.seed`` that differs from it is refused (exit 1). Every command
-echoes the fully resolved configuration into its output directory as
-``config_resolved.txt``, which reads back as a config file, so a run is
-reproducible from that file alone.
+exempt, so both families may share one file, as may other commands. For
+``eval`` and ``segment`` it is a ``_PYRAMID_PREDICT_KEYS`` value given to
+an ``onet`` checkpoint or the oracle. ``run.seed`` is the only seed: it
+overwrites ``synth.seed``, and a ``synth.seed`` that differs from it is
+refused (exit 1). Every command echoes the fully resolved configuration
+into its output directory as ``config_resolved.txt``, which reads back as a
+config file, so a run is reproducible from that file alone.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 divergence.
 """
@@ -48,6 +53,7 @@ from .data_io import (
 from .errors import DivergenceError, FormatError
 from .inference import BoundingBox, bb_iou, mise_evaluate, sampled_iou, segment_volume, voxel_iou
 from .models import (
+    DECODERS,
     HiLoConfig,
     HiLoModel,
     OnetConfig,
@@ -65,19 +71,14 @@ from .voxel import LabelVolume, VoxelVolume
 
 log = logging.getLogger(__name__)
 
-# model kind -> (config class, model class); a checkpoint's header holds the
-# kind and its config block ``config_text`` of the model's config
-MODEL_KINDS = {
-    "onet-sr": (OnetConfig, OnetModel),
-    "onet-bb": (OnetConfig, OnetModel),
-    "hilo-cnn": (HiLoConfig, HiLoModel),
-    "hilo-onet": (HiLoConfig, HiLoModel),
-}
+# model family -> (config class, model class); a checkpoint's header holds the
+# family and its config block ``config_text`` of the model's config
+MODEL_KINDS = {"hilo": (HiLoConfig, HiLoModel), "onet": (OnetConfig, OnetModel)}
 
 # refuse occupancy training that would page whole volumes past this
 _ONET_RAM_BUDGET = 1 << 30
-# model family (a model kind's prefix) -> the keys only its trainer reads;
-# an entry ending in "." stands for its whole section
+# model family -> the keys only its trainer reads; an entry ending in "."
+# stands for its whole section
 _FAMILY_KEYS = {
     "hilo": ("hilo.", "run.queue_policy", "run.queue_capacity", "run.max_steps",
              "run.validate_every", "run.pyramid_sampling"),
@@ -91,6 +92,10 @@ def _readers(key: str) -> list[str]:
     return [f for f, keys in _FAMILY_KEYS.items() if key in keys or section in keys]
 
 
+# command -> the keys it reads only when a hilo checkpoint predicts
+_PYRAMID_PREDICT_KEYS = {"eval": ("run.threads", "run.region_margin"), "segment": ("run.threads",)}
+
+
 class UsageError(Exception):
     pass
 
@@ -99,15 +104,16 @@ class UsageError(Exception):
 class RunConfig:
     """Every setting of a run, flags and module configs together.
 
-    A ``train`` run is refused a setting that only the other model family's
-    trainer reads (module docstring). ``batch`` is the occupancy batch; the
-    pyramid batch is ``hilo.batch_size``. ``epochs`` and ``batch`` of -1
+    ``model`` is the family; ``hilo.decoder`` or ``onet.coord_resolution``
+    picks its variant. A run is refused a setting it does not read (module
+    docstring). ``batch`` is the occupancy batch; the pyramid batch is
+    ``hilo.batch_size``. ``epochs`` and ``batch`` of -1
     leave them to the trainer's defaults; ``max_steps`` 0 means no cap.
     ``lr`` must be positive and finite. ``threads`` is the number of worker
     threads that segment tiles (at least 1).
     """
 
-    model: str = "hilo-cnn"
+    model: str = "hilo"
     seed: int = 0
     precision: str = "float32"
     epochs: int = -1
@@ -179,44 +185,44 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     # a flag's dest is its config key; only the dotted dests are settings
     flags = {k: v for k, v in vars(args).items() if "." in k and v is not None}
     rc = with_values(read_config(RunConfig(), file_kv, "run."), flags, "run.")
-    given = set(file_kv) | set(flags)
-
-    # the model kind decides the pyramid decoder
-    if rc.model.startswith("hilo"):
-        decoder = "cnn" if rc.model == "hilo-cnn" else "onet"
-        if rc.hilo.decoder != decoder:
-            if "hilo.decoder" in given:
-                raise UsageError(
-                    f"hilo.decoder = {rc.hilo.decoder} disagrees with run.model = {rc.model} "
-                    f"(decoder {decoder}); drop hilo.decoder or pick the matching model"
-                )
-            rc.hilo = dataclasses.replace(rc.hilo, decoder=decoder)
-    elif rc.model == "onet-bb" and "onet.coord_resolution" not in given:
-        # box extraction defaults to coarse labels unless explicitly chosen
-        rc.onet = dataclasses.replace(rc.onet, coord_resolution="low")
 
     # a given value the run would not honour is refused, not dropped; a model
     # section in a file may serve the other family
     if args.subcommand == "train":
-        family = rc.model.split("-")[0]
-        values, defaults = config_values(rc, "run."), config_values(RunConfig(), "run.")
         set_here = set(flags) | {k for k in file_kv if k.split(".")[0] not in _FAMILY_KEYS}
-        unread = sorted(k for k in set_here
-                        if _readers(k) not in ([], [family]) and values[k] != defaults[k])
+        unread = _changed(rc, (k for k in set_here if _readers(k) not in ([], [rc.model])))
         if unread:
-            kinds = ", ".join(k for k in MODEL_KINDS if not k.startswith(family))
-            batch = "; a hilo-* batch is hilo.batch_size" if "run.batch" in unread else ""
+            other = next(k for k in MODEL_KINDS if k != rc.model)
+            batch = "; a hilo batch is hilo.batch_size" if "run.batch" in unread else ""
             raise UsageError(
-                f"{rc.model} training does not read {', '.join(unread)}: only {kinds} "
-                f"do{batch}. Drop them or pick one of those models."
+                f"{rc.model} training does not read {', '.join(unread)}: only {other} "
+                f"training does{batch}. Drop them or pick --model {other}."
             )
-    if "synth.seed" in given and rc.synth.seed != rc.seed:
+    if "synth.seed" in file_kv.keys() | flags.keys() and rc.synth.seed != rc.seed:
         raise UsageError(
             f"synth.seed = {rc.synth.seed} differs from run.seed = {rc.seed}; run.seed "
             "(--seed) is the only seed, so set that instead"
         )
     rc.synth = dataclasses.replace(rc.synth, seed=rc.seed)
     return rc
+
+
+def _changed(rc: RunConfig, keys) -> list[str]:
+    """Those of ``keys`` whose value in ``rc`` is not their default, sorted."""
+    values, defaults = config_values(rc, "run."), config_values(RunConfig(), "run.")
+    return sorted(k for k in keys if values[k] != defaults[k])
+
+
+def _refuse_unread_predict_keys(rc: RunConfig, command: str, kind: str | None) -> None:
+    """Refuse the keys ``command`` reads only for a hilo checkpoint, when it
+    runs an onet checkpoint or, with ``kind`` None, the oracle."""
+    unread = [] if kind == "hilo" else _changed(rc, _PYRAMID_PREDICT_KEYS[command])
+    if unread:
+        what = "an oracle-bypass eval" if kind is None else f"{command} of an {kind} checkpoint"
+        raise UsageError(
+            f"{what} does not read {', '.join(unread)}: only a hilo checkpoint's "
+            "prediction does. Drop them."
+        )
 
 
 def _write_resolved(rc: RunConfig, out_dir) -> None:
@@ -239,7 +245,7 @@ def load_model(path):
     """Rebuild (kind, config, model) from a checkpoint file."""
     kind, text, state, _ = load_checkpoint(path)
     if kind not in MODEL_KINDS:
-        raise FormatError(f"{path}: unknown model kind {kind!r}")
+        raise FormatError(f"{path}: unknown model kind {kind!r}, not {' or '.join(MODEL_KINDS)}")
     cfg_cls, model_cls = MODEL_KINDS[kind]
     kv = parse_kv_text(text, source=f"{path} config block")
     try:
@@ -253,8 +259,8 @@ def load_model(path):
 
 def _predict_mask(rc: RunConfig, kind, cfg, model, vol: VoxelVolume,
                   region: BoundingBox | None) -> LabelVolume:
-    """Binary prediction over a full volume for any model kind."""
-    if kind.startswith("hilo"):
+    """Binary prediction over a full volume for either model family."""
+    if kind == "hilo":
         return segment_volume(vol, model, cfg, region, threads=rc.threads)
     latent = onet_encode(vol, cfg, model)
 
@@ -302,7 +308,7 @@ def _train_onet(rc: RunConfig, train_recs, val_recs):
         raise UsageError(
             f"occupancy training would hold ~{estimate / 2**20:.0f} MiB of volumes "
             f"in memory (budget {_ONET_RAM_BUDGET / 2**20:.0f} MiB); reduce the "
-            "instance count or input scale, or train a memory-bounded hilo-* model"
+            "instance count or input scale, or train a memory-bounded hilo model"
         )
     return train_superres_onet(
         train_recs, rc.onet, rc.sampler, **_given(epochs=rc.epochs, batch=rc.batch),
@@ -330,7 +336,7 @@ def cmd_train(rc: RunConfig) -> int:
     if not train_recs:
         raise UsageError(f"no training instances in {rc.data_dir}")
     _write_resolved(rc, rc.out_dir)
-    train, cfg = (_train_onet, rc.onet) if rc.model.startswith("onet") else (_train_hilo, rc.hilo)
+    train, cfg = (_train_onet, rc.onet) if rc.model == "onet" else (_train_hilo, rc.hilo)
     state, fit = train(rc, train_recs, val_recs)
 
     out_dir = Path(rc.out_dir)
@@ -354,9 +360,9 @@ def cmd_eval(rc: RunConfig) -> int:
     records = manifest.paths(rc.split)
     if not records:
         raise UsageError(f"no {rc.split!r} instances in {rc.data_dir}")
+    kind, cfg, model = (None, None, None) if rc.oracle_bypass else load_model(rc.checkpoint)
+    _refuse_unread_predict_keys(rc, "eval", kind)
     _write_resolved(rc, rc.out_dir)
-    if not rc.oracle_bypass:
-        kind, cfg, model = load_model(rc.checkpoint)
 
     rows = []
     for rec in records:
@@ -371,7 +377,7 @@ def cmd_eval(rc: RunConfig) -> int:
             pred = LabelVolume(tmask.astype(np.uint8))
         else:
             region = None
-            if kind.startswith("hilo") and not tight_bb.is_empty:
+            if kind == "hilo" and not tight_bb.is_empty:
                 region = tight_bb.expand(rc.region_margin).clamp(vol.dims)
             pred = _predict_mask(rc, kind, cfg, model, vol, region)
         pred_bb = extract_bounding_box(pred.data != 0, margin=rc.bb_margin, dims=vol.dims)
@@ -447,6 +453,7 @@ def cmd_segment(rc: RunConfig) -> int:
             raise UsageError(f"slice index {idx} outside axis extent {vol.dims[axis]}")
     region = _parse_region(rc.region) if rc.region else None
     kind, cfg, model = load_model(rc.checkpoint)
+    _refuse_unread_predict_keys(rc, "segment", kind)
     _write_resolved(rc, rc.out_dir)
 
     pred = _predict_mask(rc, kind, cfg, model, vol, region)
@@ -496,16 +503,20 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a model on a generated dataset")
     _add_common(t)
     t.add_argument("--data", dest="run.data_dir", help="dataset directory (holds manifest.tsv)")
-    t.add_argument("--model", dest="run.model", choices=MODEL_KINDS)
+    t.add_argument("--model", dest="run.model", choices=MODEL_KINDS,
+                   help="model family: hilo (window pyramid) or onet (occupancy network); "
+                   "the variant is its config, --decoder or --resolution")
     t.add_argument("--w", dest="hilo.window_size", type=int, help="window size")
     t.add_argument("--d", dest="hilo.downsampling_factor", type=int,
                    help="downsampling factor between pyramid levels")
     t.add_argument("--levels", dest="hilo.levels", type=int, help="pyramid level count")
+    t.add_argument("--decoder", dest="hilo.decoder", choices=DECODERS,
+                   help="hilo decoder: cnn (grid) or onet (coordinates)")
     t.add_argument("--queue", dest="run.queue_policy", choices=POLICIES, help="training queue policy")
     t.add_argument("--queue-size", dest="run.queue_capacity", type=int)
     t.add_argument("--conditioning", dest="onet.conditioning", choices=("cbn", "concat"))
     t.add_argument("--resolution", dest="onet.coord_resolution", choices=("high", "low"),
-                   help="label grid resolution")
+                   help="onet label grid resolution: high, or low for the box extractor")
     t.add_argument("--epochs", dest="run.epochs", type=int)
     t.add_argument("--batch", dest="run.batch", type=int)
     t.add_argument("--lr", dest="run.lr", type=float)

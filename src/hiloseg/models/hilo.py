@@ -87,7 +87,9 @@ class HiLoConfig:
 
     @property
     def kind(self) -> str:
-        return "hilo-cnn" if self.decoder == "cnn" else "hilo-onet"
+        """The model family a checkpoint of this config names; the decoder
+        is in the config block."""
+        return "hilo"
 
 
 def coordinate_pool_schedule(window_size: int, blocks: int) -> list[bool]:

@@ -230,17 +230,8 @@ def onet_decode(coords, latent: np.ndarray, cfg: OnetConfig, model: OnetModel,
     return np.concatenate(parts)
 
 
-def extract_bounding_box(occupied, margin: int = 10, dims=None) -> BoundingBox:
-    """Box around predicted-occupied voxels, widened by ``margin``.
-
-    ``occupied`` is a boolean mask or an (n, 3) array of integer
-    coordinates. Empty input yields the empty box. When ``dims`` is given
-    the result is clamped to the volume bounds.
-    """
-    occupied = np.asarray(occupied)
-    if occupied.dtype == bool:
-        occupied = np.argwhere(occupied)
-    box = BoundingBox.from_points(occupied).expand(margin)
-    if dims is not None:
-        box = box.clamp(dims)
-    return box
+def extract_bounding_box(occupied: np.ndarray, dims, margin: int = 10) -> BoundingBox:
+    """Box around the voxels of boolean mask ``occupied``, widened by
+    ``margin`` and clamped to the volume bounds ``dims``. An empty mask
+    yields the empty box."""
+    return BoundingBox.from_points(np.argwhere(occupied)).expand(margin).clamp(dims)

@@ -81,38 +81,32 @@ def _require_at_least(low: int, **sizes: int | None) -> None:
             raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-# _DivergenceGuard: the mean of the last _GUARD_WINDOW losses may not exceed
+# _check_divergence: the mean of the last _GUARD_WINDOW losses may not exceed
 # _GUARD_FACTOR times the first loss once _GUARD_GRACE losses have been seen
 _GUARD_WINDOW = 5
 _GUARD_FACTOR = 4.0
 _GUARD_GRACE = 10
 
 
-class _DivergenceGuard:
-    """Raises once the smoothed loss blows past a multiple of the first loss.
+def _check_divergence(losses: list[float], context: str) -> None:
+    """Raises once the record of step ``losses``, newest last, diverges.
 
-    The first batch loss is computed before any parameter update, so it is a
-    sane reference even when the learning rate is absurd. Checks begin after
-    a grace period so noisy warmup steps cannot trip the guard; non-finite
-    losses raise immediately.
+    A non-finite newest loss raises at once. Otherwise the smoothed loss may
+    not blow past a multiple of the first loss, which is computed before any
+    parameter update, so it is a sane reference even when the learning rate
+    is absurd. That check begins after a grace period so noisy warmup steps
+    cannot trip it.
     """
-
-    def __init__(self):
-        self.losses: list[float] = []
-        self.reference: float | None = None
-
-    def check(self, loss: float, context: str) -> None:
-        if not np.isfinite(loss):
-            raise DivergenceError(f"{context}: non-finite loss {loss!r}")
-        self.losses.append(float(loss))
-        if self.reference is None:
-            self.reference = max(float(loss), 1e-6)
-            return
-        smoothed = float(np.mean(self.losses[-_GUARD_WINDOW:]))
-        if len(self.losses) > _GUARD_GRACE and smoothed > _GUARD_FACTOR * self.reference:
+    loss = losses[-1]
+    if not np.isfinite(loss):
+        raise DivergenceError(f"{context}: non-finite loss {loss!r}")
+    if len(losses) > _GUARD_GRACE:
+        reference = max(losses[0], 1e-6)
+        smoothed = float(np.mean(losses[-_GUARD_WINDOW:]))
+        if smoothed > _GUARD_FACTOR * reference:
             raise DivergenceError(
                 f"{context}: smoothed loss {smoothed:.4g} exceeds "
-                f"{_GUARD_FACTOR:g} x initial {self.reference:.4g}"
+                f"{_GUARD_FACTOR:g} x initial {reference:.4g}"
             )
 
 
@@ -134,7 +128,6 @@ def _fit(model, forward, loss, steps: int, batches, val, validate_every: int, lr
     parameter after the last update.
     """
     opt = nn.Adam(model.parameters(), lr=lr)
-    guard = _DivergenceGuard()
     fit = {"train_loss": [], "val_steps": [], "val_loss": [], "val_iou": [],
            "val_iou_smoothed": [], "best_step": None}
     best, best_state = -math.inf, None
@@ -146,9 +139,8 @@ def _fit(model, forward, loss, steps: int, batches, val, validate_every: int, lr
         per_entry = _micro_batched_step(opt, len(target), micro_batch, entry_losses)
         if done is not None:
             done(per_entry)
-        step_loss = float(np.mean(per_entry))
-        guard.check(step_loss, context)
-        fit["train_loss"].append(step_loss)
+        fit["train_loss"].append(float(np.mean(per_entry)))
+        _check_divergence(fit["train_loss"], context)
 
         if val and (step % validate_every == 0 or step == steps):
             with nn.no_grad():
@@ -165,7 +157,7 @@ def _fit(model, forward, loss, steps: int, batches, val, validate_every: int, lr
             if smoothed > best:
                 best, best_state = smoothed, _snapshot(model)
                 fit["best_step"] = step
-    # the guard reads losses, which come before their step's update
+    # the divergence check reads losses, which come before their step's update
     if not all(np.isfinite(p.data).all() for p in opt.params):
         raise DivergenceError(f"{context}: non-finite parameters after the last update")
     return (best_state if best_state is not None else _snapshot(model)), fit

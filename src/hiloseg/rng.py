@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.Generator | None"
-
 
 def make_rng(seed: int | np.random.Generator | None, *keys: int) -> np.random.Generator:
     """Build a Philox-backed generator for the stream identified by ``keys``.

@@ -14,7 +14,7 @@ from hiloseg import cli
 from hiloseg.config import config_text, config_values, parse_kv_text, read_config
 from hiloseg.data_io import load_manifest, load_volume
 from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, OnetModel
-from hiloseg.nn.checkpoint import save_checkpoint
+from hiloseg.nn.checkpoint import load_checkpoint, save_checkpoint
 
 DIMS = (24, 20, 22)
 
@@ -36,6 +36,13 @@ sampler.n_train_coords = 64
 sampler.n_hilo_coords = 32
 sampler.n_test_coords = 64
 """
+
+# the variants the fixture trains, by name -> (model family, train flags):
+# the grid-decoder pyramid and the high-resolution occupancy network
+VARIANTS = {
+    "hilo-cnn": ("hilo", ["--max-steps", 2, "--pyramid-sampling", "volume"]),
+    "onet-sr": ("onet", ["--epochs", 2, "--batch", 2]),
+}
 
 TINY_HILO = HiLoConfig(window_size=8, threshold=0.3, encoder_blocks=1, cnn_decoder_blocks=1,
                        onet_decoder_blocks=1, base_channels=2, decoder_hidden=8)
@@ -62,16 +69,13 @@ def run(tmp_path_factory):
     code, out, _ = call(*argv)
     assert code == 0, out
     trained, argvs = {}, {"generate": [str(a) for a in argv]}
-    for model, extra in (
-        ("hilo-cnn", ["--max-steps", 2, "--pyramid-sampling", "volume"]),
-        ("onet-sr", ["--epochs", 2, "--batch", 2]),
-    ):
+    for variant, (model, extra) in VARIANTS.items():
         argv = ["train", "--config", config, "--data", data,
-                "--out", root / model, "--model", model, *extra]
+                "--out", root / variant, "--model", model, *extra]
         code, out, err = call(*argv)
         assert code == 0, err
-        trained[model] = (out, root / model)
-        argvs[model] = [str(a) for a in argv]
+        trained[variant] = (out, root / variant)
+        argvs[variant] = [str(a) for a in argv]
     return {"root": root, "config": config, "data": data, "trained": trained, "argv": argvs}
 
 
@@ -89,28 +93,32 @@ def test_generate_writes_dataset(run):
     assert (data / "config_resolved.txt").is_file()
 
 
-@pytest.mark.parametrize("model", ["hilo-cnn", "onet-sr"])
-def test_train_writes_checkpoint(run, model):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_writes_checkpoint(run, variant):
     """Both families train from one shared config file that carries both
     model sections."""
-    assert run["argv"][model][1:3] == ["--config", str(run["config"])]
-    out, out_dir = run["trained"][model]
+    model = VARIANTS[variant][0]
+    assert run["argv"][variant][1:3] == ["--config", str(run["config"])]
+    out, out_dir = run["trained"][variant]
     assert f"trained {model}" in out
     for name in ("checkpoint.hckpt", "metrics.tsv", "config_resolved.txt"):
         assert (out_dir / name).is_file(), name
     assert f"run.model = {model}" in (out_dir / "config_resolved.txt").read_text()
-    # both families report optimizer steps: 2 epochs of batches of 2 for onet-sr
+    assert load_checkpoint(out_dir / "checkpoint.hckpt")[0] == model
+    # both families report optimizer steps: 2 epochs of batches of 2 for onet
     n_train = len(load_manifest(run["data"] / "manifest.tsv").paths("train"))
-    steps = 2 if model == "hilo-cnn" else 2 * -(-n_train // 2)
+    steps = 2 if model == "hilo" else 2 * -(-n_train // 2)
     assert f" for {steps} steps" in out
 
 
-@pytest.mark.parametrize("model", ["hilo-cnn", "onet-sr"])
-def test_eval_of_each_checkpoint(run, model):
-    out_dir = run["root"] / f"eval-{model}"
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_eval_of_each_checkpoint(run, variant):
+    """A hilo checkpoint's eval also takes the keys only its prediction reads."""
+    out_dir = run["root"] / f"eval-{variant}"
+    pyramid_only = ["--threads", 2, "--region-margin", 3] if variant == "hilo-cnn" else []
     code, out, err = call("eval", "--config", run["config"], "--data", run["data"],
-                          "--checkpoint", run["trained"][model][1] / "checkpoint.hckpt",
-                          "--out", out_dir)
+                          "--checkpoint", run["trained"][variant][1] / "checkpoint.hckpt",
+                          "--out", out_dir, *pyramid_only)
     assert code == 0, err
     assert "mean voxel IoU" in out
     rows = (out_dir / "metrics_eval.tsv").read_text().splitlines()
@@ -135,7 +143,7 @@ def test_unknown_flag_is_a_usage_error(run):
     assert code == 1
     assert "usage error" in err
     # eval takes a checkpoint's kind from the checkpoint
-    code, _, err = call("eval", "--data", run["data"], "--oracle-bypass", "--model", "hilo-cnn",
+    code, _, err = call("eval", "--data", run["data"], "--oracle-bypass", "--model", "hilo",
                         "--out", run["root"] / "eval-model")
     assert code == 1
     assert "--model" in err
@@ -175,7 +183,7 @@ def test_checkpoint_block_is_config_text_of_the_model_config(run):
 def test_trained_checkpoint_stores_its_model_config(run):
     ckpt = run["trained"]["hilo-cnn"][1] / "checkpoint.hckpt"
     kind, cfg, _ = cli.load_model(ckpt)
-    assert kind == "hilo-cnn"
+    assert kind == "hilo"
     assert cfg == resolve(*run["argv"]["hilo-cnn"]).hilo
 
 
@@ -196,13 +204,19 @@ def test_unreadable_checkpoint_config_is_a_data_error(run):
 # the train keys that both model families' trainers read
 SHARED_TRAINING_KEYS = {"run.seed", "run.out_dir", "run.data_dir", "run.model", "run.epochs",
                         "run.lr", "run.micro_batch", "run.smoothing_window", "run.precision"}
+# the eval and segment keys read whatever the checkpoint's family
+EVERY_CHECKPOINT_KEYS = {"run.seed", "run.out_dir", "run.data_dir", "run.checkpoint",
+                         "run.split", "run.bb_margin", "run.oracle_bypass", "run.input_path",
+                         "run.region", "run.export_slices"}
 
 
 def test_every_flag_sets_a_config_key():
     """A flag's dest is the config key it sets; a mistyped key fails here
     instead of silently dropping the flag. A ``train`` flag's key is read by
     exactly one model family's trainer, or is one both read, so a new flag
-    says which trainers honour it."""
+    says which trainers honour it. An ``eval`` or ``segment`` flag's key is
+    read for every checkpoint family, or only when a hilo checkpoint
+    predicts, so a new flag says which checkpoints honour it."""
     keys = set(config_values(cli.RunConfig(), "run."))
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
@@ -216,6 +230,10 @@ def test_every_flag_sets_a_config_key():
                 readers = cli._readers(action.dest)
                 assert (len(readers) == 1) != (action.dest in SHARED_TRAINING_KEYS), (
                     action.option_strings, action.dest, readers)
+            if name in ("eval", "segment"):
+                pyramid_only = action.dest in cli._PYRAMID_PREDICT_KEYS[name]
+                assert pyramid_only != (action.dest in EVERY_CHECKPOINT_KEYS), (
+                    name, action.option_strings, action.dest)
             seen += 1
     assert seen > 30
 
@@ -243,7 +261,8 @@ def test_resolved_config_reads_back(run, name):
                      "--oracle-bypass", "--bb-margin", 3],
             "segment": ["segment", "--config", run["config"], "--input", scan,
                         "--checkpoint", run["trained"]["hilo-cnn"][1] / "checkpoint.hckpt",
-                        "--out", root / "readback-segment", "--region", "2,2,2:12,12,12"],
+                        "--out", root / "readback-segment", "--region", "2,2,2:12,12,12",
+                        "--threads", 2],
         }[name]]
         code, _, err = call(*argv)
         assert code == 0, err
@@ -257,25 +276,26 @@ def test_resolved_config_reads_back(run, name):
 
 
 @pytest.mark.parametrize("flags,key", [
-    (["--model", "onet-sr", "--max-steps", 1], "run.max_steps"),
-    (["--model", "onet-sr", "--validate-every", 5], "run.validate_every"),
-    (["--model", "onet-sr", "--pyramid-sampling", "volume"], "run.pyramid_sampling"),
-    (["--model", "onet-sr", "--queue-size", 4, "--max-steps", 1],
+    (["--model", "onet", "--max-steps", 1], "run.max_steps"),
+    (["--model", "onet", "--validate-every", 5], "run.validate_every"),
+    (["--model", "onet", "--pyramid-sampling", "volume"], "run.pyramid_sampling"),
+    (["--model", "onet", "--queue-size", 4, "--max-steps", 1],
      "run.max_steps, run.queue_capacity"),
-    (["--model", "onet-bb", "--queue", "hardness"], "run.queue_policy"),
-    (["--model", "onet-sr", "--w", 8], "hilo.window_size"),
-    (["--model", "onet-sr", "--d", 3], "hilo.downsampling_factor"),
-    (["--model", "onet-sr", "--w", 8, "--levels", 3], "hilo.levels, hilo.window_size"),
-    (["--model", "hilo-cnn", "--conditioning", "concat", "--resolution", "low"],
+    (["--model", "onet", "--resolution", "low", "--queue", "hardness"], "run.queue_policy"),
+    (["--model", "onet", "--w", 8], "hilo.window_size"),
+    (["--model", "onet", "--d", 3], "hilo.downsampling_factor"),
+    (["--model", "onet", "--w", 8, "--levels", 3], "hilo.levels, hilo.window_size"),
+    (["--model", "hilo", "--conditioning", "concat", "--resolution", "low"],
      "onet.conditioning, onet.coord_resolution"),
-    (["--model", "hilo-onet", "--batch", 2], "run.batch"),
+    (["--model", "hilo", "--decoder", "onet", "--batch", 2], "run.batch"),
+    (["--model", "onet", "--decoder", "onet"], "hilo.decoder"),
 ])
 def test_occupancy_training_refuses_pyramid_trainer_settings(run, flags, key):
     """Each family's trainer is refused the settings only the other reads:
-    occupancy training (onet-*) has no window pyramid, training queue, step
-    cap or validation cadence, and pyramid training (hilo-*) no occupancy
-    decoder, label grid or ``run.batch``. Asking for one is refused before
-    any file is written, not trained past."""
+    occupancy training (onet) has no window pyramid, pyramid decoder,
+    training queue, step cap or validation cadence, and pyramid training
+    (hilo) no occupancy decoder, label grid or ``run.batch``. Asking for one
+    is refused before any file is written, not trained past."""
     out_dir = run["root"] / "family-refused"
     code, _, err = call("train", "--config", run["config"], "--data", run["data"],
                         "--out", out_dir, "--epochs", 3, *flags)
@@ -292,7 +312,7 @@ def test_pyramid_batch_is_hilo_batch_size(run):
     run_batch = run["root"] / "run-batch.cfg"
     run_batch.write_text("run.batch = 2\n")
     code, _, err = call("train", "--config", run_batch, "--data", run["data"],
-                        "--out", run["root"] / "hilo-batch", "--model", "hilo-onet")
+                        "--out", run["root"] / "hilo-batch", "--model", "hilo", "--decoder", "onet")
     assert code == 1
     assert "run.batch" in err and "hilo.batch_size" in err
     assert not (run["root"] / "hilo-batch").exists()
@@ -301,7 +321,7 @@ def test_pyramid_batch_is_hilo_batch_size(run):
     cfg.write_text(TINY_CONFIG.replace("hilo.batch_size = 4", "hilo.batch_size = 3"))
     out_dir = run["root"] / "hilo-batch3"
     code, out, err = call("train", "--config", cfg, "--data", run["data"], "--out", out_dir,
-                          "--model", "hilo-cnn", "--epochs", 1, "--pyramid-sampling", "volume")
+                          "--model", "hilo", "--epochs", 1, "--pyramid-sampling", "volume")
     assert code == 0, err
     n_train = len(load_manifest(run["data"] / "manifest.tsv").paths("train"))
     assert f" for {-(-n_train // 3)} steps" in out
@@ -323,7 +343,7 @@ def test_synth_seed_other_than_run_seed_is_refused(run):
 def test_width_is_not_a_setting(run):
     """Occupancy networks are widened by ``onet.base_channels`` alone: a
     ``--width`` flag or a ``width`` key is refused wherever it appears."""
-    code, _, err = call("train", "--data", run["data"], "--model", "onet-sr", "--width", "wide",
+    code, _, err = call("train", "--data", run["data"], "--model", "onet", "--width", "wide",
                         "--out", run["root"] / "width-flag")
     assert code == 1
     assert "--width" in err
@@ -335,7 +355,7 @@ def test_width_is_not_a_setting(run):
     tiny = OnetConfig(encoder_blocks=1, decoder_blocks=1, latent_dim=8, base_channels=2,
                       decoder_hidden=8, input_downsample=2)
     ckpt = run["root"] / "width.hckpt"
-    save_checkpoint(ckpt, "onet-sr", config_text(tiny) + "width = shallow\n",
+    save_checkpoint(ckpt, "onet", config_text(tiny) + "width = shallow\n",
                     OnetModel(tiny).state_dict())
     scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
     code, _, err = call("segment", "--input", scan, "--checkpoint", ckpt,
@@ -347,7 +367,7 @@ def test_width_is_not_a_setting(run):
 @pytest.mark.parametrize("argv", [
     ("generate", "--seed", "abc"),
     ("generate", "--dims", "4,x,6"),
-    ("train", "--model", "onet-sr", "--queue", "hardness"),
+    ("train", "--model", "onet", "--queue", "hardness"),
 ])
 def test_bad_flag_value_is_a_usage_error(run, argv):
     code, _, err = call(*argv, "--out", run["root"] / "bad-flag")
@@ -355,16 +375,95 @@ def test_bad_flag_value_is_a_usage_error(run, argv):
     assert "usage error" in err
 
 
-def test_decoder_disagreeing_with_model_kind_is_a_usage_error(run):
-    """The model kind picks the pyramid decoder; a config file that asks for
-    the other one is refused, not silently overridden."""
-    cfg = run["root"] / "decoder.cfg"
-    cfg.write_text("hilo.decoder = onet\n")
+OLD_MODEL_KINDS = ("hilo-cnn", "hilo-onet", "onet-sr", "onet-bb")
+
+
+def test_old_model_kinds_are_refused(run):
+    """A model names its family alone, and the kinds that also named the
+    variant are refused, not mapped: by flag or file (exit 1), and in a
+    checkpoint header (exit 2, naming the kind)."""
+    for kind in OLD_MODEL_KINDS:
+        code, _, err = call("train", "--config", run["config"], "--data", run["data"],
+                            "--out", run["root"] / "old-kind-flag", "--model", kind)
+        assert code == 1
+        assert "usage error" in err and "--model" in err
+    cfg = run["root"] / "old-kind.cfg"
+    cfg.write_text("run.model = hilo-onet\n")
     code, _, err = call("train", "--config", cfg, "--data", run["data"],
-                        "--out", run["root"] / "decoder")
+                        "--out", run["root"] / "old-kind-file")
     assert code == 1
-    assert "hilo.decoder" in err and "run.model" in err
-    assert resolve("train", "--config", cfg, "--model", "hilo-onet").hilo.decoder == "onet"
+    assert "usage error" in err and "hilo-onet" in err
+    assert not (run["root"] / "old-kind-flag").exists()
+    assert not (run["root"] / "old-kind-file").exists()
+
+    ckpt = run["root"] / "old-kind.hckpt"
+    save_checkpoint(ckpt, "hilo-cnn", config_text(TINY_HILO), HiLoModel(TINY_HILO).state_dict())
+    scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
+    code, _, err = call("segment", "--input", scan, "--checkpoint", ckpt,
+                        "--out", run["root"] / "old-kind-ckpt")
+    assert code == 2
+    assert "data error" in err and "'hilo-cnn'" in err
+
+
+def test_coordinate_decoder_is_a_hilo_config(run):
+    """``--decoder onet`` trains the pyramid's coordinate decoder: the
+    checkpoint's kind is the family, its block holds the decoder, and it
+    segments."""
+    out_dir = run["root"] / "hilo-coord"
+    code, out, err = call("train", "--config", run["config"], "--data", run["data"],
+                          "--out", out_dir, "--model", "hilo", "--decoder", "onet",
+                          "--max-steps", 1, "--pyramid-sampling", "volume")
+    assert code == 0, err
+    assert "trained hilo" in out
+    kind, text, _, _ = load_checkpoint(out_dir / "checkpoint.hckpt")
+    assert kind == "hilo"
+    assert "decoder = onet" in text.splitlines()
+    scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
+    code, _, err = call("segment", "--input", scan, "--checkpoint", out_dir / "checkpoint.hckpt",
+                        "--out", run["root"] / "hilo-coord-segment")
+    assert code == 0, err
+    assert load_volume(run["root"] / "hilo-coord-segment" / "prediction.hv1").dims == DIMS
+
+
+def test_low_resolution_labels_are_an_onet_config(run):
+    out_dir = run["root"] / "onet-low"
+    code, _, err = call("train", "--config", run["config"], "--data", run["data"],
+                        "--out", out_dir, "--model", "onet", "--resolution", "low",
+                        "--epochs", 1, "--batch", 2)
+    assert code == 0, err
+    kind, text, _, _ = load_checkpoint(out_dir / "checkpoint.hckpt")
+    assert kind == "onet"
+    assert "coord_resolution = low" in text.splitlines()
+
+
+@pytest.mark.parametrize("command,source,flags,file_text,keys", [
+    ("eval", "onet", ["--threads", 2, "--region-margin", 3], "", "run.region_margin, run.threads"),
+    ("eval", "oracle", ["--region-margin", 3], "", "run.region_margin"),
+    ("eval", "oracle", [], "run.threads = 2\n", "run.threads"),
+    ("segment", "onet", ["--threads", 2], "", "run.threads"),
+    ("segment", "onet", [], "run.threads = 2\n", "run.threads"),
+])
+def test_predict_keys_are_refused_where_unread(run, command, source, flags, file_text, keys):
+    """``run.threads`` and eval's ``run.region_margin`` are read only when a
+    hilo checkpoint predicts: an onet checkpoint or the oracle is refused
+    them, from a flag or a file, before any file is written."""
+    name = f"unread-{command}-{source}-{'file' if file_text else 'flag'}"
+    cfg = run["root"] / f"{name}.cfg"
+    cfg.write_text(file_text)
+    out_dir = run["root"] / name
+    argv = [command, "--config", cfg, "--out", out_dir, *flags]
+    if command == "eval":
+        argv += ["--data", run["data"]]
+    else:
+        argv += ["--input", load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path]
+    if source == "oracle":
+        argv += ["--oracle-bypass"]
+    else:
+        argv += ["--checkpoint", run["trained"]["onet-sr"][1] / "checkpoint.hckpt"]
+    code, _, err = call(*argv)
+    assert code == 1
+    assert "usage error" in err and f"not read {keys}:" in err
+    assert not out_dir.exists()
 
 
 def test_unknown_config_key_is_a_data_error(run):
@@ -401,7 +500,7 @@ def test_non_finite_weights_after_the_last_step_exit_three(run):
 
 def test_divergence_exits_three(run):
     code, _, err = call("train", "--config", run["config"], "--data", run["data"],
-                        "--out", run["root"] / "diverged", "--model", "onet-sr",
+                        "--out", run["root"] / "diverged", "--model", "onet",
                         "--lr", 10000, "--epochs", 30, "--batch", 2)
     assert code == 3
     assert "diverged" in err

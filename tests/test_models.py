@@ -77,9 +77,9 @@ class TestHiLoConfig:
         assert cfg.base_channels == 6
         assert cfg.decoder_hidden == 64
 
-    def test_kind_names_the_decoder(self):
-        assert HiLoConfig().kind == "hilo-cnn"
-        assert HiLoConfig(decoder="onet").kind == "hilo-onet"
+    def test_kind_names_the_family(self):
+        assert HiLoConfig().kind == "hilo"
+        assert HiLoConfig(decoder="onet").kind == "hilo"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -455,10 +455,16 @@ class TestOnetEncodeDecode:
             onet_decode(np.zeros((4, 3), dtype=dtype), lat, cfg, model, (32, 24, 16))
 
 
+def points_mask(pts, dims):
+    mask = np.zeros(dims, dtype=bool)
+    mask[tuple(np.asarray(pts).T)] = True
+    return mask
+
+
 class TestExtractBoundingBox:
     def test_margin_example(self):
         pts = np.array([[20, 20, 20], [40, 40, 40], [30, 25, 35]])
-        box = extract_bounding_box(pts, margin=10)
+        box = extract_bounding_box(points_mask(pts, (64, 64, 64)), margin=10, dims=(64, 64, 64))
         assert box.min == (10, 10, 10)
         assert box.max == (50, 50, 50)
 
@@ -467,7 +473,7 @@ class TestExtractBoundingBox:
         rng = np.random.default_rng(margin)
         dims = (48, 55, 61)
         pts = rng.integers(0, 48, size=(40, 3))
-        box = extract_bounding_box(pts, margin=margin, dims=dims)
+        box = extract_bounding_box(points_mask(pts, dims), margin=margin, dims=dims)
         lo = np.maximum(pts.min(axis=0) - margin, 0)
         hi = np.minimum(pts.max(axis=0) + margin, np.array(dims) - 1)
         assert box.min == tuple(lo.tolist())
@@ -477,14 +483,9 @@ class TestExtractBoundingBox:
         rng = np.random.default_rng(12)
         mask = rng.random((20, 22, 18)) > 0.95
         box = extract_bounding_box(mask, margin=2, dims=mask.shape)
-        want = extract_bounding_box(np.argwhere(mask), margin=2, dims=mask.shape)
-        assert box == want
+        pts = np.argwhere(mask)
+        assert box.min == tuple(np.maximum(pts.min(axis=0) - 2, 0).tolist())
+        assert box.max == tuple(np.minimum(pts.max(axis=0) + 2, np.array(mask.shape) - 1).tolist())
 
     def test_empty_input_gives_empty_box(self):
-        assert extract_bounding_box(np.zeros((0, 3), dtype=np.int64)).is_empty
         assert extract_bounding_box(np.zeros((5, 5, 5), dtype=bool), dims=(5, 5, 5)).is_empty
-
-    def test_unclamped_without_dims(self):
-        box = extract_bounding_box(np.array([[2, 2, 2]]), margin=5)
-        assert box.min == (-3, -3, -3)
-        assert box.max == (7, 7, 7)

@@ -17,7 +17,7 @@ from hiloseg.errors import DivergenceError
 from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, OnetModel, train_hilo, train_superres_onet
 from hiloseg import nn
 from hiloseg.models import train as train_mod
-from hiloseg.models.train import _DivergenceGuard, _micro_batched_step
+from hiloseg.models.train import _check_divergence, _micro_batched_step
 from hiloseg.nn import functional as F
 from hiloseg.queue import MAX_HARDNESS, TrainingQueue
 from hiloseg.sampling import SamplerConfig
@@ -151,29 +151,27 @@ def test_micro_batched_step_seeds_a_float64_model_in_float64(monkeypatch):
     np.testing.assert_array_equal(np.concatenate(seeds), np.full(total, 1.0 / total))
 
 
+def check_each_step(losses):
+    """Check the loss record after each step, as ``_fit`` does."""
+    for n in range(1, len(losses) + 1):
+        _check_divergence(losses[:n], "test")
+
+
 class TestDivergenceGuard:
     def test_steady_losses_pass(self):
-        guard = _DivergenceGuard()
-        for _ in range(50):
-            guard.check(0.7, "test")
+        check_each_step([0.7] * 50)
 
     def test_non_finite_raises_immediately(self):
-        guard = _DivergenceGuard()
         with pytest.raises(DivergenceError, match="non-finite"):
-            guard.check(float("nan"), "test")
+            _check_divergence([float("nan")], "test")
 
     def test_blowup_after_grace_raises(self):
-        guard = _DivergenceGuard()
-        for _ in range(10):
-            guard.check(1.0, "test")
+        check_each_step([1.0] * 10)
         with pytest.raises(DivergenceError, match="exceeds"):
-            for _ in range(5):
-                guard.check(100.0, "test")
+            check_each_step([1.0] * 10 + [100.0] * 5)
 
     def test_spike_within_grace_tolerated(self):
-        guard = _DivergenceGuard()
-        guard.check(1.0, "test")
-        guard.check(100.0, "test")  # warmup noise, not divergence
+        check_each_step([1.0, 100.0])  # warmup noise, not divergence
 
 
 class TestTrainOnet:
