@@ -18,7 +18,8 @@ the occupancy trainer alone reads the ``onet.*`` keys and ``run.batch``, so
 batch. A model section (``hilo.*`` or ``onet.*``) in a config file is
 exempt, so both families may share one file, as may other commands. For
 ``eval`` and ``segment`` it is a ``_PYRAMID_PREDICT_KEYS`` value given to
-an ``onet`` checkpoint or the oracle. ``run.seed`` is the only seed: it
+an ``onet`` checkpoint or the oracle, and a checkpoint given to the oracle,
+which opens none. ``run.seed`` is the only seed: it
 overwrites ``synth.seed``, and a ``synth.seed`` that differs from it is
 refused (exit 1). Every command echoes the fully resolved configuration
 into its output directory as ``config_resolved.txt``, which reads back as a
@@ -215,14 +216,16 @@ def _changed(rc: RunConfig, keys) -> list[str]:
 
 def _refuse_unread_predict_keys(rc: RunConfig, command: str, kind: str | None) -> None:
     """Refuse the keys ``command`` reads only for a hilo checkpoint, when it
-    runs an onet checkpoint or, with ``kind`` None, the oracle."""
-    unread = [] if kind == "hilo" else _changed(rc, _PYRAMID_PREDICT_KEYS[command])
+    runs an onet checkpoint or, with ``kind`` None, the oracle, which opens
+    no checkpoint either."""
+    keys = () if kind == "hilo" else _PYRAMID_PREDICT_KEYS[command]
+    what, why = f"{command} of an {kind} checkpoint", "only a hilo checkpoint's prediction does"
+    if kind is None:
+        keys += ("run.checkpoint",)
+        what, why = "an oracle-bypass eval", "the oracle copies the labels"
+    unread = _changed(rc, keys)
     if unread:
-        what = "an oracle-bypass eval" if kind is None else f"{command} of an {kind} checkpoint"
-        raise UsageError(
-            f"{what} does not read {', '.join(unread)}: only a hilo checkpoint's "
-            "prediction does. Drop them."
-        )
+        raise UsageError(f"{what} does not read {', '.join(unread)}: {why}. Drop them.")
 
 
 def _write_resolved(rc: RunConfig, out_dir) -> None:

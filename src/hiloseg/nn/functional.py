@@ -30,9 +30,14 @@ A closure that allocates a gradient for one parent passes it with
 (``Tensor.accumulate_grad``). A closure owns the gradient it is handed
 (``Tensor.backward``), so ``add`` hands ``g`` itself to its first parent
 the same way and copies it only for the second, and the elementwise
-backwards (``leaky_relu``, ``selu``, ``batch_standardize`` and ``mul``'s
-first operand) write their input gradient over ``g`` and hand it on, with
-no array of their own. conv3d lowers to GEMMs on
+backwards (``leaky_relu``, ``selu``, ``sigmoid``, ``batch_standardize`` and
+``mul``'s first operand) write their input gradient over ``g`` and hand it
+on, with no array of their own; pooling divides ``g`` in place before it
+spreads it. conv3d writes an input gradient of ``g``'s shape (Cin = Cout
+and 2p = k - 1, every 3×3×3 block conv) over ``g``, once the bias and
+kernel gradients have read it, chunk by chunk: before a chunk's GEMMs
+overwrite ``g``'s planes, it saves the k - 1 - p of them that the next
+chunk's padded block reads. conv3d lowers to GEMMs on
 slab columns, a partial im2col over the two fast spatial axes (Chellapilla
 et al. 2006; Anderson et al. 2017). It takes the unpadded input; for a
 chunk of output planes [d0, d1) of one item it zero-pads only that item's
@@ -98,10 +103,10 @@ own loops may keep either.
 
 The byte meter counts every op's output, upsampling's included (reshape's
 is a view, counted with its input), and conv3d's scratch in part: one
-chunk at a time, one item's padded planes in every pass and the slab
-columns of its input-gradient pass. The slab columns of the forward and
-weight-gradient passes and the per-item kernel gradient ``dw`` are not
-counted.
+chunk at a time, one item's padded planes in every pass, and the slab
+columns and saved planes of its input-gradient pass. The slab columns of
+the forward and weight-gradient passes, the per-item kernel gradient
+``dw`` and the flipped kernel are not counted.
 """
 
 from __future__ import annotations
@@ -357,8 +362,9 @@ def sigmoid(x: Tensor) -> Tensor:
     out = np.where(x.data >= 0, 1.0 / d, e / d)
     nx = x.node
 
-    def bw(g):
-        nx.accumulate_grad(g * out * (1.0 - out), fresh=True)
+    def bw(g):  # g * out * (1.0 - out), written over g
+        np.multiply(g, out, out=g)
+        nx.accumulate_grad(np.multiply(g, 1.0 - out, out=g), fresh=True)
 
     return make_node(out, (nx,), bw)
 
@@ -408,21 +414,39 @@ def _col(block: np.ndarray, k: int, metered: bool = False) -> np.ndarray:
     return col
 
 
-def _correlate(x: np.ndarray, wk: np.ndarray, pad: int, metered: bool) -> np.ndarray:
+def _correlate(x: np.ndarray, wk: np.ndarray, pad: int, metered: bool,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Valid cross-correlation of channels-last ``x`` zero-padded by ``pad``
     with the kernel ``wk`` reshaped to (k, k²·C, Cout), item by item and
     chunk by chunk: one chunk's padded planes, then one GEMM per slow-axis
-    offset on a contiguous row block of their slab columns."""
+    offset on a contiguous row block of their slab columns.
+
+    ``out`` is None, for a result of its own, or ``x`` itself, C-contiguous
+    and of the result's shape, which the result then overwrites chunk by
+    chunk. Chunk [d0, d1) overwrites input planes [d0, d1), and the next
+    chunk's padded block reads the ``pad`` input planes before d1, so those
+    are saved, metered, before the GEMMs write, and put back into the next
+    block."""
     k, cout = wk.shape[0], wk.shape[2]
     b, d, h, w, c = x.shape
     od, oh, ow = (n + 2 * pad - k + 1 for n in (d, h, w))
     plane = oh * ow
-    out = memory_meter.track(np.empty((b, od, oh, ow, cout), dtype=x.dtype))
+    keep = pad if out is x else 0  # input planes saved for the next chunk
+    if out is None:
+        out = memory_meter.track(np.empty((b, od, oh, ow, cout), dtype=x.dtype))
     chunks = _plane_chunks(od, oh, ow, k, c, x.itemsize)
     for bi in range(b):
+        saved = None
         for d0, d1 in chunks:
+            block = _padded_planes(x[bi], pad, d0, d1 + k - 1)
+            if saved is not None:  # input planes [d0 - len(saved), d0), overwritten
+                block[pad - len(saved) : pad, pad : pad + h, pad : pad + w] = saved
+            if keep and d1 < od:  # input planes [max(d1 - keep, 0), d1), from the block
+                z0, z1 = max(d1 - keep, 0) + pad - d0, d1 + pad - d0
+                saved = memory_meter.track(block[z0:z1, pad : pad + h, pad : pad + w].copy())
             # the padded block dies once its columns are copied out
-            col = _col(_padded_planes(x[bi], pad, d0, d1 + k - 1), k, metered)
+            col = _col(block, k, metered)
+            del block
             n = (d1 - d0) * plane
             acc = out[bi, d0:d1].reshape(n, cout)  # a view: the GEMMs write in place
             np.matmul(col[:n], wk[0], out=acc)
@@ -477,9 +501,12 @@ def conv3d(x: Tensor, w: Tensor, padding: int = 0, bias=None) -> Tensor:
                     del col
                 nw.accumulate_grad(dw.reshape(nw.shape))
         if nx is not None:
-            # the transposed convolution: flipped offsets, Cout and Cin swapped
+            # the transposed convolution: flipped offsets, Cout and Cin swapped,
+            # written over g when it has the input's shape (the closure owns g)
             wt = np.ascontiguousarray(wd[::-1, ::-1, ::-1].transpose(0, 1, 2, 4, 3))
-            dx = _correlate(g, wt.reshape(k, -1, cin), k - 1 - p, metered=True)
+            over_g = cin == cout and 2 * p == k - 1 and g.flags.c_contiguous
+            dx = _correlate(g, wt.reshape(k, -1, cin), k - 1 - p, metered=True,
+                            out=g if over_g else None)
             nx.accumulate_grad(dx, fresh=True)
 
     return make_node(out, (nx, nw, nc), bw)
@@ -534,7 +561,7 @@ def avg_pool3d(x: Tensor, factor: int) -> Tensor:
     nx = x.node
 
     def bw(g):
-        nx.accumulate_grad(_spread(g / f**3, f), fresh=True)
+        nx.accumulate_grad(_spread(np.true_divide(g, f**3, out=g), f), fresh=True)
 
     return make_node(out, (nx,), bw)
 

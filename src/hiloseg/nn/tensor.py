@@ -21,11 +21,12 @@ training-memory bound is measured: the meter's peak is the analog of device
 memory (parameters, gradients, optimizer moments, the activations a caller
 holds or a backward closure captured, upsampling's output among them,
 conv3d's padded planes, one chunk of one item at a time, and the slab
-columns of its input-gradient pass), deliberately excluding host-side
-dataset storage. Only arrays that own their memory are counted. conv3d's
-remaining scratch is not: the slab columns of its forward and
-weight-gradient passes, which ``reshape`` returns as a view of a fresh
-copy, and the per-item kernel gradient ``dw``, which is never tracked.
+columns and saved planes of its input-gradient pass), deliberately
+excluding host-side dataset storage. Only arrays that own their memory
+are counted. conv3d's remaining scratch is not: the slab columns of its
+forward and weight-gradient passes, which ``reshape`` returns as a view of
+a fresh copy, and the per-item kernel gradient ``dw`` and the flipped
+kernel, which are never tracked.
 """
 
 from __future__ import annotations

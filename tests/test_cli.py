@@ -442,11 +442,13 @@ def test_low_resolution_labels_are_an_onet_config(run):
     ("eval", "oracle", [], "run.threads = 2\n", "run.threads"),
     ("segment", "onet", ["--threads", 2], "", "run.threads"),
     ("segment", "onet", [], "run.threads = 2\n", "run.threads"),
+    ("eval", "oracle", ["--checkpoint", "does-not-exist.hckpt"], "", "run.checkpoint"),
 ])
 def test_predict_keys_are_refused_where_unread(run, command, source, flags, file_text, keys):
     """``run.threads`` and eval's ``run.region_margin`` are read only when a
     hilo checkpoint predicts: an onet checkpoint or the oracle is refused
-    them, from a flag or a file, before any file is written."""
+    them, from a flag or a file, before any file is written. The oracle,
+    which opens no checkpoint, is refused ``run.checkpoint`` too."""
     name = f"unread-{command}-{source}-{'file' if file_text else 'flag'}"
     cfg = run["root"] / f"{name}.cfg"
     cfg.write_text(file_text)

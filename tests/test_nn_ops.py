@@ -306,9 +306,11 @@ class TestConv3d:
         np.testing.assert_array_equal(big, small)
 
     # ids "5"/"1" (Cout) and "False"/"True" (whole items / one plane per
-    # chunk) are the names these cases had before Cin and the pair chunks varied
+    # chunk) are the names these cases had before Cin and the pair chunks
+    # varied; at padding 1 "same" writes the input gradient over g
     @pytest.mark.parametrize("padding", [0, 1])
-    @pytest.mark.parametrize("cin, cout", [(3, 5), (3, 1), (1, 5)], ids=["5", "1", "stem"])
+    @pytest.mark.parametrize("cin, cout", [(3, 5), (3, 1), (1, 5), (3, 3)],
+                             ids=["5", "1", "stem", "same"])
     @pytest.mark.parametrize("chunks", ["whole", "plane", "pair"], ids=["False", "True", "pair"])
     def test_gradients_match_plain_loops(self, rng, monkeypatch, padding, cin, cout, chunks):
         x = rng.normal(size=(2, 5, 4, 6, cin))
@@ -341,6 +343,24 @@ class TestConv3d:
         for i, (dx_i, _) in enumerate(alone):
             np.testing.assert_array_equal(dx[i : i + 1], dx_i)
         np.testing.assert_array_equal(dw, (alone[0][1] + alone[1][1]) + alone[2][1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("chunks", ["whole", "plane", "pair"])
+    def test_correlation_over_its_input_keeps_the_bits(self, rng, monkeypatch, chunks, k, dtype):
+        """A same-size correlation written over its input has the bits of
+        one into an array of its own under every chunking: each chunk's
+        padded block gets back the input planes that earlier chunks
+        overwrote, k - 1 - p of them, more than one chunk's worth when a
+        chunk is one plane and k = 5."""
+        p = (k - 1) // 2
+        x = rng.normal(size=(2, 7, 6, 5, 3)).astype(dtype)
+        wk = rng.normal(size=(k, k * k * 3, 3)).astype(dtype)
+        set_conv_chunks(monkeypatch, chunks, x, p, k)
+        want = F._correlate(x, wk, p, metered=True)
+        got = F._correlate(x, wk, p, metered=True, out=x)
+        assert got is x
+        assert got.tobytes() == want.tobytes()
 
     def test_chunked_backward_independent_of_scratch_cap(self, rng, monkeypatch):
         """Chunk edges only regroup float64 sums: both gradients agree."""
@@ -400,7 +420,9 @@ class TestConv3d:
     def test_backward_scratch_stays_capped(self, rng, monkeypatch):
         """The meter's peak over forward and backward is the arrays conv3d
         must hold plus one chunk of one item's padded planes and one chunk
-        of input-gradient columns, never a whole item's."""
+        of input-gradient columns, never a whole item's. With Cin = Cout
+        the input gradient is written over the output gradient, so no
+        input-sized array of its own is allowed for it."""
         cap = 64 << 10
         monkeypatch.setattr(F, "CONV_SCRATCH_BYTES", cap)
         b, n, cin, cout = 2, 12, 8, 8
@@ -411,9 +433,9 @@ class TestConv3d:
         output = b * n**3 * cout * f32  # held twice: the value and its gradient
         chunk = max(d1 - d0 for d0, d1 in F._plane_chunks(n, n, n, 3, c, f32))
         padded = (chunk + 2) * (n + 2) ** 2 * c * f32  # padded planes of the input or its gradient
-        dx = 2 * x.data.nbytes  # the input gradient and its accumulated copy
+        saved = x.data.nbytes  # input planes saved for the next chunk, far fewer
         plane = n * n * 27 * cout * f32  # one output plane of input-gradient columns
-        bound = 2 * output + padded + dx + w.data.nbytes + max(cap, plane)
+        bound = 2 * output + padded + saved + w.data.nbytes + max(cap, plane)
         assert peak <= bound
         item_columns = n**3 * 27 * cout * f32
         assert peak + item_columns > bound  # so the bound would catch unchunked columns
@@ -1348,6 +1370,21 @@ class TestChannelRows:
         assert_same_bits(got, x.reshape(2, 2, 2, 2, 2, 2, 2, 6).mean(axis=(2, 4, 6)))
         assert_same_bits(F.upsample_nearest3d(nn.Tensor(x), 2).data,
                          x.repeat(2, axis=1).repeat(2, axis=2).repeat(2, axis=3))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_backward_bits(self, rng, dtype):
+        """Written over ``g``, the sigmoid's input gradient has the bits of
+        ``g * out * (1.0 - out)``, with -0.0, ±inf and NaN among the inputs
+        and the gradients. (Pooling's, divided over ``g``:
+        ``test_pooling_bits``.)"""
+        x = with_specials(rng, wide(rng, (2, 4, 4, 4, 3), dtype))
+        g = with_specials(rng, wide(rng, x.shape, dtype))
+        with np.errstate(all="ignore"):
+            xt = nn.Tensor(x, requires_grad=True)
+            y = F.sigmoid(xt)
+            out = y.data.copy()
+            backward_sum(F.mul(y, g))  # hands the sigmoid exactly g
+            assert_same_bits(xt.grad, g * out * (1.0 - out))
 
     @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
     def test_sigmoid_bits(self, dtype, bits):

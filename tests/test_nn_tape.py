@@ -193,6 +193,7 @@ class TestGradientHandOver:
     @pytest.mark.parametrize("op", [
         F.leaky_relu,
         F.selu,
+        F.sigmoid,
         lambda x: F.batch_standardize(x, 1e-3, (1, 2)),
         lambda x: F.batch_standardize(x, 1e-5, (1,), 2),
         lambda x: F.mul(x, nn.parameter(np.full(3, 1.5, np.float32)),
@@ -200,8 +201,8 @@ class TestGradientHandOver:
         lambda x: F.matmul(nn.parameter(np.ones((2, 5, 4), np.float32)),
                            nn.parameter(np.ones((4, 3), np.float32)),
                            nn.parameter(np.zeros(3, np.float32)), x),
-    ], ids=["leaky_relu", "selu", "batch_standardize", "batch_standardize_ref", "mul",
-            "matmul_residual"])
+    ], ids=["leaky_relu", "selu", "sigmoid", "batch_standardize", "batch_standardize_ref",
+            "mul", "matmul_residual"])
     def test_backward_writes_its_input_gradient_into_its_own(self, rng, monkeypatch, op, fresh):
         """These closures hand their input (mul: its first operand; matmul:
         its residual) the gradient they were given, written over in place.
@@ -223,6 +224,28 @@ class TestGradientHandOver:
         w = nn.parameter(rng.normal(size=(3, 3, 3, 2, 2)).astype(np.float32))
         backward_sum(F.conv3d(x, w, padding=1))
         assert x.grad.base is None and x.grad.flags.writeable
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "copied"])
+    @pytest.mark.parametrize("k, padding, cout, over", [
+        (3, 1, 2, True), (5, 2, 2, True), (3, 0, 2, False), (3, 1, 3, False),
+    ], ids=["same", "k5", "valid", "cout"])
+    def test_conv3d_writes_a_same_shape_input_gradient_over_g(self, rng, monkeypatch, fresh,
+                                                               k, padding, cout, over):
+        """An input gradient of the output gradient's shape (Cin = Cout,
+        2p = k - 1) is written over the output gradient the closure owns;
+        another shape gets an array of its own, and a seed not handed over
+        is copied first and never written."""
+        self.watch_buffers(monkeypatch)
+        x = nn.Tensor(rng.normal(size=(2, 6, 5, 4, 2)).astype(np.float32), requires_grad=True)
+        w = nn.parameter(rng.normal(size=(k, k, k, 2, cout)).astype(np.float32))
+        y = F.conv3d(x, w, padding=padding)
+        s = rng.normal(size=y.shape).astype(np.float32)
+        want = s.copy()
+        y.data = None
+        y.backward(seed=s, fresh=fresh)
+        assert np.shares_memory(x.grad, s) == (over and fresh)
+        if not fresh:
+            assert s.tobytes() == want.tobytes()
 
 
 class TestHookContract:
