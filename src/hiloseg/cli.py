@@ -10,20 +10,19 @@ network). The variant is its config, so the paper's four are ``--model
 hilo``, ``--model hilo --decoder onet``, ``--model onet`` and ``--model
 onet --resolution low``. A key the run does not read is refused, not
 dropped: a key that names no setting (exit 2), and a value other than its
-default that only other runs read (exit 1). For ``train`` that is a value
-only the other family's trainer reads: the pyramid trainer alone reads the
-``hilo.*`` keys and the queue, step-cap, validation and pyramid-draw keys;
-the occupancy trainer alone reads the ``onet.*`` keys and ``run.batch``, so
-``run.batch`` is the occupancy batch and ``hilo.batch_size`` the pyramid
-batch. A model section (``hilo.*`` or ``onet.*``) in a config file is
-exempt, so both families may share one file, as may other commands. For
-``eval`` and ``segment`` it is a ``_PYRAMID_PREDICT_KEYS`` value given to
-an ``onet`` checkpoint or the oracle, and a checkpoint given to the oracle,
-which opens none. ``run.seed`` is the only seed: it
-overwrites ``synth.seed``, and a ``synth.seed`` that differs from it is
-refused (exit 1). Every command echoes the fully resolved configuration
-into its output directory as ``config_resolved.txt``, which reads back as a
-config file, so a run is reproducible from that file alone.
+default that the run does not read (exit 1, before any file is written). A
+run reads the keys its command has a flag for, less those ``_FAMILIES``
+gives only to other model families than the run's: ``run.model`` for
+``train``, the checkpoint's kind for ``eval`` and ``segment``, none for
+``generate`` and the oracle. So ``run.batch`` is the occupancy batch and
+``hilo.batch_size`` the pyramid batch. The rule covers every ``run.*`` key,
+from a flag or a file, and every flag; a file's ``hilo.*``, ``onet.*``,
+``sampler.*`` and ``synth.*`` sections are exempt, so one file serves every
+command. ``run.seed`` is the only seed: it overwrites ``synth.seed``, and a
+``synth.seed`` that differs from it is refused (exit 1). Every command
+echoes the fully resolved configuration into its output directory as
+``config_resolved.txt``, which reads back as a config file, so a run is
+reproducible from that file alone.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 divergence.
 """
@@ -78,23 +77,15 @@ MODEL_KINDS = {"hilo": (HiLoConfig, HiLoModel), "onet": (OnetConfig, OnetModel)}
 
 # refuse occupancy training that would page whole volumes past this
 _ONET_RAM_BUDGET = 1 << 30
-# model family -> the keys only its trainer reads; an entry ending in "."
-# stands for its whole section
-_FAMILY_KEYS = {
-    "hilo": ("hilo.", "run.queue_policy", "run.queue_capacity", "run.max_steps",
-             "run.validate_every", "run.pyramid_sampling"),
-    "onet": ("onet.", "run.batch"),
+# key, or section ending in ".", -> the model families that read it; a run
+# reads every other key its command has a flag for, whatever its family
+_FAMILIES = {
+    **dict.fromkeys(("hilo.", "run.queue_policy", "run.queue_capacity", "run.max_steps",
+                     "run.validate_every", "run.pyramid_sampling", "run.threads",
+                     "run.region_margin"), ("hilo",)),
+    **dict.fromkeys(("onet.", "run.batch"), ("onet",)),
+    "run.checkpoint": ("hilo", "onet"),
 }
-
-
-def _readers(key: str) -> list[str]:
-    """The families whose trainer alone reads ``key`` (at most one)."""
-    section = key.split(".")[0] + "."
-    return [f for f, keys in _FAMILY_KEYS.items() if key in keys or section in keys]
-
-
-# command -> the keys it reads only when a hilo checkpoint predicts
-_PYRAMID_PREDICT_KEYS = {"eval": ("run.threads", "run.region_margin"), "segment": ("run.threads",)}
 
 
 class UsageError(Exception):
@@ -106,10 +97,10 @@ class RunConfig:
     """Every setting of a run, flags and module configs together.
 
     ``model`` is the family; ``hilo.decoder`` or ``onet.coord_resolution``
-    picks its variant. A run is refused a setting it does not read (module
-    docstring). ``batch`` is the occupancy batch; the pyramid batch is
-    ``hilo.batch_size``. ``epochs`` and ``batch`` of -1
-    leave them to the trainer's defaults; ``max_steps`` 0 means no cap.
+    picks its variant. A run reads the keys its command has flags for, less
+    other families' keys (module docstring). ``batch`` is the occupancy
+    batch; the pyramid batch is ``hilo.batch_size``. ``epochs`` and ``batch``
+    of -1 leave them to the trainer's defaults; ``max_steps`` 0 means no cap.
     ``lr`` must be positive and finite. ``threads`` is the number of worker
     threads that segment tiles (at least 1).
     """
@@ -186,19 +177,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     # a flag's dest is its config key; only the dotted dests are settings
     flags = {k: v for k, v in vars(args).items() if "." in k and v is not None}
     rc = with_values(read_config(RunConfig(), file_kv, "run."), flags, "run.")
-
-    # a given value the run would not honour is refused, not dropped; a model
-    # section in a file may serve the other family
-    if args.subcommand == "train":
-        set_here = set(flags) | {k for k in file_kv if k.split(".")[0] not in _FAMILY_KEYS}
-        unread = _changed(rc, (k for k in set_here if _readers(k) not in ([], [rc.model])))
-        if unread:
-            other = next(k for k in MODEL_KINDS if k != rc.model)
-            batch = "; a hilo batch is hilo.batch_size" if "run.batch" in unread else ""
-            raise UsageError(
-                f"{rc.model} training does not read {', '.join(unread)}: only {other} "
-                f"training does{batch}. Drop them or pick --model {other}."
-            )
+    # eval and segment learn their family from the checkpoint, and refuse then
+    if args.subcommand in ("generate", "train"):
+        _refuse_unread(rc, args.subcommand, rc.model if args.subcommand == "train" else None, flags)
     if "synth.seed" in file_kv.keys() | flags.keys() and rc.synth.seed != rc.seed:
         raise UsageError(
             f"synth.seed = {rc.synth.seed} differs from run.seed = {rc.seed}; run.seed "
@@ -208,24 +189,24 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return rc
 
 
-def _changed(rc: RunConfig, keys) -> list[str]:
-    """Those of ``keys`` whose value in ``rc`` is not their default, sorted."""
+def _refuse_unread(rc: RunConfig, command: str, family: str | None, flags=()) -> None:
+    """Refuse each non-default ``run.*`` key and flag key (``flags``) that a
+    ``command`` run of model ``family`` (None: no model) does not read: the
+    command has no flag for it, or ``_FAMILIES`` gives it other families."""
     values, defaults = config_values(rc, "run."), config_values(RunConfig(), "run.")
-    return sorted(k for k in keys if values[k] != defaults[k])
+    # a command's parsed namespace holds the dest of each of its flags
+    own = vars(build_parser().parse_args([command]))
 
+    def reads(key: str) -> bool:
+        families = _FAMILIES.get(key, _FAMILIES.get(key.split(".")[0] + "."))
+        return key in own and (families is None or family in families)
 
-def _refuse_unread_predict_keys(rc: RunConfig, command: str, kind: str | None) -> None:
-    """Refuse the keys ``command`` reads only for a hilo checkpoint, when it
-    runs an onet checkpoint or, with ``kind`` None, the oracle, which opens
-    no checkpoint either."""
-    keys = () if kind == "hilo" else _PYRAMID_PREDICT_KEYS[command]
-    what, why = f"{command} of an {kind} checkpoint", "only a hilo checkpoint's prediction does"
-    if kind is None:
-        keys += ("run.checkpoint",)
-        what, why = "an oracle-bypass eval", "the oracle copies the labels"
-    unread = _changed(rc, keys)
+    keys = {k for k in values if k.startswith("run.")} | set(flags)
+    unread = sorted(k for k in keys if values[k] != defaults[k] and not reads(k))
     if unread:
-        raise UsageError(f"{what} does not read {', '.join(unread)}: {why}. Drop them.")
+        batch = "; the pyramid batch is hilo.batch_size" if "run.batch" in unread else ""
+        raise UsageError(f"{command} ({family or 'no'} model) does not read "
+                         f"{', '.join(unread)}: --help lists what it reads{batch}. Drop them.")
 
 
 def _write_resolved(rc: RunConfig, out_dir) -> None:
@@ -271,13 +252,13 @@ def _predict_mask(rc: RunConfig, kind, cfg, model, vol: VoxelVolume,
         return onet_decode(coords, latent, cfg, model, dims=vol.dims)
 
     pred = mise_evaluate(decode, vol.dims, initial_factor=8, threshold=cfg.threshold)
-    if region is not None:
-        clamped = region.clamp(vol.dims)
-        keep = np.zeros(vol.dims, dtype=bool)
-        if not clamped.is_empty:
-            keep[tuple(slice(a, b + 1) for a, b in zip(clamped.min, clamped.max))] = True
-        pred = LabelVolume(np.where(keep, pred.data, 0).astype(np.uint8))
-    return pred
+    if region is None:
+        return pred
+    clamped, out = region.clamp(vol.dims), np.zeros(vol.dims, dtype=np.uint8)
+    if not clamped.is_empty:
+        inside = tuple(slice(a, b + 1) for a, b in zip(clamped.min, clamped.max))
+        out[inside] = pred.data[inside]
+    return LabelVolume(out)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +345,7 @@ def cmd_eval(rc: RunConfig) -> int:
     if not records:
         raise UsageError(f"no {rc.split!r} instances in {rc.data_dir}")
     kind, cfg, model = (None, None, None) if rc.oracle_bypass else load_model(rc.checkpoint)
-    _refuse_unread_predict_keys(rc, "eval", kind)
+    _refuse_unread(rc, "eval", kind)
     _write_resolved(rc, rc.out_dir)
 
     rows = []
@@ -456,7 +437,7 @@ def cmd_segment(rc: RunConfig) -> int:
             raise UsageError(f"slice index {idx} outside axis extent {vol.dims[axis]}")
     region = _parse_region(rc.region) if rc.region else None
     kind, cfg, model = load_model(rc.checkpoint)
-    _refuse_unread_predict_keys(rc, "segment", kind)
+    _refuse_unread(rc, "segment", kind)
     _write_resolved(rc, rc.out_dir)
 
     pred = _predict_mask(rc, kind, cfg, model, vol, region)
@@ -483,9 +464,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, draws: bool = True) -> None:
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", dest="run.seed", type=int, help="seed for every random stream")
+    if draws:
+        p.add_argument("--seed", dest="run.seed", type=int, help="seed for every random stream")
     p.add_argument("--out", dest="run.out_dir", help="output directory")
 
 
@@ -494,6 +476,7 @@ def _dims(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command's flags are the keys it reads; ``_FAMILIES`` the exceptions."""
     p = _Parser(prog="hiloseg", description="Memory-bounded 3D semantic segmentation.")
     sub = p.add_subparsers(dest="subcommand", metavar="command", parser_class=_Parser)
     sub.required = True
@@ -509,48 +492,57 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--model", dest="run.model", choices=MODEL_KINDS,
                    help="model family: hilo (window pyramid) or onet (occupancy network); "
                    "the variant is its config, --decoder or --resolution")
-    t.add_argument("--w", dest="hilo.window_size", type=int, help="window size")
+    t.add_argument("--w", dest="hilo.window_size", type=int, help="window size; hilo only")
     t.add_argument("--d", dest="hilo.downsampling_factor", type=int,
-                   help="downsampling factor between pyramid levels")
-    t.add_argument("--levels", dest="hilo.levels", type=int, help="pyramid level count")
+                   help="downsampling factor between pyramid levels; hilo only")
+    t.add_argument("--levels", dest="hilo.levels", type=int, help="pyramid level count; hilo only")
     t.add_argument("--decoder", dest="hilo.decoder", choices=DECODERS,
-                   help="hilo decoder: cnn (grid) or onet (coordinates)")
-    t.add_argument("--queue", dest="run.queue_policy", choices=POLICIES, help="training queue policy")
-    t.add_argument("--queue-size", dest="run.queue_capacity", type=int)
-    t.add_argument("--conditioning", dest="onet.conditioning", choices=("cbn", "concat"))
+                   help="cnn (grid) or onet (coordinates); hilo only")
+    t.add_argument("--queue", dest="run.queue_policy", choices=POLICIES, help="queue policy; hilo only")
+    t.add_argument("--queue-size", dest="run.queue_capacity", type=int, help="queue size; hilo only")
+    t.add_argument("--conditioning", dest="onet.conditioning", choices=("cbn", "concat"),
+                   help="how the latent conditions the decoder; onet only")
     t.add_argument("--resolution", dest="onet.coord_resolution", choices=("high", "low"),
-                   help="onet label grid resolution: high, or low for the box extractor")
-    t.add_argument("--epochs", dest="run.epochs", type=int)
-    t.add_argument("--batch", dest="run.batch", type=int)
-    t.add_argument("--lr", dest="run.lr", type=float)
-    t.add_argument("--micro-batch", dest="run.micro_batch", type=int)
-    t.add_argument("--max-steps", dest="run.max_steps", type=int)
-    t.add_argument("--validate-every", dest="run.validate_every", type=int)
-    t.add_argument("--smoothing-window", dest="run.smoothing_window", type=int)
-    t.add_argument("--pyramid-sampling", dest="run.pyramid_sampling", choices=("bb", "volume"))
-    t.add_argument("--precision", dest="run.precision", choices=("float32", "float64"))
+                   help="label grid: high, or low for the box extractor; onet only")
+    t.add_argument("--epochs", dest="run.epochs", type=int, help="epochs (-1: trainer default)")
+    t.add_argument("--batch", dest="run.batch", type=int,
+                   help="batch (-1: trainer default); onet only, hilo's is hilo.batch_size")
+    t.add_argument("--lr", dest="run.lr", type=float, help="Adam learning rate")
+    t.add_argument("--micro-batch", dest="run.micro_batch", type=int, help="entries per backward")
+    t.add_argument("--max-steps", dest="run.max_steps", type=int, help="step cap (0: none); hilo only")
+    t.add_argument("--validate-every", dest="run.validate_every", type=int,
+                   help="steps between validations; hilo only")
+    t.add_argument("--smoothing-window", dest="run.smoothing_window", type=int,
+                   help="validations averaged to pick the best step")
+    t.add_argument("--pyramid-sampling", dest="run.pyramid_sampling", choices=("bb", "volume"),
+                   help="draw pyramid centers in the object's box or anywhere; hilo only")
+    t.add_argument("--precision", dest="run.precision", choices=("float32", "float64"),
+                   help="float type of parameters and activations")
 
     e = sub.add_parser("eval", help="report IoU metrics for a checkpoint on a split")
     _add_common(e)
     e.add_argument("--data", dest="run.data_dir", help="dataset directory (holds manifest.tsv)")
-    e.add_argument("--checkpoint", dest="run.checkpoint")
-    e.add_argument("--split", dest="run.split", choices=SPLITS)
-    e.add_argument("--region-margin", dest="run.region_margin", type=int)
-    e.add_argument("--bb-margin", dest="run.bb_margin", type=int)
-    e.add_argument("--threads", dest="run.threads", type=int)
+    e.add_argument("--checkpoint", dest="run.checkpoint", help="checkpoint to score, not the oracle")
+    e.add_argument("--split", dest="run.split", choices=SPLITS, help="split to score")
+    e.add_argument("--region-margin", dest="run.region_margin", type=int,
+                   help="margin of the segmented box around the truth; hilo checkpoints only")
+    e.add_argument("--bb-margin", dest="run.bb_margin", type=int, help="margin of the scored boxes")
+    e.add_argument("--threads", dest="run.threads", type=int,
+                   help="tile worker threads; hilo checkpoints only")
     e.add_argument(
         "--oracle-bypass", dest="run.oracle_bypass", action="store_const", const=True,
         help="score ground truth against itself instead of running the model",
     )
 
     s = sub.add_parser("segment", help="segment one volume file")
-    _add_common(s)
+    _add_common(s, draws=False)
     s.add_argument("--input", dest="run.input_path", help="volume file to segment")
-    s.add_argument("--checkpoint", dest="run.checkpoint")
+    s.add_argument("--checkpoint", dest="run.checkpoint", help="checkpoint to segment with")
     s.add_argument("--region", dest="run.region", help="restrict to x0,y0,z0:x1,y1,z1 (inclusive)")
     s.add_argument("--export-slices", dest="run.export_slices",
                    help="comma-separated axis:index entries, e.g. z:40,y:12")
-    s.add_argument("--threads", dest="run.threads", type=int)
+    s.add_argument("--threads", dest="run.threads", type=int,
+                   help="tile worker threads; hilo checkpoints only")
     return p
 
 

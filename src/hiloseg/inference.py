@@ -187,9 +187,9 @@ def segment_volume(vol: VoxelVolume, model, cfg, region: BoundingBox | None = No
         else:
             probs = hilo_forward(pyr, cfg, model, grid_coords).reshape(w, w, w)
         pred = (probs > cfg.threshold).astype(np.uint8)
-        # clip the tile to region and volume bounds before writing
+        # clip the tile to the region, already clamped to the volume, before writing
         lo = [max(o, r) for o, r in zip(origin, region.min)]
-        hi = [min(o + w - 1, r, d - 1) for o, r, d in zip(origin, region.max, vol.dims)]
+        hi = [min(o + w - 1, r) for o, r in zip(origin, region.max)]
         if any(a > b for a, b in zip(lo, hi)):
             return
         src = tuple(slice(a - o, b - o + 1) for a, b, o in zip(lo, hi, origin))

@@ -350,7 +350,10 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
                     for e, h in zip(entries, losses):
                         queue.update_hardness(e.instance_id, float(h))
 
-                yield (*_stack_windows(draws, dtype), done)
+                # drop the draws, or they sit beside their stacked copies all step
+                inputs, target = _stack_windows(draws, dtype)
+                del draws
+                yield inputs, target, done
         finally:
             loader.stop()
 

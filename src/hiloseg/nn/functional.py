@@ -717,15 +717,19 @@ def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...], ref: int | N
 # losses
 
 
-def _clamped(pred: np.ndarray):
-    p = np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    mask = (pred > PROB_CLAMP) & (pred < 1.0 - PROB_CLAMP)
-    return p, mask
+def _clamp(pred: np.ndarray) -> np.ndarray:
+    """Probabilities clamped away from {0, 1}, as every loss reads them."""
+    return np.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
+
+
+def _focal_terms(p: np.ndarray, t: np.ndarray, alpha: float):
+    """Focal loss's true-class probability ``p_t`` and class weight ``a_t``."""
+    return t * p + (1.0 - t) * (1.0 - p), t * alpha + (1.0 - t) * (1.0 - alpha)
 
 
 def elementwise_bce(pred_data: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per-element binary cross-entropy on plain arrays (no gradient)."""
-    p = np.clip(pred_data, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    p = _clamp(pred_data)
     t = np.asarray(target, dtype=p.dtype)
     return -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
 
@@ -733,10 +737,8 @@ def elementwise_bce(pred_data: np.ndarray, target: np.ndarray) -> np.ndarray:
 def elementwise_focal(pred_data: np.ndarray, target: np.ndarray,
                       gamma: float = 2.0, alpha: float = 0.25) -> np.ndarray:
     """Per-element focal loss on plain arrays (no gradient)."""
-    p = np.clip(pred_data, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    t = np.asarray(target, dtype=p.dtype)
-    p_t = t * p + (1.0 - t) * (1.0 - p)
-    a_t = t * alpha + (1.0 - t) * (1.0 - alpha)
+    p = _clamp(pred_data)
+    p_t, a_t = _focal_terms(p, np.asarray(target, dtype=p.dtype), alpha)
     return -a_t * (1.0 - p_t) ** gamma * np.log(p_t)
 
 
@@ -745,10 +747,12 @@ def _entry_means(loss: np.ndarray, dtype) -> np.ndarray:
     return np.asarray(loss.mean(axis=tuple(range(1, loss.ndim))), dtype=dtype)
 
 
-def _entry_grad(d: np.ndarray, mask: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Elementwise derivatives ``d`` of entry means seeded by ``g`` per entry."""
+def _entry_grad(d: np.ndarray, pred: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Elementwise derivatives ``d`` of entry means seeded by ``g`` per entry,
+    zero where ``_clamp`` moved ``pred``."""
     per_entry = g.reshape(g.shape + (1,) * (d.ndim - 1))
-    return np.where(mask, d / (d.size // len(d)), 0.0) * per_entry
+    kept = (pred > PROB_CLAMP) & (pred < 1.0 - PROB_CLAMP)
+    return np.where(kept, d / (d.size // len(d)), 0.0) * per_entry
 
 
 def bce_loss(pred: Tensor, target) -> Tensor:
@@ -759,8 +763,8 @@ def bce_loss(pred: Tensor, target) -> Tensor:
     pd, npred = pred.data, pred.node
 
     def bw(g):
-        p, mask = _clamped(pd)
-        npred.accumulate_grad(_entry_grad((p - t) / (p * (1.0 - p)), mask, g), fresh=True)
+        p = _clamp(pd)
+        npred.accumulate_grad(_entry_grad((p - t) / (p * (1.0 - p)), pd, g), fresh=True)
 
     return make_node(loss, (npred,), bw)
 
@@ -775,12 +779,11 @@ def focal_loss(pred: Tensor, target, gamma: float = 2.0, alpha: float = 0.25) ->
     def bw(g):
         # d/dp_t of -a_t (1-p_t)^g log p_t, then chain through p_t = t*p + (1-t)(1-p).
         # The clamp keeps 1-p_t >= PROB_CLAMP, so the (gamma-1) power stays finite.
-        p, mask = _clamped(pd)
-        p_t = t * p + (1.0 - t) * (1.0 - p)
-        a_t = t * alpha + (1.0 - t) * (1.0 - alpha)
+        p = _clamp(pd)
+        p_t, a_t = _focal_terms(p, t, alpha)
         one_m = 1.0 - p_t
         d_pt = a_t * (gamma * one_m ** (gamma - 1.0) * np.log(p_t) - one_m**gamma / p_t)
-        npred.accumulate_grad(_entry_grad(d_pt * (2.0 * t - 1.0), mask, g), fresh=True)
+        npred.accumulate_grad(_entry_grad(d_pt * (2.0 * t - 1.0), pd, g), fresh=True)
 
     return make_node(loss, (npred,), bw)
 

@@ -201,41 +201,35 @@ def test_unreadable_checkpoint_config_is_a_data_error(run):
     assert "data error" in err and "hilo.window_size" in err
 
 
-# the train keys that both model families' trainers read
-SHARED_TRAINING_KEYS = {"run.seed", "run.out_dir", "run.data_dir", "run.model", "run.epochs",
-                        "run.lr", "run.micro_batch", "run.smoothing_window", "run.precision"}
-# the eval and segment keys read whatever the checkpoint's family
-EVERY_CHECKPOINT_KEYS = {"run.seed", "run.out_dir", "run.data_dir", "run.checkpoint",
-                         "run.split", "run.bb_margin", "run.oracle_bypass", "run.input_path",
-                         "run.region", "run.export_slices"}
-
-
 def test_every_flag_sets_a_config_key():
-    """A flag's dest is the config key it sets; a mistyped key fails here
-    instead of silently dropping the flag. A ``train`` flag's key is read by
-    exactly one model family's trainer, or is one both read, so a new flag
-    says which trainers honour it. An ``eval`` or ``segment`` flag's key is
-    read for every checkpoint family, or only when a hilo checkpoint
-    predicts, so a new flag says which checkpoints honour it."""
+    """A flag's dest is the config key it sets, so a mistyped key fails here
+    instead of silently dropping the flag, and every flag has a help line.
+    The parser is the one list of the keys each command reads, so every
+    ``run.*`` key has a flag on some command. ``cli._FAMILIES`` holds the
+    exceptions: each entry is a key, or a section, that some command has a
+    flag for and names only model families that exist, and a flag whose key
+    fewer than all families read names them in its help."""
     keys = set(config_values(cli.RunConfig(), "run."))
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
-    seen = 0
+    flagged = set()
     for name, parser in subparsers.choices.items():
         for action in parser._actions:
             if action.dest in ("help", "config"):
                 continue
             assert action.dest in keys, (name, action.option_strings, action.dest)
-            if name == "train":
-                readers = cli._readers(action.dest)
-                assert (len(readers) == 1) != (action.dest in SHARED_TRAINING_KEYS), (
-                    action.option_strings, action.dest, readers)
-            if name in ("eval", "segment"):
-                pyramid_only = action.dest in cli._PYRAMID_PREDICT_KEYS[name]
-                assert pyramid_only != (action.dest in EVERY_CHECKPOINT_KEYS), (
-                    name, action.option_strings, action.dest)
-            seen += 1
-    assert seen > 30
+            assert action.help, (name, action.option_strings)
+            families = cli._FAMILIES.get(action.dest,
+                                         cli._FAMILIES.get(action.dest.split(".")[0] + "."))
+            if families and len(families) < len(cli.MODEL_KINDS):
+                assert "only" in action.help and all(f in action.help for f in families), (
+                    name, action.option_strings, action.help)
+            flagged.add(action.dest)
+    assert {k for k in keys if k.startswith("run.")} <= flagged
+    for entry, families in cli._FAMILIES.items():
+        assert entry in flagged or (entry.endswith(".") and
+                                    any(k.startswith(entry) for k in flagged)), entry
+        assert families and set(families) <= set(cli.MODEL_KINDS), entry
 
 
 def test_flag_overrides_config_file(run):
@@ -466,6 +460,53 @@ def test_predict_keys_are_refused_where_unread(run, command, source, flags, file
     assert code == 1
     assert "usage error" in err and f"not read {keys}:" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,file_text,flags,refused", [
+    ("segment", "run.bb_margin = 3\nrun.region_margin = 4\nrun.split = val\n", [],
+     "does not read run.bb_margin, run.region_margin, run.split:"),
+    ("generate", "run.lr = 0.5\n", [], "does not read run.lr:"),
+    ("train", "run.threads = 2\n", ["--model", "hilo"], "does not read run.threads:"),
+    ("eval", "run.region = 1,1,1:4,4,4\n", [], "does not read run.region:"),
+    ("segment", "", ["--seed", 4], "unrecognized arguments: --seed 4"),
+], ids=["segment-eval-keys", "generate-lr", "hilo-train-threads", "eval-region", "segment-seed"])
+def test_keys_a_command_has_no_flag_for_are_refused(run, tmp_path, command, file_text, flags,
+                                                    refused):
+    """A run reads only the keys its command has a flag for: a value other
+    than the default for any other ``run.*`` key, from a file, is refused by
+    name before any file is written. ``segment`` draws nothing, so it has no
+    ``--seed``."""
+    cfg, out_dir = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(file_text)
+    scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
+    ckpt = run["trained"]["hilo-cnn"][1] / "checkpoint.hckpt"
+    needs = {"generate": ["--count", 2], "train": ["--data", run["data"]],
+             "eval": ["--data", run["data"], "--checkpoint", ckpt],
+             "segment": ["--input", scan, "--checkpoint", ckpt]}[command]
+    code, _, err = call(command, "--config", cfg, "--out", out_dir, *needs, *flags)
+    assert code == 1
+    assert "usage error" in err and refused in err
+    assert not out_dir.exists()
+
+
+def test_segment_of_an_onet_checkpoint_zeroes_outside_its_region(run):
+    """An occupancy network decodes the whole scan; ``--region``, clamped to
+    the scan, keeps the whole-scan labels inside it byte for byte and zeroes
+    the rest."""
+    scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
+    ckpt = run["trained"]["onet-sr"][1] / "checkpoint.hckpt"
+    preds = {}
+    for name, region in (("whole", []), ("region", ["--region=-3,5,4:15,30,16"])):
+        out_dir = run["root"] / f"onet-{name}"
+        code, _, err = call("segment", "--input", scan, "--checkpoint", ckpt,
+                            "--out", out_dir, *region)
+        assert code == 0, err
+        preds[name] = load_volume(out_dir / "prediction.hv1").data
+    inside = np.zeros(DIMS, dtype=bool)
+    inside[0:16, 5:20, 4:17] = True
+    assert preds["whole"][inside].any() and preds["whole"][~inside].any()
+    assert preds["region"][inside].tobytes() == preds["whole"][inside].tobytes()
+    assert not preds["region"][~inside].any()
 
 
 def test_unknown_config_key_is_a_data_error(run):
