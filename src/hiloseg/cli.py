@@ -24,6 +24,9 @@ echoes the fully resolved configuration into its output directory as
 ``config_resolved.txt``, which reads back as a config file, so a run is
 reproducible from that file alone.
 
+A hilo checkpoint predicts its tiles one at a time. ``--region`` bounds may
+be negative and are clamped to the scan.
+
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 divergence.
 """
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +47,7 @@ from .data_io import (
     SPLITS,
     SynthConfig,
     load_manifest,
+    load_record,
     load_volume,
     save_volume,
     volume_dims,
@@ -81,8 +86,8 @@ _ONET_RAM_BUDGET = 1 << 30
 # reads every other key its command has a flag for, whatever its family
 _FAMILIES = {
     **dict.fromkeys(("hilo.", "run.queue_policy", "run.queue_capacity", "run.max_steps",
-                     "run.validate_every", "run.pyramid_sampling", "run.threads",
-                     "run.region_margin"), ("hilo",)),
+                     "run.validate_every", "run.pyramid_sampling", "run.region_margin"),
+                   ("hilo",)),
     **dict.fromkeys(("onet.", "run.batch"), ("onet",)),
     "run.checkpoint": ("hilo", "onet"),
 }
@@ -101,8 +106,7 @@ class RunConfig:
     other families' keys (module docstring). ``batch`` is the occupancy
     batch; the pyramid batch is ``hilo.batch_size``. ``epochs`` and ``batch``
     of -1 leave them to the trainer's defaults; ``max_steps`` 0 means no cap.
-    ``lr`` must be positive and finite. ``threads`` is the number of worker
-    threads that segment tiles (at least 1).
+    ``lr`` must be positive and finite.
     """
 
     model: str = "hilo"
@@ -122,7 +126,6 @@ class RunConfig:
     split: str = "test"
     region_margin: int = 50
     bb_margin: int = 10
-    threads: int = 1
     oracle_bypass: bool = False
     data_dir: str = ""
     out_dir: str = ""
@@ -153,7 +156,7 @@ class RunConfig:
         for name, minimum in (
             ("micro_batch", 1), ("validate_every", 1), ("smoothing_window", 1),
             ("queue_capacity", 1), ("count", 1), ("max_steps", 0),
-            ("region_margin", 0), ("bb_margin", 0), ("threads", 1), ("seed", 0),
+            ("region_margin", 0), ("bb_margin", 0), ("seed", 0),
         ):
             if getattr(self, name) < minimum:
                 raise ValueError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
@@ -241,11 +244,10 @@ def load_model(path):
     return kind, cfg, model
 
 
-def _predict_mask(rc: RunConfig, kind, cfg, model, vol: VoxelVolume,
-                  region: BoundingBox | None) -> LabelVolume:
+def _predict_mask(kind, cfg, model, vol: VoxelVolume, region: BoundingBox | None) -> LabelVolume:
     """Binary prediction over a full volume for either model family."""
     if kind == "hilo":
-        return segment_volume(vol, model, cfg, region, threads=rc.threads)
+        return segment_volume(vol, model, cfg, region)
     latent = onet_encode(vol, cfg, model)
 
     def decode(coords):
@@ -350,8 +352,7 @@ def cmd_eval(rc: RunConfig) -> int:
 
     rows = []
     for rec in records:
-        vol = load_volume(rec.path)
-        truth = load_volume(rec.label_path)
+        vol, truth = load_record(rec)
         tmask = truth.data != 0
         tight_bb = BoundingBox.from_points(np.argwhere(tmask))
         # both boxes go through the same margin construction, so BB IoU
@@ -363,7 +364,7 @@ def cmd_eval(rc: RunConfig) -> int:
             region = None
             if kind == "hilo" and not tight_bb.is_empty:
                 region = tight_bb.expand(rc.region_margin).clamp(vol.dims)
-            pred = _predict_mask(rc, kind, cfg, model, vol, region)
+            pred = _predict_mask(kind, cfg, model, vol, region)
         pred_bb = extract_bounding_box(pred.data != 0, margin=rc.bb_margin, dims=vol.dims)
         grid = pred.data
 
@@ -440,7 +441,7 @@ def cmd_segment(rc: RunConfig) -> int:
     _refuse_unread(rc, "segment", kind)
     _write_resolved(rc, rc.out_dir)
 
-    pred = _predict_mask(rc, kind, cfg, model, vol, region)
+    pred = _predict_mask(kind, cfg, model, vol, region)
     out_dir = Path(rc.out_dir)
     pred_path = out_dir / "prediction.hv1"
     save_volume(pred_path, pred)
@@ -460,6 +461,12 @@ def cmd_segment(rc: RunConfig) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a region with a negative first bound (-3,5,4:15,30,16) is a value, not an option
+        self._negative_number_matcher = re.compile(
+            self._negative_number_matcher.pattern + r"|^-\d+(,-?\d+){2}:-?\d+(,-?\d+){2}$")
+
     def error(self, message):  # usage problems exit 1, not argparse's 2
         raise UsageError(message)
 
@@ -527,8 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--region-margin", dest="run.region_margin", type=int,
                    help="margin of the segmented box around the truth; hilo checkpoints only")
     e.add_argument("--bb-margin", dest="run.bb_margin", type=int, help="margin of the scored boxes")
-    e.add_argument("--threads", dest="run.threads", type=int,
-                   help="tile worker threads; hilo checkpoints only")
     e.add_argument(
         "--oracle-bypass", dest="run.oracle_bypass", action="store_const", const=True,
         help="score ground truth against itself instead of running the model",
@@ -541,8 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--region", dest="run.region", help="restrict to x0,y0,z0:x1,y1,z1 (inclusive)")
     s.add_argument("--export-slices", dest="run.export_slices",
                    help="comma-separated axis:index entries, e.g. z:40,y:12")
-    s.add_argument("--threads", dest="run.threads", type=int,
-                   help="tile worker threads; hilo checkpoints only")
     return p
 
 

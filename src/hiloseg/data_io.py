@@ -115,6 +115,20 @@ def load_volume(path) -> VoxelVolume | LabelVolume:
     return VoxelVolume(data) if code == _DTYPE_VOLUME else LabelVolume(data)
 
 
+def load_record(record) -> tuple[VoxelVolume, LabelVolume]:
+    """The (scan, labels) pair of a record with ``path`` and ``label_path``;
+    a ``FormatError`` names both files when they do not make one."""
+    vol, labels = load_volume(record.path), load_volume(record.label_path)
+    both = f"{record.path} with labels {record.label_path}"
+    if not isinstance(vol, VoxelVolume):
+        raise FormatError(f"{both}: the volume file holds labels, not a scan")
+    if not isinstance(labels, LabelVolume):
+        raise FormatError(f"{both}: the label file holds a scan, not labels")
+    if vol.dims != labels.dims:
+        raise FormatError(f"{both}: dims differ, {vol.dims} vs {labels.dims}")
+    return vol, labels
+
+
 # ---------------------------------------------------------------------------
 # manifests and splits
 

@@ -3,9 +3,9 @@
 A trained window model only ever sees w-sided level-0 windows, so a whole
 volume is segmented by tiling the target region with non-overlapping windows
 and running one forward pass per tile. Tiles never overlap, which makes the
-result independent of visiting order and lets tiles run on worker threads
-without synchronizing writes. All tiles read their pyramid levels from one
-summed-area table of the scan, built once per call and shared read-only.
+result independent of visiting order. Tiles run one at a time, so the byte
+meter's peak is one tile's, whatever the scan's size. All tiles read their
+pyramid levels from one summed-area table of the scan, built once per call.
 
 ``mise_evaluate`` implements coarse-to-fine occupancy extraction: evaluate a
 coarse corner lattice, fill cells whose corners agree, subdivide the rest,
@@ -14,7 +14,6 @@ and stop at single-voxel cells instead of meshing the surface.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,14 +116,10 @@ def bb_iou(a: BoundingBox, b: BoundingBox) -> float:
 
 @dataclass(frozen=True)
 class TilingPlan:
-    window_size: int
     origins: tuple[tuple[int, int, int], ...]
 
     def __len__(self) -> int:
         return len(self.origins)
-
-    def __iter__(self):
-        return iter(self.origins)
 
 
 def plan_tiling(region: BoundingBox, w: int) -> TilingPlan:
@@ -139,7 +134,7 @@ def plan_tiling(region: BoundingBox, w: int) -> TilingPlan:
         raise ValueError(f"window size must be >= 1, got {w}")
     axes = [range(a, b + 1, w) for a, b in zip(region.min, region.max)]
     origins = tuple((x, y, z) for x in axes[0] for y in axes[1] for z in axes[2])
-    return TilingPlan(w, origins)
+    return TilingPlan(origins)
 
 
 def segment_volume(vol: VoxelVolume, model, cfg, region: BoundingBox | None = None,
@@ -148,60 +143,41 @@ def segment_volume(vol: VoxelVolume, model, cfg, region: BoundingBox | None = No
 
     ``model`` is a ``HiLoModel`` built for ``cfg``. Voxels outside the
     region are 0 in the output; output dims always equal input dims. Tiles
-    run on ``threads`` worker threads (at least 1) in the order of ``plan``
-    (by default ``plan_tiling`` of the region); neither changes the result.
-    One summed-area table covers the top pyramid level of every tile,
-    clipped to the scan; it is host memory outside the byte meter.
+    run one at a time, so the meter's peak is one tile's, in the order of
+    ``plan`` (by default ``plan_tiling`` of the region), which does not
+    change the result; ``threads`` accepts only 1. One summed-area table
+    covers every tile's top pyramid level, clipped to the scan, in host memory.
     """
     from .models.hilo import hilo_forward
 
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}: tiles run one at a time")
     if region is None:
         region = full_region(vol.dims)
     region = region.clamp(vol.dims)
     if region.is_empty:
         return LabelVolume(np.zeros(vol.dims, dtype=np.uint8))
+    w, d, L = cfg.window_size, cfg.downsampling_factor, cfg.levels
     if plan is None:
-        plan = plan_tiling(region, cfg.window_size)
+        plan = plan_tiling(region, w)
     out = np.zeros(vol.dims, dtype=np.uint8)
-    w = plan.window_size
-    d, L = cfg.downsampling_factor, cfg.levels
     integral = None
     if L > 1 and len(plan):
         top = w * d ** (L - 1)
         top_lo = np.asarray(plan.origins) + (w // 2 - top // 2)
         integral = integral_volume(vol, top_lo.min(axis=0), top_lo.max(axis=0) + top)
-    if cfg.decoder == "onet":
-        # the coordinate decoder answers point queries; ask for the whole window
-        r = np.arange(w, dtype=np.int64)
-        grid_coords = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
-    else:
-        grid_coords = None
-
-    def run_tile(origin):
+    for origin in plan.origins:
         center = tuple(o + w // 2 for o in origin)
         pyr = build_pyramid(vol, center, w, d, L, integral=integral)
-        if grid_coords is None:
-            probs = hilo_forward(pyr, cfg, model)
-        else:
-            probs = hilo_forward(pyr, cfg, model, grid_coords).reshape(w, w, w)
-        pred = (probs > cfg.threshold).astype(np.uint8)
+        pred = (hilo_forward(pyr, cfg, model) > cfg.threshold).astype(np.uint8)
         # clip the tile to the region, already clamped to the volume, before writing
         lo = [max(o, r) for o, r in zip(origin, region.min)]
         hi = [min(o + w - 1, r) for o, r in zip(origin, region.max)]
         if any(a > b for a, b in zip(lo, hi)):
-            return
+            continue
         src = tuple(slice(a - o, b - o + 1) for a, b, o in zip(lo, hi, origin))
         dst = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
         out[dst] = pred[src]
-
-    if threads == 1 or len(plan) <= 1:
-        for origin in plan:
-            run_tile(origin)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_tile, plan.origins))
     return LabelVolume(out)
 
 

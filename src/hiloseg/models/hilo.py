@@ -235,21 +235,27 @@ def hilo_forward(pyr: np.ndarray, cfg: HiLoConfig, model: HiLoModel, coords=None
     """Evaluate one pyramid on a built model without recording a tape.
 
     ``pyr`` is the (levels, w, w, w) array ``build_pyramid`` returns. The
-    result, in the model's dtype, is a (w, w, w) probability grid for the
-    grid decoder, or (n,) per-query probabilities at an (n, 3) array of
-    window-local integer coordinates for the coordinate decoder. Each
-    level is copied into a metered tensor of the model's dtype only when
-    its encoder runs, and the copy dies after the stem, so one level's
-    activations are alive at a time next to the finished encodings.
+    result, in the model's dtype, is the (w, w, w) probability grid for
+    either decoder (the coordinate decoder is asked, in one call, for every
+    voxel of the window in C order), or the coordinate decoder's (n,)
+    probabilities at an (n, 3) array ``coords`` of window-local integer
+    coordinates. Each level is copied into a metered tensor of the model's
+    dtype only when its encoder runs, and the copy dies after the stem, so
+    one level's activations are alive at a time next to the finished encodings.
     """
     w = cfg.window_size
     if pyr.shape != (cfg.levels, w, w, w):
         raise ValueError(f"pyramid has shape {pyr.shape}, config expects "
                          f"(levels, w, w, w) = {(cfg.levels, w, w, w)}")
+    whole_window = coords is None and cfg.decoder == "onet"
+    if whole_window:
+        r = np.arange(w, dtype=np.int64)
+        coords = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
     levels = (nn.Tensor(lv[None, :, :, :, None].astype(model.dtype)) for lv in pyr)
     coords01 = None
     if coords is not None:
         coords01 = nn.Tensor(np.asarray(coords, dtype=model.dtype)[None] / float(w))
     with nn.no_grad():
         out = model.forward_batch(levels, coords01)
-    return out.data[0].copy()
+    probs = out.data[0].copy()
+    return probs.reshape(w, w, w) if whole_window else probs

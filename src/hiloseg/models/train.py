@@ -22,6 +22,7 @@ from contextlib import closing
 import numpy as np
 
 from .. import nn
+from ..data_io import load_record
 from ..errors import DivergenceError
 from ..inference import mask_iou
 from ..nn import functional as F
@@ -42,9 +43,7 @@ _VAL_STREAM = 41
 def _as_pair(item) -> tuple[VoxelVolume, LabelVolume]:
     if isinstance(item, tuple) and len(item) == 2:
         return item
-    from ..data_io import load_volume
-
-    return load_volume(item.path), load_volume(item.label_path)
+    return load_record(item)
 
 
 def _snapshot(model) -> dict[str, np.ndarray]:

@@ -12,9 +12,10 @@ import pytest
 
 from hiloseg import cli
 from hiloseg.config import config_text, config_values, parse_kv_text, read_config
-from hiloseg.data_io import load_manifest, load_volume
+from hiloseg.data_io import load_manifest, load_volume, save_volume
 from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, OnetModel
 from hiloseg.nn.checkpoint import load_checkpoint, save_checkpoint
+from hiloseg.voxel import LabelVolume
 
 DIMS = (24, 20, 22)
 
@@ -115,7 +116,7 @@ def test_train_writes_checkpoint(run, variant):
 def test_eval_of_each_checkpoint(run, variant):
     """A hilo checkpoint's eval also takes the keys only its prediction reads."""
     out_dir = run["root"] / f"eval-{variant}"
-    pyramid_only = ["--threads", 2, "--region-margin", 3] if variant == "hilo-cnn" else []
+    pyramid_only = ["--region-margin", 3] if variant == "hilo-cnn" else []
     code, out, err = call("eval", "--config", run["config"], "--data", run["data"],
                           "--checkpoint", run["trained"][variant][1] / "checkpoint.hckpt",
                           "--out", out_dir, *pyramid_only)
@@ -255,8 +256,7 @@ def test_resolved_config_reads_back(run, name):
                      "--oracle-bypass", "--bb-margin", 3],
             "segment": ["segment", "--config", run["config"], "--input", scan,
                         "--checkpoint", run["trained"]["hilo-cnn"][1] / "checkpoint.hckpt",
-                        "--out", root / "readback-segment", "--region", "2,2,2:12,12,12",
-                        "--threads", 2],
+                        "--out", root / "readback-segment", "--region", "2,2,2:12,12,12"],
         }[name]]
         code, _, err = call(*argv)
         assert code == 0, err
@@ -431,18 +431,19 @@ def test_low_resolution_labels_are_an_onet_config(run):
 
 
 @pytest.mark.parametrize("command,source,flags,file_text,keys", [
-    ("eval", "onet", ["--threads", 2, "--region-margin", 3], "", "run.region_margin, run.threads"),
+    ("eval", "onet", ["--region-margin", 3], "", "run.region_margin"),
     ("eval", "oracle", ["--region-margin", 3], "", "run.region_margin"),
-    ("eval", "oracle", [], "run.threads = 2\n", "run.threads"),
-    ("segment", "onet", ["--threads", 2], "", "run.threads"),
-    ("segment", "onet", [], "run.threads = 2\n", "run.threads"),
+    ("eval", "oracle", [], "run.region_margin = 4\n", "run.region_margin"),
+    ("eval", "onet", [], "run.region_margin = 4\n", "run.region_margin"),
+    ("segment", "onet", [], "run.region_margin = 4\n", "run.region_margin"),
     ("eval", "oracle", ["--checkpoint", "does-not-exist.hckpt"], "", "run.checkpoint"),
 ])
 def test_predict_keys_are_refused_where_unread(run, command, source, flags, file_text, keys):
-    """``run.threads`` and eval's ``run.region_margin`` are read only when a
-    hilo checkpoint predicts: an onet checkpoint or the oracle is refused
-    them, from a flag or a file, before any file is written. The oracle,
-    which opens no checkpoint, is refused ``run.checkpoint`` too."""
+    """Eval's ``run.region_margin`` is read only when a hilo checkpoint
+    predicts: an onet checkpoint or the oracle is refused it, from a flag or
+    a file, before any file is written, and segment, which has no flag for
+    it, is refused it too. The oracle, which opens no checkpoint, is refused
+    ``run.checkpoint``."""
     name = f"unread-{command}-{source}-{'file' if file_text else 'flag'}"
     cfg = run["root"] / f"{name}.cfg"
     cfg.write_text(file_text)
@@ -466,10 +467,10 @@ def test_predict_keys_are_refused_where_unread(run, command, source, flags, file
     ("segment", "run.bb_margin = 3\nrun.region_margin = 4\nrun.split = val\n", [],
      "does not read run.bb_margin, run.region_margin, run.split:"),
     ("generate", "run.lr = 0.5\n", [], "does not read run.lr:"),
-    ("train", "run.threads = 2\n", ["--model", "hilo"], "does not read run.threads:"),
+    ("train", "run.split = val\n", ["--model", "hilo"], "does not read run.split:"),
     ("eval", "run.region = 1,1,1:4,4,4\n", [], "does not read run.region:"),
     ("segment", "", ["--seed", 4], "unrecognized arguments: --seed 4"),
-], ids=["segment-eval-keys", "generate-lr", "hilo-train-threads", "eval-region", "segment-seed"])
+], ids=["segment-eval-keys", "generate-lr", "hilo-train-split", "eval-region", "segment-seed"])
 def test_keys_a_command_has_no_flag_for_are_refused(run, tmp_path, command, file_text, flags,
                                                     refused):
     """A run reads only the keys its command has a flag for: a value other
@@ -507,6 +508,89 @@ def test_segment_of_an_onet_checkpoint_zeroes_outside_its_region(run):
     assert preds["whole"][inside].any() and preds["whole"][~inside].any()
     assert preds["region"][inside].tobytes() == preds["whole"][inside].tobytes()
     assert not preds["region"][~inside].any()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_region_with_a_negative_bound_is_clamped_to_the_scan(run, variant):
+    """``--region -3,5,4:15,30,16`` is a value, not an option: it segments
+    as the region clamped to the scan, ``0,5,4:15,19,16``, and nothing
+    outside it."""
+    scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
+    ckpt = run["trained"][variant][1] / "checkpoint.hckpt"
+    preds = {}
+    for region in ("-3,5,4:15,30,16", "0,5,4:15,19,16"):
+        out_dir = run["root"] / f"region-{variant}-{region}"
+        code, _, err = call("segment", "--input", scan, "--checkpoint", ckpt,
+                            "--out", out_dir, "--region", region)
+        assert code == 0, err
+        preds[region] = load_volume(out_dir / "prediction.hv1").data
+    outside = np.ones(DIMS, dtype=bool)
+    outside[0:16, 5:20, 4:17] = False
+    assert preds["-3,5,4:15,30,16"][~outside].any()
+    assert not preds["-3,5,4:15,30,16"][outside].any()
+    assert preds["-3,5,4:15,30,16"].tobytes() == preds["0,5,4:15,19,16"].tobytes()
+
+
+def test_threads_is_not_a_setting(run, tmp_path):
+    """Tiles run one at a time, so ``--threads`` is an unrecognized argument
+    (exit 1) and a file's ``run.threads``, as in a ``config_resolved.txt``
+    written while it was a setting, an unknown key (exit 2)."""
+    scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
+    ckpt = run["trained"]["hilo-cnn"][1] / "checkpoint.hckpt"
+    for command, needs in (("eval", ["--data", run["data"]]), ("segment", ["--input", scan])):
+        code, _, err = call(command, *needs, "--checkpoint", ckpt, "--threads", 1,
+                            "--out", tmp_path / command)
+        assert code == 1
+        assert "unrecognized arguments: --threads 1" in err
+    cfg = tmp_path / "threads.cfg"
+    cfg.write_text("run.threads = 1\n")
+    code, _, err = call("segment", "--config", cfg, "--input", scan, "--checkpoint", ckpt,
+                        "--out", tmp_path / "file")
+    assert code == 2
+    assert "run.threads" in err
+    assert not any(tmp_path.glob("*/config_resolved.txt"))
+
+
+# how a record's two files disagree -> what the refusal says
+DATA_FAULTS = {
+    "volume-holds-labels": "the volume file holds labels",
+    "labels-hold-a-scan": "the label file holds a scan",
+    "dims-differ": "dims differ",
+}
+
+
+@pytest.mark.parametrize("command", ["train-hilo", "train-onet", "eval"])
+@pytest.mark.parametrize("fault", DATA_FAULTS)
+def test_record_whose_files_disagree_is_a_data_error(run, tmp_path, fault, command):
+    """A record's volume file must hold a scan and its label file labels of
+    the same dims: a manifest with its columns swapped, with a scan for
+    labels, or with every label file cut short trains neither family and
+    evaluates nothing, but exits 2 naming both files of a record."""
+    records = load_manifest(run["data"] / "manifest.tsv").paths()
+    rows = []
+    for i, r in enumerate(records):
+        vol, lab = r.path, r.label_path
+        if fault == "volume-holds-labels":
+            vol, lab = lab, vol
+        elif fault == "labels-hold-a-scan":
+            lab = vol
+        else:
+            lab = tmp_path / f"cut_{i:05d}.hv1"
+            save_volume(lab, LabelVolume(load_volume(r.label_path).data[:, :, :-2]))
+        rows.append(f"{vol}\t{lab}\t{r.split}")
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.tsv").write_text("\n".join(rows) + "\n")
+    argv = {"train-hilo": ["train", "--model", "hilo", "--max-steps", 1],
+            "train-onet": ["train", "--model", "onet", "--epochs", 1, "--batch", 2],
+            "eval": ["eval", "--checkpoint", run["trained"]["hilo-cnn"][1] / "checkpoint.hckpt"],
+            }[command]
+    code, _, err = call(*argv, "--config", run["config"], "--data", data,
+                        "--out", tmp_path / "out")
+    assert code == 2
+    assert "data error" in err and DATA_FAULTS[fault] in err
+    bad = load_manifest(data / "manifest.tsv").paths()
+    assert any(r.path in err and r.label_path in err for r in bad)
 
 
 def test_unknown_config_key_is_a_data_error(run):

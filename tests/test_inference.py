@@ -99,7 +99,7 @@ class TestPlanTiling:
         w = 4
         plan = plan_tiling(region, w)
         count = np.zeros(dims, dtype=np.int32)
-        for origin in plan:
+        for origin in plan.origins:
             lo = [max(o, r) for o, r in zip(origin, region.min)]
             hi = [min(o + w - 1, r, d - 1) for o, r, d in zip(origin, region.max, dims)]
             if any(a > b for a, b in zip(lo, hi)):
@@ -169,21 +169,14 @@ class TestSegmentVolume:
         region = full_region(blob_volume.dims)
         plan = plan_tiling(region, cfg.window_size)
         rng = np.random.default_rng(3)
-        shuffled = TilingPlan(plan.window_size,
-                              tuple(plan.origins[i] for i in rng.permutation(len(plan))))
+        shuffled = TilingPlan(tuple(plan.origins[i] for i in rng.permutation(len(plan))))
         a = segment_volume(blob_volume, model, cfg, region, plan=plan)
         b = segment_volume(blob_volume, model, cfg, region, plan=shuffled)
         np.testing.assert_array_equal(a.data, b.data)
 
-    def test_threaded_equals_serial(self, blob_volume):
-        cfg, model = tiny_hilo()
-        a = segment_volume(blob_volume, model, cfg, threads=1)
-        b = segment_volume(blob_volume, model, cfg, threads=3)
-        assert 0 < a.data.sum() < a.data.size
-        np.testing.assert_array_equal(a.data, b.data)
-
-    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("threads", [0, -1, 2])
     def test_rejects_fewer_than_one_thread(self, blob_volume, threads):
+        """Tiles run one at a time: ``threads`` takes 1 and nothing else."""
         cfg, model = tiny_hilo()
         with pytest.raises(ValueError, match="threads"):
             segment_volume(blob_volume, model, cfg, threads=threads)
@@ -197,7 +190,7 @@ class TestSegmentVolume:
         region = BoundingBox((9, 0, 6), (19, 17, 15))
         got = segment_volume(blob_volume, model, cfg, region).data
         want = np.zeros_like(got)
-        for origin in plan_tiling(region, 4):
+        for origin in plan_tiling(region, 4).origins:
             center = tuple(o + 2 for o in origin)
             pyr = build_pyramid(blob_volume, center, 4, cfg.downsampling_factor, cfg.levels)
             pred = hilo_forward(pyr, cfg, model) > cfg.threshold

@@ -66,9 +66,9 @@ def training_step(cfg: HiLoConfig, side: int = 32):
 
 
 def window_segmentation(cfg: HiLoConfig, side: int = 32):
-    """``segment_volume`` over one window of a scan, on one worker thread."""
+    """``segment_volume`` over one window of a scan."""
     model, vol = HiLoModel(cfg, seed=0), _scans((side,) * 3)[0][0]
-    return lambda: segment_volume(vol, model, cfg, _one_window_region(side), threads=1)
+    return lambda: segment_volume(vol, model, cfg, _one_window_region(side))
 
 
 def occupancy_encoding(side: int):

@@ -279,12 +279,19 @@ class TestHiLoForward:
         with pytest.raises(ValueError, match="coordinate"):
             hilo_forward(pyr, cfg, HiLoModel(cfg, seed=0), coords=np.zeros((2, 3), dtype=np.int64))
 
-    def test_coord_decoder_needs_coords(self):
+    def test_coord_decoder_without_coords_answers_the_whole_window(self):
+        """With no query the coordinate decoder answers every voxel of the
+        window: bit for bit the explicit C-order lattice query, reshaped."""
         cfg = HiLoConfig(decoder="onet", **TINY_HILO)
-        vol = random_volume((20, 18, 16))
-        pyr = build_pyramid(vol, (10, 9, 8), cfg.window_size, 2, cfg.levels)
-        with pytest.raises(ValueError, match="coordinate"):
-            hilo_forward(pyr, cfg, HiLoModel(cfg, seed=0))
+        w = cfg.window_size
+        pyr = build_pyramid(random_volume((20, 18, 16)), (10, 9, 8), w, 2, cfg.levels)
+        model = nudged(HiLoModel(cfg, seed=0), np.random.default_rng(1))
+        lattice = np.stack(np.unravel_index(np.arange(w**3), (w, w, w)), axis=1)
+        want = hilo_forward(pyr, cfg, model, coords=lattice).reshape(w, w, w)
+        got = hilo_forward(pyr, cfg, model)
+        assert got.shape == (w, w, w) and got.dtype == model.dtype
+        assert got.std() > 0
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("decoder", ["cnn", "onet"])
     def test_decoder_kind_is_checked_before_any_encoder_runs(self, decoder):

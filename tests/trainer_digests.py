@@ -5,8 +5,8 @@ Not a tier-1 test (no ``test_`` prefix): it prints one line per trained
 state, one per metric and one with the byte meter's peak of each run, one
 with the sequence of queue evictions of each pyramid-trainer run, then
 three per segmentation (its labels, their sampled IoU and the byte
-meter's peak over the same segmentation on one worker thread), so two
-trees can be compared by diffing their output. A refactor of the training
+meter's peak over it), so two trees can be compared by diffing their
+output. A refactor of the training
 or inference paths that keeps results byte-identical prints the same
 lines; a change to activation lifetimes moves only the peak lines, and a
 change to when the loader pushes moves the eviction lines. Run it
@@ -21,10 +21,10 @@ pyramid trainer with both decoders, both pyramid draws and both
 queue policies, plus a grid decoder of three blocks, every run with a
 validation set; one run of each trainer
 reads its instances from manifest records instead of in-memory pairs.
-Inference covers ``segment_volume`` on two worker threads and
-``sampled_iou`` of its labels, for both decoders at two and three pyramid
-levels, on models whose zero-initialized output head gets random weights so
-the labels hold both classes.
+Inference covers ``segment_volume`` and ``sampled_iou`` of its labels,
+for both decoders at two and three pyramid levels, on models whose
+zero-initialized output head gets random weights so the labels hold both
+classes.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ def _inference_lines():
                 if ".head." in key:
                     state[key] = rng.normal(0.0, 0.5, size=state[key].shape).astype(np.float32)
             model.load_state_dict(state)
-            pred = segment_volume(vol, model, cfg, threads=2).data
-            # how two workers' tiles overlap varies from run to run; one worker's peak does not
-            peak = meter_peak(lambda: segment_volume(vol, model, cfg, threads=1))
+            result = []
+            peak = meter_peak(lambda: result.append(segment_volume(vol, model, cfg)))
+            pred = result[0].data
             iou = sampled_iou(lambda c: pred[c[:, 0], c[:, 1], c[:, 2]], truth, n=4096, seed=1)
             name = f"segment-{decoder}-L{levels}"
             yield name, "labels", _digest(pred.shape, pred.tobytes())
