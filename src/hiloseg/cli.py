@@ -431,7 +431,7 @@ def cmd_segment(rc: RunConfig) -> int:
     _require("segment", input=rc.input_path, checkpoint=rc.checkpoint, out=rc.out_dir)
     vol = load_volume(rc.input_path)
     if not isinstance(vol, VoxelVolume):
-        raise UsageError(f"{rc.input_path} holds labels, not a scan volume")
+        raise FormatError(f"{rc.input_path} holds labels, not a scan volume")
     slices = _parse_slices(rc.export_slices) if rc.export_slices else []
     for axis, idx in slices:
         if not 0 <= idx < vol.dims[axis]:

@@ -20,11 +20,17 @@ micro-batches.
 A forward pass holds one pyramid level at a time. A level's input tensor
 is drawn only when its encoder runs; each finished encoding lives until
 the concat, and the concat until the decoder's first block has consumed
-it. Without a tape the level input dies after the encoder's stem. The
-hand-overs are plain method calls (``enc.__call__(x)``), whose arguments
-CPython 3.11 and later move into the callee's frame; an instance call
-(``enc(x)``) keeps its argument alive until it returns, and so would
-CPython 3.10's plain calls, which is why the package requires 3.11.
+it. Without a tape the level input dies after the encoder's stem, and
+each residual block writes its ops' results over its own temporaries (the
+in-place rule of ``nn.functional``), as does the SELU after the grid
+decoder's final norm. So a segmentation tile peaks inside a convolution
+of the last level's first encoder block, at that block's input and one
+working buffer (w³ × C each), one chunk of padded planes and one saved
+input plane, next to the finished encodings. The hand-overs are plain
+method calls (``enc.__call__(x)``), whose arguments CPython 3.11 and
+later move into the callee's frame; an instance call (``enc(x)``) keeps
+its argument alive until it returns, and so would CPython 3.10's plain
+calls, which is why the package requires 3.11.
 
 Under a tape each level encoder runs through ``F.recompute``, and so do
 the grid decoder's pooled blocks, all in one. Until the backward a level
@@ -177,7 +183,7 @@ class HiLoGridDecoder(nn.Module):
                 h = block(h)
         h = F.upsample_nearest3d(h, 2)
         h = last(h)
-        h = F.selu(self.final_norm(h))
+        h = F.selu(self.final_norm(h), inplace=True)  # over the norm's own output
         out = F.sigmoid(self.head(h))
         b, d, hh, w, _ = out.data.shape
         return F.reshape(out, (b, d, hh, w))

@@ -25,6 +25,24 @@ tensor, so the tape keeps:
 - recompute: its inputs only, from which its backward rebuilds the tape of
   its function.
 
+Without a tape there is nothing to keep, and an op asked to
+(``inplace=True``) writes its result over the operand it consumes:
+``mul``'s ``a``, ``add``'s ``b``, the input of ``selu``, ``leaky_relu`` and
+``batch_standardize`` (either kind), and the input of a conv3d whose
+result has its shape (Cin = Cout and 2p = k - 1, k > 1), chunk by chunk as
+its input-gradient pass writes over ``g``. ``_take`` grants the request
+only when no tape is recorded and the operand is no graph node (neither a
+leaf nor an op result on a tape) and holds a C-contiguous, writeable,
+floating array of its own that the result fits at its dtype; otherwise
+the op allocates its result as it does without the keyword. The bits are
+the same either way. The consumed tensor's ``data`` becomes None, so a
+stale reference fails loudly. The layers (``nn.layers``) hand over only
+temporaries that they made themselves, so a no-tape residual block holds
+its input and one working buffer. Under a tape the request is ignored: the
+tape, its gradients and the trained bits stay as they are, and the
+no-tape forward of a recompute cannot write over the inputs its node
+keeps, which are the outer tape's nodes or constants no layer hands over.
+
 A closure that allocates a gradient for one parent passes it with
 ``fresh=True``, and it becomes that parent's first gradient without a copy
 (``Tensor.accumulate_grad``). A closure owns the gradient it is handed
@@ -102,9 +120,12 @@ is a NaN's payload where two different NaNs meet in one window sum: numpy's
 own loops may keep either.
 
 The byte meter counts every op's output, upsampling's included (reshape's
-is a view, counted with its input), and conv3d's scratch in part: one
-chunk at a time, one item's padded planes in every pass, and the slab
-columns and saved planes of its input-gradient pass. The slab columns of
+is a view, counted with its input; a result written over its operand is
+that operand's array, counted once), and conv3d's scratch in part: one
+chunk at a time, one item's padded planes in every pass, the slab columns
+of its input-gradient pass, and the input planes a pass written in place
+saves for the next chunk, one chunk's at a time. An in-place
+``leaky_relu``'s chunk scratch is counted too. The slab columns of
 the forward and weight-gradient passes, the per-item kernel gradient
 ``dw`` and the flipped kernel are not counted.
 """
@@ -115,10 +136,14 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, enable_grad, make_node, memory_meter, no_grad
+from .tensor import Tensor, enable_grad, grad_enabled, make_node, memory_meter, no_grad
 
 # Upper bound on the slab columns of one chunk, small enough to stay in L2.
 CONV_SCRATCH_BYTES = 512 << 10
+
+# Entries of the scratch that leaky_relu, written over its input, reads one
+# chunk's product from.
+INPLACE_CHUNK = 1 << 14
 
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
@@ -146,6 +171,25 @@ def _channel_op(op, a: np.ndarray, v: np.ndarray, out: np.ndarray | None = None)
         op(a.reshape(-1, row.size), row, out=out.reshape(-1, row.size))
         return out
     return op(a, v, out=out)
+
+
+def _take(t: Tensor, *operands: np.ndarray) -> np.ndarray | None:
+    """``t``'s array, for an op asked to write its result over it, or None
+    where it may not (module docstring): a tape is recorded, ``t`` is a
+    graph node (a leaf, or an op result on a tape), its array is a view,
+    not C-contiguous, read-only or not floating, or one of the op's other
+    ``operands`` would not broadcast into it at its dtype. A taken tensor's
+    ``data`` becomes None, so a stale reference fails loudly."""
+    d = t.data
+    if (grad_enabled() or t.node is not None or d.base is not None or d.dtype.kind != "f"
+            or not d.flags.carray):  # C-contiguous, aligned and writeable
+        return None
+    for o in operands:  # the trailing axes of d's shape, first; else 1s where they differ
+        if o.dtype != d.dtype or o.shape != d.shape[d.ndim - o.ndim:] and (o.ndim > d.ndim or any(
+                n != 1 and n != m for n, m in zip(o.shape[::-1], d.shape[::-1]))):
+            return None
+    t.data = None
+    return d
 
 
 def _point_sum(g: np.ndarray) -> np.ndarray:
@@ -193,9 +237,11 @@ def _accumulate_unbroadcast(node: Tensor, g: np.ndarray, fresh: bool = False) ->
         node.accumulate_grad(part, fresh=fresh or part is not g)
 
 
-def add(a: Tensor, b) -> Tensor:
+def add(a: Tensor, b, inplace: bool = False) -> Tensor:
+    """a + b; ``inplace`` writes the sum over ``b``, where ``_take`` lets it."""
     b = as_tensor(b, dtype=a.dtype)
-    out = a.data + b.data
+    ad, bd = a.data, b.data
+    out = np.add(ad, bd, out=_take(b, ad) if inplace else None)
     na, nb = a.node, b.node
 
     def bw(g):  # the closure owns g (Tensor.backward): a copy to b, g itself to a
@@ -219,15 +265,17 @@ def _add_into(out: np.ndarray, c) -> Tensor | None:
     return c.node
 
 
-def mul(a: Tensor, b, c=None) -> Tensor:
+def mul(a: Tensor, b, c=None, inplace: bool = False) -> Tensor:
     """a·b, plus ``c`` added into the product's buffer when given: the values
-    and gradients of ``add(mul(a, b), c)`` without its second array."""
+    and gradients of ``add(mul(a, b), c)`` without its second array.
+    ``inplace`` writes the result over ``a``, where ``_take`` lets it."""
     b = as_tensor(b, dtype=a.dtype)
-    out = _channel_op(np.multiply, a.data, b.data)
+    ad, bd = a.data, b.data
+    out = _channel_op(np.multiply, ad, bd, out=_take(a, bd) if inplace else None)
     nc = _add_into(out, c)
     na, nb = a.node, b.node
-    ad = a.data if nb is not None else None
-    bd = b.data if na is not None else None
+    ad = ad if nb is not None else None
+    bd = bd if na is not None else None
 
     def bw(g):  # g is read for c and b, then overwritten for a
         if nc is not None:
@@ -312,13 +360,23 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 # activations
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
+def leaky_relu(x: Tensor, slope: float = 0.01, inplace: bool = False) -> Tensor:
     # For 0 < slope <= 1 the maximum equals where(x > 0, x, x * slope) bit for
     # bit, signed zeros, infinities and NaN included; at slope 0, inf * 0 is NaN.
+    # Written over x (``inplace``), the product goes chunk by chunk through
+    # one metered scratch of at most INPLACE_CHUNK entries.
     if not 0 < slope <= 1:
         raise ValueError(f"leaky_relu slope must be in (0, 1], got {slope}")
-    out = x.data * slope
-    np.maximum(x.data, out, out=out)
+    out = _take(x) if inplace else None
+    if out is None:
+        out = x.data * slope
+        np.maximum(x.data, out, out=out)
+    else:
+        flat = out.reshape(-1)
+        scratch = memory_meter.track(np.empty(min(flat.size, INPLACE_CHUNK), out.dtype))
+        for i in range(0, flat.size, INPLACE_CHUNK):
+            part = flat[i : i + INPLACE_CHUNK]
+            np.maximum(part, np.multiply(part, slope, out=scratch[: part.size]), out=part)
     nx = x.node
 
     def bw(g):
@@ -330,13 +388,15 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     return make_node(out, (nx,), bw)
 
 
-def selu(x: Tensor) -> Tensor:
+def selu(x: Tensor, inplace: bool = False) -> Tensor:
     # lambda*max(x, 0) + lambda*alpha*expm1(min(x, 0)) has the bits of
     # where(x > 0, lambda*x, lambda*alpha*expm1(min(x, 0))): one branch adds
-    # an exact zero, and it builds no data-dependent mask
-    out = np.maximum(x.data, 0.0)
+    # an exact zero, and it builds no data-dependent mask. ``inplace`` writes
+    # the result over x once the negative branch is read out of it.
+    xd = x.data
+    neg = np.minimum(xd, 0.0)
+    out = np.maximum(xd, 0.0, out=_take(x) if inplace else None)
     out *= SELU_LAMBDA
-    neg = np.minimum(x.data, 0.0)
     np.expm1(neg, out=neg)
     neg *= SELU_LAMBDA * SELU_ALPHA
     out += neg
@@ -441,6 +501,7 @@ def _correlate(x: np.ndarray, wk: np.ndarray, pad: int, metered: bool,
             block = _padded_planes(x[bi], pad, d0, d1 + k - 1)
             if saved is not None:  # input planes [d0 - len(saved), d0), overwritten
                 block[pad - len(saved) : pad, pad : pad + h, pad : pad + w] = saved
+                saved = None  # restored: one chunk's saved planes alive at a time
             if keep and d1 < od:  # input planes [max(d1 - keep, 0), d1), from the block
                 z0, z1 = max(d1 - keep, 0) + pad - d0, d1 + pad - d0
                 saved = memory_meter.track(block[z0:z1, pad : pad + h, pad : pad + w].copy())
@@ -456,12 +517,14 @@ def _correlate(x: np.ndarray, wk: np.ndarray, pad: int, metered: bool,
     return out
 
 
-def conv3d(x: Tensor, w: Tensor, padding: int = 0, bias=None) -> Tensor:
+def conv3d(x: Tensor, w: Tensor, padding: int = 0, bias=None, inplace: bool = False) -> Tensor:
     """3D cross-correlation at stride 1. x: (B, D, H, W, Cin);
     w: (k, k, k, Cin, Cout); ``padding`` in [0, k - 1] zeros on each side.
     ``bias`` is added into the result's buffer when given: the values and
     gradients of ``add(conv3d(x, w, padding), bias)`` without its second
-    array."""
+    array. ``inplace`` writes a result of the input's shape (Cin = Cout,
+    2·padding = k - 1, k > 1) over ``x`` chunk by chunk, where ``_take``
+    lets it, as the input-gradient pass writes over ``g``."""
     if x.data.ndim != 5 or w.data.ndim != 5:
         raise ValueError("conv3d expects a 5-d input and a 5-d kernel")
     k = w.data.shape[0]
@@ -478,10 +541,13 @@ def conv3d(x: Tensor, w: Tensor, padding: int = 0, bias=None) -> Tensor:
 
     cin, cout = w.data.shape[3:]
     p = padding
-    out = _correlate(x.data, w.data.reshape(k, -1, cout), p, metered=False)
+    xd = x.data
+    over_x = inplace and cin == cout and 2 * p == k - 1
+    out = _correlate(xd, w.data.reshape(k, -1, cout), p, metered=False,
+                     out=_take(x) if over_x else None)
     nc = _add_into(out, bias)
     nx, nw = x.node, w.node
-    xd = x.data if nw is not None else None  # the kernel gradient reads the input
+    xd = xd if nw is not None else None  # the kernel gradient reads the input
     wd = w.data if nx is not None else None  # the input gradient reads the kernel
 
     def bw(g):
@@ -668,7 +734,8 @@ def _mean(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return np.add.reduce(a, axis=axes, keepdims=True) / math.prod(a.shape[ax] for ax in axes)
 
 
-def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...], ref: int | None = None):
+def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...], ref: int | None = None,
+                      inplace: bool = False):
     """Standardize over ``axes`` (non-negative): subtract the mean and divide
     by the root of the biased variance plus ``eps``.
 
@@ -679,18 +746,21 @@ def batch_standardize(x: Tensor, eps: float, axes: tuple[int, ...], ref: int | N
     condition concatenated onto each point) survives.
 
     The backward keeps the output ``xhat`` and the inverse scale ``inv``,
-    never the input.
+    never the input. ``inplace`` writes ``xhat`` over ``x``, once its
+    statistics are read, where ``_take`` lets it.
     """
+    xd = x.data
     if ref is None:
-        xhat = x.data - _mean(x.data, axes)
+        mean = _mean(xd, axes)
+        xhat = np.subtract(xd, mean, out=_take(x) if inplace else None)
         var = _mean(xhat * xhat, axes)  # np.var's own steps, bit for bit
         inv = 1.0 / np.sqrt(var + eps)
         xhat *= inv
     else:
-        src = x.data[:, -ref:]
+        src = xd[:, -ref:]
         var = _mean(src * src, axes)
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = x.data * inv
+        xhat = np.multiply(xd, inv, out=_take(x) if inplace else None)
         count = src.size // var.size  # entries behind each statistic
     nx = x.node
 

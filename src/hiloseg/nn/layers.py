@@ -96,8 +96,8 @@ class Conv3d(Module):
         self.w = parameter(w)
         self.b = parameter(np.zeros(cout, dtype=dtype)) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return F.conv3d(x, self.w, self.padding, self.b)
+    def __call__(self, x: Tensor, inplace: bool = False) -> Tensor:
+        return F.conv3d(x, self.w, self.padding, self.b, inplace)
 
 
 # The 27 cell centres of the unit cube's 3×3×3 grid, (27, 3) float64. A
@@ -161,14 +161,17 @@ class Norm(Module):
         shape = (gamma.data.shape[0], 1, gamma.data.shape[1])
         return F.reshape(gamma, shape), F.reshape(beta, shape)
 
-    def scaled(self, x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-        """The standardized ``x`` times ``gamma`` plus ``beta``. ``x`` is
-        rebound once standardized, so an input handed over by a plain method
-        call with no star-arguments (``norm.scaled(t, gamma, beta)``) dies
-        there; an instance call or a star-call keeps it until it returns."""
+    def scaled(self, x: Tensor, gamma: Tensor, beta: Tensor, inplace: bool = False) -> Tensor:
+        """The standardized ``x`` times ``gamma`` plus ``beta``. The affine
+        writes over the standardized array, and ``inplace`` lets the
+        standardization write over ``x``, a temporary the caller hands over
+        (``F._take`` says when it may). ``x`` is rebound once standardized,
+        so an input handed over by a plain method call with no
+        star-arguments (``norm.scaled(t, gamma, beta)``) dies there; an
+        instance call or a star-call keeps it until it returns."""
         axes = tuple(range(1, x.data.ndim)) if self.ref is None else (1,)
-        x = F.batch_standardize(x, self.eps, axes, self.ref)
-        return F.mul(x, gamma, beta)
+        x = F.batch_standardize(x, self.eps, axes, self.ref, inplace)
+        return F.mul(x, gamma, beta, inplace=True)
 
     def __call__(self, x: Tensor, cond: Tensor | None = None) -> Tensor:
         gamma, beta = self.affine(cond) if self.conditional else (self.gamma, self.beta)
@@ -184,12 +187,20 @@ class ResidualBlockFC(Module):
     maps the condition to both norms' per-element affines, then ``points``,
     the per-point path, which reads those affines and ``point_parameters``.
 
-    dense1's output is handed to ``norm2.scaled`` as a temporary, with no
-    local holding it, so without a tape it dies once standardized, before
-    norm2's affine allocates. The hand-over is a plain method call with its
-    arguments spelled out: CPython 3.11 and later move those into the
-    callee's frame, where an instance call (``norm2(t)``) or a star-call
-    (``scaled(t, *pair)``) keeps them in an argument tuple until it returns.
+    Without a tape, each op of ``points`` after norm1's standardization
+    writes over the array the op before it made (``inplace=True``, the
+    in-place rule of ``nn.functional``): norm1's affine and the first
+    activation over norm1's output; norm2's standardization and affine and
+    the second activation over dense1's output. The block input, the skip,
+    is never handed over. So the path holds its input, norm1's output until
+    dense1 has read it, and dense1's output, until dense2 adds the skip into
+    an array of its own. Under a tape the ops allocate their results, and
+    dense1's output is handed to ``norm2.scaled`` with no local holding it,
+    so it dies once standardized, before norm2's affine allocates. The
+    hand-over is a plain method call with its arguments spelled out:
+    CPython 3.11 and later move those into the callee's frame, where an
+    instance call (``norm2(t)``) or a star-call (``scaled(t, *pair)``)
+    keeps them in an argument tuple until it returns.
     """
 
     def __init__(self, cin: int, cout: int, rng, ref: int, activation=F.leaky_relu,
@@ -221,7 +232,9 @@ class ResidualBlockFC(Module):
         """The block on (B, N, C) points, given ``condition``'s tensors."""
         n1, n2 = self.norm1, self.norm2
         g1, b1, g2, b2 = affine or (n1.gamma, n1.beta, n2.gamma, n2.beta)
-        h = self.activation(n2.scaled(self.dense1(self.activation(n1.scaled(x, g1, b1))), g2, b2))
+        act = self.activation
+        h = act(n2.scaled(self.dense1(act(n1.scaled(x, g1, b1), inplace=True)), g2, b2,
+                          inplace=True), inplace=True)
         return self.dense2(h, self.proj(x) if self.proj is not None else x)
 
     def __call__(self, x: Tensor, cond: Tensor | None = None) -> Tensor:
@@ -232,9 +245,17 @@ class ResidualBlockConv3d(Module):
     """Pre-activation convolutional residual block with 3x3x3 kernels, each
     batch element normalized on its own (``Norm`` without ``ref``).
 
-    conv1's output is handed to ``norm2.scaled`` by a plain method call, as
-    in ``ResidualBlockFC``, so without a tape it dies once standardized,
-    before norm2's affine allocates.
+    Without a tape, each op after norm1's standardization writes over the
+    array the op before it made (``inplace=True``, the in-place rule of
+    ``nn.functional``): norm1's affine, both activations, norm2's
+    standardization and affine, conv1 and conv2 where their result has
+    their input's shape (Cin = Cout), and the residual sum, over conv2's
+    output. The block input, the skip, is never handed over, so a block
+    with Cin = Cout holds its input and one working buffer, next to one
+    chunk of a convolution's padded planes and its saved input plane. Under
+    a tape the ops allocate their results, and conv1's output is handed to
+    ``norm2.scaled`` by a plain method call, as in ``ResidualBlockFC``, so
+    it dies once standardized, before norm2's affine allocates.
     """
 
     def __init__(self, cin: int, cout: int, rng, activation=F.selu, dtype=np.float32):
@@ -249,7 +270,9 @@ class ResidualBlockConv3d(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         n1, n2 = self.norm1, self.norm2
-        h = self.activation(n2.scaled(self.conv1(self.activation(n1(x))), n2.gamma, n2.beta))
-        h = self.conv2(h)
+        act = self.activation
+        h = act(n2.scaled(self.conv1(act(n1(x), inplace=True), inplace=True), n2.gamma, n2.beta,
+                          inplace=True), inplace=True)
+        h = self.conv2(h, inplace=True)
         skip = self.proj(x) if self.proj is not None else x
-        return F.add(skip, h)
+        return F.add(skip, h, inplace=True)

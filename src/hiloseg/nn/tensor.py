@@ -20,13 +20,21 @@ Arrays this core allocates register with a byte meter, which is how the
 training-memory bound is measured: the meter's peak is the analog of device
 memory (parameters, gradients, optimizer moments, the activations a caller
 holds or a backward closure captured, upsampling's output among them,
-conv3d's padded planes, one chunk of one item at a time, and the slab
-columns and saved planes of its input-gradient pass), deliberately
-excluding host-side dataset storage. Only arrays that own their memory
-are counted. conv3d's remaining scratch is not: the slab columns of its
-forward and weight-gradient passes, which ``reshape`` returns as a view of
-a fresh copy, and the per-item kernel gradient ``dw`` and the flipped
-kernel, which are never tracked.
+conv3d's padded planes, one chunk of one item at a time, the slab
+columns of its input-gradient pass, and the planes that pass, or a forward
+written over its input, saves for the next chunk), deliberately excluding
+host-side dataset storage. Only arrays that own their memory are counted.
+conv3d's remaining scratch is not: the slab columns of its forward and
+weight-gradient passes, which ``reshape`` returns as a view of a fresh
+copy, and the per-item kernel gradient ``dw`` and the flipped kernel,
+which are never tracked.
+
+An op that writes its result over the operand it consumes (the no-tape
+in-place rule in ``functional``) adds nothing: the result is the
+operand's array, already counted. So a no-tape residual block counts its
+input and one working buffer, and a segmentation tile peaks at one
+block's two activations, one chunk of a convolution's padded planes and
+its saved plane, and the finished level encodings.
 """
 
 from __future__ import annotations

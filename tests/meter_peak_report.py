@@ -7,8 +7,12 @@ one window, ``onet-sr``'s trainer) and prints, per run, the meter's peak
 above the level at its start, the metered arrays alive when the peak was
 set, grouped by shape and dtype, and the call stack that set it. It wraps
 ``memory_meter.track`` for the run, as the benchmark's tracer does, and
-reads the meter's table of live arrays each time the peak rises. Run it
-from a tree's root, optionally naming the runs to report:
+reads the meter's table of live arrays each time the peak rises. It then
+builds and runs the same configuration once more, unwrapped, under
+tracemalloc, and prints tracemalloc's peak above its start next to the
+meter's, so a gain on the meter can be checked against the host bytes
+Python allocated. Run it from a tree's root, optionally naming the runs
+to report:
 
     PYTHONPATH=src python3 tests/meter_peak_report.py [run ...]
 """
@@ -19,6 +23,7 @@ import dataclasses
 import gc
 import sys
 import traceback
+import tracemalloc
 from collections import Counter
 
 from test_memory_claim import (
@@ -96,13 +101,32 @@ def peak_report(run) -> tuple[int, int, Counter, list]:
     return memory_meter.peak - base, base, seen["live"], seen["stack"]
 
 
+def traced_peak(run) -> int:
+    """tracemalloc's peak while ``run`` runs, above the traced bytes at its
+    start: every array and Python object allocated, metered or not."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def main(names) -> int:
     for name, build in _runs():
         if names and name not in names:
             continue
         peak, base, live, stack = peak_report(build())
+        traced = traced_peak(build())
         total = sum(n * nbytes for (_, _, nbytes), n in live.items())
-        print(f"== {name}: meter peak {peak:,} B above {base:,} B at the start")
+        print(f"== {name}: meter peak {peak:,} B above {base:,} B at the start;"
+              f" tracemalloc peak {traced:,} B")
         print(f"   alive at the peak: {sum(live.values())} arrays, {total:,} B")
         for (shape, dtype, nbytes), n in sorted(live.items(), key=lambda kv: -kv[0][2] * kv[1]):
             print(f"   {n:4d} x {str(shape):24s} {dtype:8s} {nbytes:>11,} B each")

@@ -139,6 +139,21 @@ def test_segment_writes_prediction_and_slices(run):
     assert (out_dir / "slice_z0005.pgm").is_file()
 
 
+def test_label_file_as_segment_input_is_a_data_error(run):
+    """A label file given as the scan exits 2, as the same fault in a
+    manifest record does, and writes nothing."""
+    labels = run["data"] / "lab_00000.hv1"
+    records = load_manifest(run["data"] / "manifest.tsv").paths()
+    assert str(labels) in {r.label_path for r in records}
+    out_dir = run["root"] / "segment-labels"
+    code, _, err = call("segment", "--config", run["config"], "--input", labels,
+                        "--checkpoint", run["trained"]["hilo-cnn"][1] / "checkpoint.hckpt",
+                        "--out", out_dir)
+    assert code == 2
+    assert "data error" in err and "holds labels, not a scan volume" in err
+    assert not out_dir.exists()
+
+
 def test_unknown_flag_is_a_usage_error(run):
     code, _, err = call("train", "--data", run["data"], "--bogus")
     assert code == 1

@@ -124,15 +124,18 @@ def test_window_pyramid_peak_does_not_depend_on_scan_size():
 def test_deep_pyramid_segment_peak_is_pinned():
     """Segmenting one window with the deep-pyramid model peaks at the same
     bytes at two scan sizes: in a convolution of the last level's first
-    encoder block, at its skip input, the convolution's input and its
-    output (16³ × 6 float32 each), the 9 padded planes of one 7-plane chunk
-    (9·18·18·6·4 = 69,984 B), plus the two finished encodings (8³ × 6
-    float32 each). The level inputs are dead by then, each after its stem.
-    A whole padded copy of a conv input, a bias or norm shift added into a
-    fresh array, conv1's output alive past norm2's standardization, or a
-    level input or encoding kept longer than its last use would raise it."""
+    encoder block, at its skip input and the one activation it writes over
+    (16³ × 6 float32 each), the 9 padded planes of one 7-plane chunk
+    (9·18·18·6·4 = 69,984 B) and the input plane saved for the next chunk
+    (16² × 6 float32), plus the two finished encodings (8³ × 6 float32
+    each). The level inputs are dead by then, each after its stem. A whole
+    padded copy of a conv input, a bias or norm shift added into a fresh
+    array, an op of the block that allocates its result instead of writing
+    over its operand, two chunks' saved planes alive together, or a level
+    input or encoding kept longer than its last use would raise it."""
     got = [meter_peak(window_segmentation(DEEP, side)) for side in (32, 96)]
-    assert got == [389_472, 389_472]
+    peak = 2 * 16**3 * 6 * 4 + 69_984 + 16**2 * 6 * 4 + 2 * 8**3 * 6 * 4
+    assert got == [peak, peak] == [297_312, 297_312]
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3, 4])
@@ -140,11 +143,12 @@ def test_each_pyramid_level_costs_one_encoding(levels):
     """Each level adds one finished 8³ × 6 float32 encoding (12,288 B) to the
     segmentation peak, and nothing else: its input, stem output and block
     activations are dead before the next level's encoder runs. The rest is
-    the peak of one encoder block: three 16³ × 6 float32 activations and
-    one chunk of padded planes (69,984 B)."""
+    the peak of one encoder block: two 16³ × 6 float32 activations, the
+    skip input and the one its ops write over, one chunk of padded planes
+    (69,984 B) and one saved input plane (16² × 6 float32)."""
     cfg = dataclasses.replace(DEEP, levels=levels, downsampling_factor=4 if levels < 4 else 2)
     peak = meter_peak(window_segmentation(cfg))
-    assert peak == 3 * 16**3 * 6 * 4 + 69_984 + (levels - 1) * 8**3 * 6 * 4
+    assert peak == 2 * 16**3 * 6 * 4 + 69_984 + 16**2 * 6 * 4 + (levels - 1) * 8**3 * 6 * 4
 
 
 def _train_peak_above_params(cfg: HiLoConfig) -> int:

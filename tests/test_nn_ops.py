@@ -1,6 +1,7 @@
 """Forward-value checks for the autodiff core: ops against naive oracles."""
 
 import itertools
+import warnings
 import weakref
 
 import numpy as np
@@ -19,6 +20,7 @@ from hiloseg.nn.layers import (
     ResidualBlockFC,
     fan_in_uniform,
 )
+from hiloseg.nn.optim import CLIP_NORM, global_norm
 from hiloseg.nn.tensor import grad_enabled, memory_meter, no_grad
 
 
@@ -852,25 +854,27 @@ class TestResidualBlocks:
 
     def test_conv_block_frees_conv1_output_before_conv2(self, rng, monkeypatch):
         """Under no_grad conv2 starts with as many metered bytes alive as
-        conv1 did, its input alone. The block's peak is then two 16³ × 6
-        float32 activations, a convolution's input and output, and the 9
-        padded planes of one 7-plane chunk (9·18·18·6·4 = 69,984 B): norm2's
-        affine and conv2's bias go into the buffers of the ops before them,
-        and conv1's output dies once norm2 has standardized it."""
+        conv1 did, its input alone. The block's peak is then one 16³ × 6
+        float32 activation next to the block input, which each convolution
+        writes over, the 9 padded planes of one 7-plane chunk (9·18·18·6·4
+        = 69,984 B) and the input plane saved for the next chunk (16² × 6
+        float32): every op of the block writes over the array it consumes,
+        so norm2's affine, conv2's bias and the residual sum go into the
+        buffer of the ops before them."""
         block = ResidualBlockConv3d(6, 6, rng=0)
         x = nn.Tensor(rng.normal(size=(1, 16, 16, 16, 6)).astype(np.float32))
         live = []
         conv3d = F.conv3d
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             live.append(memory_meter.current)
-            return conv3d(*args)
+            return conv3d(*args, **kwargs)
 
         monkeypatch.setattr(F, "conv3d", counted)
         with no_grad():
             peak = meter_peak(lambda: block(x))
         assert len(live) == 2 and live[1] == live[0]
-        assert peak == 2 * x.data.nbytes + 69_984
+        assert peak == x.data.nbytes + 69_984 + 16**2 * 6 * 4
 
     @pytest.mark.parametrize("kind", ["conv", "fc", "fc-conditional"])
     def test_first_layer_output_dies_once_norm2_standardized_it(self, rng, monkeypatch, kind):
@@ -891,17 +895,17 @@ class TestResidualBlocks:
         first = getattr(block, name)
         made, alive_at_affine = [], []
 
-        def recorded(t):
-            out = first(t)
+        def recorded(t, **kwargs):
+            out = first(t, **kwargs)
             made.append(weakref.ref(out))
             return out
 
         mul = F.mul
 
-        def affine(*a):
+        def affine(*a, **kwargs):
             if made:  # norm2's: norm1's ran before the first layer
                 alive_at_affine.append(made[0]() is not None)
-            return mul(*a)
+            return mul(*a, **kwargs)
 
         monkeypatch.setattr(block, name, recorded)
         monkeypatch.setattr(F, "mul", affine)
@@ -988,6 +992,28 @@ class TestAdam:
         np.testing.assert_allclose(
             opt.v[0], 0.999 * (0.001 * 1.0) + 0.001 * 4.0, rtol=1e-12
         )
+
+    def test_global_norm_is_clipped_before_the_moments(self):
+        """Gradients of 1e35 entries, whose float32 squares overflow, are
+        scaled in place to the global norm ``CLIP_NORM`` first, so the
+        moments and the step stay finite; below it, no bit moves."""
+        p = nn.parameter(np.zeros((4, 5), dtype=np.float32))
+        q = nn.parameter(np.zeros(3, dtype=np.float32))
+        opt = nn.Adam([p, q], lr=0.1)
+        p.grad = np.full((4, 5), 1e35, dtype=np.float32)
+        q.grad = np.array([-1e35, 0.0, 1e30], dtype=np.float32)
+        exact = np.sqrt(sum(np.square(g, dtype=np.float64).sum() for g in (p.grad, q.grad)))
+        assert global_norm([p.grad, q.grad]) == pytest.approx(exact, rel=1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            opt.step()
+        assert global_norm([p.grad, q.grad]) == pytest.approx(CLIP_NORM, rel=1e-6)
+        assert all(np.isfinite(a).all() for a in [*opt.m, *opt.v, p.data, q.data])
+
+        small = np.full(3, 5.0, dtype=np.float32)  # norm 8.66
+        q.grad, p.grad = small.copy(), None
+        opt.step()
+        assert q.grad.tobytes() == small.tobytes()
 
 
 class TestModulePlumbing:
