@@ -9,7 +9,7 @@ multiresolution occupancy evaluation, bounded training queues) exists to
 keep the peak footprint proportional to window size, not scan size.
 """
 
-from .errors import DegenerateLabelsError, DivergenceError, FormatError
+from .errors import DataError, DegenerateLabelsError, DivergenceError, FormatError
 from .rng import make_rng
 from .voxel import (
     IntegralVolume,
@@ -25,6 +25,7 @@ from .voxel import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "DataError",
     "DegenerateLabelsError",
     "DivergenceError",
     "FormatError",

@@ -55,7 +55,7 @@ from .data_io import (
     write_dataset,
     write_pgm,
 )
-from .errors import DivergenceError, FormatError
+from .errors import DataError, DivergenceError, FormatError
 from .inference import BoundingBox, bb_iou, mise_evaluate, sampled_iou, segment_volume, voxel_iou
 from .models import (
     DECODERS,
@@ -569,7 +569,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
-    except FormatError as exc:  # before ValueError: FormatError subclasses it
+    except DataError as exc:  # before ValueError: DataError subclasses it
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -19,24 +19,26 @@ micro-batches.
 
 A forward pass holds one pyramid level at a time. A level's input tensor
 is drawn only when its encoder runs; each finished encoding lives until
-the concat, and the concat until the decoder's first block has consumed
-it. Without a tape the level input dies after the encoder's stem, and
-each residual block writes its ops' results over its own temporaries (the
-in-place rule of ``nn.functional``), as does the SELU after the grid
-decoder's final norm. So a segmentation tile peaks inside a convolution
-of the last level's first encoder block, at that block's input and one
-working buffer (w³ × C each), one chunk of padded planes and one saved
-input plane, next to the finished encodings. The hand-overs are plain
-method calls (``enc.__call__(x)``), whose arguments CPython 3.11 and
-later move into the callee's frame; an instance call (``enc(x)``) keeps
-its argument alive until it returns, and so would CPython 3.10's plain
-calls, which is why the package requires 3.11.
+the concat, and the concat until the pooled decoder blocks have run.
+An array dies when the code says so, not when a call returns: each
+encoder and the pooled decoder blocks run through ``F.recompute``, which
+hands its inputs over (``nn.tensor.hand_over``) once they have run, the
+encoder hands its level input over after its stem, and the grid decoder
+hands the pooled map over once it is upsampled. A hand-over drops the
+tensor's array however the call was spelled, so an instance call, a
+star-call or a wrapper that keeps its arguments until it returns holds
+the same bytes as a plain method call. Without a tape each residual block
+writes its ops' results over its own temporaries (the in-place rule of
+``nn.functional``), as does the SELU after the grid decoder's final norm.
+So a segmentation tile peaks inside a convolution of the last level's
+first encoder block, at that block's input and one working buffer (w³ ×
+C each), one chunk of padded planes and one saved input plane, next to
+the finished encodings.
 
-Under a tape each level encoder runs through ``F.recompute``, and so do
-the grid decoder's pooled blocks, all in one. Until the backward a level
-keeps its input, in its encoder's recompute node, and its encoding, in
-the concat that the pooled blocks' recompute node keeps; none of its
-encoder's or the pooled blocks' activations. The backward rebuilds the
+Under a tape ``F.recompute`` keeps the inputs of each level encoder and
+of the pooled blocks in its node, until the backward, and none of their
+activations: a level keeps its input and its encoding, in the concat that
+the pooled blocks' recompute node keeps. The backward rebuilds the
 pooled blocks' tape, then one encoder's tape at a time, so a training
 step, like segmentation, holds one level's activations at a time, and
 each level adds one encoding to its peak.
@@ -50,7 +52,7 @@ import numpy as np
 
 from .. import nn
 from ..nn import functional as F
-from ..nn.tensor import grad_enabled
+from ..nn.tensor import hand_over
 from ..rng import make_rng
 from .onet import OnetDecoder
 
@@ -138,7 +140,7 @@ class HiLoEncoder(nn.Module):
 
     def __call__(self, x):
         h = self.stem(x)
-        del x  # the level input dies here if the caller handed it over (module docstring)
+        hand_over(x)  # the level input dies here (module docstring)
         for block, pool in zip(self.blocks, self.pools):
             h = block(h)
             if pool:
@@ -158,11 +160,12 @@ class HiLoGridDecoder(nn.Module):
     expensive full-resolution maps down to a single block, which is what
     bounds the training-memory peak.
 
-    Under a tape the pooled blocks run through one ``F.recompute`` on the
-    concat, so until the backward they keep the concat alone. The last
-    block keeps its tape: a training step peaks in that block's backward,
-    where its activations are alive anyway, and a recompute there would
-    only add its input.
+    The pooled blocks run through one ``F.recompute`` on the concat, so
+    under a tape they keep the concat alone until the backward, and the
+    concat gives up its array once they have run. The last block keeps its
+    tape: a training step peaks in that block's backward, where its
+    activations are alive anyway, and a recompute there would only add its
+    input.
     """
 
     def __init__(self, cfg: HiLoConfig, rng, dtype=np.float32):
@@ -176,12 +179,10 @@ class HiLoGridDecoder(nn.Module):
 
     def __call__(self, h):
         *pooled, last = self.blocks
-        if pooled and grad_enabled():
+        if pooled:
             h = F.recompute(self._pooled, (h,), [p for b in pooled for p in b.parameters()])
-        else:  # inline, not self._pooled(h), so the concat dies in the first block
-            for block in pooled:
-                h = block(h)
-        h = F.upsample_nearest3d(h, 2)
+        pooled_map, h = h, F.upsample_nearest3d(h, 2)
+        hand_over(pooled_map)
         h = last(h)
         h = F.selu(self.final_norm(h), inplace=True)  # over the norm's own output
         out = F.sigmoid(self.head(h))
@@ -218,18 +219,16 @@ class HiLoModel(nn.Module):
         if not grid and coords01 is None:
             raise ValueError("the coordinate decoder needs a coordinate query")
         if grid:
-            return self.decoder.__call__(self._encode(level_inputs))
-        return self.decoder.__call__(coords01, self._encode(level_inputs))
+            return self.decoder(self._encode(level_inputs))
+        return self.decoder(coords01, self._encode(level_inputs))
 
     def _encode(self, level_inputs) -> nn.Tensor:
-        """The level encodings concatenated along channels; under a tape,
-        each through ``F.recompute`` (module docstring)."""
+        """The level encodings concatenated along channels, each through
+        ``F.recompute`` (module docstring)."""
         n = len(self.encoders)
         levels = iter(level_inputs)
-        tape = grad_enabled()
         try:
-            encs = [F.recompute(enc, (next(levels),), enc.parameters()) if tape
-                    else enc.__call__(next(levels)) for enc in self.encoders]
+            encs = [F.recompute(enc, (next(levels),), enc.parameters()) for enc in self.encoders]
         except StopIteration:
             raise ValueError(f"pyramid has fewer levels than the model's {n}") from None
         if next(levels, None) is not None:
@@ -246,8 +245,9 @@ def hilo_forward(pyr: np.ndarray, cfg: HiLoConfig, model: HiLoModel, coords=None
     voxel of the window in C order), or the coordinate decoder's (n,)
     probabilities at an (n, 3) array ``coords`` of window-local integer
     coordinates. Each level is copied into a metered tensor of the model's
-    dtype only when its encoder runs, and the copy dies after the stem, so
-    one level's activations are alive at a time next to the finished encodings.
+    dtype only when its encoder runs, and the encoder hands the copy over
+    after its stem, so one level's activations are alive at a time next to
+    the finished encodings.
     """
     w = cfg.window_size
     if pyr.shape != (cfg.levels, w, w, w):

@@ -20,21 +20,24 @@ each element's queries, by whose root mean square it scales. So a
 micro-batch gives the same outputs and gradients as the full batch, and a
 point's occupancy never depends on the other points queried with it.
 
-Training holds one decoder block's activations at a time. Under a tape
-the encoder runs through one ``F.recompute`` on the volume batch, and
-each ``ResidualBlockFC`` runs its per-point path through another, as the
-window-pyramid models run their level encoders: until the backward the
-encoder keeps only its input, a block only its input, each in its
-recompute node, and the backward rebuilds one block's tape at a time,
-then the encoder's, once the latent's gradient is complete. So a step
-that peaks in the decoder holds no encoder activation, whatever the
-scan's size. The conditioning stacks of a
-``"cbn"`` block stay on the outer tape and enter the recompute as their
-(B, 1, C) affines, never as the latent: the latent then collects its
-gradient from each stack in the kept tape's order, where a recompute node
-would hand it one partial sum per block, and the encoder's gradients
-would move by an ulp. Without a tape (MISE, validation, ``onet_encode``,
-``onet_decode``) the encoder and the blocks run directly.
+Training holds one decoder block's activations at a time. The encoder
+runs through one ``F.recompute`` on the volume batch, and each
+``ResidualBlockFC`` runs its per-point path through another, as the
+window-pyramid models run their level encoders. ``F.recompute`` hands
+its inputs over (``nn.tensor.hand_over``) once they have run, and the
+encoder hands its input over after its stem, so those arrays die when
+the code says, however the calls are spelled. Without a tape (MISE,
+validation, ``onet_encode``, ``onet_decode``) that is all
+``F.recompute`` does. Under a tape, until the backward the encoder keeps
+only its input, a block only its input, each in its recompute node, and
+the backward rebuilds one block's tape at a time, then the encoder's,
+once the latent's gradient is complete. So a step that peaks in the
+decoder holds no encoder activation, whatever the scan's size. The
+conditioning stacks of a ``"cbn"`` block stay on the outer tape and
+enter the recompute as their (B, 1, C) affines, never as the latent: the
+latent then collects its gradient from each stack in the kept tape's
+order, where a recompute node would hand it one partial sum per block,
+and the encoder's gradients would move by an ulp.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 from .. import nn
 from ..inference import BoundingBox
 from ..nn import functional as F
-from ..nn.tensor import grad_enabled
+from ..nn.tensor import hand_over
 from ..rng import make_rng
 from ..voxel import VoxelVolume, average_pool
 
@@ -120,7 +123,7 @@ class OnetEncoder(nn.Module):
 
     def __call__(self, x):
         h = self.stem(x)
-        del x  # the input dies here if the caller handed it over (onet_encode)
+        hand_over(x)  # the input dies here (module docstring)
         for i, block in enumerate(self.blocks):
             h = block(h)
             if i < 2:
@@ -173,11 +176,8 @@ class OnetDecoder(nn.Module):
             h = self.input(F.concat([coords01, F.repeat_middle(latent, n + len(self.reference))],
                                     axis=-1))
             cond = None
-        tape = grad_enabled()
         for block in self.blocks:
-            affine = block.condition(cond)
-            h = (F.recompute(block.points, (h, *affine), block.point_parameters()) if tape
-                 else block.points(h, *affine))
+            h = F.recompute(block.points, (h, *block.condition(cond)), block.point_parameters())
         h = self.final_norm(h, cond)
         out = F.sigmoid(F.slice_middle(self.head(self.activation(h)), n))
         return F.reshape(out, (b, n))
@@ -193,19 +193,18 @@ class OnetModel(nn.Module):
                                    cfg.conditioning, F.leaky_relu, rng, dtype)
 
     def __call__(self, vols, coords01) -> nn.Tensor:
-        enc = self.encoder
-        latent = F.recompute(enc, (vols,), enc.parameters()) if grad_enabled() else enc(vols)
+        latent = F.recompute(self.encoder, (vols,), self.encoder.parameters())
         return self.decoder(coords01, latent)
 
 
 def onet_encode(vol: VoxelVolume, cfg: OnetConfig, model: OnetModel) -> np.ndarray:
     """The (latent_dim,) latent code of a volume pooled by the configured
     factor, in the model's dtype, recording no tape. The pooled input tensor
-    is made in the encoder call and dies after the stem. Raises
+    is made in the encoder call, which hands it over after the stem. Raises
     ``ValueError`` on a non-finite latent."""
     pooled = average_pool(vol, cfg.input_downsample) if cfg.input_downsample > 1 else vol
     with nn.no_grad():
-        z = model.encoder.__call__(nn.Tensor(pooled.data[None, :, :, :, None].astype(model.dtype)))
+        z = model.encoder(nn.Tensor(pooled.data[None, :, :, :, None].astype(model.dtype)))
     if not np.isfinite(z.data).all():
         raise ValueError("latent code contains non-finite values")
     return z.data[0]

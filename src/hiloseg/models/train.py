@@ -23,9 +23,10 @@ import numpy as np
 
 from .. import nn
 from ..data_io import load_record
-from ..errors import DivergenceError
+from ..errors import DataError, DegenerateLabelsError, DivergenceError
 from ..inference import mask_iou
 from ..nn import functional as F
+from ..nn.tensor import hand_over
 from ..queue import BatchLoader, TrainingQueue
 from ..rng import make_rng
 from ..sampling import SamplerConfig, sample_biased_coords, sample_pyramid_location
@@ -68,7 +69,7 @@ def _micro_batched_step(opt, total: int, micro_batch: int, entry_losses) -> np.n
         b = min(a + micro_batch, total)
         per = entry_losses(a, b)
         losses[a:b] = per.data
-        per.data = None  # copied out; a backward keeps its root's data alive
+        hand_over(per)  # copied out; a backward keeps its root's data alive
         per.backward(seed=np.full(b - a, 1.0 / total, per.dtype), fresh=True)
     opt.step()
     return losses
@@ -170,7 +171,7 @@ def _prep_onet_instance(item, cfg: OnetConfig):
     vol, labels = _as_pair(item)
     pooled = average_pool(vol, cfg.input_downsample) if cfg.input_downsample > 1 else vol
     grid = max_pool(labels, cfg.input_downsample) if cfg.coord_resolution == "low" else labels
-    return {"pooled": pooled.data, "grid": grid, "dims": grid.dims}
+    return {"pooled": pooled.data, "grid": grid, "dims": grid.dims, "scan_dims": vol.dims}
 
 
 def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
@@ -193,9 +194,10 @@ def train_superres_onet(dataset, cfg: OnetConfig, sampler: SamplerConfig,
     _require_at_least(0, epochs=epochs)
     _require_at_least(1, batch=batch, micro_batch=micro_batch, smoothing_window=smoothing_window)
     insts = [_prep_onet_instance(item, cfg) for item in dataset]
-    shapes = {i["pooled"].shape for i in insts}
-    if len(shapes) != 1:
-        raise ValueError(f"instances must share dims to batch, got {sorted(shapes)}")
+    pooled = {i["pooled"].shape: i["scan_dims"] for i in insts}
+    if len(pooled) != 1:
+        raise DataError("instances must share dims to batch, got scans of dims " + ", ".join(
+            f"{dims} (pooled {shape})" for shape, dims in sorted(pooled.items())))
 
     model = OnetModel(cfg, seed, dtype)
     val = []
@@ -246,7 +248,7 @@ def _crop_to_positive_bb(item) -> tuple[VoxelVolume, LabelVolume]:
     vol, labels = _as_pair(item)
     pos = np.argwhere(labels.data)
     if pos.size == 0:
-        raise ValueError("instance has no positive voxels, nothing to crop to")
+        raise DegenerateLabelsError("instance has no positive voxels, nothing to crop to")
     lo, hi = pos.min(axis=0), pos.max(axis=0)
     sl = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
     return VoxelVolume(vol.data[sl]), LabelVolume(labels.data[sl])
@@ -342,16 +344,15 @@ def train_hilo(dataset, cfg: HiLoConfig, queue: TrainingQueue, epochs: int = 20,
             for step in range(1, total_steps + 1):
                 # the last step starts no load: its file would never be pushed
                 entries = loader.next_batch(cfg.batch_size, qrng, prefetch=step < total_steps)
-                draws = [_draw_window(e.payload, cfg, sampler, pyramid_sampling, prng)
-                         for e in entries]
 
                 def done(losses):
                     for e, h in zip(entries, losses):
                         queue.update_hardness(e.instance_id, float(h))
 
-                # drop the draws, or they sit beside their stacked copies all step
-                inputs, target = _stack_windows(draws, dtype)
-                del draws
+                # no local keeps the draws, or they sit beside their stacked copies all step
+                inputs, target = _stack_windows(
+                    [_draw_window(e.payload, cfg, sampler, pyramid_sampling, prng)
+                     for e in entries], dtype)
                 yield inputs, target, done
         finally:
             loader.stop()

@@ -16,7 +16,9 @@ Layout (all integers little-endian):
             "v/<name>" entries.
 
 Values are always stored as float32, so a float64 verification-mode model
-round-trips through float32 precision by design. A file is written to a
+round-trips through float32 precision by design. An entry holding a NaN or
+an infinity is a format error on reading, so a diverged model is never
+loaded to predict. A file is written to a
 temporary name in its directory and swapped in whole (``write_atomic``), so
 a reader never sees a partial checkpoint; bytes after the last section are a
 format error.
@@ -84,6 +86,8 @@ class _Reader:
             shape = self.unpack(f"{rank}I") if rank else ()
             size = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(self.take(size * 4), dtype="<f4").reshape(shape)
+            if not np.isfinite(data).all():
+                raise FormatError(f"{self.path}: entry {name!r} holds non-finite values")
             table[name] = data.copy()
         return table
 

@@ -136,7 +136,8 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, enable_grad, grad_enabled, make_node, memory_meter, no_grad
+from .tensor import (Tensor, enable_grad, grad_enabled, hand_over, make_node, memory_meter,
+                     no_grad)
 
 # Upper bound on the slab columns of one chunk, small enough to stay in L2.
 CONV_SCRATCH_BYTES = 512 << 10
@@ -178,8 +179,8 @@ def _take(t: Tensor, *operands: np.ndarray) -> np.ndarray | None:
     where it may not (module docstring): a tape is recorded, ``t`` is a
     graph node (a leaf, or an op result on a tape), its array is a view,
     not C-contiguous, read-only or not floating, or one of the op's other
-    ``operands`` would not broadcast into it at its dtype. A taken tensor's
-    ``data`` becomes None, so a stale reference fails loudly."""
+    ``operands`` would not broadcast into it at its dtype. A taken tensor
+    is handed over (``hand_over``), so a stale reference fails loudly."""
     d = t.data
     if (grad_enabled() or t.node is not None or d.base is not None or d.dtype.kind != "f"
             or not d.flags.carray):  # C-contiguous, aligned and writeable
@@ -188,7 +189,7 @@ def _take(t: Tensor, *operands: np.ndarray) -> np.ndarray | None:
         if o.dtype != d.dtype or o.shape != d.shape[d.ndim - o.ndim:] and (o.ndim > d.ndim or any(
                 n != 1 and n != m for n, m in zip(o.shape[::-1], d.shape[::-1]))):
             return None
-    t.data = None
+    hand_over(t)
     return d
 
 
@@ -865,15 +866,19 @@ def focal_loss(pred: Tensor, target, gamma: float = 2.0, alpha: float = 0.25) ->
 def recompute(fn, xs: tuple, params) -> Tensor:
     """``fn(*xs)``, with the tape of ``fn`` rebuilt in the backward instead
     of kept (Chen et al. 2016, *Training Deep Nets with Sublinear Memory
-    Cost*).
+    Cost*). The caller hands ``xs`` over: once ``fn`` has run, each input
+    that is not a leaf gives up its array (``hand_over``), and ``fn`` may
+    hand one over sooner, as each encoder does after its stem.
 
-    The forward runs ``fn`` without a tape and records one node that keeps
-    the arrays of the input tensors ``xs`` only. The backward re-runs
+    Without a tape it is ``fn(*xs)``, so a model calls this function
+    whether or not a tape is recorded. With one, it takes the arrays and
+    graph nodes of ``xs`` before ``fn`` runs, runs ``fn`` without a tape
+    and records one node that keeps those arrays only. The backward re-runs
     ``fn`` on a fresh tape, even inside ``no_grad``, on one leaf per input,
-    drops the rebuilt output's data, which the sweep needs only where a
-    closure of ``fn`` captured it, and seeds its reverse sweep with the
-    incoming gradient, handed over (``Tensor.backward``). ``params``, the
-    leaves ``fn`` reads, receive their gradients there; each input leaf
+    hands the rebuilt output over, since the sweep needs its array only
+    where a closure of ``fn`` captured it, and seeds its reverse sweep with
+    the incoming gradient, handed over (``Tensor.backward``). ``params``,
+    the leaves ``fn`` reads, receive their gradients there; each input leaf
     then hands its gradient to its input's node. ``fn`` must depend on
     ``xs`` and ``params`` alone: the ops are deterministic, so the rebuilt
     tape and the gradients equal a kept tape's bit for bit, with one
@@ -881,20 +886,25 @@ def recompute(fn, xs: tuple, params) -> Tensor:
     per recompute node, where a kept tape adds each of ``fn``'s
     contributions in its own order, so its gradient may differ in the last
     bit; ``OnetDecoder`` passes its norms' affines, not the latent they
-    are computed from, for that reason. The users are the training
-    forwards: each ``HiLoEncoder``, the blocks of ``HiLoGridDecoder``
-    before its upsampling, as one function, the ``OnetEncoder``, and the
-    per-point path of each ``OnetDecoder`` block.
+    are computed from, for that reason. The users are the model forwards:
+    each ``HiLoEncoder``, the blocks of ``HiLoGridDecoder`` before its
+    upsampling, as one function, the ``OnetEncoder``, and the per-point
+    path of each ``OnetDecoder`` block.
     """
+    if not grad_enabled():
+        out = fn(*xs)
+        hand_over(*xs)
+        return out
+    datas, nodes = [x.data for x in xs], [x.node for x in xs]
     with no_grad():
         out = fn(*xs).data
-    datas, nodes = [x.data for x in xs], [x.node for x in xs]
+    hand_over(*xs)
 
     def bw(g):
         with enable_grad():
             leaves = [Tensor(d, requires_grad=n is not None) for d, n in zip(datas, nodes)]
             y = fn(*leaves)
-        y.data = None
+        hand_over(y)
         y.backward(seed=g, fresh=True)
         for leaf, n in zip(leaves, nodes):
             if n is not None and leaf.grad is not None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..rng import make_rng
 from . import functional as F
-from .tensor import Tensor, memory_meter, parameter
+from .tensor import Tensor, hand_over, memory_meter, parameter
 
 
 def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
@@ -163,15 +163,16 @@ class Norm(Module):
 
     def scaled(self, x: Tensor, gamma: Tensor, beta: Tensor, inplace: bool = False) -> Tensor:
         """The standardized ``x`` times ``gamma`` plus ``beta``. The affine
-        writes over the standardized array, and ``inplace`` lets the
-        standardization write over ``x``, a temporary the caller hands over
-        (``F._take`` says when it may). ``x`` is rebound once standardized,
-        so an input handed over by a plain method call with no
-        star-arguments (``norm.scaled(t, gamma, beta)``) dies there; an
-        instance call or a star-call keeps it until it returns."""
+        writes over the standardized array. ``inplace`` says the caller
+        hands ``x`` over, a temporary it made: the standardization may
+        write over it (``F._take`` says when), and either way ``x`` gives up
+        its array once standardized (``hand_over``), with or without a
+        tape, before the affine runs."""
         axes = tuple(range(1, x.data.ndim)) if self.ref is None else (1,)
-        x = F.batch_standardize(x, self.eps, axes, self.ref, inplace)
-        return F.mul(x, gamma, beta, inplace=True)
+        xhat = F.batch_standardize(x, self.eps, axes, self.ref, inplace)
+        if inplace:
+            hand_over(x)
+        return F.mul(xhat, gamma, beta, inplace=True)
 
     def __call__(self, x: Tensor, cond: Tensor | None = None) -> Tensor:
         gamma, beta = self.affine(cond) if self.conditional else (self.gamma, self.beta)
@@ -195,12 +196,9 @@ class ResidualBlockFC(Module):
     is never handed over. So the path holds its input, norm1's output until
     dense1 has read it, and dense1's output, until dense2 adds the skip into
     an array of its own. Under a tape the ops allocate their results, and
-    dense1's output is handed to ``norm2.scaled`` with no local holding it,
-    so it dies once standardized, before norm2's affine allocates. The
-    hand-over is a plain method call with its arguments spelled out:
-    CPython 3.11 and later move those into the callee's frame, where an
-    instance call (``norm2(t)``) or a star-call (``scaled(t, *pair)``)
-    keeps them in an argument tuple until it returns.
+    ``norm2.scaled`` is handed dense1's output (``inplace=True``), so that
+    output gives up its array once standardized, before norm2's affine
+    allocates, however the call was spelled.
     """
 
     def __init__(self, cin: int, cout: int, rng, ref: int, activation=F.leaky_relu,
@@ -254,8 +252,8 @@ class ResidualBlockConv3d(Module):
     with Cin = Cout holds its input and one working buffer, next to one
     chunk of a convolution's padded planes and its saved input plane. Under
     a tape the ops allocate their results, and conv1's output is handed to
-    ``norm2.scaled`` by a plain method call, as in ``ResidualBlockFC``, so
-    it dies once standardized, before norm2's affine allocates.
+    ``norm2.scaled``, as in ``ResidualBlockFC``, so it gives up its array
+    once standardized, before norm2's affine allocates.
     """
 
     def __init__(self, cin: int, cout: int, rng, activation=F.selu, dtype=np.float32):

@@ -3,7 +3,8 @@
 An op's result owns its array; the tape holds graph nodes without data
 (``Tensor`` lists the parts a tensor plays). Each backward closure captures
 only the arrays it reads (``nn.functional`` says which), so an activation
-dies when the caller drops it unless a backward needs it: the reverse sweep
+dies when the caller drops it, or hands it over (``hand_over``), unless a
+backward needs it: the reverse sweep
 needs only the values it reads (Griewank & Walther 2008), which is also why
 autograd keeps per-op saved tensors apart from the tensors a user holds
 (Paszke et al. 2019). ``backward()`` topologically sorts the nodes and
@@ -252,7 +253,7 @@ class Tensor:
                 node._inputs = ()
                 handle = node._handle() if node is not root else None
                 if handle is not None:
-                    handle.data = None
+                    hand_over(handle)
 
     def item(self) -> float:
         """The value of a one-entry tensor."""
@@ -263,6 +264,18 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
+
+
+def hand_over(*tensors: Tensor) -> None:
+    """Release the arrays of ``tensors``, which their holder hands over:
+    each one that is not a leaf gives up its ``data``, which becomes None.
+    Its array then dies unless a backward closure captured it, however long
+    the tensor object itself lives (in a caller's local, an argument tuple
+    or a tracing wrapper), and a stale read fails loudly. A leaf (a
+    parameter or an explicit-grad input) keeps its data."""
+    for t in tensors:
+        if not t.requires_grad:
+            t.data = None
 
 
 def parameter(data: np.ndarray) -> Tensor:

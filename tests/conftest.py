@@ -1,12 +1,15 @@
 """Shared fixtures, the finite-difference gradient checker, a summing
-backward, the byte meter's peak probe, a bit-equality assertion and a
-training queue's eviction record."""
+backward, the byte meter's peak probe, calls that keep their arguments, a
+bit-equality assertion and a training queue's eviction record."""
 
+import contextlib
 import gc
 
 import numpy as np
 import pytest
 
+from hiloseg.models.hilo import HiLoModel
+from hiloseg.nn.layers import Module, Norm, ResidualBlockFC
 from hiloseg.nn.tensor import memory_meter
 
 
@@ -17,6 +20,41 @@ def meter_peak(fn) -> int:
     base = memory_meter.current
     fn()
     return memory_meter.peak - base
+
+
+def _module_classes(cls=Module):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _module_classes(sub)
+
+
+def _holding(fn):
+    def held(*args, **kwargs):
+        return fn(*args, **kwargs)  # args and kwargs live until fn returns
+
+    return held
+
+
+@contextlib.contextmanager
+def held_arguments():
+    """Inside the block, every model-level call keeps its arguments alive
+    until it returns, as an instance call, a star-call, a tracing wrapper
+    or CPython 3.10's plain calls do: the ``__call__`` of each of the
+    package's ``nn.Module`` subclasses, ``Norm.scaled``,
+    ``ResidualBlockFC.points`` and ``HiLoModel.forward_batch`` are wrapped.
+    A memory figure that holds inside it does not rest on how a call is
+    spelled."""
+    methods = [(cls, "__call__") for cls in set(_module_classes())
+               if cls.__module__.startswith("hiloseg.") and "__call__" in vars(cls)]
+    methods += [(Norm, "scaled"), (ResidualBlockFC, "points"), (HiLoModel, "forward_batch")]
+    originals = [(cls, name, vars(cls)[name]) for cls, name in methods]
+    try:
+        for cls, name, fn in originals:
+            setattr(cls, name, _holding(fn))
+        yield
+    finally:
+        for cls, name, fn in originals:
+            setattr(cls, name, fn)
 
 
 def backward_sum(y) -> None:

@@ -26,6 +26,7 @@ import traceback
 import tracemalloc
 from collections import Counter
 
+from conftest import held_arguments, meter_peak
 from test_memory_claim import (
     CFG,
     DEEP,
@@ -123,10 +124,12 @@ def main(names) -> int:
         if names and name not in names:
             continue
         peak, base, live, stack = peak_report(build())
+        with held_arguments():
+            held = meter_peak(build())
         traced = traced_peak(build())
         total = sum(n * nbytes for (_, _, nbytes), n in live.items())
-        print(f"== {name}: meter peak {peak:,} B above {base:,} B at the start;"
-              f" tracemalloc peak {traced:,} B")
+        print(f"== {name}: meter peak {peak:,} B above {base:,} B at the start"
+              f" ({held:,} B with held calls); tracemalloc peak {traced:,} B")
         print(f"   alive at the peak: {sum(live.values())} arrays, {total:,} B")
         for (shape, dtype, nbytes), n in sorted(live.items(), key=lambda kv: -kv[0][2] * kv[1]):
             print(f"   {n:4d} x {str(shape):24s} {dtype:8s} {nbytes:>11,} B each")

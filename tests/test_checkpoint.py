@@ -72,6 +72,22 @@ class TestCheckpoint:
             with pytest.raises(FormatError):
                 load_checkpoint(cut)
 
+    @pytest.mark.parametrize("table", ["state", "optimizer"])
+    def test_non_finite_entry_is_a_format_error(self, tmp_path, table):
+        """A NaN or an infinity in any entry is refused on reading, naming
+        the first such entry, so a diverged model is never loaded."""
+        state = {k: v.copy() for k, v in STATE.items()}
+        opt = {**OPTIMIZER, "v": {"stem.b": np.array([0.01, np.inf], dtype=np.float32)}}
+        if table == "state":
+            state["stem.b"][1] = np.nan
+            state["scale"][...] = -np.inf
+            opt = None
+        path = tmp_path / "model.hckpt"
+        save_checkpoint(path, "hilo", "a = 1\n", state, opt)
+        first = {"state": "stem.b", "optimizer": "v/stem.b"}[table]
+        with pytest.raises(FormatError, match=f"entry '{first}' holds non-finite values"):
+            load_checkpoint(path)
+
     def test_trailing_bytes_are_a_format_error(self, tmp_path):
         path = tmp_path / "model.hckpt"
         save_checkpoint(path, "hilo", "", STATE)

@@ -12,7 +12,13 @@ import pytest
 
 from hiloseg import cli
 from hiloseg.config import config_text, config_values, parse_kv_text, read_config
-from hiloseg.data_io import load_manifest, load_volume, save_volume
+from hiloseg.data_io import (
+    SynthConfig,
+    generate_synthetic_one,
+    load_manifest,
+    load_volume,
+    save_volume,
+)
 from hiloseg.models import HiLoConfig, HiLoModel, OnetConfig, OnetModel
 from hiloseg.nn.checkpoint import load_checkpoint, save_checkpoint
 from hiloseg.voxel import LabelVolume
@@ -606,6 +612,70 @@ def test_record_whose_files_disagree_is_a_data_error(run, tmp_path, fault, comma
     assert "data error" in err and DATA_FAULTS[fault] in err
     bad = load_manifest(data / "manifest.tsv").paths()
     assert any(r.path in err and r.label_path in err for r in bad)
+
+
+def _train_on(run, tmp_path, rows, *flags):
+    """``train`` on a data directory whose manifest lists ``rows``, each a
+    (scan path, label path, split) triple; returns (exit code, stderr)."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.tsv").write_text("".join(f"{v}\t{lab}\t{s}\n" for v, lab, s in rows))
+    code, _, err = call("train", "--config", run["config"], "--data", data,
+                        "--out", tmp_path / "out", *flags)
+    return code, err
+
+
+@pytest.mark.parametrize("model, says", [
+    ("onet", "requires at least one positive voxel"),
+    ("hilo", "instance has no positive voxels"),
+], ids=["onet", "hilo"])
+def test_labels_without_a_gun_voxel_are_a_data_error(run, tmp_path, model, says):
+    """Label files with no positive voxel train neither family: the
+    occupancy trainer cannot bias its draw toward the gun, the pyramid
+    trainer cannot crop to it. Both exit 2 and write no checkpoint."""
+    rows = []
+    for i, r in enumerate(load_manifest(run["data"] / "manifest.tsv").paths()):
+        empty = tmp_path / f"empty_{i:05d}.hv1"
+        save_volume(empty, LabelVolume(np.zeros_like(load_volume(r.label_path).data)))
+        rows.append((r.path, empty, r.split))
+    flags = {"onet": ["--epochs", 1, "--batch", 2], "hilo": ["--max-steps", 1]}[model]
+    code, err = _train_on(run, tmp_path, rows, "--model", model, *flags)
+    assert code == 2
+    assert "data error" in err and says in err
+    assert not (tmp_path / "out" / "checkpoint.hckpt").exists()
+
+
+def test_scans_of_other_dims_are_a_data_error_for_the_occupancy_trainer(run, tmp_path):
+    """The occupancy trainer batches whole pooled scans, so a training scan
+    of other dims exits 2, naming the dims of the scans."""
+    rows = [(r.path, r.label_path, r.split)
+            for r in load_manifest(run["data"] / "manifest.tsv").paths()]
+    other = (DIMS[0] + 2,) + DIMS[1:]
+    vol, labels = generate_synthetic_one(SynthConfig(dims=other, seed=5), 0)
+    save_volume(tmp_path / "wide.hv1", vol)
+    save_volume(tmp_path / "wide_lab.hv1", labels)
+    rows.append((tmp_path / "wide.hv1", tmp_path / "wide_lab.hv1", "train"))
+    code, err = _train_on(run, tmp_path, rows, "--model", "onet", "--epochs", 1, "--batch", 2)
+    assert code == 2
+    assert "data error" in err and "share dims" in err
+    assert str(DIMS) in err and str(other) in err
+
+
+def test_checkpoint_with_a_non_finite_parameter_is_a_data_error(run):
+    """A checkpoint holding a NaN does not segment to an empty mask: it
+    exits 2, naming the entry, and writes nothing."""
+    state = HiLoModel(TINY_HILO).state_dict()
+    name = sorted(state)[0]
+    state[name] = state[name].copy()
+    state[name].reshape(-1)[0] = np.nan
+    ckpt = run["root"] / "nan.hckpt"
+    save_checkpoint(ckpt, TINY_HILO.kind, config_text(TINY_HILO), state)
+    scan = load_manifest(run["data"] / "manifest.tsv").paths("test")[0].path
+    out_dir = run["root"] / "segment-nan"
+    code, out, err = call("segment", "--input", scan, "--checkpoint", ckpt, "--out", out_dir)
+    assert code == 2
+    assert "data error" in err and repr(name) in err and "non-finite" in err
+    assert not out_dir.exists()
 
 
 def test_unknown_config_key_is_a_data_error(run):

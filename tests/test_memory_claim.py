@@ -6,12 +6,13 @@ see scan size where a model depends on it. Last, tracemalloc bounds what
 the meter misses."""
 
 import dataclasses
+import functools
 import gc
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import backward_sum, meter_peak
+from conftest import backward_sum, held_arguments, meter_peak
 
 from hiloseg import nn
 from hiloseg.data_io import SynthConfig, generate_synthetic_one
@@ -272,6 +273,48 @@ def test_benchmark_occupancy_training_peak_is_pinned():
     got = [meter_peak(benchmark_occupancy_training(dims))
            for dims in ((32, 32, 32), (64, 48, 64))]
     assert got == [35_476_888, 35_476_888]
+
+
+def test_occupancy_encoding_peak_is_pinned():
+    """Encoding one 32³ scan, pooled by 4 to 8³, peaks in a convolution of
+    the encoder's first block, at the block's input and the one activation
+    it writes over (8³ × 2 float32 each) and the 10 padded planes of its
+    one chunk (10³ × 2 float32), next to the model's parameters, which the
+    run builds. The pooled input tensor (8³ float32, 2,048 B) is dead by
+    then: the encoder hands it over after its stem."""
+    params = sum(p.data.nbytes for p in OnetModel(ONET).parameters())
+    assert meter_peak(occupancy_encoding(32)) - params == 2 * 8**3 * 2 * 4 + 10**3 * 2 * 4
+
+
+# The pinned figures above, each measured again with every model-level call
+# keeping its arguments until it returns (``held_arguments``): an array dies
+# where the code hands it over, so no figure rests on how a call is spelled.
+HELD_PINS = {
+    "scan-size": test_window_pyramid_peak_does_not_depend_on_scan_size,
+    "deep-segment": test_deep_pyramid_segment_peak_is_pinned,
+    **{f"segment-levels-{n}": functools.partial(test_each_pyramid_level_costs_one_encoding, n)
+       for n in (1, 2, 3, 4)},
+    **{f"train-levels-{n}":
+       functools.partial(test_each_pyramid_level_costs_one_encoding_in_training, n)
+       for n in (1, 2, 3, 4)},
+    **{f"train-pooled-blocks-{n}":
+       functools.partial(test_pooled_decoder_depth_costs_only_parameters, n)
+       for n in (2, 3, 4, 6)},
+    "bench-hilo-train": test_benchmark_training_peak_is_pinned,
+    **{f"onet-train-{c}": functools.partial(test_each_decoder_block_costs_its_input_in_training, c)
+       for c in ("cbn", "concat")},
+    **{f"onet-train-encoder-blocks-{n}":
+       functools.partial(test_occupancy_encoder_depth_costs_only_parameters, n)
+       for n in (1, 2, 3, 6)},
+    "bench-onet-sr": test_benchmark_occupancy_training_peak_is_pinned,
+    "onet-encode": test_occupancy_encoding_peak_is_pinned,
+}
+
+
+@pytest.mark.parametrize("pin", HELD_PINS)
+def test_pinned_peak_holds_when_calls_keep_their_arguments(pin):
+    with held_arguments():
+        HELD_PINS[pin]()
 
 
 def _unmetered_peak(monkeypatch, make_run) -> int:

@@ -7,6 +7,9 @@ fresh-model tests pin the zero-initialized heads: an untrained model must
 answer exactly 0.5 everywhere, with no spatial bias.
 """
 
+import contextlib
+import weakref
+
 import numpy as np
 import pytest
 from conftest import meter_peak
@@ -24,6 +27,8 @@ from hiloseg.models import (
     onet_decode,
     onet_encode,
 )
+from hiloseg.models.hilo import HiLoEncoder
+from hiloseg.models.onet import OnetEncoder
 from hiloseg.voxel import VoxelVolume, average_pool, build_pyramid
 
 TINY_HILO = dict(
@@ -496,3 +501,24 @@ class TestExtractBoundingBox:
 
     def test_empty_input_gives_empty_box(self):
         assert extract_bounding_box(np.zeros((5, 5, 5), dtype=bool), dims=(5, 5, 5)).is_empty
+
+
+@pytest.mark.parametrize("tape", [False, True], ids=["no-tape", "tape"])
+@pytest.mark.parametrize("family", ["hilo", "onet"])
+def test_encoder_hands_its_input_over_after_its_stem(family, tape):
+    """Each encoder's input holds no array once the stem has read it, by
+    the first block, while the caller still holds the tensor, as an
+    instance call does. The array itself dies there unless the stem's
+    backward reads it (its kernel gradient, under a tape)."""
+    rng = np.random.default_rng(0)
+    if family == "hilo":
+        enc = HiLoEncoder(HiLoConfig(**TINY_HILO), rng)
+    else:
+        enc = OnetEncoder(OnetConfig(**TINY_ONET), rng)
+    x = nn.Tensor(rng.normal(size=(2, 8, 8, 8, 1)).astype(np.float32))
+    arr = weakref.ref(x.data)
+    seen, first = [], enc.blocks[0]
+    enc.blocks[0] = lambda h: seen.append((x.data is None, arr() is None)) or first(h)
+    with contextlib.nullcontext() if tape else nn.no_grad():
+        enc(x)
+    assert seen == [(True, not tape)]

@@ -878,10 +878,12 @@ class TestResidualBlocks:
 
     @pytest.mark.parametrize("kind", ["conv", "fc", "fc-conditional"])
     def test_first_layer_output_dies_once_norm2_standardized_it(self, rng, monkeypatch, kind):
-        """Without a tape, conv1's or dense1's output is dead by the time
-        norm2 applies its affine: the block hands it to ``norm2.scaled``
-        with no local holding it, and ``scaled`` rebinds it once
-        standardized."""
+        """With and without a tape, conv1's or dense1's output holds no
+        array by the time norm2 applies its affine: the block hands it to
+        ``norm2.scaled`` (``inplace=True``), which hands it over once
+        standardized, however long the tensor object lives. Without a tape
+        the standardization wrote over the array; under one, the array
+        itself is dead, since no backward reads it."""
         if kind == "conv":
             block = ResidualBlockConv3d(3, 3, rng=0)
             x, args = nn.Tensor(rng.normal(size=(2, 4, 4, 4, 3)).astype(np.float32)), ()
@@ -893,25 +895,30 @@ class TestResidualBlocks:
             args = (nn.Tensor(rng.normal(size=(2, 5)).astype(np.float32)),) if cond else ()
             name = "dense1"
         first = getattr(block, name)
-        made, alive_at_affine = [], []
+        made, at_affine = [], []
 
         def recorded(t, **kwargs):
             out = first(t, **kwargs)
-            made.append(weakref.ref(out))
+            made.append((weakref.ref(out), weakref.ref(out.data)))
             return out
 
         mul = F.mul
 
         def affine(*a, **kwargs):
             if made:  # norm2's: norm1's ran before the first layer
-                alive_at_affine.append(made[0]() is not None)
+                out, arr = made[0]
+                at_affine.append((out() is None or out().data is None, arr() is None))
             return mul(*a, **kwargs)
 
         monkeypatch.setattr(block, name, recorded)
         monkeypatch.setattr(F, "mul", affine)
         with no_grad():
             block(x, *args)
-        assert alive_at_affine == [False]
+        assert [released for released, _ in at_affine] == [True]
+        made.clear()
+        at_affine.clear()
+        block(x, *args)
+        assert at_affine == [(True, True)]
 
     def test_channel_change_uses_projection(self, rng):
         block = ResidualBlockFC(4, 7, rng=0, ref=2)

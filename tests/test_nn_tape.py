@@ -1,7 +1,8 @@
 """The tape: what its graph nodes keep alive, how gradients are handed to
 them, the seeded sweep that rebuilds a tape in the backward
-(``F.recompute``), and the hooks a profiler rebinds (an op result's
-``_backward`` and ``Tensor.accumulate_grad``)."""
+(``F.recompute``), the hand-over that releases an array, and the hooks a
+profiler rebinds (an op result's ``_backward`` and
+``Tensor.accumulate_grad``)."""
 
 import contextlib
 import itertools
@@ -9,14 +10,14 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import backward_sum
+from conftest import assert_same_bits, backward_sum
 
 from hiloseg import nn
 from hiloseg.models.hilo import HiLoConfig, HiLoGridDecoder
 from hiloseg.models.onet import OnetConfig, OnetDecoder, OnetModel
 from hiloseg.nn import functional as F
 from hiloseg.nn.layers import Conv3d, Dense, Norm, ResidualBlockConv3d, ResidualBlockFC
-from hiloseg.nn.tensor import Tensor
+from hiloseg.nn.tensor import Tensor, hand_over
 
 
 def record_outputs(monkeypatch, names, keep=None):
@@ -248,6 +249,52 @@ class TestGradientHandOver:
             assert s.tobytes() == want.tobytes()
 
 
+class TestHandOver:
+    """``hand_over``: a tensor that is not a leaf gives up its array."""
+
+    def test_a_leaf_keeps_its_data(self, rng):
+        for leaf in (nn.parameter(rng.normal(size=(3, 2))),
+                     Tensor(rng.normal(size=(3, 2)), requires_grad=True)):
+            d, bits = leaf.data, leaf.data.copy()
+            hand_over(leaf)
+            assert leaf.data is d
+            assert_same_bits(d, bits)
+
+    @pytest.mark.parametrize("make", [
+        lambda w: Tensor(w.data.copy()),
+        lambda w: F.add(w, w),
+        lambda w: F.add(Tensor(w.data), Tensor(w.data)),
+    ], ids=["constant", "op-result-on-the-tape", "op-result-without-a-tape"])
+    def test_a_constant_or_op_result_gives_up_its_array(self, rng, make):
+        """Its ``data`` becomes None and the array dies with its last
+        holder; a holder elsewhere sees its bits unchanged."""
+        w = nn.parameter(rng.normal(size=(3, 2)).astype(np.float32))
+        held = make(w)
+        kept, bits = held.data, held.data.copy()
+        hand_over(held)
+        assert held.data is None
+        assert_same_bits(kept, bits)
+        dropped = make(w)
+        ref = weakref.ref(dropped.data)
+        hand_over(dropped)
+        assert dropped.data is None and ref() is None
+
+    def test_an_array_a_backward_reads_outlives_the_hand_over(self, rng):
+        """selu's backward reads its output: the tape keeps the array, and
+        the gradient equals the one without the hand-over."""
+        def gradient(release):
+            w = nn.parameter(np.random.default_rng(1).normal(size=(3, 2)).astype(np.float32))
+            y = F.selu(w)
+            ref = weakref.ref(y.data)
+            if release:
+                hand_over(y)
+            assert ref() is not None
+            y.backward(seed=np.ones(y.shape, y.dtype))
+            return w.grad
+
+        assert_same_bits(gradient(True), gradient(False))
+
+
 class TestHookContract:
     """A profiler times backward closures by rebinding an op result's
     ``_backward`` and counts gradients by rebinding ``Tensor.accumulate_grad``."""
@@ -348,6 +395,37 @@ class TestRecompute:
         with context():
             backward_sum(loss)
         return [t.grad for t in [x] + block.parameters()]
+
+    def test_without_a_tape_is_fn_of_its_inputs_and_hands_them_over(self, rng):
+        """Without a tape, ``recompute`` is ``fn(*xs)`` bit for bit and
+        records nothing; an input that is not a leaf then gives up its
+        array unwritten, and a leaf keeps its data."""
+        block, _ = conv_block_case(rng)
+        xd = rng.normal(size=(2, 4, 5, 3, 2)).astype(np.float32)
+        with nn.no_grad():
+            want = block(Tensor(xd.copy())).data
+            x = Tensor(xd.copy())
+            arr = x.data
+            y = F.recompute(block, (x,), block.parameters())
+            leaf = Tensor(xd.copy(), requires_grad=True)
+            from_leaf = F.recompute(block, (leaf,), block.parameters())
+        assert y.node is None
+        assert_same_bits(y.data, want)
+        assert x.data is None
+        assert_same_bits(arr, xd)
+        assert_same_bits(from_leaf.data, want)
+        assert_same_bits(leaf.data, xd)
+
+    def test_with_a_tape_hands_its_inputs_over_to_its_node(self, rng):
+        """Under a tape an input that is not a leaf gives up its array to
+        the recompute node, which keeps it until its backward has run."""
+        block, x = conv_block_case(rng)
+        h = F.add(x, x)
+        ref = weakref.ref(h.data)
+        y = F.recompute(block, (h,), block.parameters())
+        assert h.data is None and ref() is not None
+        backward_sum(y)
+        assert ref() is None and x.grad is not None
 
     def test_gradients_bit_equal_to_a_kept_tape(self):
         kept = self.block_gradients(np.random.default_rng(1), lambda f, x: f(x))
